@@ -25,8 +25,8 @@ impl Decisions {
         self.trace = telemetry.trace().clone();
     }
 
-    /// Emits one decision event; `detail` is only rendered when tracing
-    /// is compiled in and a ring buffer is attached.
+    /// Emits one decision event; `detail` is only rendered when a ring
+    /// buffer is attached.
     pub(crate) fn emit(&self, ts: Cycle, decision: &str, detail: impl FnOnce() -> String) {
         let controller = self.controller;
         self.trace.emit_with(|| TraceEvent {

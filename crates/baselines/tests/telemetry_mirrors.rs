@@ -1,7 +1,6 @@
 //! Registry-mirror tests: the baseline controllers must report the same
 //! numbers through the shared telemetry registry as through their typed
-//! stats structs, and (when tracing is compiled in) leave decision
-//! events in the trace.
+//! stats structs, and leave decision events in an attached trace.
 
 use gpu_baselines::{
     PkaConfig, PkaController, SieveConfig, SieveController, TbPointConfig, TbPointController,
@@ -12,6 +11,24 @@ use gpu_workloads::fir;
 
 fn sim_with(tel: &Telemetry) -> GpuSimulator {
     GpuSimulator::with_telemetry(GpuConfig::tiny(), tel.clone())
+}
+
+/// Drains the trace and counts `controller`'s `kernel-skip` decisions.
+fn traced_kernel_skips(tel: &Telemetry, controller: &str) -> u64 {
+    tel.take_events()
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(
+                &e.kind,
+                EventKind::ControllerDecision {
+                    controller: c,
+                    decision,
+                    ..
+                } if c == controller && decision == "kernel-skip"
+            )
+        })
+        .count() as u64
 }
 
 #[test]
@@ -43,29 +60,13 @@ fn sieve_counters_mirror_stats() {
         .map(|g| g.value);
     assert_eq!(strata, Some(stats.strata as f64));
 
-    if gpu_telemetry::tracing_compiled() {
-        let log = tel.take_events();
-        let skips = log
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    &e.kind,
-                    EventKind::ControllerDecision {
-                        controller,
-                        decision,
-                        ..
-                    } if controller == "sieve" && decision == "kernel-skip"
-                )
-            })
-            .count() as u64;
-        assert_eq!(skips, stats.kernels_skipped);
-    }
+    assert_eq!(traced_kernel_skips(&tel, "sieve"), stats.kernels_skipped);
 }
 
 #[test]
 fn pka_counters_mirror_stats() {
     let tel = Telemetry::default();
+    tel.enable_tracing(1 << 14);
     let mut gpu = sim_with(&tel);
     let app = fir::build(&mut gpu, 32, 7);
     let mut pka = PkaController::new(PkaConfig::default());
@@ -80,6 +81,7 @@ fn pka_counters_mirror_stats() {
         Some(stats.kernels_skipped)
     );
     assert_eq!(snap.counter("pka.ipc_aborts"), Some(stats.ipc_aborts));
+    assert_eq!(traced_kernel_skips(&tel, "pka"), stats.kernels_skipped);
 }
 
 #[test]

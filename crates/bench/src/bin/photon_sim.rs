@@ -26,7 +26,7 @@ fn usage() -> ! {
          [--arch r9nano|mi100] [--cus N] [--seed N] [--jobs N] [--timeout SECS] [--no-cache] \
          [--trace <file.trace.json>] [--report <name>]\n\
          workloads: aes fir sc mm relu spmv pr-<nodes> vgg16 vgg19 resnet18|34|50|101|152\n\
-         --trace  writes a Chrome-trace JSON of the run (build with --features telemetry)\n\
+         --trace  writes a Chrome-trace JSON of the run (always simulates: implies --no-cache, ignores --resume)\n\
          --report writes results/BENCH_<name>.json"
     );
     std::process::exit(2);
@@ -122,10 +122,7 @@ fn main() {
 
     let trace_path = args.get("trace");
     if trace_path.is_some() {
-        if !gpu_telemetry::tracing_compiled() {
-            eprintln!("warning: built without `--features telemetry`; the trace will be empty");
-        }
-        opts.trace_capacity = 1 << 20;
+        photon_bench::cli::force_traced_run(&mut opts);
     }
 
     let report = run_specs(std::slice::from_ref(&spec), &opts);

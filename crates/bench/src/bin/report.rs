@@ -29,9 +29,8 @@ fn usage() -> ! {
 }
 
 /// Runs the fixed smoke grid (small FIR, Full + Photon) through the
-/// executor and writes `results/BENCH_smoke.json`. With the `telemetry`
-/// feature the Photon run's events are exported to
-/// `results/TRACE_smoke.trace.json`.
+/// executor and writes `results/BENCH_smoke.json`; the Photon run's
+/// events are exported to `results/TRACE_smoke.trace.json`.
 ///
 /// Each run owns a private `Telemetry`; the report merges the
 /// per-run snapshots explicitly, so concurrent runs can never bleed
@@ -53,24 +52,22 @@ fn smoke(mut opts: ExecOptions, require_cached: bool) {
         std::process::exit(1);
     }
 
-    if gpu_telemetry::tracing_compiled() {
-        // Export the Photon run's trace; the detailed run's would dwarf
-        // the ring with per-warp events.
-        if let Some(r) = report
-            .results
-            .iter()
-            .find(|r| r.spec.method != Method::Full)
-        {
-            let path = results_dir().join("TRACE_smoke.trace.json");
-            match std::fs::write(&path, gpu_telemetry::export::chrome_trace_json(&r.trace)) {
-                Ok(()) => println!(
-                    "(wrote {} — {} events, {} dropped)",
-                    path.display(),
-                    r.trace.events.len(),
-                    r.trace.dropped
-                ),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
+    // Export the Photon run's trace; the detailed run's would dwarf
+    // the ring with per-warp events.
+    if let Some(r) = report
+        .results
+        .iter()
+        .find(|r| r.spec.method != Method::Full)
+    {
+        let path = results_dir().join("TRACE_smoke.trace.json");
+        match std::fs::write(&path, gpu_telemetry::export::chrome_trace_json(&r.trace)) {
+            Ok(()) => println!(
+                "(wrote {} — {} events, {} dropped)",
+                path.display(),
+                r.trace.events.len(),
+                r.trace.dropped
+            ),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     }
 

@@ -151,6 +151,23 @@ pub fn parse_exec_options(args: &mut Vec<String>) -> Result<ExecOptions, String>
     Ok(opts)
 }
 
+/// Turns `opts` into a traced invocation (`photon_sim --trace`): attaches
+/// a 1 Mi-event ring to every run and makes every spec simulate. A
+/// reference-cache hit or a `--resume` replay answers without running,
+/// so it has no events to export. The rule lives here, not in the
+/// executor, because `report smoke --require-cached` also attaches a
+/// ring and must keep hitting the cache.
+pub fn force_traced_run(opts: &mut ExecOptions) {
+    opts.trace_capacity = 1 << 20;
+    opts.cache = false;
+    if opts.resume {
+        // A non-resuming run truncates its journal; leave the one the
+        // caller meant to resume from intact.
+        opts.resume = false;
+        opts.journal = None;
+    }
+}
+
 /// Parses the executor flags from the process arguments, exiting with
 /// the usage text on malformed input or leftover unknown flags. For
 /// binaries whose *only* arguments are the executor flags.

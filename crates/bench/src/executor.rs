@@ -49,8 +49,9 @@ pub struct ExecOptions {
     /// point this at a temp directory so parallel test binaries never
     /// race on env vars or a shared cache.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Ring capacity for per-run event tracing (0 = off; only recorded
-    /// when the `telemetry` feature is compiled in).
+    /// Ring capacity for per-run event tracing, the run-time switch.
+    /// 0 = off: no ring is attached and an emit site costs one atomic
+    /// load.
     pub trace_capacity: usize,
     /// Extra attempts granted to a run whose failure is
     /// [`FailureKind::Transient`] (panics, timeouts). Permanent

@@ -5,14 +5,11 @@ use gpu_baselines::{
 };
 use gpu_sim::{AppResult, GpuConfig, GpuSimulator, NullController, SamplingController, SimError};
 use gpu_telemetry::{BbErrorRow, CycleAccounting, Telemetry};
-use gpu_workloads::registry::Benchmark;
 use gpu_workloads::App;
 use photon::{PhotonConfig, PhotonController};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // The experiment-grid vocabulary lives in [`crate::specs`]; these
 // re-exports keep the long-standing `harness::` paths working.
@@ -86,7 +83,7 @@ fn make_controller(
 
 /// Runs an application under a method on a fresh simulator and
 /// measures it, surfacing simulator errors as typed values instead of
-/// panics. Counters and (with the `telemetry` feature) trace events
+/// panics. Counters and (once tracing is enabled on it) trace events
 /// land in `telemetry`.
 ///
 /// # Errors
@@ -179,24 +176,6 @@ fn bb_error_rows(result: &AppResult) -> Vec<BbErrorRow> {
     rows
 }
 
-/// Runs an application under a method on a fresh simulator and
-/// measures it.
-///
-/// # Panics
-/// Panics on simulator errors; sweeps that must survive faulty
-/// configurations use [`run_app_method_isolated`] or
-/// [`try_run_app_method`] instead.
-pub fn run_app_method(
-    gpu_cfg: &GpuConfig,
-    name: &str,
-    build: &AppBuilder<'_>,
-    method: &Method,
-    pcfg: &PhotonConfig,
-) -> Measurement {
-    try_run_app_method(gpu_cfg, name, build, method, pcfg, &Telemetry::default())
-        .unwrap_or_else(|e| panic!("{name} under {}: {e}", method.name()))
-}
-
 /// Whether a failed run is worth retrying.
 ///
 /// The executor's retry budget applies only to [`Transient`] failures —
@@ -215,7 +194,7 @@ pub enum FailureKind {
     Permanent,
 }
 
-/// Result of an isolated (panic- and hang-guarded) run: either a
+/// Result of a guarded (panic- and hang-isolated) executor run: either a
 /// measurement, or a structured skip explaining why this configuration
 /// produced none. Skips serialize into result files so a partially
 /// failing sweep still documents its holes.
@@ -283,155 +262,6 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Like [`run_app_method`], but fault-isolated: the run happens on a
-/// worker thread behind `catch_unwind` and a wall-clock `timeout`, so a
-/// panicking or hanging configuration yields a [`RunOutcome::Skipped`]
-/// instead of taking the whole sweep down.
-///
-/// On timeout the worker thread is abandoned (it cannot be cancelled);
-/// it keeps running detached until its simulation finishes or the
-/// process exits.
-pub fn run_app_method_isolated<F>(
-    gpu_cfg: &GpuConfig,
-    name: &str,
-    build: F,
-    method: &Method,
-    pcfg: &PhotonConfig,
-    timeout: Duration,
-) -> RunOutcome
-where
-    F: Fn(&mut GpuSimulator) -> App + Send + 'static,
-{
-    let workload = name.to_string();
-    let method_name = method.name();
-    let skipped =
-        |reason: String, error: Option<String>, failure: FailureKind| RunOutcome::Skipped {
-            workload: workload.clone(),
-            method: method_name.clone(),
-            reason,
-            error,
-            failure,
-        };
-
-    let cfg = gpu_cfg.clone();
-    let run_name = workload.clone();
-    let run_method = method.clone();
-    let run_pcfg = pcfg.clone();
-    let (tx, rx) = channel();
-    let spawn = std::thread::Builder::new()
-        .name(format!("bench-{workload}"))
-        .spawn(move || {
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                try_run_app_method(
-                    &cfg,
-                    &run_name,
-                    &build,
-                    &run_method,
-                    &run_pcfg,
-                    &Telemetry::default(),
-                )
-            }));
-            // The receiver may already have timed out and moved on.
-            let _ = tx.send(res);
-        });
-    let handle = match spawn {
-        Ok(h) => h,
-        Err(e) => {
-            return skipped(
-                format!("could not spawn worker thread: {e}"),
-                None,
-                FailureKind::Transient,
-            )
-        }
-    };
-
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(Ok(m))) => {
-            let _ = handle.join();
-            RunOutcome::Completed(m)
-        }
-        Ok(Ok(Err(sim_err))) => {
-            let _ = handle.join();
-            // A typed SimError is a deterministic property of the spec:
-            // re-running reproduces it, so never burn retries on it.
-            skipped(
-                format!("simulation error: {sim_err}"),
-                Some(format!("{sim_err:?}")),
-                FailureKind::Permanent,
-            )
-        }
-        Ok(Err(payload)) => {
-            let _ = handle.join();
-            skipped(
-                format!("panicked: {}", panic_reason(payload.as_ref())),
-                None,
-                FailureKind::Transient,
-            )
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            note_abandoned_thread();
-            skipped(
-                format!("timed out after {:.1}s", timeout.as_secs_f64()),
-                None,
-                FailureKind::Transient,
-            )
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            let _ = handle.join();
-            skipped(
-                "worker thread died without reporting".to_string(),
-                None,
-                FailureKind::Transient,
-            )
-        }
-    }
-}
-
-/// Fault-isolated variant of [`run_benchmark`]; see
-/// [`run_app_method_isolated`].
-pub fn run_benchmark_isolated(
-    gpu_cfg: &GpuConfig,
-    bench: Benchmark,
-    warps: u64,
-    seed: u64,
-    method: &Method,
-    pcfg: &PhotonConfig,
-    timeout: Duration,
-) -> RunOutcome {
-    let mut out = run_app_method_isolated(
-        gpu_cfg,
-        bench.abbr(),
-        move |gpu| bench.build(gpu, warps, seed),
-        method,
-        pcfg,
-        timeout,
-    );
-    if let RunOutcome::Completed(m) = &mut out {
-        m.warps = warps;
-    }
-    out
-}
-
-/// Runs one Table 2 benchmark at a problem size under a method.
-pub fn run_benchmark(
-    gpu_cfg: &GpuConfig,
-    bench: Benchmark,
-    warps: u64,
-    seed: u64,
-    method: &Method,
-    pcfg: &PhotonConfig,
-) -> Measurement {
-    let mut m = run_app_method(
-        gpu_cfg,
-        bench.abbr(),
-        &|gpu| bench.build(gpu, warps, seed),
-        method,
-        pcfg,
-    );
-    m.warps = warps;
-    m
 }
 
 /// A printable results table.
@@ -564,128 +394,5 @@ mod tests {
         };
         assert!((fast.error_vs(&full) - 0.1).abs() < 1e-12);
         assert!((fast.speedup_vs(&full) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn panicking_run_is_skipped_and_siblings_continue() {
-        let cfg = GpuConfig::tiny();
-        let pcfg = PhotonConfig::default();
-        let bad = run_app_method_isolated(
-            &cfg,
-            "bad",
-            |_gpu| panic!("builder exploded"),
-            &Method::Full,
-            &pcfg,
-            Duration::from_secs(60),
-        );
-        match &bad {
-            RunOutcome::Skipped {
-                workload, reason, ..
-            } => {
-                assert_eq!(workload, "bad");
-                assert!(reason.contains("builder exploded"), "reason: {reason}");
-            }
-            RunOutcome::Completed(_) => panic!("panicking run completed"),
-        }
-        assert!(bad.measurement().is_none());
-
-        // A healthy sibling on the same harness still measures.
-        let good = run_benchmark_isolated(
-            &cfg,
-            Benchmark::Fir,
-            4,
-            7,
-            &Method::Full,
-            &pcfg,
-            Duration::from_secs(60),
-        );
-        let m = good.measurement().expect("healthy run completes");
-        assert!(m.sim_cycles > 0);
-        assert_eq!(m.warps, 4);
-    }
-
-    #[test]
-    fn hung_run_times_out_as_skipped() {
-        let cfg = GpuConfig::tiny();
-        let out = run_app_method_isolated(
-            &cfg,
-            "hang",
-            |_gpu| -> App {
-                // Stand-in for a wedged simulation; the worker is
-                // abandoned and finishes sleeping after the test ends.
-                std::thread::sleep(Duration::from_secs(30));
-                panic!("never reached within the timeout");
-            },
-            &Method::Full,
-            &PhotonConfig::default(),
-            Duration::from_millis(100),
-        );
-        match out {
-            RunOutcome::Skipped {
-                reason, failure, ..
-            } => {
-                assert!(reason.contains("timed out"), "reason: {reason}");
-                // Timeouts are retryable and the abandoned worker is
-                // accounted for.
-                assert_eq!(failure, FailureKind::Transient);
-                assert!(abandoned_threads() >= 1);
-            }
-            RunOutcome::Completed(_) => panic!("hung run completed"),
-        }
-    }
-
-    #[test]
-    fn skips_serialize_into_results() {
-        let out = RunOutcome::Skipped {
-            workload: "x".into(),
-            method: "Full".into(),
-            reason: "timed out after 1.0s".into(),
-            error: None,
-            failure: FailureKind::Transient,
-        };
-        let json = serde_json::to_string(&out).unwrap();
-        assert!(json.contains("timed out"));
-        assert!(json.contains("Transient"));
-    }
-
-    #[test]
-    fn sim_errors_keep_their_typed_rendering() {
-        // An empty launch produces a typed SimError, not a panic; the
-        // outcome must carry both the display and debug renderings so
-        // serialized reports stay diagnosable.
-        let out = run_app_method_isolated(
-            &GpuConfig::tiny(),
-            "empty",
-            |_gpu| {
-                let mut kb = gpu_isa::KernelBuilder::new("empty");
-                let s = kb.sreg();
-                kb.smov(s, 0i64);
-                let launch = gpu_isa::KernelLaunch::new(
-                    gpu_isa::Kernel::new(kb.finish().unwrap()),
-                    0,
-                    0,
-                    vec![],
-                );
-                App::single("empty", launch)
-            },
-            &Method::Full,
-            &PhotonConfig::default(),
-            Duration::from_secs(60),
-        );
-        match out {
-            RunOutcome::Skipped {
-                reason,
-                error,
-                failure,
-                ..
-            } => {
-                assert!(reason.contains("simulation error"), "reason: {reason}");
-                let error = error.expect("typed error preserved");
-                assert!(error.contains("EmptyLaunch"), "error: {error}");
-                // Typed SimErrors are deterministic: never retried.
-                assert_eq!(failure, FailureKind::Permanent);
-            }
-            RunOutcome::Completed(_) => panic!("empty launch completed"),
-        }
     }
 }

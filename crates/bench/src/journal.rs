@@ -315,6 +315,14 @@ mod tests {
         let e = &load.entries[&0xabc];
         assert_eq!(e.label, "fir/Full");
         assert_eq!(e.outcome.measurement().unwrap().sim_cycles, 1234);
+        // Skips serialize too, keeping the diagnosis.
+        match &load.entries[&0xdef].outcome {
+            RunOutcome::Skipped { reason, error, .. } => {
+                assert_eq!(reason, "simulation error: deadlock");
+                assert_eq!(error.as_deref(), Some("Deadlock"));
+            }
+            RunOutcome::Completed(_) => panic!("the skip loaded as a measurement"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

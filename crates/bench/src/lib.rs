@@ -29,8 +29,7 @@ pub use executor::{
 };
 pub use flightrec::{FlightRecord, FLIGHTREC_SCHEMA_VERSION};
 pub use harness::{
-    results_dir, run_app_method, run_benchmark, try_run_app_method, AppBuilder, FailureKind,
-    Measurement, RunOutcome, Table,
+    results_dir, try_run_app_method, AppBuilder, FailureKind, Measurement, RunOutcome, Table,
 };
 pub use journal::{
     frame_line, journal_key, load_journal, parse_framed_line, Journal, JournalEntry,

@@ -4,8 +4,9 @@
 use gpu_sim::GpuConfig;
 use gpu_workloads::registry::Benchmark;
 use photon::Levels;
+use photon_bench::cli::force_traced_run;
 use photon_bench::specs::DEFAULT_SEED;
-use photon_bench::{run_specs, ExecOptions, Measurement, Method, RunSpec};
+use photon_bench::{run_specs, ExecOptions, FailureKind, Measurement, Method, RunOutcome, RunSpec};
 
 fn grid() -> Vec<RunSpec> {
     let gpu = GpuConfig::tiny();
@@ -99,7 +100,7 @@ fn identical_specs_are_simulated_once() {
 
 #[test]
 fn skipped_runs_do_not_poison_siblings() {
-    // 0 warps is rejected by kernel pre-flight validation -> Skipped.
+    // 0 warps is a typed SimError (EmptyLaunch), not a panic -> Skipped.
     let gpu = GpuConfig::tiny();
     let specs = vec![
         RunSpec::bench(gpu.clone(), Benchmark::Fir, 0, Method::Full),
@@ -107,7 +108,61 @@ fn skipped_runs_do_not_poison_siblings() {
     ];
     let report = run_specs(&specs, &opts(2));
     assert_eq!(report.stats.skipped, 1);
-    assert!(report.results[0].measurement().is_none());
+    // The skip keeps the typed error's display and debug renderings, so
+    // a serialized report stays diagnosable, and is never retried.
+    match &report.results[0].outcome {
+        RunOutcome::Skipped {
+            reason,
+            error,
+            failure,
+            ..
+        } => {
+            assert!(reason.contains("simulation error"), "reason: {reason}");
+            let error = error.as_deref().expect("typed error preserved");
+            assert!(error.contains("EmptyLaunch"), "error: {error}");
+            assert_eq!(*failure, FailureKind::Permanent);
+        }
+        RunOutcome::Completed(_) => panic!("a zero-warp launch completed"),
+    }
+    assert_eq!(report.stats.retried, 0);
     assert!(report.results[1].measurement().is_some());
     assert_eq!(report.results[0].spec.seed, DEFAULT_SEED);
+}
+
+/// `photon_sim --trace` semantics: a traced run has to simulate. With
+/// the reference cache warm and the spec already journaled, a plain
+/// rerun answers without running (and so without events); the traced
+/// options must produce a non-empty log every time.
+#[test]
+fn traced_full_run_simulates_despite_warm_cache_and_journal() {
+    let dir = std::env::temp_dir().join(format!("photon-traced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Full);
+    let warm = ExecOptions {
+        jobs: 1,
+        cache_dir: Some(dir.join("cache")),
+        journal: Some(dir.join("journal.jsonl")),
+        trace_capacity: 1 << 16,
+        ..ExecOptions::default()
+    };
+    let first = run_specs(std::slice::from_ref(&spec), &warm);
+    assert!(!first.results[0].trace.events.is_empty());
+    // The bug: served from the cache, the same options export nothing.
+    let hit = run_specs(std::slice::from_ref(&spec), &warm);
+    assert!(hit.results[0].from_cache && hit.results[0].trace.events.is_empty());
+
+    for resume in [false, true] {
+        let mut traced = ExecOptions {
+            resume,
+            ..warm.clone()
+        };
+        force_traced_run(&mut traced);
+        for _ in 0..2 {
+            let r = run_specs(std::slice::from_ref(&spec), &traced);
+            assert_eq!(r.stats.full_runs_executed, 1);
+            assert!(!r.results[0].from_cache);
+            assert!(!r.results[0].trace.events.is_empty());
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -75,7 +75,7 @@ impl PhotonTelemetry {
     }
 
     /// Emits a `ControllerDecision` event; `detail` is only rendered
-    /// when tracing is compiled in and active.
+    /// when tracing is active.
     fn decision(&self, ts: Cycle, decision: &str, detail: impl FnOnce() -> String) {
         self.trace.emit_with(|| TraceEvent {
             ts,

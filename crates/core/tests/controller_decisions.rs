@@ -300,7 +300,7 @@ fn registry_counters_mirror_stats() {
 }
 
 #[test]
-fn skip_decision_lands_in_the_trace_when_compiled() {
+fn skip_decision_lands_in_the_trace() {
     let tel = gpu_telemetry::Telemetry::default();
     tel.enable_tracing(1024);
     let mut ctrl = PhotonController::new(PhotonConfig::default(), 64);
@@ -313,22 +313,18 @@ fn skip_decision_lands_in_the_trace_when_compiled() {
     ctrl.on_kernel_start(&mut ctx2);
 
     let log = tel.take_events();
-    if gpu_telemetry::tracing_compiled() {
-        assert!(
-            log.events.iter().any(|e| matches!(
-                &e.kind,
-                gpu_telemetry::EventKind::ControllerDecision {
-                    controller,
-                    decision,
-                    ..
-                } if controller == "photon" && decision == "kernel-skip"
-            )),
-            "no kernel-skip decision in {} events",
-            log.events.len()
-        );
-    } else {
-        assert!(log.events.is_empty());
-    }
+    assert!(
+        log.events.iter().any(|e| matches!(
+            &e.kind,
+            gpu_telemetry::EventKind::ControllerDecision {
+                controller,
+                decision,
+                ..
+            } if controller == "photon" && decision == "kernel-skip"
+        )),
+        "no kernel-skip decision in {} events",
+        log.events.len()
+    );
 }
 
 #[test]

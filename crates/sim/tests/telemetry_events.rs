@@ -1,8 +1,7 @@
-//! Trace-event integration tests (only built with `--features
-//! telemetry`): a detailed run must produce a coherent event stream —
-//! kernel span, dispatches, warp retirements, cache traffic — and a
-//! watchdog abort must leave a diagnosable `WatchdogAbort` event.
-#![cfg(feature = "telemetry")]
+//! Trace-event integration tests: a detailed run must produce a
+//! coherent event stream — kernel span, dispatches, warp retirements,
+//! cache traffic — and a watchdog abort must leave a diagnosable
+//! `WatchdogAbort` event.
 
 use gpu_isa::{CmpOp, Kernel, KernelBuilder, KernelLaunch, SpecialReg};
 use gpu_sim::{GpuConfig, GpuSimulator, SimError};

@@ -9,11 +9,11 @@
 //!
 //! The crate sits at the bottom of the workspace dependency graph so
 //! every layer (`mem`, `sim`, `core`, `baselines`, `bench`) can emit
-//! through one [`Telemetry`] handle. Metrics are always compiled in
-//! (they back the load-bearing simulation statistics); **event
-//! recording** is behind the `enabled` cargo feature — without it the
-//! [`Trace`] handle is a zero-sized no-op and instrumented call sites
-//! vanish.
+//! through one [`Telemetry`] handle. Metrics back the load-bearing
+//! simulation statistics and are always recording; **event recording**
+//! is compiled into every build and switched on at run time by
+//! [`Telemetry::enable_tracing`] — until then an emit site costs one
+//! relaxed atomic load.
 //!
 //! # Example
 //!
@@ -25,9 +25,9 @@
 //! hits.add(3);
 //! assert_eq!(tel.snapshot().counter("mem.l2.hits"), Some(3));
 //!
-//! // Event recording is active only with `--features enabled` and
-//! // after a ring buffer is attached:
+//! // Event recording starts once a ring buffer is attached:
 //! tel.enable_tracing(1 << 16);
+//! assert!(tel.tracing_active());
 //! ```
 
 // Production code must surface failures as typed errors, not panics;
@@ -56,14 +56,14 @@ pub use report::{
 };
 pub use span::{SpanGuard, SpanKind, SpanRecord, SpanTree, TraceCtx};
 pub use trace::{
-    tracing_compiled, AbortKind, CacheLevel, EventKind, SampleMode, Trace, TraceEvent, TraceLog,
-    Tracer, SCHEMA_VERSION,
+    AbortKind, CacheLevel, EventKind, SampleMode, Trace, TraceEvent, TraceLog, Tracer,
+    SCHEMA_VERSION,
 };
 
 use std::sync::Arc;
 
 /// The one handle instrumented code holds: a shared metrics registry
-/// plus the (feature-gated) trace emitter. Cloning is cheap and all
+/// plus the (run-time gated) trace emitter. Cloning is cheap and all
 /// clones observe the same registry and ring buffer, so a simulator can
 /// hand copies to its memory hierarchy and controllers.
 #[derive(Debug, Clone, Default)]
@@ -78,8 +78,7 @@ impl Telemetry {
         &self.registry
     }
 
-    /// The trace emission handle (zero-sized no-op without the
-    /// `enabled` feature).
+    /// The trace emission handle.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -100,7 +99,7 @@ impl Telemetry {
     }
 
     /// Attaches a ring buffer of `capacity` events; all clones of this
-    /// handle start recording. No-op without the `enabled` feature.
+    /// handle start recording.
     pub fn enable_tracing(&self, capacity: usize) {
         self.trace.attach(capacity);
     }
@@ -110,7 +109,7 @@ impl Telemetry {
         self.trace.is_active()
     }
 
-    /// Drains recorded events (empty without the `enabled` feature).
+    /// Drains recorded events (empty until tracing is enabled).
     pub fn take_events(&self) -> TraceLog {
         self.trace.take()
     }
@@ -150,11 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn tracing_matches_compiled_feature() {
+    fn tracing_is_off_until_enabled() {
         let tel = Telemetry::default();
         assert!(!tel.tracing_active());
         tel.enable_tracing(16);
-        assert_eq!(tel.tracing_active(), tracing_compiled());
+        assert!(tel.tracing_active());
         assert!(tel.take_events().events.is_empty());
     }
 }

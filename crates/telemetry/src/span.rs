@@ -6,10 +6,10 @@
 //! threaded through the scheduler, the executor, and the engine's epoch
 //! loop. Code along the path opens typed spans ([`SpanKind`]) against
 //! the context; closed spans are published into a bounded per-thread
-//! ring. Unlike the deep kernel tracer in [`crate::trace`] (feature
-//! gated, per-event), this layer is **always compiled in**: spans are
-//! coarse (one per phase, not per simulated event) so the cost is a few
-//! dozen records per job.
+//! ring. Unlike the deep kernel tracer in [`crate::trace`] (per
+//! simulated event, recording only once a ring is attached), this layer
+//! is **always recording**: spans are coarse (one per phase, not per
+//! simulated event) so the cost is a few dozen records per job.
 //!
 //! Publish discipline: each thread owns its ring and is its only
 //! writer, so publishing never contends with another publisher — the

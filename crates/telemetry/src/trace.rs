@@ -1,14 +1,16 @@
 //! Structured event tracing: a bounded ring buffer of typed
-//! [`TraceEvent`]s and the feature-gated [`Trace`] handle instrumented
-//! code emits through.
+//! [`TraceEvent`]s and the [`Trace`] handle instrumented code emits
+//! through.
 //!
 //! Event timestamps are **simulated cycles** (not host time), so a
-//! trace lines up with the timing model's view of the run. With the
-//! `enabled` cargo feature off, [`Trace`] is a zero-sized type whose
-//! methods are empty `#[inline]` bodies — instrumentation compiles to
-//! nothing.
+//! trace lines up with the timing model's view of the run. The handle
+//! is compiled into every build and gated at run time: until a ring is
+//! attached an emit site costs one relaxed atomic load and a not-taken
+//! branch, and its event is never constructed.
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Version stamped into exported traces and reports; bump on any
 /// incompatible change to the event vocabulary or report schema.
@@ -323,131 +325,74 @@ pub struct TraceLog {
     pub dropped: u64,
 }
 
-#[cfg(feature = "enabled")]
-mod handle {
-    use super::{TraceEvent, TraceLog, Tracer};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Debug, Default)]
-    struct Shared {
-        active: AtomicBool,
-        tracer: Mutex<Option<Tracer>>,
-    }
-
-    /// The handle instrumented code emits events through. Clones share
-    /// one ring buffer; until [`Trace::attach`] is called every emit is
-    /// a cheap branch on a relaxed atomic.
-    #[derive(Debug, Clone, Default)]
-    pub struct Trace {
-        shared: Arc<Shared>,
-    }
-
-    impl Trace {
-        fn lock(&self) -> std::sync::MutexGuard<'_, Option<Tracer>> {
-            self.shared.tracer.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Attaches a ring buffer of `capacity` events; all clones of
-        /// this handle start recording.
-        pub fn attach(&self, capacity: usize) {
-            *self.lock() = Some(Tracer::new(capacity));
-            self.shared.active.store(true, Ordering::Release);
-        }
-
-        /// Whether a ring buffer is attached and recording.
-        #[inline]
-        pub fn is_active(&self) -> bool {
-            self.shared.active.load(Ordering::Relaxed)
-        }
-
-        /// Records an event (no-op until attached).
-        #[inline]
-        pub fn emit(&self, ev: TraceEvent) {
-            if self.is_active() {
-                if let Some(t) = self.lock().as_mut() {
-                    t.record(ev);
-                }
-            }
-        }
-
-        /// Records the event built by `f`, constructing it only when a
-        /// ring buffer is attached — use this on hot paths so payload
-        /// construction (string allocation etc.) is skipped when
-        /// tracing is off.
-        #[inline]
-        pub fn emit_with(&self, f: impl FnOnce() -> TraceEvent) {
-            if self.is_active() {
-                if let Some(t) = self.lock().as_mut() {
-                    t.record(f());
-                }
-            }
-        }
-
-        /// Drains the held events, leaving an empty (still attached)
-        /// ring behind.
-        pub fn take(&self) -> TraceLog {
-            let mut guard = self.lock();
-            match guard.as_mut() {
-                Some(t) => {
-                    let log = TraceLog {
-                        events: t.events(),
-                        dropped: t.dropped(),
-                    };
-                    *t = Tracer::new(t.capacity);
-                    log
-                }
-                None => TraceLog::default(),
-            }
-        }
-    }
+#[derive(Debug, Default)]
+struct Shared {
+    active: AtomicBool,
+    tracer: Mutex<Option<Tracer>>,
 }
 
-#[cfg(not(feature = "enabled"))]
-mod handle {
-    use super::{TraceEvent, TraceLog};
-
-    /// Zero-sized no-op stand-in compiled when the `enabled` feature is
-    /// off: every method is an empty inline body, so instrumented call
-    /// sites vanish entirely. Deliberately `Clone` but not `Copy` so
-    /// call sites read identically in both feature configurations
-    /// (the real handle holds an `Arc` and must be `.clone()`d).
-    #[derive(Debug, Clone, Default)]
-    pub struct Trace {}
-
-    impl Trace {
-        /// No-op (tracing is compiled out).
-        #[inline(always)]
-        pub fn attach(&self, _capacity: usize) {}
-
-        /// Always `false`.
-        #[inline(always)]
-        pub fn is_active(&self) -> bool {
-            false
-        }
-
-        /// No-op (the event is discarded).
-        #[inline(always)]
-        pub fn emit(&self, _ev: TraceEvent) {}
-
-        /// No-op; `f` is never called.
-        #[inline(always)]
-        pub fn emit_with(&self, _f: impl FnOnce() -> TraceEvent) {}
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn take(&self) -> TraceLog {
-            TraceLog::default()
-        }
-    }
+/// The handle instrumented code emits events through. Clones share
+/// one ring buffer; until [`Trace::attach`] is called every emit is
+/// one relaxed atomic load and a not-taken branch.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    shared: Arc<Shared>,
 }
 
-pub use handle::Trace;
+impl Trace {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Tracer>> {
+        self.shared.tracer.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
-/// Whether event recording is compiled into this build (the `enabled`
-/// cargo feature).
-pub const fn tracing_compiled() -> bool {
-    cfg!(feature = "enabled")
+    /// Attaches a ring buffer of `capacity` events; all clones of
+    /// this handle start recording.
+    pub fn attach(&self, capacity: usize) {
+        *self.lock() = Some(Tracer::new(capacity));
+        self.shared.active.store(true, Ordering::Release);
+    }
+
+    /// Whether a ring buffer is attached and recording.
+    #[inline]
+    pub fn is_active(&self) -> bool {
+        self.shared.active.load(Ordering::Relaxed)
+    }
+
+    /// Records the event built by `f`, constructing it only when a
+    /// ring buffer is attached, so payload construction (string
+    /// allocation etc.) is skipped when tracing is off.
+    #[inline]
+    pub fn emit_with(&self, f: impl FnOnce() -> TraceEvent) {
+        if self.is_active() {
+            self.record_with(f);
+        }
+    }
+
+    /// The recording path, kept out of line so an emit site inlines to
+    /// the load and the branch only.
+    #[cold]
+    #[inline(never)]
+    fn record_with(&self, f: impl FnOnce() -> TraceEvent) {
+        if let Some(t) = self.lock().as_mut() {
+            t.record(f());
+        }
+    }
+
+    /// Drains the held events, leaving an empty (still attached)
+    /// ring behind.
+    pub fn take(&self) -> TraceLog {
+        let mut guard = self.lock();
+        match guard.as_mut() {
+            Some(t) => {
+                let log = TraceLog {
+                    events: t.events(),
+                    dropped: t.dropped(),
+                };
+                *t = Tracer::new(t.capacity);
+                log
+            }
+            None => TraceLog::default(),
+        }
+    }
 }
 
 #[cfg(test)]
