@@ -8,7 +8,7 @@
 //! $ photon_sim --workload vgg16 --method full --cus 16 --no-cache
 //! ```
 //!
-//! Runs go through the same executor as the figure binaries, so a
+//! Runs go through the same executor as the `figures` binary, so a
 //! `--method full` run is served from (and feeds) the persistent
 //! reference cache under `results/cache/`.
 

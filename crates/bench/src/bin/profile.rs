@@ -7,10 +7,10 @@
 //! $ profile check [report.json]             # invariant gate (CI); exit 1 on failure
 //! ```
 //!
-//! The optional `diff` ceiling is how CI gates the relaxed epoch
-//! engine: a relaxed-engine smoke report is diffed against the serial
-//! one at the documented relaxed-mode bound (see DESIGN.md, "Sharded
-//! timing engine") instead of the 5% same-engine default.
+//! The optional `diff` ceiling is the mem-fidelity gate's: CI diffs a
+//! cold detailed-memory smoke rerun against the first one at 1%, and
+//! prints the legacy-vs-detailed diff at 95% for its memory signature
+//! (see DESIGN.md, "Memory model"), instead of the 5% default.
 //!
 //! `check` without an argument validates `results/BENCH_smoke.json`
 //! (the artifact `report smoke` writes): every run's stall classes must

@@ -1,12 +1,12 @@
-//! Shared command-line surface of the figure/table binaries: every
-//! experiment binary accepts the executor flags parsed here.
+//! Shared command-line surface of the experiment binaries: every
+//! binary that runs a simulation grid accepts the executor flags parsed
+//! here.
 //!
 //! ```console
-//! $ fig13 --jobs 8              # fan the grid over 8 workers
-//! $ fig13 --jobs 1 --no-cache   # sequential, cold reference runs
-//! $ PHOTON_BENCH_CACHE=0 fig14  # disable the persistent cache
-//! $ fig13 --resume              # replay completed specs from the journal
-//! $ fig13 --faults exec.panic:0.3:42   # deterministic chaos
+//! $ figures fig13 --jobs 8              # fan the grid over 8 workers
+//! $ figures fig13 --jobs 1 --no-cache   # sequential, cold reference runs
+//! $ figures fig13 --resume              # replay completed specs from the journal
+//! $ figures fig13 --faults exec.panic:0.3:42   # deterministic chaos
 //! ```
 
 use crate::executor::ExecOptions;
@@ -23,25 +23,19 @@ pub fn usage(bin: &str, extra: &str) -> String {
          \x20 --timeout SECS  per-run wall-clock budget before a run is skipped\n\
          \x20 --retries N     extra attempts for transient failures (default: 2)\n\
          \x20 --no-cache      bypass the persistent results/cache/ reference cache\n\
-         \x20                 (PHOTON_BENCH_CACHE=0 does the same)\n\
          \x20 --resume        replay specs already completed in results/journal.jsonl\n\
          \x20                 instead of re-simulating them\n\
          \x20 --no-journal    do not write the run journal\n\
          \x20 --faults SPEC   deterministic fault injection: site:rate:seed[,...]\n\
          \x20                 (PHOTON_FAULTS=SPEC does the same; see --faults help)\n\
          \x20 --engine MODE   timing-engine override for every run in the grid:\n\
-         \x20                 serial | deterministic | relaxed\n\
+         \x20                 serial | deterministic\n\
          \x20 --engine-threads N  worker threads per simulation for the epoch\n\
-         \x20                 engines (PHOTON_ENGINE_THREADS=N does the same;\n\
+         \x20                 engine (PHOTON_ENGINE_THREADS=N does the same;\n\
          \x20                 default: available parallelism, capped at the CU count)\n\
          \x20 --mem-fidelity M  memory-model override for every run in the grid:\n\
          \x20                 legacy | detailed (MSHRs, NoC bank queues, DRAM banks)"
     )
-}
-
-/// Whether the environment disables the persistent reference cache.
-pub fn cache_enabled_by_env() -> bool {
-    !std::env::var("PHOTON_BENCH_CACHE").is_ok_and(|v| v == "0")
 }
 
 /// Renders the fault-site catalog for `--faults help`.
@@ -69,7 +63,6 @@ fn fault_sites_help() -> String {
 /// flag missing its value).
 pub fn parse_exec_options(args: &mut Vec<String>) -> Result<ExecOptions, String> {
     let mut opts = ExecOptions {
-        cache: cache_enabled_by_env(),
         journal: Some(crate::harness::results_dir().join("journal.jsonl")),
         ..ExecOptions::default()
     };
@@ -113,10 +106,9 @@ pub fn parse_exec_options(args: &mut Vec<String>) -> Result<ExecOptions, String>
                 opts.engine_mode = Some(match v.as_str() {
                     "serial" => EngineMode::Serial,
                     "deterministic" | "det" => EngineMode::Deterministic,
-                    "relaxed" => EngineMode::Relaxed,
                     _ => {
                         return Err(format!(
-                            "--engine: unknown mode {v} (serial | deterministic | relaxed)"
+                            "--engine: unknown mode {v} (serial | deterministic)"
                         ))
                     }
                 });
@@ -168,24 +160,6 @@ pub fn force_traced_run(opts: &mut ExecOptions) {
     }
 }
 
-/// Parses the executor flags from the process arguments, exiting with
-/// the usage text on malformed input or leftover unknown flags. For
-/// binaries whose *only* arguments are the executor flags.
-pub fn exec_options_from_args(bin: &str) -> ExecOptions {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_exec_options(&mut args) {
-        Ok(opts) if args.is_empty() => opts,
-        Ok(_) => {
-            eprintln!("unknown arguments: {args:?}\n{}", usage(bin, ""));
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}\n{}", usage(bin, ""));
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +187,13 @@ mod tests {
         assert!(parse_exec_options(&mut args).is_err());
         let mut args = vec!["--faults".to_string(), "no.such.site:1:1".to_string()];
         assert!(parse_exec_options(&mut args).is_err());
+        // The message lists exactly the accepted modes.
+        let mut args = vec!["--engine".to_string(), "relaxed".to_string()];
+        let err = parse_exec_options(&mut args).unwrap_err();
+        assert_eq!(
+            err,
+            "--engine: unknown mode relaxed (serial | deterministic)"
+        );
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub struct ExecOptions {
     /// Wall-clock budget per run before it is skipped.
     pub timeout: Duration,
     /// Whether completed `Method::Full` runs are served from / stored
-    /// to the persistent reference cache (`PHOTON_BENCH_CACHE=0`
-    /// disables it; in-process deduplication still applies).
+    /// to the persistent reference cache (`--no-cache` disables it;
+    /// in-process deduplication still applies).
     pub cache: bool,
     /// Cache directory override; `None` means `results/cache/`. Tests
     /// point this at a temp directory so parallel test binaries never
@@ -70,7 +70,10 @@ pub struct ExecOptions {
     /// Timing-engine override applied to every spec's machine config
     /// before running (`--engine`). `None` leaves the specs untouched.
     pub engine_mode: Option<gpu_sim::EngineMode>,
-    /// Worker-thread override for the epoch engines (`--engine-threads`).
+    /// Worker-thread override for the epoch engine (`--engine-threads`).
+    /// Applied to the machine a run simulates on, never to the spec:
+    /// results are thread-count-invariant, so cache and journal keys
+    /// must be too.
     pub engine_threads: Option<u32>,
     /// Memory-fidelity override applied to every spec's machine config
     /// (`--mem-fidelity legacy|detailed`). `None` leaves the specs
@@ -202,23 +205,17 @@ impl ExecReport {
 /// reference cache, so a warm rerun of the same grid performs zero
 /// full-detailed simulations.
 pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
-    // Engine overrides rewrite the specs up front so everything keyed
-    // on the spec (deduplication, the reference cache, the journal)
-    // sees the machine that actually ran.
+    // Engine-mode and fidelity overrides rewrite the specs up front so
+    // everything keyed on the spec (deduplication, the reference cache,
+    // the journal) sees the machine that actually ran.
     let overridden: Vec<RunSpec>;
-    let specs: &[RunSpec] = if opts.engine_mode.is_some()
-        || opts.engine_threads.is_some()
-        || opts.mem_fidelity.is_some()
-    {
+    let specs: &[RunSpec] = if opts.engine_mode.is_some() || opts.mem_fidelity.is_some() {
         overridden = specs
             .iter()
             .map(|s| {
                 let mut s = s.clone();
                 if let Some(mode) = opts.engine_mode {
                     s.gpu.engine.mode = mode;
-                }
-                if let Some(threads) = opts.engine_threads {
-                    s.gpu.engine.threads = threads;
                 }
                 match opts.mem_fidelity {
                     Some(gpu_mem::MemFidelityMode::Detailed) => {
@@ -599,7 +596,10 @@ fn execute_spec(
             failure,
         };
 
-    let run_spec = spec.clone();
+    let mut run_spec = spec.clone();
+    if let Some(threads) = opts.engine_threads {
+        run_spec.gpu.engine.threads = threads;
+    }
     let trace_capacity = opts.trace_capacity;
     // `Telemetry` is a cheap-clone handle onto a shared registry, so an
     // external observer sees the run's counters move live. (A timed-out
@@ -726,10 +726,9 @@ fn execute_spec(
 /// and returns the results in item order.
 ///
 /// Items are seeded round-robin into per-worker deques; an idle worker
-/// drains its own deque LIFO, then steals FIFO from the global injector
-/// and its siblings. With `jobs <= 1` (or one item) everything runs on
-/// the calling thread — the degenerate case the determinism test
-/// compares against.
+/// drains its own deque LIFO, then steals FIFO from its siblings. With
+/// `jobs <= 1` (or one item) everything runs on the calling thread —
+/// the degenerate case the determinism test compares against.
 pub fn parallel_map<T, R, F>(items: Vec<T>, jobs: usize, f: &F) -> Vec<R>
 where
     T: Send,
@@ -741,9 +740,8 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+    use crossbeam::deque::{Stealer, Worker};
     let total = items.len();
-    let injector: Injector<(usize, T)> = Injector::new();
     let workers: Vec<Worker<(usize, T)>> = (0..jobs).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<(usize, T)>> = workers.iter().map(|w| w.stealer()).collect();
     for (i, item) in items.into_iter().enumerate() {
@@ -754,26 +752,16 @@ where
     std::thread::scope(|scope| {
         for (wi, worker) in workers.into_iter().enumerate() {
             let stealers = &stealers;
-            let injector = &injector;
             let slots = &slots;
             scope.spawn(move || loop {
-                // own deque first, then the injector, then siblings
-                let next = worker
-                    .pop()
-                    .or_else(|| injector.steal().success())
-                    .or_else(|| {
-                        stealers
-                            .iter()
-                            .enumerate()
-                            .filter(|(si, _)| *si != wi)
-                            .find_map(|(_, s)| {
-                                if let Steal::Success(t) = s.steal() {
-                                    Some(t)
-                                } else {
-                                    None
-                                }
-                            })
-                    });
+                // own deque first, then siblings
+                let next = worker.pop().or_else(|| {
+                    stealers
+                        .iter()
+                        .enumerate()
+                        .filter(|(si, _)| *si != wi)
+                        .find_map(|(_, s)| s.steal().success())
+                });
                 // No task produces new tasks, so one empty sweep over
                 // every queue means the pool is drained.
                 let Some((i, item)) = next else { break };

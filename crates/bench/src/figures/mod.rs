@@ -2,7 +2,7 @@
 //!
 //! Each function regenerates the data behind one figure or table of the
 //! paper's evaluation and returns/prints the same rows or series. The
-//! `fig*` binaries are thin wrappers over these.
+//! `figures` binary dispatches its subcommands to these.
 
 mod evaluation;
 mod observations;

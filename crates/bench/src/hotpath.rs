@@ -24,8 +24,8 @@ use std::path::{Path, PathBuf};
 
 /// Schema version of `BENCH_hot.json`. Bump on layout changes so stale
 /// baselines are rejected instead of misread. Version 2 added the
-/// timing-engine threads sweep (`@det1`/`@det4`/`@relaxed4` cells on
-/// the VGG-16 grid).
+/// timing-engine threads sweep (`@det1`/`@det4` cells on the VGG-16
+/// grid).
 pub const HOT_SCHEMA_VERSION: u32 = 2;
 
 /// File name of the hot-path report under `results/`.
@@ -78,9 +78,8 @@ pub fn sweep_scale() -> DnnScale {
     }
 }
 
-/// The engine configurations of the threads sweep: serial, the
-/// deterministic epoch engine at 1 and 4 workers, and the relaxed
-/// engine at 4 workers.
+/// The engine configurations of the threads sweep: serial, and the
+/// deterministic epoch engine at 1 and 4 workers.
 pub fn engine_sweep() -> Vec<EngineConfig> {
     vec![
         EngineConfig::default(),
@@ -94,22 +93,16 @@ pub fn engine_sweep() -> Vec<EngineConfig> {
             threads: 4,
             quantum: 0,
         },
-        EngineConfig {
-            mode: EngineMode::Relaxed,
-            threads: 4,
-            quantum: 0,
-        },
     ]
 }
 
 /// Renders an engine configuration as the cell-name suffix: serial
-/// keeps the legacy bare method name, the epoch engines append
-/// `@det<threads>` / `@relaxed<threads>`.
+/// keeps the legacy bare method name, the epoch engine appends
+/// `@det<threads>`.
 pub fn engine_tag(engine: &EngineConfig) -> String {
     match engine.mode {
         EngineMode::Serial => String::new(),
         EngineMode::Deterministic => format!("@det{}", engine.threads),
-        EngineMode::Relaxed => format!("@relaxed{}", engine.threads),
     }
 }
 
@@ -428,7 +421,7 @@ mod tests {
                 engine_tag(&s.gpu.engine)
             })
             .collect();
-        assert_eq!(tags, ["", "@det1", "@det4", "@relaxed4"]);
+        assert_eq!(tags, ["", "@det1", "@det4"]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of
 //! the Photon paper's evaluation (see DESIGN.md for the per-experiment
-//! index). Each `fig*` binary prints the same rows/series the paper
-//! plots; `EXPERIMENTS.md` records paper-vs-measured values.
+//! index). Each `figures` subcommand prints the same rows/series the
+//! paper plots; `EXPERIMENTS.md` records paper-vs-measured values.
 //!
 //! Experiments run on Table 1 configurations scaled to a quarter of the
 //! CU count by default (same per-CU parameters, same residency ratios,

@@ -151,9 +151,9 @@ pub fn render_report(report: &RunReport) -> String {
 /// than `threshold` (absolute share, e.g. 0.05 = five percentage
 /// points) and (b) total simulated cycles that drifted by more than
 /// the same `threshold` as a fraction of the baseline. The cycle bound
-/// is what CI holds the relaxed epoch engine to: `profile diff
-/// <serial-smoke> <relaxed-smoke>` fails when relaxed-mode timing
-/// error leaves the documented envelope.
+/// is what CI's mem-fidelity gate uses to hold a cold detailed-memory
+/// rerun to its first run: `profile diff <detailed> <detailed-rerun>
+/// 0.01` fails when the detailed path stops being deterministic.
 pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold: f64) -> Vec<String> {
     let mut flagged = Vec::new();
     for cur_run in &cur.runs {

@@ -255,7 +255,6 @@ pub fn gauge_summary(reports: &[RunReport]) -> Table {
         "sim.watchdog.aborts",
         "sim.ipc_abort.refused",
         "engine.epochs",
-        "engine.relaxed.clamped_cycles",
         "mem.dram.row_hit_rate",
     ];
     // Per-instance metric families are matched on prefix: shard and

@@ -1,7 +1,7 @@
 //! Executor determinism and deduplication: the same grid must produce
 //! bit-identical measurements (modulo wall-clock) at any job count.
 
-use gpu_sim::GpuConfig;
+use gpu_sim::{EngineMode, GpuConfig};
 use gpu_workloads::registry::Benchmark;
 use photon::Levels;
 use photon_bench::cli::force_traced_run;
@@ -164,5 +164,35 @@ fn traced_full_run_simulates_despite_warm_cache_and_journal() {
             assert!(!r.results[0].trace.events.is_empty());
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--engine-threads` steers how a run executes, never what it is: a
+/// Deterministic result is thread-count-invariant, so the reference
+/// cache must answer a 2-thread request from a 1-thread run.
+#[test]
+fn engine_threads_do_not_leak_into_the_cache_key() {
+    let dir = std::env::temp_dir().join(format!("photon-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = GpuConfig::tiny().with_engine_mode(EngineMode::Deterministic);
+    let spec = RunSpec::bench(gpu, Benchmark::Fir, 64, Method::Full);
+    let with_threads = |threads| ExecOptions {
+        jobs: 1,
+        cache_dir: Some(dir.clone()),
+        engine_threads: Some(threads),
+        ..ExecOptions::default()
+    };
+    let one = run_specs(std::slice::from_ref(&spec), &with_threads(1));
+    assert_eq!(one.stats.full_runs_executed, 1);
+    let two = run_specs(std::slice::from_ref(&spec), &with_threads(2));
+    assert_eq!(two.stats.full_runs_executed, 0, "second run is a cache hit");
+    assert_eq!(
+        two.results[0].spec, spec,
+        "the spec is reported as submitted"
+    );
+    assert_eq!(
+        one.results[0].measurement().unwrap().sim_cycles,
+        two.results[0].measurement().unwrap().sim_cycles
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 //! single-flight coalescing, cancellation, admission control, lane
 //! priority, and drain/resume.
 
-use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
+use photon_bench::{frame_line, journal_key, parse_framed_line, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
 use photon_serve::server::ShutdownHandle;
 use photon_serve::{job_id, ServeOptions, Server};
@@ -83,6 +83,15 @@ fn fir(warps: u64, method: Method) -> RunSpec {
     RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, warps, method)
 }
 
+/// Rewrites the serial engine mode in a serialized spec (or anything
+/// embedding one) to a variant `EngineMode` does not have — otherwise
+/// well-formed, so only the serde boundary can refuse it.
+fn with_unknown_engine_mode(json: &str) -> String {
+    let relaxed = json.replace("\"mode\":\"Serial\"", "\"mode\":\"Relaxed\"");
+    assert_ne!(json, relaxed, "the JSON carries the engine mode");
+    relaxed
+}
+
 fn state_of(client: &mut Client, job: &str) -> String {
     let v = client
         .request(&json!({ "op": "status", "job": job }))
@@ -133,6 +142,19 @@ fn submit_wait_fetch_round_trip() {
         .request(&json!({ "op": "frobnicate" }))
         .expect("bad request");
     assert_eq!(bad.get("code"), Some(&Value::U64(400)));
+    // An unknown engine mode is a bad spec, refused before a job exists.
+    let submitted = srv.counter("serve.submitted");
+    let spec = serde_json::to_string(&fir(64, Method::Full)).expect("serialize");
+    let spec: Value = serde_json::from_str(&with_unknown_engine_mode(&spec)).expect("json");
+    let bad = c
+        .request(&json!({ "op": "submit", "spec": spec }))
+        .expect("relaxed submit");
+    assert_eq!(bad.get("code"), Some(&Value::U64(400)));
+    match bad.get("error") {
+        Some(Value::String(e)) => assert!(e.starts_with("submit: bad spec"), "error: {e}"),
+        other => panic!("no error string: {other:?}"),
+    }
+    assert_eq!(srv.counter("serve.submitted"), submitted);
 
     assert!(srv.counter("serve.completed") >= 1);
     srv.stop();
@@ -363,6 +385,24 @@ fn drain_journals_queued_jobs_and_restart_resumes_them() {
     let drained = srv.stop();
     assert_eq!(drained, 2);
     assert!(pending.exists(), "drain must write the pending journal");
+
+    // The pending journal is outside input: a crc-valid line whose spec
+    // names an unknown engine mode is skipped and counted, not fatal to
+    // the good line beside it.
+    let text = std::fs::read_to_string(&pending).expect("pending journal");
+    let good = text.lines().next().expect("a drained line");
+    let entry = parse_framed_line(good).expect("crc-valid line");
+    let bad = with_unknown_engine_mode(&serde_json::to_string(&entry).expect("serialize"));
+    let mixed = dir.join("mixed.jsonl");
+    std::fs::write(&mixed, format!("{good}\n{}", frame_line(&bad))).expect("write mixed");
+    let sched = photon_serve::Scheduler::new(ServeOptions {
+        exec: ExecOptions {
+            cache: false,
+            ..ExecOptions::default()
+        },
+        ..ServeOptions::default()
+    });
+    assert_eq!(sched.resume_pending_from(&mixed), (1, 1));
 
     // A fresh server on the same pending path resumes both jobs.
     let srv = TestServer::start(1, 16, Some(pending.clone()));

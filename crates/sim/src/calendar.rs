@@ -102,14 +102,6 @@ impl<T: Copy + Ord> CalendarQueue<T> {
         self.seq
     }
 
-    /// The window start: the cycle of the last popped event (or the
-    /// `start` the queue was created with). Nothing may be pushed
-    /// before it. The epoch coordinator uses this as a shard's local
-    /// progress point when clamping relaxed-mode wakeups.
-    pub fn base(&self) -> Cycle {
-        self.base
-    }
-
     /// The cycle of the earliest queued event without popping it, or
     /// `None` when empty. Wheel events always precede overflow events
     /// (overflow holds only cycles `>= base + WHEEL`), so the wheel
@@ -336,7 +328,7 @@ mod tests {
             model.push(cycle, ev);
         }
         assert_eq!(q.next_cycle(), Some(c));
-        assert_eq!(q.base(), c);
+        assert_eq!(q.base, c);
         // Drain two, which advances base past c; refill of `far` events
         // must preserve push order relative to a late direct push.
         assert_eq!(q.pop(), model.pop());
@@ -350,7 +342,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(q.base(), far);
+        assert_eq!(q.base, far);
     }
 
     #[test]

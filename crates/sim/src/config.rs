@@ -98,12 +98,6 @@ pub enum EngineMode {
     /// quantum never exceeds the shortest cross-domain latency, so
     /// results are bit-identical at any thread count.
     Deterministic,
-    /// Epoch-parallel with a large quantum; memory wakeups that land
-    /// before a shard's local progress point are clamped forward. Still
-    /// run-to-run deterministic, but cycles differ from `Serial` by a
-    /// bounded error measured via `engine.epoch.clamped` telemetry and
-    /// gated by `profile diff`.
-    Relaxed,
 }
 
 /// Execution-mode selection for the sharded timing engine.
@@ -112,14 +106,13 @@ pub enum EngineMode {
 /// `PHOTON_ENGINE_THREADS`, falling back to the machine's available
 /// parallelism. Keeping the serialized form thread-agnostic matters:
 /// run results must not depend on worker count (the deterministic mode
-/// guarantees it, the relaxed mode preserves it by clamping against
-/// shard-local state only), so cache keys and wire specs stay valid
-/// across machines.
+/// guarantees it), so cache keys and wire specs stay valid across
+/// machines.
 ///
-/// `quantum == 0` picks the mode's safe default: for
-/// [`EngineMode::Deterministic`] the largest provably-safe quantum (see
-/// [`GpuConfig::resolved_quantum`]), for [`EngineMode::Relaxed`] a
-/// throughput-oriented 64 cycles.
+/// `quantum == 0` picks the largest provably-safe
+/// [`EngineMode::Deterministic`] quantum; a non-zero value asks for a
+/// smaller one and is min'd with that bound (see
+/// [`GpuConfig::resolved_quantum`]). Serial mode ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     pub mode: EngineMode,
@@ -136,9 +129,6 @@ impl Default for EngineConfig {
         }
     }
 }
-
-/// Quantum for relaxed mode when the config leaves it at 0.
-pub const RELAXED_QUANTUM_DEFAULT: u64 = 64;
 
 /// Full configuration of one simulated GPU.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,8 +155,7 @@ pub struct GpuConfig {
     pub max_insts_per_warp: u64,
     /// Launch-level watchdog bounds (cycle fuel, stall detection).
     pub watchdog: WatchdogConfig,
-    /// Timing-engine execution mode (serial / deterministic epochs /
-    /// relaxed epochs).
+    /// Timing-engine execution mode (serial / deterministic epochs).
     pub engine: EngineConfig,
 }
 
@@ -265,9 +254,7 @@ impl GpuConfig {
     /// * a vector-load response: `lat.mem_issue + mem.l1v.hit_latency`.
     ///
     /// The safe quantum is the minimum of the three; an explicit
-    /// `engine.quantum` is clamped to it. Relaxed mode has no safety
-    /// bound (late wakeups are clamped forward instead), so it takes
-    /// the configured value or [`RELAXED_QUANTUM_DEFAULT`].
+    /// `engine.quantum` is clamped to it.
     pub fn resolved_quantum(&self) -> u64 {
         let safe = self
             .lat
@@ -282,13 +269,6 @@ impl GpuConfig {
                     safe
                 } else {
                     self.engine.quantum.min(safe)
-                }
-            }
-            EngineMode::Relaxed => {
-                if self.engine.quantum == 0 {
-                    RELAXED_QUANTUM_DEFAULT
-                } else {
-                    self.engine.quantum
                 }
             }
         }
@@ -358,14 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_quantum_takes_the_configured_value() {
-        let mut c = GpuConfig::tiny().with_engine_mode(EngineMode::Relaxed);
-        assert_eq!(c.resolved_quantum(), RELAXED_QUANTUM_DEFAULT);
-        c.engine.quantum = 256;
-        assert_eq!(c.resolved_quantum(), 256);
-    }
-
-    #[test]
     fn threads_are_capped_by_shard_count() {
         let mut c = GpuConfig::tiny();
         c.engine.threads = 64;
@@ -376,10 +348,10 @@ mod tests {
 
     #[test]
     fn engine_config_round_trips_through_serde() {
-        let c = GpuConfig::tiny().with_engine_mode(EngineMode::Relaxed);
+        let c = GpuConfig::tiny().with_engine_mode(EngineMode::Deterministic);
         let json = serde_json::to_string(&c).unwrap();
         let back: GpuConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.engine.mode, EngineMode::Relaxed);
+        assert_eq!(back.engine.mode, EngineMode::Deterministic);
         assert_eq!(back, c);
     }
 

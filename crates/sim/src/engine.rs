@@ -362,7 +362,6 @@ impl GpuSimulator {
         let events_scheduled = run.events_scheduled();
         let shard_busy: Vec<u64> = run.shards.iter().map(|s| s.busy_cycles).collect();
         let epochs = run.epochs;
-        let clamped = run.clamped_cycles;
         self.clock = start + result.cycles;
         result.name = launch.kernel.name().to_string();
         result.mem = self.hierarchy.stats().since(&mem_before);
@@ -373,7 +372,7 @@ impl GpuSimulator {
         self.counters.events.add(events_scheduled);
         // Per-shard utilization and epoch health (cold path, once per
         // kernel): busy cycles per shard, plus the imbalance ratio
-        // (max/mean busy) and relaxed-mode wake clamps for epoch runs.
+        // (max/mean busy) for epoch runs.
         for (i, b) in shard_busy.iter().enumerate() {
             self.telemetry
                 .counter(&format!("engine.shard.{i}.busy_cycles"))
@@ -381,9 +380,6 @@ impl GpuSimulator {
         }
         if epochs > 0 {
             self.telemetry.counter("engine.epochs").add(epochs);
-            self.telemetry
-                .counter("engine.relaxed.clamped_cycles")
-                .add(clamped);
             let max = shard_busy.iter().copied().max().unwrap_or(0) as f64;
             let mean = shard_busy.iter().sum::<u64>() as f64 / shard_busy.len().max(1) as f64;
             self.telemetry
@@ -500,10 +496,6 @@ pub(crate) struct KernelRun<'a> {
     /// abort IPC to NaN, exercising the refuse-and-stay-detailed path.
     pub(crate) inject_nan_abort: bool,
     pub(crate) hooks: SimHooks,
-    /// Relaxed-mode wake clamps (cycles a memory response's wake-up was
-    /// deferred to the epoch boundary), summed over the run. Always 0
-    /// in serial and deterministic modes.
-    pub(crate) clamped_cycles: u64,
     /// Epoch barriers executed (0 for serial runs).
     pub(crate) epochs: u64,
 }
@@ -525,7 +517,7 @@ impl<'a> KernelRun<'a> {
         // count, so epoch partitioning is thread-invariant.
         let n_shards = match cfg.engine.mode {
             EngineMode::Serial => 1,
-            EngineMode::Deterministic | EngineMode::Relaxed => n_cu,
+            EngineMode::Deterministic => n_cu,
         };
         let shards = (0..n_shards)
             .map(|i| {
@@ -566,7 +558,6 @@ impl<'a> KernelRun<'a> {
             abort_ipc: None,
             inject_nan_abort: false,
             hooks,
-            clamped_cycles: 0,
             epochs: 0,
         }
     }
@@ -627,7 +618,7 @@ impl<'a> KernelRun<'a> {
         self.dispatch(self.start, ctrl)?;
         let now = match self.cfg.engine.mode {
             EngineMode::Serial => self.run_serial(wd, ctrl)?,
-            EngineMode::Deterministic | EngineMode::Relaxed => self.run_epochs(wd, ctrl)?,
+            EngineMode::Deterministic => self.run_epochs(wd, ctrl)?,
         };
         self.finish_run(now, ctrl)
     }

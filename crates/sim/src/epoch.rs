@@ -1,4 +1,4 @@
-//! The epoch-parallel execution modes of the sharded timing engine.
+//! The epoch-parallel execution mode of the sharded timing engine.
 //!
 //! One shard per CU (always — the partition never depends on the
 //! worker-thread count), advanced in lock-step quanta:
@@ -24,16 +24,11 @@
 //!    `(cycle, warp, seq)`, and dispatches freed workgroup slots in
 //!    `(cycle, wg)` order.
 //!
-//! **Deterministic mode** sizes the quantum at or below every
-//! cross-shard latency (see
+//! The quantum is sized at or below every cross-shard latency (see
 //! [`GpuConfig::resolved_quantum`](crate::GpuConfig::resolved_quantum)),
 //! so no response or dispatch can land inside the epoch that caused
 //! it: results are bit-identical across thread counts and to the
-//! serial engine up to same-cycle cross-CU tie order. **Relaxed mode**
-//! runs a larger quantum for fewer barriers and clamps any
-//! would-be-past wakeup forward to the epoch boundary, trading bounded
-//! timing error (counted in `engine.relaxed.clamped_cycles`) for
-//! speed.
+//! serial engine up to same-cycle cross-CU tie order.
 //!
 //! Cross-CU memory visibility is epoch-granular: a store becomes
 //! visible to other CUs at the next barrier. Same-epoch cross-CU
@@ -41,7 +36,7 @@
 //! cross-CU synchronization — a barrier — which crosses an epoch
 //! anyway).
 
-use crate::config::{EngineMode, WatchdogConfig};
+use crate::config::WatchdogConfig;
 use crate::controller::SamplingController;
 use crate::engine::KernelRun;
 use crate::error::SimError;
@@ -53,9 +48,9 @@ use gpu_telemetry::{AbortKind, EventKind, TraceEvent};
 use std::time::Duration;
 
 impl KernelRun<'_> {
-    /// The epoch loop (deterministic and relaxed modes). Returns the
-    /// cycle of the last epoch's start, mirroring the serial loop's
-    /// final `now`.
+    /// The epoch loop (deterministic mode). Returns the cycle of the
+    /// last epoch's start, mirroring the serial loop's final `now`.
+    #[inline(never)] // DESIGN.md "Engine hot path": keeps the serial loop's codegen apart
     pub(crate) fn run_epochs(
         &mut self,
         wd: WatchdogConfig,
@@ -63,7 +58,6 @@ impl KernelRun<'_> {
     ) -> Result<Cycle, SimError> {
         let quantum = self.cfg.resolved_quantum().max(1);
         let threads = self.cfg.resolved_threads() as usize;
-        let relaxed = matches!(self.cfg.engine.mode, EngineMode::Relaxed);
         let faults_on = faults::active();
         // Job-trace hook: when this kernel runs inside a traced job
         // (serve/executor), accumulate host time for the barrier and
@@ -204,7 +198,7 @@ impl KernelRun<'_> {
                 // paid the issue latency and moved on; only loads have
                 // a parked warp waiting on the response.
                 if !req.write {
-                    self.clamped_cycles += self.shards[si].apply_response(&resp, t_end, relaxed);
+                    self.shards[si].apply_response(&resp, t_end);
                 }
             }
             for shard in &mut self.shards {
@@ -244,18 +238,10 @@ impl KernelRun<'_> {
             completions.sort_unstable_by_key(|&(cycle, wg_id, _, _)| (cycle, wg_id));
             for &(cycle, _, si, wg_local) in &completions {
                 self.free_wg_resources(si, wg_local);
-                // Deterministic mode needs no clamp: the dispatch
-                // latency is >= the quantum, so the new workgroup's t0
-                // lands at or past the boundary by construction. In
-                // relaxed mode the quantum can exceed it, so pull the
-                // dispatch decision forward to keep admitted events out
-                // of the already-simulated window.
-                let disp_at = if relaxed {
-                    cycle.max(t_end.saturating_sub(self.cfg.lat.dispatch))
-                } else {
-                    cycle
-                };
-                self.dispatch(disp_at, ctrl)?;
+                // The dispatch latency is >= the quantum, so the new
+                // workgroup's t0 lands at or past the boundary by
+                // construction.
+                self.dispatch(cycle, ctrl)?;
             }
 
             let busy_shards = self

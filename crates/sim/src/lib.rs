@@ -51,7 +51,7 @@ mod shard;
 mod warp;
 
 pub use calendar::CalendarQueue;
-pub use config::{EngineConfig, EngineMode, GpuConfig, LatencyConfig, RELAXED_QUANTUM_DEFAULT};
+pub use config::{EngineConfig, EngineMode, GpuConfig, LatencyConfig};
 pub use controller::{
     BbRecord, KernelDirective, KernelStartAccess, NullController, Recorder, SamplingController,
     WarpRecord, WgMode,

