@@ -6,7 +6,7 @@
 //! $ report smoke --jobs 2           # same grid, fanned over 2 workers
 //! $ report smoke --require-cached   # fail unless every Full run was a cache hit
 //! $ report show                     # table over every results/BENCH_*.json
-//! $ report check                    # compare against results/baselines/, exit 1 on regression
+//! $ report check                    # deterministic fields vs results/baselines/, exit 1 on any difference
 //! $ report flightrec PATH           # load + verify a flight-recorder dump, print its story
 //! ```
 
@@ -139,44 +139,12 @@ fn check() {
         return;
     }
     let regressions = check_against_baselines(&reports, &baseline_dir);
-    let mut flagged: Vec<String> = regressions
-        .iter()
-        .map(|r| format!("{} / {}: {}", r.workload, r.method, r.what))
-        .collect();
-
-    // Hot-path throughput gate: the wall-clock report has its own
-    // schema and comparison rule (insts/sec floor), so it is checked
-    // here rather than through compare_reports.
-    let hot_base = photon_bench::hotpath::hot_baseline_path();
-    let hot_cur = photon_bench::hotpath::hot_report_path();
-    if hot_base.exists() && !hot_cur.exists() {
-        // Loose results/*.json are gitignored, so a fresh checkout has a
-        // baseline but no current measurement. `bench_hot --check`
-        // measures fresh and covers the gate; don't flag it here.
-        println!(
-            "(no {} — run bench_hot to measure; skipping hot-path check)",
-            hot_cur.display()
-        );
-    } else if hot_base.exists() {
-        let pair = photon_bench::hotpath::load_hot_report(&hot_base).and_then(|base| {
-            photon_bench::hotpath::load_hot_report(&hot_cur).map(|cur| (base, cur))
-        });
-        match pair {
-            Ok((base, cur)) => flagged.extend(photon_bench::hotpath::compare_hot(
-                &base,
-                &cur,
-                photon_bench::hotpath::HOT_REGRESSION_FRAC,
-            )),
-            Err(e) => flagged.push(format!("hot-path report: {e}")),
-        }
-    }
-
-    if flagged.is_empty() {
+    if regressions.is_empty() {
         println!("no regressions against {}", baseline_dir.display());
         return;
     }
-    for r in &flagged {
-        println!("REGRESSION {r}");
+    for r in &regressions {
+        println!("REGRESSION {} / {}: {}", r.workload, r.method, r.what);
     }
     std::process::exit(1);
 }

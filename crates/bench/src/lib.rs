@@ -16,7 +16,6 @@ pub mod executor;
 pub mod figures;
 pub mod flightrec;
 pub mod harness;
-pub mod hotpath;
 pub mod journal;
 pub mod persist;
 pub mod profile;

@@ -2,8 +2,8 @@
 //! and quarantine of corrupt files.
 //!
 //! Every artifact the bench stack persists (reference-cache entries,
-//! `results/BENCH_*.json` reports, the hot-path report, journal lines)
-//! goes through this module:
+//! `results/BENCH_*.json` reports, journal lines) goes through this
+//! module:
 //!
 //! * **Atomic writes** ([`atomic_write`]) — content lands in a unique
 //!   temporary file in the same directory, is fsync'd, and is renamed
@@ -18,7 +18,10 @@
 //!   unverified.
 //! * **Quarantine** ([`quarantine`]) — a corrupt artifact is renamed to
 //!   `<name>.corrupt` instead of being deleted (evidence survives) or
-//!   left in place (which would re-warn on every warm run).
+//!   left in place (which would re-warn on every warm run). Only the
+//!   owner of a generated artifact quarantines it; committed inputs
+//!   (`results/baselines/`) and files of another tool's schema are
+//!   never renamed.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

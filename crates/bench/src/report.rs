@@ -1,6 +1,9 @@
 //! Assembling harness measurements into machine-readable
-//! [`RunReport`]s (`results/BENCH_<app>.json`) and rendering /
-//! regression-checking them for the `report` binary.
+//! [`RunReport`]s (`results/BENCH_<app>.json`) and rendering them /
+//! checking them against committed baselines for the `report` binary.
+//! The check compares deterministic quantities only (see
+//! [`gpu_telemetry::compare_reports`]); host time is measured and gated
+//! by the repo benchmark (`benchmark/README.md`).
 
 use crate::harness::{results_dir, Measurement, RunOutcome, Table};
 use gpu_telemetry::{
@@ -96,32 +99,22 @@ pub fn write_report(report: &RunReport) -> Result<PathBuf, String> {
 }
 
 /// Reads a report back from disk, verifying its checksum footer when
-/// present (reports from before the framing load unverified).
-///
-/// A report whose checksum fails or that does not parse is quarantined
-/// to `<name>.corrupt` — a corrupt artifact must never be loaded, and
-/// must not block the next write either. Schema-version mismatches are
-/// a plain error (the file is intact, just from another tool version).
+/// present (reports from before the framing load unverified). A pure
+/// read: whatever is wrong with the file, it stays where it is —
+/// callers pass committed baselines and user-named paths here.
 ///
 /// # Errors
 /// Returns a rendered I/O, checksum, parse, or schema-version error.
 pub fn load_report(path: &Path) -> Result<RunReport, String> {
-    let framed = match crate::persist::read_framed(path) {
-        Ok(f) => f,
-        Err(e) => {
-            if path.exists() {
-                crate::persist::quarantine(path);
-            }
-            return Err(e);
-        }
-    };
-    let report: RunReport = match serde_json::from_str(&framed.payload) {
-        Ok(r) => r,
-        Err(e) => {
-            crate::persist::quarantine(path);
-            return Err(format!("{}: {e}", path.display()));
-        }
-    };
+    let framed = crate::persist::read_framed(path)?;
+    parse_report(path, &framed.payload)
+}
+
+/// Parses a checksum-stripped payload as a [`RunReport`] of this
+/// tool's schema version; `path` only labels the error.
+fn parse_report(path: &Path, payload: &str) -> Result<RunReport, String> {
+    let report: RunReport =
+        serde_json::from_str(payload).map_err(|e| format!("{}: {e}", path.display()))?;
     if report.schema_version != gpu_telemetry::REPORT_SCHEMA_VERSION {
         return Err(format!(
             "{}: schema version {} (tool expects {})",
@@ -133,9 +126,12 @@ pub fn load_report(path: &Path) -> Result<RunReport, String> {
     Ok(report)
 }
 
-/// Every `results/BENCH_*.json` report, sorted by workload. Corrupt
-/// reports are quarantined and skipped with a warning instead of
-/// failing the whole listing.
+/// Every `BENCH_*.json` run report in `dir` (the results directory),
+/// sorted by workload. Only a file proven corrupt — its checksum footer
+/// does not match its content — is quarantined to `<name>.corrupt`. A
+/// file that is intact but is not a [`RunReport`] (`photon-loadgen`'s
+/// `BENCH_serve*.json` share the name pattern) is some other tool's
+/// artifact: it is skipped with a note and left where it lies.
 ///
 /// # Errors
 /// Returns an error only when the directory itself is unreadable.
@@ -144,16 +140,25 @@ pub fn load_all_reports(dir: &Path) -> Result<Vec<RunReport>, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries.flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        // BENCH_hot.json is the wall-clock hot-path report with its own
-        // schema (see [`crate::hotpath`]); parsing it as a RunReport
-        // would error out the whole listing.
-        if name == crate::hotpath::HOT_REPORT_FILE {
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
             continue;
         }
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            match load_report(&entry.path()) {
+        let path = entry.path();
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("warning: skipping report: {}: {e}", path.display());
+                continue;
+            }
+        };
+        match crate::persist::split_frame(&text) {
+            Ok(framed) => match parse_report(&path, &framed.payload) {
                 Ok(r) => out.push(r),
-                Err(e) => eprintln!("warning: skipping report: {e}"),
+                Err(e) => eprintln!("note: not a run report, skipped: {e}"),
+            },
+            Err(e) => {
+                crate::persist::quarantine(&path);
+                eprintln!("warning: quarantined report: {}: {e}", path.display());
             }
         }
     }
@@ -304,14 +309,18 @@ pub fn gauge_summary(reports: &[RunReport]) -> Table {
 
 /// Checks every current report that has a stored baseline
 /// (`results/baselines/BENCH_<workload>.json`) and returns the flagged
-/// regressions. Reports without a baseline are ignored.
+/// differences. Reports without a baseline are ignored. Baselines are
+/// committed inputs: one that exists but does not load is itself a
+/// flagged regression, and the file is never moved.
 pub fn check_against_baselines(current: &[RunReport], baseline_dir: &Path) -> Vec<Regression> {
     let mut out = Vec::new();
     for cur in current {
         let base_path = baseline_dir.join(format!("BENCH_{}.json", cur.workload));
+        if !base_path.exists() {
+            continue;
+        }
         match load_report(&base_path) {
             Ok(base) => out.extend(compare_reports(&base, cur)),
-            Err(_) if !base_path.exists() => {}
             Err(e) => out.push(Regression {
                 workload: cur.workload.clone(),
                 method: "-".to_string(),
@@ -383,30 +392,88 @@ mod tests {
         assert_eq!(photon.error_vs_detailed, 0.0);
     }
 
-    #[test]
-    fn load_all_reports_skips_hot_report() {
-        let dir = std::env::temp_dir().join(format!("photon-reports-{}", std::process::id()));
+    /// A fresh, empty temp directory unique to `tag` and this process.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("photon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The names in `dir`, sorted.
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn load_all_reports_skips_foreign_artifacts_and_quarantines_only_checksum_failures() {
+        let dir = temp_dir("reports");
         let report = build_report(
             "fir",
             &[RunOutcome::Completed(meas("Full", 1000, 2.0))],
             MetricsSnapshot::default(),
         );
-        std::fs::write(
-            dir.join("BENCH_fir.json"),
-            serde_json::to_string(&report).unwrap(),
+        let text = serde_json::to_string(&report).unwrap();
+        crate::persist::atomic_write_framed(&dir.join("BENCH_fir.json"), &text).unwrap();
+        // photon-loadgen's report shares the name pattern but not the
+        // schema: intact, not ours, so it must survive the listing.
+        crate::persist::atomic_write_framed(
+            &dir.join("BENCH_serve.json"),
+            r#"{"schema_version":1,"clients":4,"cold":{"p50_ms":9.5}}"#,
         )
         .unwrap();
-        // The hot-path report has its own schema; if load_all_reports
-        // tried to parse it as a RunReport the whole listing would fail.
-        std::fs::write(
-            dir.join(crate::hotpath::HOT_REPORT_FILE),
-            r#"{"schema_version":1,"iterations":3,"jobs":2,"measurements":[]}"#,
-        )
-        .unwrap();
+        // A run report whose content no longer matches its footer is
+        // proven corrupt: that one is quarantined.
+        let framed = crate::persist::frame(&text).replace("\"fir\"", "\"fit\"");
+        std::fs::write(dir.join("BENCH_torn.json"), framed).unwrap();
+
         let loaded = load_all_reports(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].workload, "fir");
+        assert_eq!(
+            names_in(&dir),
+            [
+                "BENCH_fir.json",
+                "BENCH_serve.json",
+                "BENCH_torn.json.corrupt"
+            ]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_baseline_is_a_regression_and_stays_in_place() {
+        let dir = temp_dir("baselines");
+        let report = build_report(
+            "fir",
+            &[RunOutcome::Completed(meas("Full", 1000, 2.0))],
+            MetricsSnapshot::default(),
+        );
+        let text = serde_json::to_string_pretty(&report).unwrap();
+        // A baseline cut short, as a bad merge or a partial checkout
+        // leaves it.
+        std::fs::write(dir.join("BENCH_fir.json"), &text[..text.len() / 2]).unwrap();
+
+        let regs = check_against_baselines(std::slice::from_ref(&report), &dir);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(
+            regs[0].what.starts_with("unreadable baseline: "),
+            "{regs:?}"
+        );
+        assert_eq!(names_in(&dir), ["BENCH_fir.json"]);
+
+        // Restored, the same baseline compares clean; a workload with
+        // no baseline at all is ignored.
+        std::fs::write(dir.join("BENCH_fir.json"), &text).unwrap();
+        let mut other = report.clone();
+        other.workload = "spmv".into();
+        assert!(check_against_baselines(&[report, other], &dir).is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

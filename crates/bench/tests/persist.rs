@@ -4,9 +4,8 @@
 //! must never yield partial data. A load either fails (and the caller
 //! recomputes) or returns exactly what was written.
 
-use photon_bench::hotpath::{load_hot_report, write_hot_report, HotMeasurement, HotReport};
 use photon_bench::journal::{load_journal, Journal};
-use photon_bench::{atomic_write_framed, read_framed};
+use photon_bench::{atomic_write_framed, load_report, read_framed};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -46,34 +45,50 @@ fn framed_payload_truncated_at_every_boundary_is_never_partially_verified() {
 }
 
 #[test]
-fn hot_report_truncated_at_every_boundary_loads_fully_or_not_at_all() {
+fn run_report_truncated_at_every_boundary_loads_fully_or_not_at_all() {
+    use gpu_telemetry::{MethodRun, RunReport, SkippedRun};
+
     let dir = temp_dir();
-    let full = dir.join("BENCH_hot.json");
-    let report = HotReport {
-        schema_version: photon_bench::hotpath::HOT_SCHEMA_VERSION,
-        iterations: 3,
-        jobs: 2,
-        measurements: vec![HotMeasurement {
-            workload: "FIR".into(),
-            warps: 2048,
-            method: "Full".into(),
-            detailed_insts: 123_456,
-            total_insts: 123_456,
-            wall_secs: 1.5,
-            insts_per_sec: 82_304.0,
-        }],
-    };
-    write_hot_report(&report, &full).unwrap();
+    let full = dir.join("BENCH_fir.json");
+    let mut report = RunReport::new("fir");
+    report.runs.push(MethodRun {
+        method: "Full".into(),
+        warps: 2048,
+        wall_secs: 1.5,
+        sim_cycles: 55_978,
+        ipc: 2.2,
+        detailed_insts: 123_456,
+        functional_insts: 0,
+        detailed_warps: 2048,
+        predicted_warps: 0,
+        sample_coverage: 1.0,
+        skipped_kernels: 0,
+        speedup_vs_detailed: 1.0,
+        error_vs_detailed: 0.0,
+        accounting: None,
+        bb_errors: Vec::new(),
+    });
+    report.skipped.push(SkippedRun {
+        method: "PKA".into(),
+        reason: "timed out".into(),
+        error: String::new(),
+    });
+    // Pretty-printed, as `write_report` lays it out: many lines, so a
+    // torn prefix can end on a line boundary and look unframed.
+    let text = serde_json::to_string_pretty(&report).unwrap();
+    atomic_write_framed(&full, &text).unwrap();
     let bytes = std::fs::read(&full).unwrap();
 
     let torn = dir.join("torn.json");
     for cut in 0..=bytes.len() {
         std::fs::write(&torn, &bytes[..cut]).unwrap();
-        match load_hot_report(&torn) {
+        match load_report(&torn) {
             // Success implies complete data, bit for bit.
             Ok(loaded) => assert_eq!(loaded, report, "cut at byte {cut}"),
             Err(e) => assert!(!e.is_empty()),
         }
+        // A read never moves the file, whatever state it is in.
+        assert!(torn.exists(), "cut at byte {cut}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,8 +51,7 @@ pub use registry::{
     HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use report::{
-    compare_reports, MethodRun, Regression, RunReport, SkippedRun, ERROR_REGRESSION_ABS,
-    REPORT_SCHEMA_VERSION, SPEEDUP_REGRESSION_FRAC,
+    compare_reports, MethodRun, Regression, RunReport, SkippedRun, REPORT_SCHEMA_VERSION,
 };
 pub use span::{SpanGuard, SpanKind, SpanRecord, SpanTree, TraceCtx};
 pub use trace::{

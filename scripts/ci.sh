@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# The full gate a change must pass before merging. Mirrors what the
-# tier-1 acceptance checks run, plus the whole workspace's tests and a
-# smoke benchmark with regression check. There is one build
-# configuration: every gate below runs the binaries `cargo build
-# --release` produced.
+# The full gate a change must pass before merging: the tier-1 commands
+# (which build and test the whole workspace), then the gates below on
+# the binaries that build produced. Every gate runs unconditionally and
+# compares only deterministic quantities — simulated cycles, instruction
+# and warp counts, accounting invariants. Host time is measured and
+# gated by the repo benchmark alone (benchmark/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,21 +17,30 @@ corpses_snapshot() {
 }
 corpses_before="$(corpses_snapshot)"
 
-echo "==> one build configuration: no tracing feature or build probe may reappear"
-# (the bracket expressions keep this line from matching itself)
+echo "==> one build configuration, one wall-clock ruler: nothing deleted may reappear"
+# (the bracket expressions keep these lines from matching themselves)
 if grep -rnE 'feature = "(telemetry|enabled)"|--features[ ]telemetry|tracing[_]compiled' \
     crates scripts README.md DESIGN.md; then
   echo "    event tracing is gated at run time (Telemetry::enable_tracing), not by a cargo feature"
   exit 1
 fi
+if grep -rnE 'bench[_]hot|BENCH[_]hot|hot[p]ath|PHOTON[_]SKIP_' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    host time is benchmark/'s job, and no CI gate has a skip hatch"
+  exit 1
+fi
 
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+echo "==> cargo build --release"
+cargo build --release
 
-# Includes photon-bench's executor-determinism (executor, refcache) and
-# fault-injection (chaos, torn-write persist) integration suites.
-echo "==> cargo test (workspace)"
-cargo test -q --workspace
+# The whole workspace (default-members), including photon-bench's
+# executor-determinism (executor, refcache) and fault-injection (chaos,
+# torn-write persist) integration suites.
+echo "==> cargo test"
+cargo test -q
+
+echo "==> the frozen benchmark package still builds against this tree"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> clippy"
 scripts/lint.sh
@@ -49,184 +59,158 @@ cargo run -q --release -p photon-bench --bin profile -- check
 echo "==> warm-cache rerun must perform zero full-detailed simulations"
 cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 --require-cached
 
-echo "==> hot-path wall-clock gate (set PHOTON_SKIP_HOT_BENCH=1 to skip)"
-if [[ "${PHOTON_SKIP_HOT_BENCH:-}" == "1" ]]; then
-  echo "    skipped (PHOTON_SKIP_HOT_BENCH=1)"
-else
-  # Smoke mode: one iteration against the committed baseline. Wall-clock
-  # gates are machine-sensitive, hence the escape hatch for shared or
-  # throttled runners.
-  cargo run -q --release -p photon-bench --bin bench_hot -- --jobs 2 --iters 1 --check
-fi
+echo "==> engine-parallel gate"
+# Deterministic epoch engine: the golden-cycles suite must pass
+# bit-for-bit at 1 and 4 worker threads. PHOTON_ENGINE_THREADS
+# steers the auto-sized thread count for any test not pinning one.
+PHOTON_ENGINE_THREADS=1 cargo test -q -p gpu-sim --test golden_cycles
+PHOTON_ENGINE_THREADS=4 cargo test -q -p gpu-sim --test golden_cycles
 
-echo "==> engine-parallel gate (PHOTON_SKIP_PAR_ENGINE=1 to skip)"
-if [[ "${PHOTON_SKIP_PAR_ENGINE:-}" == "1" ]]; then
-  echo "    skipped (PHOTON_SKIP_PAR_ENGINE=1)"
-else
-  # Deterministic epoch engine: the golden-cycles suite must pass
-  # bit-for-bit at 1 and 4 worker threads. PHOTON_ENGINE_THREADS
-  # steers the auto-sized thread count for any test not pinning one.
-  PHOTON_ENGINE_THREADS=1 cargo test -q -p gpu-sim --test golden_cycles
-  PHOTON_ENGINE_THREADS=4 cargo test -q -p gpu-sim --test golden_cycles
+par_tmp="$(mktemp -d)"
+cp results/BENCH_smoke.json "$par_tmp/BENCH_smoke_serial.json"
 
-  par_tmp="$(mktemp -d)"
-  cp results/BENCH_smoke.json "$par_tmp/BENCH_smoke_serial.json"
+# Chaos: epoch-barrier stalls injected into a deterministic 4-thread
+# smoke run must be absorbed (slow workers cost wall time, never
+# results); the accounting invariants must survive.
+cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
+  --no-journal --engine deterministic --engine-threads 4 \
+  --faults "engine.epoch.stall:0.001:7"
+cargo run -q --release -p photon-bench --bin profile -- check
 
-  # Chaos: epoch-barrier stalls injected into a deterministic 4-thread
-  # smoke run must be absorbed (slow workers cost wall time, never
-  # results); the accounting invariants must survive.
-  cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
-    --no-journal --engine deterministic --engine-threads 4 \
-    --faults "engine.epoch.stall:0.001:7"
-  cargo run -q --release -p photon-bench --bin profile -- check
+# Restore the serial smoke report for the gates below.
+cp "$par_tmp/BENCH_smoke_serial.json" results/BENCH_smoke.json
+rm -rf "$par_tmp"
 
-  # Restore the serial smoke report for the gates below.
-  cp "$par_tmp/BENCH_smoke_serial.json" results/BENCH_smoke.json
-  rm -rf "$par_tmp"
-fi
+echo "==> mem-fidelity gate"
+mem_tmp="$(mktemp -d)"
+cp results/BENCH_smoke.json "$mem_tmp/BENCH_smoke_legacy.json"
 
-echo "==> mem-fidelity gate (PHOTON_SKIP_MEM_FIDELITY=1 to skip)"
-if [[ "${PHOTON_SKIP_MEM_FIDELITY:-}" == "1" ]]; then
-  echo "    skipped (PHOTON_SKIP_MEM_FIDELITY=1)"
-else
-  mem_tmp="$(mktemp -d)"
-  cp results/BENCH_smoke.json "$mem_tmp/BENCH_smoke_legacy.json"
+# Detailed memory model: rerun the smoke grid with MSHRs, banked-L2
+# NoC queues, and DRAM bank timing switched on. Detailed mode is
+# slower than legacy by design (real contention costs cycles), so
+# legacy->detailed is not held to a cycle bound; the diff is printed
+# for its memory signature — the stall-share and queue-delay movement
+# that reviews a fidelity change (see DESIGN.md, "Memory model").
+cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
+  --no-journal --mem-fidelity detailed
+cargo run -q --release -p photon-bench --bin profile -- diff \
+  "$mem_tmp/BENCH_smoke_legacy.json" results/BENCH_smoke.json 0.95 \
+  || echo "    (legacy->detailed cycle drift is expected; the tables above are the review artifact)"
 
-  # Detailed memory model: rerun the smoke grid with MSHRs, banked-L2
-  # NoC queues, and DRAM bank timing switched on. Detailed mode is
-  # slower than legacy by design (real contention costs cycles), so
-  # legacy->detailed is not held to a cycle bound; the diff is printed
-  # for its memory signature — the stall-share and queue-delay movement
-  # that reviews a fidelity change (see DESIGN.md, "Memory model").
-  cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
-    --no-journal --mem-fidelity detailed
-  cargo run -q --release -p photon-bench --bin profile -- diff \
-    "$mem_tmp/BENCH_smoke_legacy.json" results/BENCH_smoke.json 0.95 \
-    || echo "    (legacy->detailed cycle drift is expected; the tables above are the review artifact)"
+# The hard checks: accounting must stay balanced under the extra
+# queue-delay charges, and a cold rerun must reproduce the detailed
+# run bit-for-bit — the detailed path is deterministic, not merely
+# plausible. 1% is the tightest bound profile diff accepts.
+cargo run -q --release -p photon-bench --bin profile -- check
+cp results/BENCH_smoke.json "$mem_tmp/BENCH_smoke_detailed.json"
+cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
+  --no-journal --no-cache --mem-fidelity detailed
+cargo run -q --release -p photon-bench --bin profile -- diff \
+  "$mem_tmp/BENCH_smoke_detailed.json" results/BENCH_smoke.json 0.01
 
-  # The hard checks: accounting must stay balanced under the extra
-  # queue-delay charges, and a cold rerun must reproduce the detailed
-  # run bit-for-bit — the detailed path is deterministic, not merely
-  # plausible. 1% is the tightest bound profile diff accepts.
-  cargo run -q --release -p photon-bench --bin profile -- check
-  cp results/BENCH_smoke.json "$mem_tmp/BENCH_smoke_detailed.json"
-  cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
-    --no-journal --no-cache --mem-fidelity detailed
-  cargo run -q --release -p photon-bench --bin profile -- diff \
-    "$mem_tmp/BENCH_smoke_detailed.json" results/BENCH_smoke.json 0.01
+# Restore the legacy smoke report for the gates below.
+cp "$mem_tmp/BENCH_smoke_legacy.json" results/BENCH_smoke.json
+rm -rf "$mem_tmp"
 
-  # Restore the legacy smoke report for the gates below.
-  cp "$mem_tmp/BENCH_smoke_legacy.json" results/BENCH_smoke.json
-  rm -rf "$mem_tmp"
-fi
+echo "==> chaos gate: smoke under a fixed fault seed"
+# Every injected failure must be absorbed by a guardrail: panics are
+# retried, corrupt cache reads are quarantined and recomputed, torn
+# journal lines are skipped on load. The seed is fixed (decisions are
+# a pure hash of site/seed/key), so this either always passes or
+# always fails for a given tree. The subsequent check proves the
+# report written under chaos is complete and checksum-clean.
+cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
+  --faults "exec.panic:0.3:1207,refcache.read.corrupt:1.0:7,journal.torn:1.0:7"
+cargo run -q --release -p photon-bench --bin report -- check
+# refcache.read.corrupt quarantines a real results/cache entry — that
+# corpse is the guardrail firing, not a hygiene violation. Re-baseline
+# the quarantine snapshot so the hygiene gate below still covers
+# everything after this deliberate sabotage (the serve gate in
+# particular must stay corpse-free).
+corpses_before="$(corpses_snapshot)"
 
-echo "==> chaos gate: smoke under a fixed fault seed (PHOTON_SKIP_CHAOS=1 to skip)"
-if [[ "${PHOTON_SKIP_CHAOS:-}" == "1" ]]; then
-  echo "    skipped (PHOTON_SKIP_CHAOS=1)"
-else
-  # Every injected failure must be absorbed by a guardrail: panics are
-  # retried, corrupt cache reads are quarantined and recomputed, torn
-  # journal lines are skipped on load. The seed is fixed (decisions are
-  # a pure hash of site/seed/key), so this either always passes or
-  # always fails for a given tree. The subsequent check proves the
-  # report written under chaos is complete and checksum-clean.
-  cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
-    --faults "exec.panic:0.3:1207,refcache.read.corrupt:1.0:7,journal.torn:1.0:7"
-  cargo run -q --release -p photon-bench --bin report -- check
-  # refcache.read.corrupt quarantines a real results/cache entry — that
-  # corpse is the guardrail firing, not a hygiene violation. Re-baseline
-  # the quarantine snapshot so the hygiene gate below still covers
-  # everything after this deliberate sabotage (the serve gate in
-  # particular must stay corpse-free).
-  corpses_before="$(corpses_snapshot)"
-fi
-
-echo "==> photon-serve gate: loadgen over a live server (PHOTON_SKIP_SERVE=1 to skip)"
-if [[ "${PHOTON_SKIP_SERVE:-}" == "1" ]]; then
-  echo "    skipped (PHOTON_SKIP_SERVE=1)"
-else
-  serve_tmp="$(mktemp -d)"
-  serve_log="$serve_tmp/serve.log"
-  serve_wait_up() {
-    for _ in $(seq 1 100); do
-      grep -q "listening on" "$serve_log" && break
-      sleep 0.1
-    done
-    addr="$(grep -o '127\.0\.0\.1:[0-9]*' "$serve_log" | head -1)"
-    if [[ -z "$addr" ]]; then
-      echo "    photon-serve never came up:"; cat "$serve_log"; exit 1
-    fi
-  }
-  serve_stop_clean() {
-    kill -TERM "$serve_pid"
-    wait "$serve_pid"
-    if ! grep -q "clean exit" "$serve_log"; then
-      echo "    photon-serve did not drain cleanly:"; cat "$serve_log"; exit 1
-    fi
-  }
-
-  # Duplicate-heavy closed-loop drive: 4 clients x 3 jobs cycling 3
-  # specs, so identical submissions constantly collide. --check asserts
-  # zero failed fetches, a positive coalesce rate, and a warm p50 at
-  # least 10x below cold. SIGTERM afterwards must drain and exit clean.
-  ./target/release/photon-serve --port 0 --workers 2 --no-cache \
-    --pending "$serve_tmp/pending.jsonl" \
-    --flightrec "$serve_tmp/flightrec" >"$serve_log" 2>&1 &
-  serve_pid=$!
-  serve_wait_up
-  timeout 300 ./target/release/photon-loadgen --addr "$addr" \
-    --clients 4 --jobs-per-client 3 --check
-  # Live-view smoke: one non-interactive photon-top frame, and a
-  # `metrics` scrape that must round-trip through the exposition-format
-  # parser (photon-top --scrape exits nonzero on a parse failure).
-  ./target/release/photon-top --addr "$addr" --once | grep -q "photon-top" \
-    || { echo "    photon-top --once rendered no frame"; exit 1; }
-  ./target/release/photon-top --addr "$addr" --scrape | grep -q "photon_serve_submitted" \
-    || { echo "    metrics scrape did not round-trip"; exit 1; }
-  serve_stop_clean
-
-  # Fault-seeded variant: with panics injected into simulations, every
-  # submission must still get a terminal answer (loadgen hangs on a
-  # dropped job, which the timeout turns into a failure) and the server
-  # must still drain cleanly.
-  ./target/release/photon-serve --port 0 --workers 2 --no-cache \
-    --pending "$serve_tmp/pending_faults.jsonl" \
-    --flightrec "$serve_tmp/flightrec_faults" \
-    --faults "exec.panic:0.3:1207" >"$serve_log" 2>&1 &
-  serve_pid=$!
-  serve_wait_up
-  timeout 300 ./target/release/photon-loadgen --addr "$addr" \
-    --clients 4 --jobs-per-client 3 --out BENCH_serve_faults
-  # Prove the run actually exercised the fault path: stats must report
-  # at least one injected exec.panic (absorbed by retries — loadgen
-  # above already proved no job was dropped).
-  serve_port="${addr##*:}"
-  exec 3<>"/dev/tcp/127.0.0.1/$serve_port"
-  echo '{"op":"stats"}' >&3
-  IFS= read -r serve_stats <&3
-  exec 3<&-
-  if ! grep -q '"exec.panic"' <<<"$serve_stats"; then
-    echo "    fault-seeded serve run injected no panics"; exit 1
-  fi
-  serve_stop_clean
-
-  # Flight recorder: the injected panics must have cut at least one
-  # dump; every dump must load (checksum-verified by `report
-  # flightrec`), and at least one must name the injected fault site.
-  dumps=("$serve_tmp"/flightrec_faults/*.json)
-  if [[ ! -e "${dumps[0]}" ]]; then
-    echo "    fault-seeded serve run produced no flight-recorder dump"; exit 1
-  fi
-  flight_out=""
-  for dump in "${dumps[@]}"; do
-    flight_out+="$(./target/release/report flightrec "$dump")"$'\n'
+echo "==> photon-serve gate: loadgen over a live server"
+serve_tmp="$(mktemp -d)"
+serve_log="$serve_tmp/serve.log"
+serve_wait_up() {
+  for _ in $(seq 1 100); do
+    grep -q "listening on" "$serve_log" && break
+    sleep 0.1
   done
-  if ! grep -q "exec.panic" <<<"$flight_out"; then
-    echo "    no flight record names the injected fault site:"
-    echo "$flight_out"; exit 1
+  addr="$(grep -o '127\.0\.0\.1:[0-9]*' "$serve_log" | head -1)"
+  if [[ -z "$addr" ]]; then
+    echo "    photon-serve never came up:"; cat "$serve_log"; exit 1
   fi
-  rm -rf "$serve_tmp"
+}
+serve_stop_clean() {
+  kill -TERM "$serve_pid"
+  wait "$serve_pid"
+  if ! grep -q "clean exit" "$serve_log"; then
+    echo "    photon-serve did not drain cleanly:"; cat "$serve_log"; exit 1
+  fi
+}
+
+# Duplicate-heavy closed-loop drive: 4 clients x 3 jobs cycling 3
+# specs, so identical submissions constantly collide. --check asserts
+# zero failed fetches, a positive coalesce rate, and a warm p50 at
+# least 10x below cold. SIGTERM afterwards must drain and exit clean.
+./target/release/photon-serve --port 0 --workers 2 --no-cache \
+  --pending "$serve_tmp/pending.jsonl" \
+  --flightrec "$serve_tmp/flightrec" >"$serve_log" 2>&1 &
+serve_pid=$!
+serve_wait_up
+timeout 300 ./target/release/photon-loadgen --addr "$addr" \
+  --clients 4 --jobs-per-client 3 --check
+# Live-view smoke: one non-interactive photon-top frame, and a
+# `metrics` scrape that must round-trip through the exposition-format
+# parser (photon-top --scrape exits nonzero on a parse failure).
+./target/release/photon-top --addr "$addr" --once | grep -q "photon-top" \
+  || { echo "    photon-top --once rendered no frame"; exit 1; }
+./target/release/photon-top --addr "$addr" --scrape | grep -q "photon_serve_submitted" \
+  || { echo "    metrics scrape did not round-trip"; exit 1; }
+serve_stop_clean
+
+# Fault-seeded variant: with panics injected into simulations, every
+# submission must still get a terminal answer (loadgen hangs on a
+# dropped job, which the timeout turns into a failure) and the server
+# must still drain cleanly.
+./target/release/photon-serve --port 0 --workers 2 --no-cache \
+  --pending "$serve_tmp/pending_faults.jsonl" \
+  --flightrec "$serve_tmp/flightrec_faults" \
+  --faults "exec.panic:0.3:1207" >"$serve_log" 2>&1 &
+serve_pid=$!
+serve_wait_up
+timeout 300 ./target/release/photon-loadgen --addr "$addr" \
+  --clients 4 --jobs-per-client 3 --out BENCH_serve_faults
+# Prove the run actually exercised the fault path: stats must report
+# at least one injected exec.panic (absorbed by retries — loadgen
+# above already proved no job was dropped).
+serve_port="${addr##*:}"
+exec 3<>"/dev/tcp/127.0.0.1/$serve_port"
+echo '{"op":"stats"}' >&3
+IFS= read -r serve_stats <&3
+exec 3<&-
+if ! grep -q '"exec.panic"' <<<"$serve_stats"; then
+  echo "    fault-seeded serve run injected no panics"; exit 1
 fi
+serve_stop_clean
+
+# Flight recorder: the injected panics must have cut at least one
+# dump; every dump must load (checksum-verified by `report
+# flightrec`), and at least one must name the injected fault site.
+dumps=("$serve_tmp"/flightrec_faults/*.json)
+if [[ ! -e "${dumps[0]}" ]]; then
+  echo "    fault-seeded serve run produced no flight-recorder dump"; exit 1
+fi
+flight_out=""
+for dump in "${dumps[@]}"; do
+  flight_out+="$(./target/release/report flightrec "$dump")"$'\n'
+done
+if ! grep -q "exec.panic" <<<"$flight_out"; then
+  echo "    no flight record names the injected fault site:"
+  echo "$flight_out"; exit 1
+fi
+rm -rf "$serve_tmp"
 
 echo "==> quarantine hygiene: no new .corrupt corpses in results/"
 corpses_after="$(corpses_snapshot)"
