@@ -31,8 +31,8 @@ pub fn usage(bin: &str, extra: &str) -> String {
          \x20 --engine MODE   timing-engine override for every run in the grid:\n\
          \x20                 serial | deterministic\n\
          \x20 --engine-threads N  worker threads per simulation for the epoch\n\
-         \x20                 engine (PHOTON_ENGINE_THREADS=N does the same;\n\
-         \x20                 default: available parallelism, capped at the CU count)\n\
+         \x20                 engine (default: available parallelism, capped at\n\
+         \x20                 the CU count)\n\
          \x20 --mem-fidelity M  memory-model override for every run in the grid:\n\
          \x20                 legacy | detailed (MSHRs, NoC bank queues, DRAM banks)"
     )

@@ -1,6 +1,7 @@
-//! The parallel experiment executor: [`RunSpec`] jobs fanned out over a
-//! work-stealing pool, with full-detailed reference runs deduplicated
-//! through the [`RefCache`].
+//! The parallel experiment executor. [`resolve_spec`] is the one way a
+//! [`RunSpec`] gets answered — reference-cache hit, join of a
+//! concurrent identical run, or a simulation behind the guardrails —
+//! and [`run_specs`] maps it over a grid on [`parallel_map`]'s pool.
 //!
 //! ## Job model
 //!
@@ -13,17 +14,15 @@
 //! executed with `--jobs 1` and `--jobs N` is bit-identical in
 //! everything but wall-clock fields.
 //!
-//! Each run keeps the harness guardrails: it executes behind
-//! `catch_unwind` and a wall-clock timeout on a dedicated run thread
-//! (the pool worker blocks on it), so a panicking or wedged
-//! configuration becomes a [`RunOutcome::Skipped`] while its siblings
-//! continue. A timed-out run thread is abandoned, never joined into the
-//! pool.
+//! Each run keeps the harness guardrails (`execute_spec`): a panicking
+//! or wedged configuration becomes a [`RunOutcome::Skipped`] while its
+//! siblings continue.
 
 use crate::harness::{panic_reason, try_run_app_method, FailureKind, Measurement, RunOutcome};
 use crate::journal::{journal_key, Journal};
 use crate::refcache::{reference_key, RefCache};
 use crate::specs::{Method, RunSpec};
+use gpu_mem::{MemFidelityConfig, MemFidelityMode};
 use gpu_telemetry::faults::{self, FaultSite};
 use gpu_telemetry::span::{self, SpanKind};
 use gpu_telemetry::{MetricsSnapshot, Telemetry, TraceLog};
@@ -79,7 +78,7 @@ pub struct ExecOptions {
     /// (`--mem-fidelity legacy|detailed`). `None` leaves the specs
     /// untouched; `Detailed` swaps in [`gpu_mem::MemFidelityConfig::
     /// detailed`]'s knobs, `Legacy` forces the legacy miss path.
-    pub mem_fidelity: Option<gpu_mem::MemFidelityMode>,
+    pub mem_fidelity: Option<MemFidelityMode>,
 }
 
 impl Default for ExecOptions {
@@ -97,6 +96,38 @@ impl Default for ExecOptions {
             engine_mode: None,
             engine_threads: None,
             mem_fidelity: None,
+        }
+    }
+}
+
+impl ExecOptions {
+    /// `spec` as this invocation runs it: the `--engine` /
+    /// `--mem-fidelity` overrides rewrite the machine up front, so
+    /// everything keyed on the spec (deduplication, the reference cache,
+    /// the journal) sees the machine that actually ran.
+    fn overridden(&self, spec: &RunSpec) -> RunSpec {
+        let mut spec = spec.clone();
+        if let Some(mode) = self.engine_mode {
+            spec.gpu.engine.mode = mode;
+        }
+        match self.mem_fidelity {
+            Some(MemFidelityMode::Detailed) => {
+                spec.gpu.mem.fidelity = MemFidelityConfig::detailed()
+            }
+            Some(MemFidelityMode::Legacy) => spec.gpu.mem.fidelity.mode = MemFidelityMode::Legacy,
+            None => {}
+        }
+        spec
+    }
+
+    /// The reference cache `cache` / `cache_dir` ask for: persistent
+    /// under the directory, or memory-only (entries still deduplicate
+    /// and coalesce within the process).
+    pub fn ref_cache(&self) -> RefCache {
+        if self.cache {
+            RefCache::persistent(self.cache_dir.clone().unwrap_or_else(RefCache::default_dir))
+        } else {
+            RefCache::memory_only()
         }
     }
 }
@@ -198,6 +229,40 @@ impl ExecReport {
     }
 }
 
+/// One answered spec: the outcome, the telemetry of the run that
+/// produced it, and what answering it cost — the one value both the grid
+/// executor and `photon-serve` read their counters off.
+#[derive(Debug)]
+pub struct Resolution {
+    /// Measurement or structured skip.
+    pub outcome: RunOutcome,
+    /// The run's metrics snapshot (empty when nothing simulated).
+    pub metrics: MetricsSnapshot,
+    /// The run's event trace (empty unless tracing was on and it ran).
+    pub trace: TraceLog,
+    /// True when the reference cache (memory, disk, or a concurrent
+    /// identical run that completed) answered instead of a simulation.
+    pub from_cache: bool,
+    /// Simulations performed: 0 for a cache hit or a journal replay,
+    /// else 1 (however many attempts it took — see `retries`).
+    pub simulations: usize,
+    /// Extra attempts consumed retrying transient failures.
+    pub retries: usize,
+}
+
+impl Resolution {
+    fn answered(outcome: RunOutcome, metrics: MetricsSnapshot, from_cache: bool) -> Resolution {
+        Resolution {
+            outcome,
+            metrics,
+            trace: TraceLog::default(),
+            from_cache,
+            simulations: 0,
+            retries: 0,
+        }
+    }
+}
+
 /// Runs every spec and returns results in spec order.
 ///
 /// Identical specs are simulated once (`stats.deduped` counts the
@@ -205,56 +270,21 @@ impl ExecReport {
 /// reference cache, so a warm rerun of the same grid performs zero
 /// full-detailed simulations.
 pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
-    // Engine-mode and fidelity overrides rewrite the specs up front so
-    // everything keyed on the spec (deduplication, the reference cache,
-    // the journal) sees the machine that actually ran.
-    let overridden: Vec<RunSpec>;
-    let specs: &[RunSpec] = if opts.engine_mode.is_some() || opts.mem_fidelity.is_some() {
-        overridden = specs
-            .iter()
-            .map(|s| {
-                let mut s = s.clone();
-                if let Some(mode) = opts.engine_mode {
-                    s.gpu.engine.mode = mode;
-                }
-                match opts.mem_fidelity {
-                    Some(gpu_mem::MemFidelityMode::Detailed) => {
-                        s.gpu.mem.fidelity = gpu_mem::MemFidelityConfig::detailed();
-                    }
-                    Some(gpu_mem::MemFidelityMode::Legacy) => {
-                        s.gpu.mem.fidelity.mode = gpu_mem::MemFidelityMode::Legacy;
-                    }
-                    None => {}
-                }
-                s
-            })
-            .collect();
-        &overridden
-    } else {
-        specs
-    };
+    let specs: Vec<RunSpec> = specs.iter().map(|s| opts.overridden(s)).collect();
     let mut stats = ExecStats {
         jobs: opts.jobs.max(1),
         total: specs.len(),
         ..ExecStats::default()
     };
-    let cache = if opts.cache {
-        RefCache::persistent(opts.cache_dir.clone().unwrap_or_else(RefCache::default_dir))
-    } else {
-        RefCache::memory_only()
-    };
+    let cache = opts.ref_cache();
     let abandoned_before = crate::harness::abandoned_threads();
 
     // Run journal: load completed specs when resuming, then open for
     // appending (a fresh run truncates — the journal describes *this*
     // grid). Journal failures degrade to journal-less operation.
-    let replay = if opts.resume {
-        opts.journal
-            .as_deref()
-            .map(|p| crate::journal::load_journal(p).entries)
-            .unwrap_or_default()
-    } else {
-        std::collections::HashMap::new()
+    let replay = match opts.journal.as_deref() {
+        Some(p) if opts.resume => crate::journal::load_journal(p).entries,
+        _ => std::collections::HashMap::new(),
     };
     let journal = opts.journal.as_deref().and_then(|p| {
         let opened = if opts.resume {
@@ -262,221 +292,83 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
         } else {
             Journal::create(p)
         };
-        match opened {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("warning: could not open journal {}: {e}", p.display());
-                None
-            }
-        }
+        opened
+            .map_err(|e| eprintln!("warning: could not open journal {}: {e}", p.display()))
+            .ok()
     });
 
     // Deduplicate identical specs: only the first occurrence simulates.
     let mut unique: Vec<usize> = Vec::new(); // unique-job -> spec index
     let mut alias: Vec<usize> = Vec::with_capacity(specs.len()); // spec -> unique-job
     for (i, spec) in specs.iter().enumerate() {
-        match unique.iter().position(|&u| specs[u] == *spec) {
-            Some(j) => {
-                alias.push(j);
-                stats.deduped += 1;
-            }
-            None => {
-                unique.push(i);
-                alias.push(unique.len() - 1);
+        let seen = unique.iter().position(|&u| specs[u] == *spec);
+        alias.push(seen.unwrap_or_else(|| {
+            unique.push(i);
+            unique.len() - 1
+        }));
+    }
+    stats.deduped = specs.len() - unique.len();
+
+    // Answer each unique job: journal replay, else `resolve_spec`.
+    let mut resolved = parallel_map(unique.clone(), stats.jobs, &|i: usize| {
+        let spec = &specs[i];
+        let jkey = journal_key(spec);
+        if let Some(entry) = replay.get(&jkey) {
+            // A replay is bookkeeping, not a run, and gets no span. It
+            // carries the original run's metrics, so a resumed grid
+            // merges to the same snapshot as an uninterrupted one; the
+            // trace is gone (it is not part of any report).
+            return (
+                Resolution::answered(entry.outcome.clone(), entry.metrics.clone(), false),
+                true,
+            );
+        }
+        // Root job span for this unique spec: CLI grids leave the same
+        // evidence trail as serve jobs (same job id — the journal key).
+        let jctx = span::start_job(jkey, &spec.label());
+        let _jscope = span::enter(jctx);
+        let res = resolve_spec(spec, opts, &cache, None);
+        if let Some(j) = &journal {
+            // Transient skips are deliberately not journaled: a resumed
+            // run must retry them, not replay them.
+            if crate::journal::journalable(&res.outcome) {
+                j.record(jkey, &spec.label(), &res.outcome, &res.metrics);
             }
         }
+        match &res.outcome {
+            RunOutcome::Completed(_) if res.from_cache => span::close(jctx.span, true, "cache-hit"),
+            RunOutcome::Completed(_) => span::close(jctx.span, true, ""),
+            RunOutcome::Skipped { reason, .. } => span::close(jctx.span, false, reason),
+        }
+        (res, false)
+    });
+    for (&i, (res, replayed)) in unique.iter().zip(&resolved) {
+        stats.resumed += usize::from(*replayed);
+        stats.executed += res.simulations;
+        if specs[i].method == Method::Full {
+            stats.full_runs_executed += res.simulations;
+        }
+        stats.cache_hits += usize::from(res.from_cache);
+        stats.retried += res.retries;
     }
 
-    // Resolve unique jobs: journal replay, cache hit, or simulation.
-    enum Resolved {
-        Cached(Measurement),
-        Journaled {
-            outcome: RunOutcome,
-            metrics: MetricsSnapshot,
-        },
-        Ran {
-            outcome: RunOutcome,
-            metrics: MetricsSnapshot,
-            trace: TraceLog,
-        },
-    }
-    let cache_hits = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
-    let full_executed = AtomicUsize::new(0);
-    let retried = AtomicUsize::new(0);
-    let resumed = AtomicUsize::new(0);
-    let resolved: Vec<Resolved> = parallel_map(
-        unique.iter().map(|&i| &specs[i]).collect(),
-        stats.jobs,
-        &|spec: &RunSpec| {
-            let jkey = journal_key(spec);
-            if let Some(entry) = replay.get(&jkey) {
-                resumed.fetch_add(1, Ordering::Relaxed);
-                return Resolved::Journaled {
-                    outcome: entry.outcome.clone(),
-                    metrics: entry.metrics.clone(),
-                };
-            }
-            // Root job span for this unique spec: CLI grids leave the
-            // same evidence trail as serve jobs (same job id — the
-            // journal key). Replays above are bookkeeping, not runs, and
-            // get no span.
-            let jctx = span::start_job(jkey, &spec.label());
-            let _jscope = span::enter(jctx);
-            let record = |outcome: &RunOutcome, metrics: &MetricsSnapshot| {
-                if let Some(j) = &journal {
-                    // Transient skips are deliberately not journaled:
-                    // a resumed run must retry them, not replay them.
-                    if crate::journal::journalable(outcome) {
-                        j.record(jkey, &spec.label(), outcome, metrics);
-                    }
-                }
-            };
-            let resolved = if spec.method == Method::Full {
-                // Single-flight through the cache: a hit answers from
-                // memory/disk, a miss leads the simulation (storing the
-                // completed measurement before followers wake), and a
-                // concurrent identical computation — e.g. photon-serve
-                // sharing this cache instance — is joined, not repeated.
-                let key = reference_key(spec);
-                let probe = span::guard(jctx, SpanKind::CacheProbe, &spec.workload.name());
-                let mut led: Option<(RunOutcome, MetricsSnapshot, TraceLog)> = None;
-                let (m, _origin) = cache.get_or_compute_full(key, &spec.workload.name(), || {
-                    let out = execute_spec_retrying(spec, opts, jkey, &retried, None);
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    full_executed.fetch_add(1, Ordering::Relaxed);
-                    let meas = match &out.0 {
-                        RunOutcome::Completed(m) => Some(m.clone()),
-                        _ => None,
-                    };
-                    led = Some(out);
-                    meas
-                });
-                probe.finish(
-                    true,
-                    if led.is_none() && m.is_some() {
-                        "hit"
-                    } else {
-                        "miss"
-                    },
-                );
-                if let Some((outcome, metrics, trace)) = led {
-                    record(&outcome, &metrics);
-                    Resolved::Ran {
-                        outcome,
-                        metrics,
-                        trace,
-                    }
-                } else {
-                    match m {
-                        Some(m) => {
-                            cache_hits.fetch_add(1, Ordering::Relaxed);
-                            let outcome = RunOutcome::Completed(m.clone());
-                            record(&outcome, &MetricsSnapshot::default());
-                            Resolved::Cached(m)
-                        }
-                        None => {
-                            // Coalesced onto a leader (in another executor
-                            // sharing this cache) whose run failed: fall back
-                            // to running it ourselves so this grid still gets
-                            // a first-hand outcome.
-                            let (outcome, metrics, trace) =
-                                execute_spec_retrying(spec, opts, jkey, &retried, None);
-                            executed.fetch_add(1, Ordering::Relaxed);
-                            full_executed.fetch_add(1, Ordering::Relaxed);
-                            record(&outcome, &metrics);
-                            Resolved::Ran {
-                                outcome,
-                                metrics,
-                                trace,
-                            }
-                        }
-                    }
-                }
-            } else {
-                let (outcome, metrics, trace) =
-                    execute_spec_retrying(spec, opts, jkey, &retried, None);
-                executed.fetch_add(1, Ordering::Relaxed);
-                record(&outcome, &metrics);
-                Resolved::Ran {
-                    outcome,
-                    metrics,
-                    trace,
-                }
-            };
-            let (ok, detail) = match &resolved {
-                Resolved::Cached(_) => (true, String::from("cache-hit")),
-                Resolved::Journaled { .. } => (true, String::new()),
-                Resolved::Ran { outcome, .. } => match outcome {
-                    RunOutcome::Completed(_) => (true, String::new()),
-                    RunOutcome::Skipped { reason, .. } => (false, reason.clone()),
-                },
-            };
-            span::close(jctx.span, ok, &detail);
-            resolved
-        },
-    );
-    stats.cache_hits = cache_hits.into_inner();
-    stats.executed = executed.into_inner();
-    stats.full_runs_executed = full_executed.into_inner();
-    stats.retried = retried.into_inner();
-    stats.resumed = resumed.into_inner();
-
-    // Fan results back out to submission order.
+    // Fan results back out to submission order. Telemetry belongs to
+    // the run, not its aliases: the first occurrence takes it and later
+    // ones find it empty, so merging every result never double-counts a
+    // simulation.
     let mut results = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().cloned().enumerate() {
-        let job = alias[i];
-        let first_owner = i == unique[job];
-        let r = match &resolved[job] {
-            Resolved::Cached(m) => RunResult {
-                spec,
-                outcome: RunOutcome::Completed(m.clone()),
-                metrics: MetricsSnapshot::default(),
-                trace: TraceLog::default(),
-                from_cache: true,
-            },
-            Resolved::Journaled { outcome, metrics } => RunResult {
-                spec,
-                outcome: outcome.clone(),
-                // The journal stored the original run's metrics, so a
-                // resumed grid merges to the same snapshot as an
-                // uninterrupted one. The trace is gone — it is not part
-                // of any report.
-                metrics: if first_owner {
-                    metrics.clone()
-                } else {
-                    MetricsSnapshot::default()
-                },
-                trace: TraceLog::default(),
-                from_cache: false,
-            },
-            Resolved::Ran {
-                outcome,
-                metrics,
-                trace,
-            } => RunResult {
-                spec,
-                outcome: outcome.clone(),
-                // Telemetry belongs to the run, not its aliases: only
-                // the first occurrence carries it, so merging every
-                // result never double-counts a simulation.
-                metrics: if first_owner {
-                    metrics.clone()
-                } else {
-                    MetricsSnapshot::default()
-                },
-                trace: if first_owner {
-                    trace.clone()
-                } else {
-                    TraceLog::default()
-                },
-                from_cache: false,
-            },
-        };
-        if r.outcome.measurement().is_none() {
+    for (i, spec) in specs.into_iter().enumerate() {
+        let (res, _) = &mut resolved[alias[i]];
+        if res.outcome.measurement().is_none() {
             stats.skipped += 1;
         }
-        results.push(r);
+        results.push(RunResult {
+            spec,
+            outcome: res.outcome.clone(),
+            metrics: std::mem::take(&mut res.metrics),
+            trace: std::mem::take(&mut res.trace),
+            from_cache: res.from_cache,
+        });
     }
 
     // Executor-level telemetry. These are invocation properties, not
@@ -487,19 +379,15 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
     exec_tel
         .gauge("exec.abandoned_threads")
         .set((crate::harness::abandoned_threads() - abandoned_before) as f64);
-    exec_tel
-        .counter("refcache.quarantined")
-        .add(cache.quarantined());
     let cache_stats = cache.stats();
-    exec_tel
-        .counter("refcache.evicted")
-        .add(cache_stats.disk_evicted);
-    exec_tel
-        .counter("refcache.mem_evicted")
-        .add(cache_stats.memory.evicted);
-    exec_tel
-        .counter("refcache.coalesced")
-        .add(cache_stats.memory.coalesced);
+    for (name, n) in [
+        ("refcache.quarantined", cache_stats.quarantined),
+        ("refcache.evicted", cache_stats.disk_evicted),
+        ("refcache.mem_evicted", cache_stats.memory.evicted),
+        ("refcache.coalesced", cache_stats.memory.coalesced),
+    ] {
+        exec_tel.counter(name).add(n);
+    }
     ExecReport {
         results,
         stats,
@@ -507,62 +395,98 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
     }
 }
 
-/// Executes one spec with the full guardrail + retry stack, observable
-/// from outside: when `telemetry` is provided, the run's counters and
-/// gauges land in that registry **live** (this is how `photon-serve`
-/// streams `status`/`wait` progress events while a simulation runs) in
-/// addition to being returned as the final snapshot. With `None` the
-/// behavior is exactly the executor's: a fresh private registry per
-/// run.
+/// Answers one spec — the only path from a [`RunSpec`] to a simulation:
+/// [`run_specs`] maps it over a grid, `photon-serve` calls it per job.
+///
+/// A `Method::Full` spec is single-flighted through `cache`: a hit
+/// answers from memory/disk, a miss leads the simulation (the completed
+/// measurement is stored before followers wake), and a concurrent
+/// identical computation — another worker, or another executor sharing
+/// this cache instance — is joined, not repeated. A follower whose
+/// leader failed runs the spec itself, so every caller gets a
+/// first-hand outcome and a failure is never served from the cache.
+/// The probe is a `cache-probe` span ("hit" / "miss") under the caller's
+/// current trace context. Sampled methods always simulate. `telemetry`
+/// is [`run_spec_observed`]'s live registry.
+pub fn resolve_spec(
+    spec: &RunSpec,
+    opts: &ExecOptions,
+    cache: &RefCache,
+    telemetry: Option<&Telemetry>,
+) -> Resolution {
+    if spec.method != Method::Full {
+        return run_spec_observed(spec, opts, telemetry);
+    }
+    let workload = spec.workload.name();
+    let probe = span::current().map(|ctx| span::guard(ctx, SpanKind::CacheProbe, &workload));
+    let mut led: Option<Resolution> = None;
+    let (cached, _origin) = cache.get_or_compute_full(reference_key(spec), &workload, || {
+        let run = run_spec_observed(spec, opts, telemetry);
+        let measurement = run.outcome.measurement().cloned();
+        led = Some(run);
+        measurement
+    });
+    if let Some(probe) = probe {
+        let hit = led.is_none() && cached.is_some();
+        probe.finish(true, if hit { "hit" } else { "miss" });
+    }
+    match (led, cached) {
+        (Some(run), _) => run,
+        (None, Some(m)) => {
+            Resolution::answered(RunOutcome::Completed(m), MetricsSnapshot::default(), true)
+        }
+        (None, None) => run_spec_observed(spec, opts, telemetry),
+    }
+}
+
+/// Simulates one spec with the full guardrail + retry stack: a panic or
+/// timeout ([`FailureKind::Transient`]) re-runs after capped
+/// exponential backoff until it succeeds or `opts.retries` is spent; a
+/// deterministic failure returns immediately. The last attempt's
+/// outcome is returned either way.
+///
+/// When `telemetry` is provided, the run's counters and gauges land in
+/// that registry **live** (this is how `photon-serve` streams
+/// `status`/`wait` progress events while a simulation runs) in addition
+/// to being returned as the final snapshot, and the retry count is
+/// folded into both as `exec.retried`. With `None` each attempt gets a
+/// fresh private registry.
 pub fn run_spec_observed(
     spec: &RunSpec,
     opts: &ExecOptions,
     telemetry: Option<&Telemetry>,
-) -> (RunOutcome, MetricsSnapshot, TraceLog) {
-    let retried = AtomicUsize::new(0);
-    let (outcome, mut metrics, trace) =
-        execute_spec_retrying(spec, opts, journal_key(spec), &retried, telemetry);
-    let retries = retried.load(Ordering::Relaxed) as u64;
-    if retries > 0 {
-        // The snapshot was taken before the retry count was known; fold
-        // it in so observers see how many attempts the outcome cost.
-        if let Some(t) = telemetry {
-            t.counter("exec.retried").add(retries);
-        }
-        metrics.counters.push(gpu_telemetry::CounterSnapshot {
-            name: "exec.retried".to_string(),
-            value: retries,
-        });
-    }
-    (outcome, metrics, trace)
-}
-
-/// [`execute_spec`] plus the transient-failure retry loop: a panic or
-/// timeout re-runs (after capped exponential backoff) until it succeeds
-/// or the budget is exhausted; a deterministic failure returns
-/// immediately. The last attempt's outcome is returned either way.
-fn execute_spec_retrying(
-    spec: &RunSpec,
-    opts: &ExecOptions,
-    jkey: u64,
-    retried: &AtomicUsize,
-    external: Option<&Telemetry>,
-) -> (RunOutcome, MetricsSnapshot, TraceLog) {
+) -> Resolution {
     let mut attempt: u32 = 0;
-    loop {
-        let out = execute_spec(spec, opts, jkey ^ u64::from(attempt), external);
+    let (outcome, mut metrics, trace) = loop {
+        let out = execute_spec(spec, opts, attempt, telemetry);
         match out.0.failure() {
             Some(FailureKind::Transient) if attempt < opts.retries => {
                 attempt += 1;
-                retried.fetch_add(1, Ordering::Relaxed);
                 let backoff = opts
                     .retry_backoff
                     .saturating_mul(1u32 << (attempt - 1).min(16))
                     .min(Duration::from_secs(1));
                 std::thread::sleep(backoff);
             }
-            _ => return out,
+            _ => break out,
         }
+    };
+    if let Some(t) = telemetry.filter(|_| attempt > 0) {
+        // The snapshot was taken before the retry count was known; fold
+        // it in so observers see how many attempts the outcome cost.
+        t.counter("exec.retried").add(u64::from(attempt));
+        metrics.counters.push(gpu_telemetry::CounterSnapshot {
+            name: "exec.retried".to_string(),
+            value: u64::from(attempt),
+        });
+    }
+    Resolution {
+        outcome,
+        metrics,
+        trace,
+        from_cache: false,
+        simulations: 1,
+        retries: attempt as usize,
     }
 }
 
@@ -574,15 +498,15 @@ fn execute_spec_retrying(
 /// the run thread is abandoned (it cannot be cancelled) and empty
 /// telemetry is returned — the abandoned thread still owns its handle.
 ///
-/// `fault_key` seeds the `exec.panic` / `exec.stall` injection sites:
-/// it is the spec's journal key XOR the attempt number, so fault
-/// decisions are a pure function of *what* runs (never of scheduling
-/// order — `--jobs 1` and `--jobs N` see identical faults) and a retry
-/// re-rolls rather than deterministically re-failing.
+/// The `exec.panic` / `exec.stall` injection sites are keyed by the
+/// spec's journal key XOR `attempt`, so fault decisions are a pure
+/// function of *what* runs (never of scheduling order — `--jobs 1` and
+/// `--jobs N` see identical faults) and a retry re-rolls rather than
+/// deterministically re-failing.
 fn execute_spec(
     spec: &RunSpec,
     opts: &ExecOptions,
-    fault_key: u64,
+    attempt: u32,
     external: Option<&Telemetry>,
 ) -> (RunOutcome, MetricsSnapshot, TraceLog) {
     let workload = spec.workload.name();
@@ -614,7 +538,8 @@ fn execute_spec(
     // a failed attempt's span names its failure — including the fault
     // site of an injected panic.
     let parent_ctx = span::current();
-    let attempt_label = format!("{} attempt {}", spec.label(), fault_key ^ journal_key(spec));
+    let fault_key = journal_key(spec) ^ u64::from(attempt);
+    let attempt_label = format!("{} attempt {attempt}", spec.label());
     let (tx, rx) = channel();
     let spawn = std::thread::Builder::new()
         .name(format!("run-{}", spec.label()))
@@ -654,19 +579,15 @@ fn execute_spec(
             // The receiver may already have timed out and moved on.
             let _ = tx.send((res, snapshot, trace));
         });
+    // Every way of not hearing back from the run thread is transient
+    // and leaves no telemetry (an abandoned thread still owns its own).
+    let lost = |reason: String| {
+        let outcome = skipped(reason, None, FailureKind::Transient);
+        (outcome, MetricsSnapshot::default(), TraceLog::default())
+    };
     let handle = match spawn {
         Ok(h) => h,
-        Err(e) => {
-            return (
-                skipped(
-                    format!("could not spawn run thread: {e}"),
-                    None,
-                    FailureKind::Transient,
-                ),
-                MetricsSnapshot::default(),
-                TraceLog::default(),
-            )
-        }
+        Err(e) => return lost(format!("could not spawn run thread: {e}")),
     };
 
     match rx.recv_timeout(opts.timeout) {
@@ -697,38 +618,27 @@ fn execute_spec(
         }
         Err(RecvTimeoutError::Timeout) => {
             crate::harness::note_abandoned_thread();
-            (
-                skipped(
-                    format!("timed out after {:.1}s", opts.timeout.as_secs_f64()),
-                    None,
-                    FailureKind::Transient,
-                ),
-                MetricsSnapshot::default(),
-                TraceLog::default(),
-            )
+            lost(format!(
+                "timed out after {:.1}s",
+                opts.timeout.as_secs_f64()
+            ))
         }
         Err(RecvTimeoutError::Disconnected) => {
             let _ = handle.join();
-            (
-                skipped(
-                    "run thread died without reporting".to_string(),
-                    None,
-                    FailureKind::Transient,
-                ),
-                MetricsSnapshot::default(),
-                TraceLog::default(),
-            )
+            lost("run thread died without reporting".to_string())
         }
     }
 }
 
-/// Applies `f` to every item on a work-stealing pool of `jobs` workers
-/// and returns the results in item order.
+/// Applies `f` to every item on `jobs` scoped worker threads and
+/// returns the results in item order.
 ///
-/// Items are seeded round-robin into per-worker deques; an idle worker
-/// drains its own deque LIFO, then steals FIFO from its siblings. With
-/// `jobs <= 1` (or one item) everything runs on the calling thread —
-/// the degenerate case the determinism test compares against.
+/// Workers claim the next unclaimed index from one shared cursor, so a
+/// slow item never strands work queued behind it, and leave each result
+/// in the cell the item came from. With `jobs <= 1` (or one item)
+/// everything runs on the calling thread — the degenerate case the
+/// determinism test compares against. A panic in `f` propagates to the
+/// caller once the other workers have drained the cursor.
 pub fn parallel_map<T, R, F>(items: Vec<T>, jobs: usize, f: &F) -> Vec<R>
 where
     T: Send,
@@ -740,43 +650,34 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    use crossbeam::deque::{Stealer, Worker};
-    let total = items.len();
-    let workers: Vec<Worker<(usize, T)>> = (0..jobs).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = workers.iter().map(|w| w.stealer()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        workers[i % jobs].push((i, item));
+    // Index-addressed slots: `items[i]` holds the item until a worker
+    // claims it, `slots[i]` its result. Each is written whole, so a lock
+    // poisoned by a sibling's panic still guards a valid value.
+    fn lock<V>(m: &Mutex<V>) -> std::sync::MutexGuard<'_, V> {
+        m.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    // Relaxed: the cursor only hands out indices; items and results are
+    // published by the slot mutexes and the scope's join.
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for (wi, worker) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                // own deque first, then siblings
-                let next = worker.pop().or_else(|| {
-                    stealers
-                        .iter()
-                        .enumerate()
-                        .filter(|(si, _)| *si != wi)
-                        .find_map(|(_, s)| s.steal().success())
-                });
-                // No task produces new tasks, so one empty sweep over
-                // every queue means the pool is drained.
-                let Some((i, item)) = next else { break };
-                let r = f(item);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i).and_then(|cell| lock(cell).take()) else {
+                    break;
+                };
+                *lock(&slots[i]) = Some(f(item));
             });
         }
     });
-
     slots
         .into_iter()
         .map(|s| {
             s.into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| unreachable!("every pool slot is filled before join"))
+                .unwrap_or_else(|| unreachable!("every slot is filled before the scope joins"))
         })
         .collect()
 }

@@ -24,7 +24,8 @@ pub mod report;
 pub mod specs;
 
 pub use executor::{
-    parallel_map, run_spec_observed, run_specs, ExecOptions, ExecReport, ExecStats, RunResult,
+    parallel_map, resolve_spec, run_spec_observed, run_specs, ExecOptions, ExecReport, ExecStats,
+    Resolution, RunResult,
 };
 pub use flightrec::{FlightRecord, FLIGHTREC_SCHEMA_VERSION};
 pub use harness::{

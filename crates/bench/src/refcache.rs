@@ -69,13 +69,6 @@ pub const DEFAULT_MEM_BUDGET: u64 = 64 * 1024 * 1024;
 /// Default on-disk byte budget for `results/cache/` (256 MiB).
 pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 
-fn env_budget(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
 /// The stable cache key of a spec's full-detailed reference.
 ///
 /// Canonical-JSON hashing works because the vendored `serde_json`
@@ -430,24 +423,15 @@ pub struct RefCache {
 
 impl RefCache {
     /// A cache persisting under `dir` (created on first store), with
-    /// budgets from `PHOTON_CACHE_MEM_BUDGET` / `PHOTON_CACHE_DISK_BUDGET`
-    /// (bytes) or the defaults.
+    /// the default budgets.
     pub fn persistent(dir: PathBuf) -> RefCache {
-        RefCache::with_budgets(
-            Some(dir),
-            env_budget("PHOTON_CACHE_MEM_BUDGET", DEFAULT_MEM_BUDGET),
-            env_budget("PHOTON_CACHE_DISK_BUDGET", DEFAULT_DISK_BUDGET),
-        )
+        RefCache::with_budgets(Some(dir), DEFAULT_MEM_BUDGET, DEFAULT_DISK_BUDGET)
     }
 
     /// A memory-only cache (used when persistence is disabled: entries
     /// still deduplicate and coalesce within one process).
     pub fn memory_only() -> RefCache {
-        RefCache::with_budgets(
-            None,
-            env_budget("PHOTON_CACHE_MEM_BUDGET", DEFAULT_MEM_BUDGET),
-            0,
-        )
+        RefCache::with_budgets(None, DEFAULT_MEM_BUDGET, 0)
     }
 
     /// A cache with explicit byte budgets (tests size these small to

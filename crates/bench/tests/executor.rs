@@ -6,7 +6,10 @@ use gpu_workloads::registry::Benchmark;
 use photon::Levels;
 use photon_bench::cli::force_traced_run;
 use photon_bench::specs::DEFAULT_SEED;
-use photon_bench::{run_specs, ExecOptions, FailureKind, Measurement, Method, RunOutcome, RunSpec};
+use photon_bench::{
+    parallel_map, reference_key, resolve_spec, run_specs, ExecOptions, FailureKind, Measurement,
+    Method, RefCache, RunOutcome, RunSpec,
+};
 
 fn grid() -> Vec<RunSpec> {
     let gpu = GpuConfig::tiny();
@@ -195,4 +198,87 @@ fn engine_threads_do_not_leak_into_the_cache_key() {
         two.results[0].measurement().unwrap().sim_cycles
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `resolve_spec` is the one door to a simulation: two calls for the
+/// same `Full` spec on one cache simulate once, and the second says so.
+#[test]
+fn resolving_the_same_full_spec_twice_simulates_once() {
+    let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Full);
+    let cache = RefCache::memory_only();
+    let first = resolve_spec(&spec, &opts(1), &cache, None);
+    assert_eq!((first.simulations, first.from_cache), (1, false));
+    assert!(!first.metrics.counters.is_empty(), "the run's telemetry");
+    let second = resolve_spec(&spec, &opts(1), &cache, None);
+    assert_eq!((second.simulations, second.from_cache), (0, true));
+    assert!(second.metrics.counters.is_empty() && second.trace.events.is_empty());
+    assert_eq!(
+        first.outcome.measurement().unwrap().sim_cycles,
+        second.outcome.measurement().unwrap().sim_cycles
+    );
+    // Sampled methods are never cached: each call simulates.
+    let photon = RunSpec {
+        method: Method::Photon(Levels::all()),
+        ..spec
+    };
+    for _ in 0..2 {
+        let r = resolve_spec(&photon, &opts(1), &cache, None);
+        assert_eq!((r.simulations, r.from_cache), (1, false));
+    }
+}
+
+/// A follower that joined a leader whose run failed must not be handed
+/// the failure second-hand: it runs the spec itself.
+#[test]
+fn a_failed_leader_answers_its_follower_with_a_first_hand_run() {
+    // Out of cycle fuel after a few hundred milliseconds of simulation:
+    // a permanent failure (no retries) that leaves the leader in flight
+    // long enough for the follower, released by the same barrier, to
+    // join it.
+    let mut gpu = GpuConfig::tiny();
+    gpu.watchdog.cycle_fuel = 20_000;
+    let spec = RunSpec::bench(gpu, Benchmark::Fir, 4096, Method::Full);
+    let cache = RefCache::memory_only();
+    let start = std::sync::Barrier::new(2);
+    let resolve = || {
+        start.wait();
+        resolve_spec(&spec, &opts(1), &cache, None)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(resolve);
+        let b = s.spawn(resolve);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(
+        cache.stats().memory.coalesced,
+        1,
+        "one of the two joined the other's flight"
+    );
+    for r in [&a, &b] {
+        assert_eq!(r.outcome.failure(), Some(FailureKind::Permanent));
+        assert_eq!((r.simulations, r.from_cache), (1, false), "first-hand");
+    }
+    assert!(
+        cache.lookup(reference_key(&spec)).is_none(),
+        "nothing cached"
+    );
+}
+
+#[test]
+fn parallel_map_keeps_order_at_any_job_count_and_propagates_panics() {
+    let items: Vec<u64> = (0..7).collect();
+    let doubled: Vec<u64> = items.iter().map(|x| x * 2).collect();
+    // more workers than items, exactly one, and the empty input
+    assert_eq!(parallel_map(items.clone(), 64, &|x| x * 2), doubled);
+    assert_eq!(parallel_map(items.clone(), 1, &|x| x * 2), doubled);
+    assert_eq!(parallel_map(Vec::<u64>::new(), 4, &|x| x * 2), vec![]);
+    for jobs in [1, 3] {
+        let panicked = std::panic::catch_unwind(|| {
+            parallel_map(items.clone(), jobs, &|x| {
+                assert_ne!(x, 5, "item 5 is poison");
+                x
+            })
+        });
+        assert!(panicked.is_err(), "--jobs {jobs} swallowed the panic");
+    }
 }

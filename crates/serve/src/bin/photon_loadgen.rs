@@ -176,14 +176,6 @@ fn run_phase(
                                 }
                             }
                             let fetched = client.fetch(&job)?;
-                            if std::env::var_os("PHOTON_LOADGEN_DEBUG").is_some() {
-                                eprintln!(
-                                    "debug: fetch response ~{} bytes",
-                                    serde_json::to_string(&fetched)
-                                        .map(|s| s.len())
-                                        .unwrap_or(0)
-                                );
-                            }
                             Ok(response_ok(&fetched)
                                 && matches!(
                                     fetched.get("report").and_then(|r| r.get("completed")),

@@ -21,12 +21,16 @@
 //!        │                                    else enqueue ──► Queued
 //!        ▼
 //!   worker dequeues (interactive lane first) ──► Running
-//!        │   result-store single-flight: Full methods additionally
-//!        │   go through RefCache::get_or_compute_full, so the
-//!        │   reference is computed once even across restarts
+//!        │   results.get_or_compute(id, resolve_spec): the scheduler
+//!        │   probes and fills its result store; resolve_spec probes the
+//!        │   reference cache, leads or joins a Full run, and simulates
 //!        ▼
-//!      Done (result cached iff replayable) / Cancelled
+//!      Done (result stored iff replayable) / Cancelled
 //! ```
+//!
+//! The scheduler only records what the returned
+//! [`photon_bench::Resolution`] reports: `serve.sim_runs`,
+//! `exec.retried`, the result's `origin`.
 //!
 //! Cancelling a queued job removes it from its lane before any worker
 //! dequeues it (`exec.cancelled`); with several subscribers, a cancel
@@ -49,8 +53,8 @@ use photon_bench::harness::RunOutcome;
 use photon_bench::journal::journalable;
 use photon_bench::refcache::measurement_bytes;
 use photon_bench::{
-    frame_line, journal_key, parse_framed_line, reference_key, run_spec_observed, ExecOptions,
-    Method, RefCache, RunSpec, ShardedStore,
+    frame_line, journal_key, parse_framed_line, resolve_spec, ExecOptions, Method, RefCache,
+    Resolution, RunSpec, ShardedStore,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -89,11 +93,7 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 2,
             queue_capacity: 64,
-            exec: ExecOptions {
-                journal: None,
-                resume: false,
-                ..ExecOptions::default()
-            },
+            exec: ExecOptions::default(),
             result_budget: 64 * 1024 * 1024,
             flightrec: None,
         }
@@ -284,16 +284,6 @@ impl Scheduler {
     /// A scheduler with `opts`; spawn its workers with
     /// [`Scheduler::worker_loop`] (the server does this).
     pub fn new(opts: ServeOptions) -> Scheduler {
-        let cache = if opts.exec.cache {
-            RefCache::persistent(
-                opts.exec
-                    .cache_dir
-                    .clone()
-                    .unwrap_or_else(RefCache::default_dir),
-            )
-        } else {
-            RefCache::memory_only()
-        };
         Scheduler {
             state: Mutex::new(State {
                 jobs: HashMap::new(),
@@ -305,7 +295,7 @@ impl Scheduler {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             results: ShardedStore::new(16, opts.result_budget),
-            cache,
+            cache: opts.exec.ref_cache(),
             telemetry: Telemetry::default(),
             opts,
             draining: AtomicBool::new(false),
@@ -685,25 +675,38 @@ impl Scheduler {
         }
     }
 
-    /// Resolves one job: result-store single-flight, with `Full`
-    /// methods additionally memoized through the reference cache.
-    /// Results are cached only when replaying them would be
-    /// indistinguishable from re-running (same rule as the run
-    /// journal); a transient failure answers its subscribers but the
-    /// next submission re-simulates.
-    /// Runs one simulation for `spec`, counting it in `serve.sim_runs`
-    /// and mirroring any transient-failure retries into the server-wide
-    /// `exec.retried` counter (the per-job `progress` registry records
-    /// them too, but jobs are transient and `stats` is not).
-    fn simulate(&self, spec: &RunSpec, progress: &Telemetry) -> (RunOutcome, MetricsSnapshot) {
-        self.telemetry.counter("serve.sim_runs").add(1);
-        let (outcome, metrics, _trace) = run_spec_observed(spec, &self.opts.exec, Some(progress));
-        if let Some(retries) = metrics.counter("exec.retried") {
-            self.telemetry.counter("exec.retried").add(retries);
+    /// Turns what [`resolve_spec`] answered into the job's result,
+    /// mirroring what the answer cost into the server-wide registry (the
+    /// per-job `progress` registry has it too, but jobs are transient
+    /// and `stats` is not).
+    fn record(&self, res: Resolution, label: &str, ctx: TraceCtx, started: Instant) -> JobResult {
+        for (name, n) in [
+            ("serve.sim_runs", res.simulations),
+            ("exec.retried", res.retries),
+        ] {
+            if n > 0 {
+                self.telemetry.counter(name).add(n as u64);
+            }
         }
-        (outcome, metrics)
+        let mut origin = "executed";
+        if res.from_cache {
+            origin = "refcache";
+            span::emit(ctx, SpanKind::CacheProbe, label, true, "refcache-hit");
+        }
+        JobResult {
+            outcome: res.outcome,
+            metrics: res.metrics,
+            origin,
+            wall_secs: started.elapsed().as_secs_f64(),
+        }
     }
 
+    /// Runs one job: single-flight on the result store around
+    /// [`resolve_spec`], which owns everything below it (reference
+    /// cache, guardrails, retries). Results are stored only when
+    /// replaying them would be indistinguishable from re-running (same
+    /// rule as the run journal); a transient failure answers its
+    /// subscribers but the next submission re-simulates.
     fn run_job(
         &self,
         id: u64,
@@ -715,82 +718,27 @@ impl Scheduler {
         // The result-store probe: closed "miss" the moment the compute
         // closure is entered, "store-hit" if single-flight answered
         // without computing (this thread coalesced onto a stored value).
-        let probe = span::open(ctx, SpanKind::CacheProbe, &spec.workload.name());
+        let workload = spec.workload.name();
+        let probe = span::open(ctx, SpanKind::CacheProbe, &workload);
         let mut probed_miss = false;
-        let (result, _origin) = self.results.get_or_compute(id, || {
+        let (stored, _origin) = self.results.get_or_compute(id, || {
             probed_miss = true;
             span::close(probe.span, true, "miss");
-            let jr = if spec.method == Method::Full {
-                let key = reference_key(spec);
-                let mut led: Option<(RunOutcome, MetricsSnapshot)> = None;
-                let (m, _o) = self
-                    .cache
-                    .get_or_compute_full(key, &spec.workload.name(), || {
-                        let (outcome, metrics) = self.simulate(spec, progress);
-                        let meas = outcome.measurement().cloned();
-                        led = Some((outcome, metrics));
-                        meas
-                    });
-                match (led, m) {
-                    (Some((outcome, metrics)), _) => JobResult {
-                        outcome,
-                        metrics,
-                        origin: "executed",
-                        wall_secs: started.elapsed().as_secs_f64(),
-                    },
-                    (None, Some(m)) => {
-                        span::emit(
-                            ctx,
-                            SpanKind::CacheProbe,
-                            &spec.workload.name(),
-                            true,
-                            "refcache-hit",
-                        );
-                        JobResult {
-                            outcome: RunOutcome::Completed(m),
-                            metrics: MetricsSnapshot::default(),
-                            origin: "refcache",
-                            wall_secs: started.elapsed().as_secs_f64(),
-                        }
-                    }
-                    (None, None) => {
-                        // Coalesced onto a failing leader elsewhere:
-                        // run it first-hand.
-                        let (outcome, metrics) = self.simulate(spec, progress);
-                        JobResult {
-                            outcome,
-                            metrics,
-                            origin: "executed",
-                            wall_secs: started.elapsed().as_secs_f64(),
-                        }
-                    }
-                }
-            } else {
-                let (outcome, metrics) = self.simulate(spec, progress);
-                JobResult {
-                    outcome,
-                    metrics,
-                    origin: "executed",
-                    wall_secs: started.elapsed().as_secs_f64(),
-                }
-            };
+            let res = resolve_spec(spec, &self.opts.exec, &self.cache, Some(progress));
+            let jr = self.record(res, &workload, ctx, started);
             let cacheable = journalable(&jr.outcome);
-            let bytes = jr
-                .outcome
-                .measurement()
-                .map(measurement_bytes)
-                .unwrap_or(256);
+            let bytes = jr.outcome.measurement().map_or(256, measurement_bytes);
             (Some(Arc::new(jr)), bytes, cacheable)
         });
         if !probed_miss {
             span::close(probe.span, true, "store-hit");
         }
-        result.unwrap_or_else(|| {
-            // Unreachable in practice: the compute above always returns
-            // Some. Degrade to a structured failure rather than panic.
+        // A leader that unwinds publishes `None` to its followers;
+        // answer them with a retryable failure rather than panic too.
+        stored.unwrap_or_else(|| {
             Arc::new(JobResult {
                 outcome: RunOutcome::Skipped {
-                    workload: spec.workload.name(),
+                    workload,
                     method: spec.method.name(),
                     reason: "internal: result store returned no value".to_string(),
                     error: None,

@@ -102,9 +102,9 @@ pub enum EngineMode {
 
 /// Execution-mode selection for the sharded timing engine.
 ///
-/// `threads == 0` means "resolve at run time" — from
-/// `PHOTON_ENGINE_THREADS`, falling back to the machine's available
-/// parallelism. Keeping the serialized form thread-agnostic matters:
+/// `threads == 0` means "resolve at run time" — to the machine's
+/// available parallelism. Keeping the serialized form thread-agnostic
+/// matters:
 /// run results must not depend on worker count (the deterministic mode
 /// guarantees it), so cache keys and wire specs stay valid across
 /// machines.
@@ -275,22 +275,16 @@ impl GpuConfig {
     }
 
     /// The worker-thread count this configuration actually runs with:
-    /// the configured value, else `PHOTON_ENGINE_THREADS`, else the
-    /// machine's available parallelism — always capped by the shard
-    /// count (one shard per CU, so extra threads would only spin).
+    /// the configured value, else the machine's available parallelism —
+    /// always capped by the shard count (one shard per CU, so extra
+    /// threads would only spin).
     pub fn resolved_threads(&self) -> u32 {
         let n = if self.engine.threads != 0 {
             self.engine.threads
         } else {
-            std::env::var("PHOTON_ENGINE_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<u32>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get() as u32)
-                        .unwrap_or(1)
-                })
+            std::thread::available_parallelism()
+                .map(|p| p.get() as u32)
+                .unwrap_or(1)
         };
         n.clamp(1, self.num_cus.max(1))
     }

@@ -46,8 +46,7 @@ use crate::controller::{
     KernelDirective, KernelStartAccess, NullController, SamplingController, WgMode,
 };
 use crate::error::{SimError, StuckWarp, WatchdogSnapshot};
-use crate::exec::{step, LaunchEnv, StepEffect};
-use crate::functional::{run_wg_functional, trace_warp_isolated};
+use crate::functional::{run_warps_cooperative, run_wg_functional, trace_warp_isolated, CoopWarp};
 use crate::result::{AppResult, KernelResult};
 use crate::shard::{close_wait, Backend, CtrlSink, EvKind, RunAccounting, Shard, ShardStop};
 use crate::shard::{SimHooks, WarpSeed};
@@ -633,19 +632,7 @@ impl<'a> KernelRun<'a> {
         let mut now = self.start;
         while let Some((cycle, kind)) = self.shards[0].events.pop() {
             now = cycle;
-            if now - self.start > wd.cycle_fuel {
-                let snapshot = self.snapshot(now);
-                self.hooks.abort(AbortKind::FuelExhausted, &snapshot);
-                return Err(SimError::FuelExhausted {
-                    fuel: wd.cycle_fuel,
-                    snapshot,
-                });
-            }
-            if now.saturating_sub(self.last_progress()) > wd.stall_cycles {
-                let snapshot = self.snapshot(now);
-                self.hooks.abort(AbortKind::Deadlock, &snapshot);
-                return Err(SimError::Deadlock { snapshot });
-            }
+            self.watchdog(now, &wd)?;
             self.fire_windows(now, ctrl);
             if self.abort_ipc.is_some() {
                 break;
@@ -679,6 +666,27 @@ impl<'a> KernelRun<'a> {
             }
         }
         Ok(now)
+    }
+
+    /// The watchdog check both event loops make before handling cycle
+    /// `now`: the kernel is out of cycle fuel, or no shard has issued or
+    /// retired for `stall_cycles`.
+    #[inline]
+    pub(crate) fn watchdog(&self, now: Cycle, wd: &WatchdogConfig) -> Result<(), SimError> {
+        if now - self.start > wd.cycle_fuel {
+            let snapshot = self.snapshot(now);
+            self.hooks.abort(AbortKind::FuelExhausted, &snapshot);
+            return Err(SimError::FuelExhausted {
+                fuel: wd.cycle_fuel,
+                snapshot,
+            });
+        }
+        if now.saturating_sub(self.last_progress()) > wd.stall_cycles {
+            let snapshot = self.snapshot(now);
+            self.hooks.abort(AbortKind::Deadlock, &snapshot);
+            return Err(SimError::Deadlock { snapshot });
+        }
+        Ok(())
     }
 
     /// Converts a shard-local stop into the engine error, building the
@@ -1017,102 +1025,42 @@ impl<'a> KernelRun<'a> {
     /// workgroups fresh. Returns the instructions executed.
     fn finish_functional(&mut self) -> Result<u64, SimError> {
         let mut total = 0u64;
-        let program = self.launch.kernel.program();
         let max_insts = self.cfg.max_insts_per_warp;
-        let mut scratch: Vec<u64> = Vec::new();
+        let n = self.launch.warps_per_wg as usize;
 
-        for si in 0..self.shards.len() {
-            for wg_idx in 0..self.shards[si].wgs.len() {
-                if self.shards[si].wgs[wg_idx].done {
-                    continue;
-                }
-                let wg_id = self.shards[si].wgs[wg_idx].id;
-                let first = self.shards[si].wgs[wg_idx].first_warp_rt as usize;
-                let n = self.launch.warps_per_wg as usize;
-                let waiting: Vec<u32> = self.shards[si].wgs[wg_idx].barrier_waiting.clone();
-                let mut at_barrier: Vec<bool> = (0..n)
-                    .map(|i| waiting.contains(&((first + i) as u32)))
-                    .collect();
-                let mut lds = std::mem::take(&mut self.shards[si].wgs[wg_idx].lds);
+        for shard in self.shards.iter_mut() {
+            for wg in shard.wgs.iter_mut().filter(|wg| !wg.done) {
+                let first = wg.first_warp_rt as usize;
+                let mut lds = std::mem::take(&mut wg.lds);
                 if lds.is_empty() {
                     // The workgroup aborted before any detailed warp
                     // stepped, so its lazy LDS was never materialized.
                     lds = vec![0u8; self.launch.lds_bytes.max(4) as usize];
                 }
-                loop {
-                    let mut progressed = false;
-                    for (i, at_barrier_i) in at_barrier.iter_mut().enumerate() {
-                        let w = first + i;
-                        let Some(mut state) = self.shards[si].warps[w].state.take() else {
-                            continue;
-                        };
-                        if state.ended || *at_barrier_i {
-                            self.shards[si].warps[w].state = Some(state);
-                            continue;
-                        }
-                        let env = LaunchEnv {
-                            args: &self.launch.args,
-                            wg_id,
+                // Warps without a state were predicted, not executed:
+                // they have nothing to resume.
+                let mut warps: Vec<CoopWarp<'_>> = shard.warps[first..first + n]
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, rt)| {
+                        Some(CoopWarp {
                             warp_in_wg: i as u32,
-                            warps_per_wg: self.launch.warps_per_wg,
-                            num_wgs: self.launch.num_wgs,
-                        };
-                        let mut steps = 0u64;
-                        loop {
-                            let info = step(
-                                &mut state,
-                                program,
-                                &mut *self.mem,
-                                &mut lds,
-                                &env,
-                                &mut scratch,
-                            )?;
-                            steps += 1;
-                            progressed = true;
-                            match info.effect {
-                                StepEffect::End => break,
-                                StepEffect::Barrier => {
-                                    *at_barrier_i = true;
-                                    break;
-                                }
-                                _ => {}
-                            }
-                            if self.shards[si].warps[w].insts + steps > max_insts {
-                                return Err(SimError::InstLimitExceeded {
-                                    warp: self.shards[si].warps[w].global_id,
-                                    limit: max_insts,
-                                });
-                            }
-                        }
-                        total += steps;
-                        self.shards[si].warps[w].insts += steps;
-                        self.shards[si].warps[w].state = Some(state);
-                    }
-                    let live = (0..n)
-                        .filter(|&i| {
-                            self.shards[si].warps[first + i]
-                                .state
-                                .as_deref()
-                                .is_some_and(|s| !s.ended)
+                            state: rt.state.as_deref_mut()?,
+                            at_barrier: wg.barrier_waiting.contains(&((first + i) as u32)),
+                            insts: &mut rt.insts,
+                            bb_counts: None,
                         })
-                        .count();
-                    if live == 0 {
-                        break;
-                    }
-                    let arrived = (0..n)
-                        .filter(|&i| {
-                            at_barrier[i]
-                                && self.shards[si].warps[first + i]
-                                    .state
-                                    .as_deref()
-                                    .is_some_and(|s| !s.ended)
-                        })
-                        .count();
-                    if arrived == live || !progressed {
-                        at_barrier.iter_mut().for_each(|b| *b = false);
-                    }
-                }
-                self.shards[si].wgs[wg_idx].done = true;
+                    })
+                    .collect();
+                total += run_warps_cooperative(
+                    self.launch,
+                    self.mem,
+                    wg.id,
+                    &mut lds,
+                    &mut warps,
+                    max_insts,
+                )?;
+                wg.done = true;
             }
         }
 
@@ -1472,6 +1420,74 @@ mod tests {
         // functional completion still commits memory
         let c = launch2.args[2];
         assert_eq!(gpu2.mem().read_f32(c + 4 * 12345), 3.0 * 12345.0);
+    }
+
+    /// An abort that lands while warps are parked at a barrier must
+    /// resume them *as parked*: the producer still has to arrive before
+    /// the consumers read LDS.
+    #[test]
+    fn abort_with_warps_parked_at_a_barrier_matches_a_functional_pass() {
+        const SPIN: i64 = 20_000;
+        let (wgs, warps_per_wg) = (4u32, 4u32);
+        let words = (wgs * warps_per_wg * 64) as u64;
+        // The last warp of each workgroup spins, then publishes
+        // lane + SPIN to LDS; its siblings go straight to the barrier and
+        // wait there. (The last, so that siblings wrongly resumed past
+        // the barrier would run — and read LDS — before it.)
+        let launch_on = |gpu: &mut GpuSimulator| {
+            let out = gpu.alloc_buffer(words * 4).unwrap();
+            let mut kb = KernelBuilder::new("late_producer");
+            let s_out = kb.sreg();
+            kb.load_arg(s_out, 0);
+            let s_wiw = kb.sreg();
+            kb.special(s_wiw, gpu_isa::SpecialReg::WarpInWg);
+            let v_addr = kb.vreg();
+            kb.valu(VAluOp::Shl, v_addr, VectorSrc::LaneId, VectorSrc::Imm(2));
+            kb.scmp(CmpOp::Eq, s_wiw, i64::from(warps_per_wg - 1));
+            kb.if_scc(|kb| {
+                let (i, acc) = (kb.sreg(), kb.sreg());
+                kb.smov(acc, 0i64);
+                kb.for_uniform(i, 0i64, SPIN, |kb| {
+                    kb.salu(SAluOp::Add, acc, acc, 1i64);
+                });
+                let v = kb.vreg();
+                kb.valu(VAluOp::Add, v, VectorSrc::LaneId, VectorSrc::Sreg(acc));
+                kb.lds_store(v, v_addr, 0);
+            });
+            kb.barrier();
+            let v_read = kb.vreg();
+            kb.lds_load(v_read, v_addr, 0);
+            let v_off = kb.vreg();
+            kb.global_thread_id(v_off);
+            kb.valu(VAluOp::Shl, v_off, VectorSrc::Reg(v_off), VectorSrc::Imm(2));
+            kb.global_store(v_read, s_out, v_off, 0, MemWidth::B32);
+            let k = Kernel::new(kb.finish().unwrap());
+            KernelLaunch::new(k, wgs, warps_per_wg, vec![out]).with_lds(256)
+        };
+
+        let mut aborted = GpuSimulator::new(GpuConfig::tiny());
+        let launch = launch_on(&mut aborted);
+        let mut ctrl = AbortAfterFirstWindow {
+            windows: 0,
+            ipc_seen: 0.0,
+        };
+        let r = aborted.run_kernel_sampled(&launch, &mut ctrl).unwrap();
+        // The abort came before any producer finished spinning, so no
+        // barrier had released: every sibling that started was parked.
+        assert!(r.detailed_insts > 0 && r.detailed_insts < SPIN as u64);
+        assert!(r.functional_insts > SPIN as u64);
+
+        let mut pure = GpuSimulator::new(GpuConfig::tiny());
+        let reference = launch_on(&mut pure);
+        for wg in 0..wgs {
+            run_wg_functional(&reference, pure.mem_mut(), wg, u64::MAX).unwrap();
+        }
+        let (out, ref_out) = (launch.args[0], reference.args[0]);
+        for w in 0..words {
+            let got = aborted.mem().read_u32(out + 4 * w);
+            assert_eq!(got, pure.mem().read_u32(ref_out + 4 * w), "word {w}");
+            assert_eq!(got, (w % 64) as u32 + SPIN as u32, "word {w}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::shard::{CtrlEv, ShardStop};
 use gpu_mem::{AddressSpace, Cycle};
 use gpu_telemetry::faults::{self, FaultSite};
 use gpu_telemetry::span::{self, SpanKind};
-use gpu_telemetry::{AbortKind, EventKind, TraceEvent};
+use gpu_telemetry::{EventKind, TraceEvent};
 use std::time::Duration;
 
 impl KernelRun<'_> {
@@ -85,19 +85,7 @@ impl KernelRun<'_> {
             .min()
         {
             now = next;
-            if now - self.start > wd.cycle_fuel {
-                let snapshot = self.snapshot(now);
-                self.hooks.abort(AbortKind::FuelExhausted, &snapshot);
-                return Err(SimError::FuelExhausted {
-                    fuel: wd.cycle_fuel,
-                    snapshot,
-                });
-            }
-            if now.saturating_sub(self.last_progress()) > wd.stall_cycles {
-                let snapshot = self.snapshot(now);
-                self.hooks.abort(AbortKind::Deadlock, &snapshot);
-                return Err(SimError::Deadlock { snapshot });
-            }
+            self.watchdog(now, &wd)?;
             self.fire_windows(now, ctrl);
             if self.abort_ipc.is_some() {
                 break;

@@ -79,11 +79,99 @@ pub fn trace_warp_isolated(
     Ok(bb_counts_to_trace(counts, insts))
 }
 
-/// Functionally executes one whole workgroup, committing memory effects.
+/// One warp's seat in the cooperative workgroup interpreter.
+pub(crate) struct CoopWarp<'a> {
+    /// Position within the workgroup ([`LaunchEnv::warp_in_wg`]).
+    pub warp_in_wg: u32,
+    /// Architectural state: fresh for a functional run, the shard's live
+    /// state when a detailed run is finished functionally.
+    pub state: &'a mut WarpState,
+    /// Parked at a barrier the rest of the workgroup has yet to reach.
+    pub at_barrier: bool,
+    /// Instructions executed over the warp's whole life (the runaway
+    /// guard), advanced by every step taken here.
+    pub insts: &'a mut u64,
+    /// Per-block entry counts to fill in, when the caller wants traces.
+    pub bb_counts: Option<&'a mut [u32]>,
+}
+
+/// Runs the warps of one workgroup to completion with cooperative
+/// semantics, committing memory effects: warps run round-robin, each
+/// until it ends or parks at a barrier, and a barrier releases once
+/// every live warp has arrived — which preserves LDS-mediated data
+/// exchange. Returns the instructions executed.
 ///
-/// Warps run round-robin, pausing at barriers until all live warps
-/// arrive, which preserves LDS-mediated data exchange. Returns one
-/// trace per warp plus the total instructions executed.
+/// # Errors
+/// Returns [`SimError::InstLimitExceeded`] if any warp exceeds
+/// `max_insts`, or [`SimError::ExecFault`] if one faults.
+pub(crate) fn run_warps_cooperative(
+    launch: &KernelLaunch,
+    mem: &mut AddressSpace,
+    wg_id: u32,
+    lds: &mut [u8],
+    warps: &mut [CoopWarp<'_>],
+    max_insts: u64,
+) -> Result<u64, SimError> {
+    let program = launch.kernel.program();
+    let bb_map = program.basic_blocks();
+    let mut lines = Vec::new();
+    let mut total = 0u64;
+    loop {
+        let mut progressed = false;
+        for warp in warps.iter_mut() {
+            if warp.state.ended || warp.at_barrier {
+                continue;
+            }
+            let env = LaunchEnv {
+                args: &launch.args,
+                wg_id,
+                warp_in_wg: warp.warp_in_wg,
+                warps_per_wg: launch.warps_per_wg,
+                num_wgs: launch.num_wgs,
+            };
+            loop {
+                if let Some(counts) = warp.bb_counts.as_deref_mut() {
+                    if let Some(bb) = bb_map.block_starting_at(warp.state.pc) {
+                        counts[bb.index()] += 1;
+                    }
+                }
+                let info = step(warp.state, program, mem, lds, &env, &mut lines)?;
+                *warp.insts += 1;
+                total += 1;
+                progressed = true;
+                if *warp.insts > max_insts {
+                    return Err(SimError::InstLimitExceeded {
+                        warp: wg_id as u64 * launch.warps_per_wg as u64 + warp.warp_in_wg as u64,
+                        limit: max_insts,
+                    });
+                }
+                match info.effect {
+                    StepEffect::End => break,
+                    StepEffect::Barrier => {
+                        warp.at_barrier = true;
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let live = warps.iter().filter(|w| !w.state.ended).count();
+        if live == 0 {
+            return Ok(total);
+        }
+        // Release when every live warp has arrived — or when nothing
+        // moved: some warps wait at a barrier the rest exited past (a
+        // malformed kernel), and releasing avoids an infinite loop.
+        let arrived = warps.iter().filter(|w| w.at_barrier).count();
+        if arrived == live || !progressed {
+            warps.iter_mut().for_each(|w| w.at_barrier = false);
+        }
+    }
+}
+
+/// Functionally executes one whole workgroup from fresh warp states,
+/// committing memory effects (see [`run_warps_cooperative`]). Returns
+/// one trace per warp plus the total instructions executed.
 ///
 /// # Errors
 /// Returns [`SimError::InstLimitExceeded`] if any warp exceeds
@@ -94,73 +182,30 @@ pub fn run_wg_functional(
     wg_id: u32,
     max_insts: u64,
 ) -> Result<(Vec<WarpTrace>, u64), SimError> {
-    let program = launch.kernel.program();
-    let bb_map = program.basic_blocks();
     let n = launch.warps_per_wg as usize;
-    let mut warps: Vec<WarpState> = (0..n).map(|_| WarpState::new()).collect();
-    let mut counts: Vec<Vec<u32>> = vec![vec![0u32; bb_map.len()]; n];
+    let blocks = launch.kernel.program().basic_blocks().len();
+    let mut states: Vec<WarpState> = (0..n).map(|_| WarpState::new()).collect();
+    let mut counts: Vec<Vec<u32>> = vec![vec![0u32; blocks]; n];
     let mut insts: Vec<u64> = vec![0; n];
-    let mut at_barrier = vec![false; n];
     let mut lds = vec![0u8; launch.lds_bytes.max(4) as usize];
-    let mut lines = Vec::new();
-    let mut total = 0u64;
-
-    loop {
-        let mut progressed = false;
-        for w in 0..n {
-            if warps[w].ended || at_barrier[w] {
-                continue;
-            }
-            let env = LaunchEnv {
-                args: &launch.args,
-                wg_id,
-                warp_in_wg: w as u32,
-                warps_per_wg: launch.warps_per_wg,
-                num_wgs: launch.num_wgs,
-            };
-            loop {
-                let pc = warps[w].pc;
-                if let Some(bb) = bb_map.block_starting_at(pc) {
-                    counts[w][bb.index()] += 1;
-                }
-                let info = step(&mut warps[w], program, mem, &mut lds, &env, &mut lines)?;
-                insts[w] += 1;
-                total += 1;
-                progressed = true;
-                if insts[w] > max_insts {
-                    return Err(SimError::InstLimitExceeded {
-                        warp: wg_id as u64 * launch.warps_per_wg as u64 + w as u64,
-                        limit: max_insts,
-                    });
-                }
-                match info.effect {
-                    StepEffect::End => break,
-                    StepEffect::Barrier => {
-                        at_barrier[w] = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let live = warps.iter().filter(|w| !w.ended).count();
-        if live == 0 {
-            break;
-        }
-        let arrived = at_barrier.iter().filter(|&&b| b).count();
-        if arrived == live {
-            at_barrier.iter_mut().for_each(|b| *b = false);
-        } else if !progressed {
-            // Some warps wait at a barrier that the rest exited past:
-            // a malformed kernel. Release to avoid an infinite loop.
-            at_barrier.iter_mut().for_each(|b| *b = false);
-        }
-    }
-
+    let mut warps: Vec<CoopWarp<'_>> = states
+        .iter_mut()
+        .zip(counts.iter_mut().zip(insts.iter_mut()))
+        .enumerate()
+        .map(|(i, (state, (counts, insts)))| CoopWarp {
+            warp_in_wg: i as u32,
+            state,
+            at_barrier: false,
+            insts,
+            bb_counts: Some(counts),
+        })
+        .collect();
+    let total = run_warps_cooperative(launch, mem, wg_id, &mut lds, &mut warps, max_insts)?;
+    drop(warps);
     let traces = counts
         .into_iter()
-        .zip(insts.iter())
-        .map(|(c, &i)| bb_counts_to_trace(c, i))
+        .zip(insts)
+        .map(|(c, i)| bb_counts_to_trace(c, i))
         .collect();
     Ok((traces, total))
 }

@@ -21,8 +21,8 @@
 //! an in-flight job is always visible to `photon-top` no matter how
 //! many closed spans have wrapped past it.
 //!
-//! The ring holds [`ring_capacity`] records per thread (env override
-//! `PHOTON_SPAN_RING`); the archive holds 8× that. Snapshot readers
+//! The ring holds [`ring_capacity`] records per thread (override:
+//! [`set_ring_capacity`]); the archive holds 8× that. Snapshot readers
 //! ([`job_records`]) merge rings + archive + open list, dedup by span
 //! id, and sort by id, so reconstruction is independent of publication
 //! order.
@@ -138,8 +138,7 @@ pub struct TraceCtx {
 /// Process-monotonic span id allocator (0 is reserved for "no parent").
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Resolved ring capacity; 0 = not yet resolved.
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(0);
+static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 /// All live per-thread rings plus the archive are reachable from here.
 static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
@@ -162,20 +161,10 @@ pub fn now_us() -> u64 {
     process_start().elapsed().as_micros() as u64
 }
 
-/// Closed-span ring capacity per thread: `PHOTON_SPAN_RING` env when
-/// set to a positive integer, else 512.
+/// Closed-span ring capacity per thread (512 unless overridden by
+/// [`set_ring_capacity`]).
 pub fn ring_capacity() -> usize {
-    let cached = RING_CAPACITY.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
-    }
-    let resolved = std::env::var("PHOTON_SPAN_RING")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_RING_CAPACITY);
-    RING_CAPACITY.store(resolved, Ordering::Relaxed);
-    resolved
+    RING_CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Overrides the ring capacity for rings created after the call (test
