@@ -422,20 +422,11 @@ impl InstClass {
         InstClass::Other,
     ];
 
-    /// Index of this class within [`InstClass::ALL`].
+    /// Index of this class within [`InstClass::ALL`] (the declaration
+    /// order, so the discriminant itself).
+    #[inline]
     pub fn index(self) -> usize {
-        match self {
-            InstClass::Scalar => 0,
-            InstClass::VectorInt => 1,
-            InstClass::VectorFloat => 2,
-            InstClass::MemLoad => 3,
-            InstClass::MemStore => 4,
-            InstClass::ScalarMem => 5,
-            InstClass::Lds => 6,
-            InstClass::Branch => 7,
-            InstClass::Barrier => 8,
-            InstClass::Other => 9,
-        }
+        self as usize
     }
 }
 

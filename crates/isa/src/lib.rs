@@ -53,6 +53,7 @@
 mod asm;
 mod bb;
 mod builder;
+mod decoded;
 mod disasm;
 mod error;
 mod fingerprint;
@@ -65,6 +66,7 @@ mod validate;
 pub use asm::{parse_asm, AsmError};
 pub use bb::{BasicBlock, BasicBlockId, BasicBlockMap, BbOptions};
 pub use builder::{KernelBuilder, Label};
+pub use decoded::{LaneSrc, MicroOp, Op, ScalarOperand};
 pub use disasm::disasm;
 pub use error::IsaError;
 pub use fingerprint::{fnv1a, fnv1a_extend, isa_fingerprint, ISA_REVISION};

@@ -1,6 +1,7 @@
 //! A validated, label-resolved instruction sequence.
 
 use crate::bb::BasicBlockMap;
+use crate::decoded::{decode, MicroOp};
 use crate::error::IsaError;
 use crate::inst::Inst;
 use serde::{Deserialize, Serialize};
@@ -8,7 +9,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A validated kernel program: a flat instruction vector with resolved
-/// branch targets and a lazily shared [`BasicBlockMap`].
+/// branch targets, a lazily shared [`BasicBlockMap`] and the lazily
+/// shared pre-decoded form the interpreter executes.
 ///
 /// Programs are normally produced by [`crate::KernelBuilder::finish`].
 ///
@@ -26,6 +28,8 @@ pub struct Program {
     insts: Vec<Inst>,
     #[serde(skip)]
     bb_map: std::sync::OnceLock<Arc<BasicBlockMap>>,
+    #[serde(skip)]
+    decoded: std::sync::OnceLock<Arc<[MicroOp]>>,
 }
 
 impl Program {
@@ -59,6 +63,7 @@ impl Program {
             name: name.into(),
             insts,
             bb_map: std::sync::OnceLock::new(),
+            decoded: std::sync::OnceLock::new(),
         })
     }
 
@@ -95,6 +100,12 @@ impl Program {
     pub fn basic_blocks(&self) -> &BasicBlockMap {
         self.bb_map
             .get_or_init(|| Arc::new(BasicBlockMap::from_program(&self.insts)))
+    }
+
+    /// One [`MicroOp`] per pc, decoded once and shared.
+    pub fn decoded(&self) -> &[MicroOp] {
+        self.decoded
+            .get_or_init(|| decode(&self.insts, self.basic_blocks()))
     }
 }
 

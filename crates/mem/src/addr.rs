@@ -9,9 +9,10 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
 /// Hasher specialized for `u64` keys (page numbers, byte addresses):
 /// one multiply plus a xor-fold instead of SipHash. The functional
-/// interpreter does one page-table lookup per active lane of every
-/// memory instruction, so the hash is squarely on the simulator's hot
-/// path; there is no untrusted-key DoS concern inside a simulation.
+/// interpreter does a page-table lookup per run of same-page lanes of
+/// every memory instruction (one per lane on irregular accesses), so
+/// the hash is squarely on the simulator's hot path; there is no
+/// untrusted-key DoS concern inside a simulation.
 #[derive(Debug, Default, Clone)]
 pub struct U64Hasher(u64);
 
@@ -41,6 +42,22 @@ impl Hasher for U64Hasher {
 
 /// `BuildHasher` for [`U64Hasher`]-keyed maps.
 pub type U64HashBuilder = std::hash::BuildHasherDefault<U64Hasher>;
+
+/// The indices of the set bits of `mask`, lowest first — the active
+/// lanes of a warp-wide access.
+#[inline]
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// Page number no address maps to (addresses have 52 page bits).
+const NO_PAGE: u64 = u64::MAX;
 
 /// A sparse, paged, byte-addressable memory.
 ///
@@ -119,6 +136,65 @@ impl AddressSpace {
         } else {
             for (i, byte) in bytes.iter().enumerate() {
                 self.write_u8(addr + i as u64, *byte);
+            }
+        }
+    }
+
+    /// Warp-wide load: for every lane set in `mask`, reads the `W`-byte
+    /// little-endian value (`W` is 1 or 4, zero-extended) at
+    /// `addrs[lane]` into `out[lane]`; other lanes of `out` are left
+    /// alone. Equal to one [`Self::read_u8`] / [`Self::read_u32`] per
+    /// lane, but the page table is probed once per run of consecutive
+    /// lanes on the same page.
+    pub fn gather<const W: usize>(&self, addrs: &[u64], mask: u64, out: &mut [u32]) {
+        let mut cur = NO_PAGE;
+        let mut page: Option<&[u8; PAGE_SIZE]> = None;
+        for lane in set_bits(mask) {
+            let a = addrs[lane];
+            let o = (a & PAGE_MASK) as usize;
+            if o > PAGE_SIZE - W {
+                out[lane] = self.read_u32(a); // straddles two pages
+                continue;
+            }
+            if a >> PAGE_SHIFT != cur {
+                cur = a >> PAGE_SHIFT;
+                page = self.pages.get(&cur).map(|p| &**p);
+            }
+            out[lane] = page.map_or(0, |p| {
+                let mut b = [0u8; 4];
+                b[..W].copy_from_slice(&p[o..o + W]);
+                u32::from_le_bytes(b)
+            });
+        }
+    }
+
+    /// Warp-wide store: for every lane set in `mask`, in lane order,
+    /// writes the low `W` bytes (`W` is 1 or 4) of `vals[lane]` at
+    /// `addrs[lane]`. Equal to one [`Self::write_u8`] /
+    /// [`Self::write_u32`] per lane (a later lane wins on overlap), with
+    /// the page resolved once per run of consecutive same-page lanes.
+    pub fn scatter<const W: usize>(&mut self, addrs: &[u64], mask: u64, vals: &[u32]) {
+        let straddles = |a: u64| (a & PAGE_MASK) as usize > PAGE_SIZE - W;
+        let mut rest = mask;
+        while rest != 0 {
+            let first = addrs[rest.trailing_zeros() as usize];
+            if straddles(first) {
+                self.write_u32(first, vals[rest.trailing_zeros() as usize]);
+                rest &= rest - 1;
+                continue;
+            }
+            // One page borrow serves this lane and every following lane
+            // on the same page.
+            let page = self.page_mut(first);
+            while rest != 0 {
+                let lane = rest.trailing_zeros() as usize;
+                let a = addrs[lane];
+                if a >> PAGE_SHIFT != first >> PAGE_SHIFT || straddles(a) {
+                    break;
+                }
+                let o = (a & PAGE_MASK) as usize;
+                page[o..o + W].copy_from_slice(&vals[lane].to_le_bytes()[..W]);
+                rest &= rest - 1;
             }
         }
     }
@@ -233,6 +309,60 @@ mod tests {
         let ints = [7u32, 8, 9];
         m.write_u32_slice(0x200, &ints);
         assert_eq!(m.read_u32_vec(0x200, 3), ints);
+    }
+
+    #[test]
+    fn set_bits_lists_active_lanes_in_order() {
+        assert_eq!(set_bits(0).count(), 0);
+        assert_eq!(set_bits(0b1010_0001).collect::<Vec<_>>(), vec![0, 5, 7]);
+        assert_eq!(
+            set_bits(u64::MAX).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn gather_and_scatter_equal_one_access_per_lane() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let top = 3 * PAGE_SIZE as u64;
+        for round in 0..200 {
+            // runs on one page, hops between pages, page-straddling words
+            let addrs: Vec<u64> = (0..64)
+                .map(|l| match round % 4 {
+                    0 => PAGE_SIZE as u64 - 30 + 4 * l,
+                    1 => (l % 3) * PAGE_SIZE as u64 + 4 * l,
+                    2 => PAGE_SIZE as u64 - 2 + (l % 2) * PAGE_SIZE as u64,
+                    _ => rng.gen_range(0..top - 4),
+                })
+                .collect();
+            let mask: u64 = if round % 5 == 0 { u64::MAX } else { rng.gen() };
+            let vals: Vec<u32> = (0..64).map(|_| rng.gen()).collect();
+
+            let mut got = AddressSpace::new();
+            got.write_u32_slice(PAGE_SIZE as u64 - 64, &vals); // page 2 stays untouched
+            let mut want = got.clone();
+            if round % 2 == 0 {
+                got.scatter::<4>(&addrs, mask, &vals);
+                set_bits(mask).for_each(|l| want.write_u32(addrs[l], vals[l]));
+            } else {
+                got.scatter::<1>(&addrs, mask, &vals);
+                set_bits(mask).for_each(|l| want.write_u8(addrs[l], vals[l] as u8));
+            }
+            for a in 0..top + 8 {
+                assert_eq!(got.read_u8(a), want.read_u8(a), "round {round} @{a:#x}");
+            }
+            assert_eq!(got.resident_pages(), want.resident_pages());
+
+            let (mut words, mut bytes) = ([7u32; 64], [7u32; 64]);
+            got.gather::<4>(&addrs, mask, &mut words);
+            got.gather::<1>(&addrs, mask, &mut bytes);
+            for l in 0..64 {
+                let on = mask >> l & 1 == 1;
+                assert_eq!(words[l], if on { got.read_u32(addrs[l]) } else { 7 });
+                assert_eq!(bytes[l], if on { got.read_u8(addrs[l]) as u32 } else { 7 });
+            }
+        }
     }
 
     #[test]

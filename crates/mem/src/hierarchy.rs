@@ -1,5 +1,6 @@
 //! Queueing timing model of the cache/DRAM hierarchy.
 
+use crate::addr::set_bits;
 use crate::cache::{AccessKind, Cache, CacheAccess};
 use crate::config::{MemHierarchyConfig, MshrConfig};
 use crate::stats::{MemStats, QueueDelayHist, QueueDelays};
@@ -32,33 +33,51 @@ const CUS_PER_SCALAR_CACHE: usize = 4;
 pub fn coalesce_lines(addrs: impl IntoIterator<Item = u64>, width_bytes: u64) -> Vec<u64> {
     let mut lines = Vec::new();
     for a in addrs {
-        push_lines(&mut lines, a, width_bytes);
+        lines.extend(lines_of(a, width_bytes));
     }
-    coalesce_lines_into(&mut lines);
+    sort_dedup(&mut lines);
     lines
 }
 
-/// Appends the line addresses touched by one `width_bytes` access at
-/// `a` to `out` — the allocation-free per-lane half of
-/// [`coalesce_lines`]. Callers accumulate lanes into a reusable scratch
-/// buffer and finish with [`coalesce_lines_into`].
+/// The lines touched by one `width_bytes` access at `a`.
 #[inline]
-pub fn push_lines(out: &mut Vec<u64>, a: u64, width_bytes: u64) {
-    let first = a / LINE_BYTES;
+fn lines_of(a: u64, width_bytes: u64) -> std::ops::RangeInclusive<u64> {
     // Saturate instead of wrapping: an access whose last byte would
     // pass the top of the address space clamps to the final line rather
     // than spanning the whole 2^64 range (or underflowing on width 0).
-    let last = a.saturating_add(width_bytes.saturating_sub(1)) / LINE_BYTES;
-    out.extend(first..=last);
+    a / LINE_BYTES..=a.saturating_add(width_bytes.saturating_sub(1)) / LINE_BYTES
 }
 
-/// Sorts and dedups a line buffer in place, completing the coalesce.
-/// `coalesce_lines(addrs, w)` is exactly `push_lines` per address
-/// followed by this.
-#[inline]
-pub fn coalesce_lines_into(out: &mut Vec<u64>) {
+/// Sorts and dedups a line buffer in place, completing a coalesce.
+fn sort_dedup(out: &mut Vec<u64>) {
     out.sort_unstable();
     out.dedup();
+}
+
+/// The interpreter's allocation-free form of [`coalesce_lines`]: leaves
+/// in `out` (cleared first) the sorted, unique lines touched by the
+/// `width_bytes` accesses at `addrs[lane]` for every lane set in `mask`.
+///
+/// A line is appended only if it differs from the one before it, and
+/// the buffer is sorted and deduplicated only if some lane stepped
+/// backwards — warps mostly walk memory in ascending lane order, which
+/// makes the common case a single pass.
+pub fn coalesce_lanes_into(out: &mut Vec<u64>, addrs: &[u64], mask: u64, width_bytes: u64) {
+    out.clear();
+    let mut ascending = true;
+    for lane in set_bits(mask) {
+        for line in lines_of(addrs[lane], width_bytes) {
+            match out.last() {
+                Some(&last) if last == line => continue,
+                Some(&last) => ascending &= last < line,
+                None => {}
+            }
+            out.push(line);
+        }
+    }
+    if !ascending {
+        sort_dedup(out);
+    }
 }
 
 /// Registry handles for one cache level (`mem.<level>.{hits,misses,
@@ -1200,25 +1219,43 @@ mod tests {
     }
 
     #[test]
-    fn push_lines_handles_straddle_wrap_and_width_edge_cases() {
+    fn coalesce_lanes_equals_coalesce_lines_over_the_active_lanes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut out = vec![1, 2, 3]; // stale contents are discarded
+        for round in 0..300u64 {
+            let addrs: Vec<u64> = (0..64)
+                .map(|l| match round % 5 {
+                    0 => 0x1000 + 4 * l,             // ascending: the single-pass case
+                    1 => 0x1000 + 4 * (63 - l),      // descending
+                    2 => 0x1000 + 62 + 64 * (l % 7), // straddling, repeating
+                    3 => u64::MAX - 4 * l,           // clamps at the top line
+                    _ => rng.gen_range(0..0x4000),
+                })
+                .collect();
+            let mask: u64 = if round % 3 == 0 { u64::MAX } else { rng.gen() };
+            let width = [0, 1, 4, 8][(round % 4) as usize];
+            coalesce_lanes_into(&mut out, &addrs, mask, width);
+            let want = coalesce_lines(set_bits(mask).map(|l| addrs[l]), width);
+            assert_eq!(out, want, "round {round} width {width} mask {mask:#x}");
+        }
+        coalesce_lanes_into(&mut out, &[0; 64], 0, 4);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn lines_of_handles_straddle_wrap_and_width_edge_cases() {
+        let lines = |a, w| lines_of(a, w).collect::<Vec<u64>>();
         // Straddling a line boundary touches both lines.
-        let mut v = Vec::new();
-        push_lines(&mut v, 62, 4);
-        assert_eq!(v, vec![0, 1]);
+        assert_eq!(lines(62, 4), vec![0, 1]);
         // An access whose last byte would pass the top of the address
         // space saturates to the final line instead of wrapping to 0
         // (which would enumerate the entire 2^64 range).
         let top_line = u64::MAX / LINE_BYTES;
-        v.clear();
-        push_lines(&mut v, u64::MAX - 10, 100);
-        assert_eq!(v, vec![top_line]);
-        v.clear();
-        push_lines(&mut v, u64::MAX, 8);
-        assert_eq!(v, vec![top_line]);
+        assert_eq!(lines(u64::MAX - 10, 100), vec![top_line]);
+        assert_eq!(lines(u64::MAX, 8), vec![top_line]);
         // Width 0 must not underflow; it touches the line of `a`.
-        v.clear();
-        push_lines(&mut v, 130, 0);
-        assert_eq!(v, vec![2]);
+        assert_eq!(lines(130, 0), vec![2]);
         // Dedup is order-insensitive: unsorted duplicates coalesce to a
         // sorted unique set.
         assert_eq!(coalesce_lines([128u64, 0, 64, 0, 128], 4), vec![0, 1, 2]);

@@ -35,7 +35,7 @@ mod config;
 mod hierarchy;
 mod stats;
 
-pub use addr::{AddressSpace, U64HashBuilder, U64Hasher};
+pub use addr::{set_bits, AddressSpace, U64HashBuilder, U64Hasher};
 pub use alloc::{AllocError, BumpAllocator};
 pub use cache::{AccessKind, Cache, CacheAccess};
 pub use config::{
@@ -43,8 +43,8 @@ pub use config::{
     MemHierarchyConfig, MshrConfig, NocConfig,
 };
 pub use hierarchy::{
-    coalesce_lines, coalesce_lines_into, push_lines, MemPort, MemRequest, MemResponse,
-    MemoryHierarchy, LINE_BYTES,
+    coalesce_lanes_into, coalesce_lines, MemPort, MemRequest, MemResponse, MemoryHierarchy,
+    LINE_BYTES,
 };
 pub use stats::{MemStats, QueueDelayHist, QueueDelays, QDELAY_BUCKETS};
 

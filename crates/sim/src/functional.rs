@@ -12,7 +12,7 @@
 //!   functionally correct.
 
 use crate::error::SimError;
-use crate::exec::{step, LaunchEnv, StepEffect};
+use crate::exec::{execute, fetch, LaunchEnv, StepEffect};
 use crate::overlay::OverlayMem;
 use crate::warp::{WarpState, WarpTrace};
 use gpu_isa::{BasicBlockId, KernelLaunch};
@@ -44,8 +44,8 @@ pub fn trace_warp_isolated(
     max_insts: u64,
 ) -> Result<WarpTrace, SimError> {
     let program = launch.kernel.program();
-    let bb_map = program.basic_blocks();
-    let mut counts = vec![0u32; bb_map.len()];
+    let ops = program.decoded();
+    let mut counts = vec![0u32; program.basic_blocks().len()];
     let mut overlay = OverlayMem::new(mem);
     let mut lds = vec![0u8; launch.lds_bytes.max(4) as usize];
     let mut warp = WarpState::new();
@@ -59,11 +59,11 @@ pub fn trace_warp_isolated(
     let mut insts = 0u64;
     let mut lines = Vec::new();
     loop {
-        let pc = warp.pc;
-        if let Some(bb) = bb_map.block_starting_at(pc) {
+        let op = fetch(&warp, ops, &env)?;
+        if let Some(bb) = op.block_start() {
             counts[bb.index()] += 1;
         }
-        let info = step(&mut warp, program, &mut overlay, &mut lds, &env, &mut lines)?;
+        let info = execute(&mut warp, op, &mut overlay, &mut lds, &env, &mut lines)?;
         insts += 1;
         if insts > max_insts {
             return Err(SimError::InstLimitExceeded {
@@ -112,8 +112,7 @@ pub(crate) fn run_warps_cooperative(
     warps: &mut [CoopWarp<'_>],
     max_insts: u64,
 ) -> Result<u64, SimError> {
-    let program = launch.kernel.program();
-    let bb_map = program.basic_blocks();
+    let ops = launch.kernel.program().decoded();
     let mut lines = Vec::new();
     let mut total = 0u64;
     loop {
@@ -130,12 +129,12 @@ pub(crate) fn run_warps_cooperative(
                 num_wgs: launch.num_wgs,
             };
             loop {
-                if let Some(counts) = warp.bb_counts.as_deref_mut() {
-                    if let Some(bb) = bb_map.block_starting_at(warp.state.pc) {
-                        counts[bb.index()] += 1;
-                    }
+                let op = fetch(warp.state, ops, &env)?;
+                if let (Some(counts), Some(bb)) = (warp.bb_counts.as_deref_mut(), op.block_start())
+                {
+                    counts[bb.index()] += 1;
                 }
-                let info = step(warp.state, program, mem, lds, &env, &mut lines)?;
+                let info = execute(warp.state, op, mem, lds, &env, &mut lines)?;
                 *warp.insts += 1;
                 total += 1;
                 progressed = true;

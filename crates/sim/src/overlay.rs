@@ -5,7 +5,8 @@
 //! that will still be simulated later, so those traces run against a
 //! copy-on-write [`OverlayMem`] and leave no side effects.
 
-use gpu_mem::{AddressSpace, U64HashBuilder};
+use gpu_isa::LANES;
+use gpu_mem::{set_bits, AddressSpace, U64HashBuilder};
 use std::collections::HashMap;
 
 /// A byte-addressable data memory the functional interpreter can run on.
@@ -20,6 +21,40 @@ pub trait DataMem {
     fn write_u8(&mut self, addr: u64, value: u8);
     /// Writes a little-endian `u32`.
     fn write_u32(&mut self, addr: u64, value: u32);
+
+    /// Warp-wide load: for every lane set in `mask`, reads the `W`-byte
+    /// value (`W` is 1 or 4, zero-extended) at `addrs[lane]` into
+    /// `out[lane]`, leaving the other lanes of `out` alone.
+    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
+        gather_per_lane::<W, _>(self, addrs, mask, out)
+    }
+
+    /// Warp-wide store: for every lane set in `mask`, in lane order,
+    /// writes the low `W` bytes (`W` is 1 or 4) of `vals[lane]` at
+    /// `addrs[lane]`.
+    fn scatter<const W: usize>(&mut self, addrs: &[u64; LANES], mask: u64, vals: &[u32; LANES]) {
+        for lane in set_bits(mask) {
+            match W {
+                1 => self.write_u8(addrs[lane], vals[lane] as u8),
+                _ => self.write_u32(addrs[lane], vals[lane]),
+            }
+        }
+    }
+}
+
+/// [`DataMem::gather`] as one scalar read per active lane.
+fn gather_per_lane<const W: usize, M: DataMem + ?Sized>(
+    mem: &M,
+    addrs: &[u64; LANES],
+    mask: u64,
+    out: &mut [u32; LANES],
+) {
+    for lane in set_bits(mask) {
+        out[lane] = match W {
+            1 => mem.read_u8(addrs[lane]) as u32,
+            _ => mem.read_u32(addrs[lane]),
+        };
+    }
 }
 
 impl DataMem for AddressSpace {
@@ -37,6 +72,12 @@ impl DataMem for AddressSpace {
     }
     fn write_u32(&mut self, addr: u64, value: u32) {
         AddressSpace::write_u32(self, addr, value)
+    }
+    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
+        AddressSpace::gather::<W>(self, addrs, mask, out)
+    }
+    fn scatter<const W: usize>(&mut self, addrs: &[u64; LANES], mask: u64, vals: &[u32; LANES]) {
+        AddressSpace::scatter::<W>(self, addrs, mask, vals)
     }
 }
 
@@ -113,6 +154,17 @@ impl DataMem for OverlayMem<'_> {
     fn write_u32(&mut self, addr: u64, value: u32) {
         for (i, byte) in value.to_le_bytes().iter().enumerate() {
             self.writes.insert(addr + i as u64, *byte);
+        }
+    }
+
+    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
+        // Same fall-through as `read_u32`: nothing shadowed yet, so the
+        // base's page-run gather is exact. Once dirty, every byte needs
+        // its shadow probe and the per-lane reads do that.
+        if self.writes.is_empty() {
+            self.base.gather::<W>(addrs, mask, out)
+        } else {
+            gather_per_lane::<W, _>(self, addrs, mask, out)
         }
     }
 }

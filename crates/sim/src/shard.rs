@@ -27,7 +27,7 @@ use crate::calendar::CalendarQueue;
 use crate::config::LatencyConfig;
 use crate::controller::{BbRecord, SamplingController, WarpRecord, WgMode};
 use crate::error::SimError;
-use crate::exec::{step, LaunchEnv, StepEffect};
+use crate::exec::{execute, fetch, LaunchEnv, StepEffect};
 use crate::overlay::DataMem;
 use crate::warp::WarpState;
 use gpu_isa::{BasicBlockId, InstClass, KernelLaunch};
@@ -64,6 +64,8 @@ pub(crate) struct SimHooks {
 
 pub(crate) struct WarpRt {
     pub(crate) global_id: u64,
+    /// Position within the workgroup ([`LaunchEnv::warp_in_wg`]).
+    pub(crate) warp_in_wg: u32,
     /// Shard-local workgroup index.
     pub(crate) wg: u32,
     pub(crate) cu: u32,
@@ -449,6 +451,10 @@ pub(crate) struct Shard {
     pub(crate) pending_writes: Vec<(u64, u8)>,
     pub(crate) detailed_insts: u64,
     pub(crate) ipc_counts: Vec<u64>,
+    /// Index into `ipc_counts` and cycle span of the window the last
+    /// counted instruction fell in (empty before the first one).
+    ipc_idx: usize,
+    ipc_span: std::ops::Range<Cycle>,
     pub(crate) last_retire: Cycle,
     pub(crate) last_progress: Cycle,
     /// Cycles of epochs in which this shard processed at least one
@@ -517,6 +523,8 @@ impl Shard {
             pending_writes: Vec::new(),
             detailed_insts: 0,
             ipc_counts: Vec::new(),
+            ipc_idx: 0,
+            ipc_span: start..start,
             last_retire: start,
             last_progress: start,
             busy_cycles: 0,
@@ -579,6 +587,7 @@ impl Shard {
             };
             self.warps.push(WarpRt {
                 global_id: wg_id as u64 * launch.warps_per_wg as u64 + i as u64,
+                warp_in_wg: i,
                 wg: wg_rt,
                 cu,
                 simd: i % self.simds_per_cu,
@@ -610,18 +619,25 @@ impl Shard {
         LaunchEnv {
             args: &launch.args,
             wg_id: wg.id,
-            warp_in_wg: (warp.global_id % launch.warps_per_wg as u64) as u32,
+            warp_in_wg: warp.warp_in_wg,
             warps_per_wg: launch.warps_per_wg,
             num_wgs: launch.num_wgs,
         }
     }
 
+    /// Counts one instruction issued at `now` into its IPC window. The
+    /// window index is recomputed (a division) only when `now` leaves
+    /// the window the previous instruction fell in.
     fn count_ipc(&mut self, now: Cycle) {
-        let idx = ((now - self.start) / self.ipc_window) as usize;
-        if self.ipc_counts.len() <= idx {
-            self.ipc_counts.resize(idx + 1, 0);
+        if !self.ipc_span.contains(&now) {
+            self.ipc_idx = ((now - self.start) / self.ipc_window) as usize;
+            let from = self.start + self.ipc_idx as Cycle * self.ipc_window;
+            self.ipc_span = from..from + self.ipc_window;
+            if self.ipc_counts.len() <= self.ipc_idx {
+                self.ipc_counts.resize(self.ipc_idx + 1, 0);
+            }
         }
-        self.ipc_counts[idx] += 1;
+        self.ipc_counts[self.ipc_idx] += 1;
     }
 
     /// Executes one instruction of warp `w` at `now` and schedules its
@@ -656,8 +672,7 @@ impl Shard {
         close_wait(&mut self.acct, &mut self.warps[w as usize], now);
 
         // Execute one instruction with split field borrows.
-        let program = launch.kernel.program();
-        let bb_map = program.basic_blocks();
+        let ops = launch.kernel.program().decoded();
         let env = self.env_for(w, launch);
         let warp = &mut self.warps[w as usize];
         let wg = &mut self.wgs[warp.wg as usize];
@@ -668,11 +683,11 @@ impl Shard {
                 warp_id: warp.global_id,
             }));
         };
-        let pc = state.pc;
+        let op = fetch(state, ops, &env)?;
 
         // Basic-block boundary: issuing the first instruction of a block
         // closes the previous instance (paper's interval definition).
-        if let Some(id) = bb_map.block_starting_at(pc) {
+        if let Some(id) = op.block_start() {
             if warp.bb_open {
                 let rec = BbRecord {
                     warp: warp.global_id,
@@ -721,14 +736,7 @@ impl Shard {
             wg.lds = vec![0u8; launch.lds_bytes.max(4) as usize];
         }
 
-        let info = step(
-            state,
-            program,
-            mem,
-            &mut wg.lds,
-            &env,
-            &mut self.lines_scratch,
-        )?;
+        let info = execute(state, op, mem, &mut wg.lds, &env, &mut self.lines_scratch)?;
         let warp_gid = self.warps[w as usize].global_id;
         self.detailed_insts += 1;
         self.last_progress = self.last_progress.max(now);

@@ -42,6 +42,21 @@ cargo test -q
 echo "==> the frozen benchmark package still builds against this tree"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> pinned simulated counts: hold-out seed of the benchmark's simulation workloads"
+# A speed-only change must leave every simulated count where
+# benchmark/expected.json pins it. One-second runs: host time is not
+# looked at, only the verdicts. Writes under the git-ignored
+# benchmark/out/ alone.
+for w in mm_compute spmv_irregular fir_stream resnet50_kernels mm_det2; do
+  out="$(benchmark/run.sh --workload "$w" --seed 2 --seconds 1 --trace 0)"
+  if ! grep -qx 'sim_stats: same' <<<"$out" \
+      || ! tail -n 1 <<<"$out" | grep -q '"failed":0'; then
+    echo "    $w (seed 2) moved a pinned count or failed an operation:"
+    echo "$out"; exit 1
+  fi
+  echo "    $w: sim_stats same, failed 0"
+done
+
 echo "==> clippy"
 scripts/lint.sh
 
