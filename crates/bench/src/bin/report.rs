@@ -5,11 +5,13 @@
 //! $ report smoke                    # run the smoke grid, write BENCH_smoke.json
 //! $ report smoke --jobs 2           # same grid, fanned over 2 workers
 //! $ report smoke --require-cached   # fail unless every Full run was a cache hit
+//! $ report smoke --mem-fidelity detailed   # the detailed memory model, write BENCH_smoke_detailed.json
 //! $ report show                     # table over every results/BENCH_*.json
 //! $ report check                    # deterministic fields vs results/baselines/, exit 1 on any difference
 //! $ report flightrec PATH           # load + verify a flight-recorder dump, print its story
 //! ```
 
+use gpu_mem::MemFidelityMode;
 use gpu_telemetry::MetricsSnapshot;
 use photon_bench::cli::{parse_exec_options, usage as exec_usage};
 use photon_bench::harness::{results_dir, Method, RunOutcome};
@@ -30,7 +32,10 @@ fn usage() -> ! {
 
 /// Runs the fixed smoke grid (small FIR, Full + Photon) through the
 /// executor and writes `results/BENCH_smoke.json`; the Photon run's
-/// events are exported to `results/TRACE_smoke.trace.json`.
+/// events are exported to `results/TRACE_smoke.trace.json`. Under
+/// `--mem-fidelity detailed` the report is workload `smoke_detailed`
+/// (`results/BENCH_smoke_detailed.json`), so the two memory models sit
+/// side by side and `report check` holds each to its own baseline.
 ///
 /// Each run owns a private `Telemetry`; the report merges the
 /// per-run snapshots explicitly, so concurrent runs can never bleed
@@ -38,6 +43,10 @@ fn usage() -> ! {
 /// runs' metrics into one registry).
 fn smoke(mut opts: ExecOptions, require_cached: bool) {
     opts.trace_capacity = 1 << 16;
+    let workload = match opts.mem_fidelity {
+        Some(MemFidelityMode::Detailed) => "smoke_detailed",
+        _ => "smoke",
+    };
     let grid = smoke_grid();
     let report = run_specs(&grid, &opts);
     println!(
@@ -82,11 +91,11 @@ fn smoke(mut opts: ExecOptions, require_cached: bool) {
     for r in &report.results {
         let mut outcome = r.outcome.clone();
         if let RunOutcome::Completed(m) = &mut outcome {
-            m.workload = "smoke".to_string();
+            m.workload = workload.to_string();
         }
         outcomes.push(outcome);
     }
-    let report = build_report("smoke", &outcomes, metrics);
+    let report = build_report(workload, &outcomes, metrics);
     match write_report(&report) {
         Ok(path) => println!("(wrote {})", path.display()),
         Err(e) => {

@@ -1,9 +1,8 @@
 //! Set-associative cache tag array with true LRU replacement.
 //!
 //! The tag array only decides hits, misses, and evictions; counting
-//! lives in the telemetry registry owned by
-//! [`crate::MemoryHierarchy`], so there is one source of truth for
-//! memory statistics.
+//! lives in the tallies of [`crate::MemoryHierarchy`], so there is one
+//! source of truth for memory statistics.
 
 use crate::config::CacheConfig;
 use crate::Cycle;
@@ -41,11 +40,14 @@ impl CacheAccess {
     }
 }
 
+/// One way of a set. Validity is folded into the LRU stamp: `stamp` is
+/// the last-use cycle plus one, and zero marks an invalid way — so the
+/// LRU victim (smallest stamp, first on ties) is an invalid way whenever
+/// the set has one, with no separate flag to test.
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
-    valid: bool,
-    last_use: Cycle,
+    stamp: Cycle,
 }
 
 /// A set-associative cache tag array with LRU replacement.
@@ -63,8 +65,12 @@ struct Way {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set in one allocation: set `i` is
+    /// `ways[i * assoc..][..assoc]`.
+    ways: Vec<Way>,
+    assoc: usize,
     line_shift: u32,
+    set_shift: u32,
     set_mask: u64,
 }
 
@@ -87,20 +93,51 @@ impl Cache {
             "cache geometry must be a power of two"
         );
         Cache {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        last_use: 0
-                    };
-                    config.assoc as usize
-                ];
-                num_sets as usize
-            ],
+            ways: vec![Way { tag: 0, stamp: 0 }; (num_sets * config.assoc) as usize],
+            assoc: config.assoc as usize,
             line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: num_sets.trailing_zeros(),
             set_mask: num_sets - 1,
         }
+    }
+
+    /// The set the line containing `addr` maps to, and the line's tag.
+    #[inline]
+    fn set_of(&mut self, addr: u64) -> (&mut [Way], u64) {
+        let line = addr >> self.line_shift;
+        let base = (line & self.set_mask) as usize * self.assoc;
+        (
+            &mut self.ways[base..base + self.assoc],
+            line >> self.set_shift,
+        )
+    }
+
+    /// Refreshes the LRU stamp of `tag` if the set holds it.
+    #[inline]
+    fn touch(set: &mut [Way], tag: u64, now: Cycle) -> bool {
+        match set.iter_mut().find(|w| w.tag == tag && w.stamp != 0) {
+            Some(way) => {
+                way.stamp = now + 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Installs `tag` over the set's LRU victim, returning whether a
+    /// valid line was displaced. `min_by_key` keeps the first of equal
+    /// stamps, and an (impossible) empty set is a no-op, not a panic.
+    #[inline]
+    fn install(set: &mut [Way], tag: u64, now: Cycle) -> bool {
+        let Some(victim) = set.iter_mut().min_by_key(|w| w.stamp) else {
+            return false;
+        };
+        let evicted = victim.stamp != 0;
+        *victim = Way {
+            tag,
+            stamp: now + 1,
+        };
+        evicted
     }
 
     /// Looks up (and on miss, fills) the line containing `addr`.
@@ -110,11 +147,12 @@ impl Cache {
     /// the real fill is still in flight. The detailed miss path keeps
     /// the two halves apart and fills when the data actually arrives.
     pub fn access(&mut self, addr: u64, _kind: AccessKind, now: Cycle) -> CacheAccess {
-        if self.lookup(addr, now) {
+        let (set, tag) = self.set_of(addr);
+        if Self::touch(set, tag, now) {
             CacheAccess::Hit
         } else {
             CacheAccess::Miss {
-                evicted: self.fill(addr, now),
+                evicted: Self::install(set, tag, now),
             }
         }
     }
@@ -122,61 +160,23 @@ impl Cache {
     /// Probes the tag array for the line containing `addr` without
     /// modifying it on a miss. A hit refreshes the line's LRU stamp.
     pub fn lookup(&mut self, addr: u64, now: Cycle) -> bool {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        if let Some(way) = self.sets[set_idx]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            way.last_use = now;
-            return true;
-        }
-        false
+        let (set, tag) = self.set_of(addr);
+        Self::touch(set, tag, now)
     }
 
     /// Installs the line containing `addr` (a fill completing at `now`),
     /// returning whether a valid line was displaced. Refreshes the LRU
     /// stamp instead if the line is already present.
     pub fn fill(&mut self, addr: u64, now: Cycle) -> bool {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_use = now;
-            return false;
-        }
-        // LRU victim: prefer an invalid way, else the least recently
-        // used (first on ties, matching min_by_key). Written as a fold
-        // over &mut ways so an (impossible) empty set is a no-op fill
-        // rather than a panic.
-        let mut victim: Option<&mut Way> = None;
-        let mut victim_key = u64::MAX;
-        for w in set.iter_mut() {
-            let key = if w.valid { w.last_use + 1 } else { 0 };
-            if key < victim_key {
-                victim_key = key;
-                victim = Some(w);
-            }
-        }
-        let mut evicted = false;
-        if let Some(victim) = victim {
-            evicted = victim.valid;
-            victim.tag = tag;
-            victim.valid = true;
-            victim.last_use = now;
-        }
-        evicted
+        let (set, tag) = self.set_of(addr);
+        !Self::touch(set, tag, now) && Self::install(set, tag, now)
     }
 
     /// Invalidates every line (e.g. at kernel boundaries, matching the
     /// MGPUSim behavior of flushing caches between kernels).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for way in &mut self.ways {
+            way.stamp = 0;
         }
     }
 }

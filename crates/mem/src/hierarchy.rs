@@ -1,7 +1,7 @@
 //! Queueing timing model of the cache/DRAM hierarchy.
 
 use crate::addr::set_bits;
-use crate::cache::{AccessKind, Cache, CacheAccess};
+use crate::cache::{AccessKind, CacheAccess};
 use crate::config::{MemHierarchyConfig, MshrConfig};
 use crate::stats::{MemStats, QueueDelayHist, QueueDelays};
 use crate::Cycle;
@@ -9,6 +9,16 @@ use gpu_telemetry::{
     CacheLevel, Counter, EventKind, Gauge, Histogram, Telemetry, Trace, TraceEvent,
 };
 use std::collections::VecDeque;
+
+// The tag arrays and MSHR files the hierarchy is built from. Test builds
+// swap in wrappers that can also run the linear-scan bookkeeping these
+// replaced, as the oracle of the differential tests.
+#[cfg(test)]
+mod oracle;
+#[cfg(not(test))]
+use crate::{cache::Cache, mshr::MshrFile};
+#[cfg(test)]
+use oracle::{Cache, MshrFile};
 
 /// Cache line size used throughout the hierarchy.
 pub const LINE_BYTES: u64 = 64;
@@ -80,51 +90,25 @@ pub fn coalesce_lanes_into(out: &mut Vec<u64>, addrs: &[u64], mask: u64, width_b
     }
 }
 
-/// Registry handles for one cache level (`mem.<level>.{hits,misses,
-/// evictions,mshr_merges}`).
-#[derive(Debug, Clone)]
-struct LevelCounters {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
+/// Plain tallies for one cache level, bumped on the per-line path and
+/// published into the registry (`mem.<level>.{hits,misses,evictions,
+/// mshr_merges}`) by [`MemoryHierarchy::publish_queue_delays`].
+#[derive(Debug, Default, Clone, Copy)]
+struct LevelTally {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
     /// Misses coalesced into an outstanding same-line fill; the level's
-    /// downstream traffic is `misses - mshr_merges`.
-    merges: Counter,
+    /// downstream traffic is `misses - merges`.
+    merges: u64,
 }
 
-impl LevelCounters {
-    fn new(tel: &Telemetry, level: &str) -> Self {
-        LevelCounters {
-            hits: tel.counter(&format!("mem.{level}.hits")),
-            misses: tel.counter(&format!("mem.{level}.misses")),
-            evictions: tel.counter(&format!("mem.{level}.evictions")),
-            merges: tel.counter(&format!("mem.{level}.mshr_merges")),
-        }
-    }
-
-    /// Records an access outcome and returns `(hit, evicted)` for the
-    /// trace event.
-    fn record(&self, access: CacheAccess) -> (bool, bool) {
-        match access {
-            CacheAccess::Hit => {
-                self.hits.inc();
-                (true, false)
-            }
-            CacheAccess::Miss { evicted } => {
-                self.misses.inc();
-                if evicted {
-                    self.evictions.inc();
-                }
-                (false, evicted)
-            }
-        }
-    }
-
+impl LevelTally {
     /// Records a miss that coalesced into an in-flight fill: a miss in
     /// the hit/miss accounting, but no downstream transaction.
-    fn record_merge(&self) {
-        self.misses.inc();
-        self.merges.inc();
+    fn record_merge(&mut self) {
+        self.misses += 1;
+        self.merges += 1;
     }
 }
 
@@ -139,101 +123,6 @@ impl LevelCounters {
 fn fib_mix(x: u64) -> u64 {
     let m = (x ^ (x >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     m ^ (m >> 32)
-}
-
-/// One outstanding miss: the line in flight, when its fill returns, and
-/// how many extra same-line misses merged into it.
-#[derive(Debug, Clone, Copy)]
-struct MshrEntry {
-    line: u64,
-    fill_at: Cycle,
-    merges: u64,
-}
-
-/// A miss-status-holding-register file for one cache: tracks lines with
-/// fills in flight so same-line misses merge instead of re-fetching, and
-/// so tags are installed when the data arrives, not when the miss is
-/// discovered.
-///
-/// Entries are expired lazily at access time. Expiry tolerates the
-/// slightly non-monotone `now` the epoch coordinator produces (vector
-/// and scalar requests with equal `req_cycle` differ by the engine's
-/// issue latency): a not-yet-expired entry simply stays in flight a few
-/// cycles longer, and all arithmetic saturates.
-#[derive(Debug)]
-struct MshrFile {
-    entries: Vec<MshrEntry>,
-    capacity: usize,
-    merge_slots: u64,
-}
-
-impl MshrFile {
-    fn new(cfg: &MshrConfig) -> Self {
-        MshrFile {
-            entries: Vec::new(),
-            capacity: (cfg.entries as usize).max(1),
-            merge_slots: cfg.merge_slots,
-        }
-    }
-
-    /// A file that never back-pressures — the legacy model's
-    /// counting-only shadow of outstanding fills (tags are still filled
-    /// at lookup time there, so the file has no timing effect).
-    fn unbounded() -> Self {
-        MshrFile {
-            entries: Vec::new(),
-            capacity: usize::MAX,
-            merge_slots: u64::MAX,
-        }
-    }
-
-    /// Removes every entry whose fill has completed by `now`, handing
-    /// each `(line, fill_at)` to `install` (the detailed path installs
-    /// the tag at fill time; the legacy shadow discards it).
-    fn expire(&mut self, now: Cycle, mut install: impl FnMut(u64, Cycle)) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].fill_at <= now {
-                let e = self.entries.swap_remove(i);
-                install(e.line, e.fill_at);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn find_mut(&mut self, line: u64) -> Option<&mut MshrEntry> {
-        self.entries.iter_mut().find(|e| e.line == line)
-    }
-
-    fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// The earliest cycle at which an entry frees (MSHR-full
-    /// back-pressure waits for this).
-    fn earliest_fill(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.fill_at).min()
-    }
-
-    /// Allocates an entry (or refreshes the fill time of an existing
-    /// one — the legacy shadow can re-miss a line it already tracks when
-    /// the tag was evicted under the in-flight window).
-    fn alloc(&mut self, line: u64, fill_at: Cycle) {
-        if let Some(e) = self.find_mut(line) {
-            e.fill_at = e.fill_at.max(fill_at);
-        } else {
-            self.entries.push(MshrEntry {
-                line,
-                fill_at,
-                merges: 0,
-            });
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// Bounded request queue in front of one L2 bank. A request occupies a
@@ -306,7 +195,7 @@ fn tag_stage(
     cache: &mut Cache,
     mshr: &mut MshrFile,
     delays: &mut QueueDelayHist,
-    ctr: &LevelCounters,
+    tally: &mut LevelTally,
     trace: &Trace,
     level: CacheLevel,
     detailed: bool,
@@ -328,43 +217,42 @@ fn tag_stage(
         });
     };
     if !detailed {
-        mshr.expire(t, |_, _| {});
+        mshr.advance(t);
         return match cache.access(addr, kind, t) {
             CacheAccess::Hit => {
-                if mshr.find_mut(line).is_some() {
+                if mshr.in_flight(line) {
                     // The line's fill is still in flight: the legacy tag
                     // array made this look like a hit, but it is a
                     // coalesced miss. Timing is unchanged (that is what
                     // keeps golden_cycles bit-identical); only the
                     // accounting flips.
-                    ctr.record_merge();
+                    tally.record_merge();
                     emit(false, false);
                 } else {
-                    ctr.hits.inc();
+                    tally.hits += 1;
                     emit(true, false);
                 }
                 StageOut::Done(t + hit_latency)
             }
             CacheAccess::Miss { evicted } => {
-                ctr.record(CacheAccess::Miss { evicted });
+                tally.misses += 1;
+                tally.evictions += u64::from(evicted);
                 emit(false, evicted);
                 StageOut::Downstream(t + hit_latency)
             }
         };
     }
     mshr.expire(t, |l, at| {
-        if cache.fill(l * LINE_BYTES, at) {
-            ctr.evictions.inc();
-        }
+        tally.evictions += u64::from(cache.fill(l * LINE_BYTES, at))
     });
     if cache.lookup(addr, t) {
-        ctr.hits.inc();
+        tally.hits += 1;
         emit(true, false);
         return StageOut::Done(t + hit_latency);
     }
-    let merge_slots = mshr.merge_slots;
+    let merge_slots = mshr.merge_slots();
     if let Some(e) = mshr.find_mut(line) {
-        ctr.record_merge();
+        tally.record_merge();
         emit(false, false);
         // Completing no earlier than a hit keeps responses out of their
         // own engine epoch (the deterministic-mode quantum bound).
@@ -381,19 +269,20 @@ fn tag_stage(
     let mut enter = t;
     if mshr.is_full() {
         // No free entry: back-pressure until the earliest fill returns,
-        // then retire it so the allocation below has a slot.
-        let free_at = mshr.earliest_fill().unwrap_or(t).max(t);
-        delays.record(free_at - t);
-        enter = free_at;
-        mshr.expire(enter, |l, at| {
-            if cache.fill(l * LINE_BYTES, at) {
-                ctr.evictions.inc();
-            }
-        });
+        // then retire it so the allocation below has a slot. The file
+        // knows that cycle as a lower bound; a pass that frees nothing
+        // leaves the bound exact for the next one.
+        while mshr.is_full() {
+            enter = mshr.earliest_fill().max(enter);
+            mshr.expire(enter, |l, at| {
+                tally.evictions += u64::from(cache.fill(l * LINE_BYTES, at))
+            });
+        }
+        delays.record(enter - t);
     }
     // Evictions happen at fill time in detailed mode, so the miss itself
     // never displaces a line.
-    ctr.misses.inc();
+    tally.misses += 1;
     emit(false, false);
     StageOut::Downstream(enter + hit_latency)
 }
@@ -406,9 +295,11 @@ fn tag_stage(
 /// hit/miss behavior, which is what makes irregular workloads (SpMV)
 /// behave irregularly.
 ///
-/// All statistics live in the [`Telemetry`] registry the hierarchy was
-/// built with (`mem.*` counters); [`MemoryHierarchy::stats`] assembles
-/// a [`MemStats`] snapshot from them.
+/// Hit/miss/DRAM counts are plain tallies on the hierarchy — the
+/// per-line path does no atomic operation — and
+/// [`MemoryHierarchy::stats`] reads them, exact at any moment. The
+/// `mem.*` counters of the [`Telemetry`] registry the hierarchy was
+/// built with catch up on [`MemoryHierarchy::publish_queue_delays`].
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     config: MemHierarchyConfig,
@@ -433,13 +324,17 @@ pub struct MemoryHierarchy {
     /// Per-(channel, bank) DRAM state (detailed mode), indexed
     /// `channel * banks_per_channel + bank`.
     dram_banks: Vec<DramBank>,
-    l1v_ctr: LevelCounters,
-    l1s_ctr: LevelCounters,
-    l2_ctr: LevelCounters,
-    dram_ctr: Counter,
-    row_hits: Counter,
-    row_misses: Counter,
-    row_conflicts: Counter,
+    l1v_tally: LevelTally,
+    l1s_tally: LevelTally,
+    l2_tally: LevelTally,
+    dram_accesses: u64,
+    row_hits: u64,
+    row_misses: u64,
+    row_conflicts: u64,
+    /// The registry counters mirroring [`MemStats::counters`], and the
+    /// statistics last published into them.
+    counters: [Counter; 16],
+    published_stats: MemStats,
     /// `mem.dram.row_hit_rate`, refreshed on publish (registered in
     /// detailed mode only so legacy health tables stay noise-free).
     row_hit_rate: Option<Gauge>,
@@ -503,13 +398,17 @@ impl MemoryHierarchy {
                 .map(|_| BankQueue::default())
                 .collect(),
             dram_banks: vec![DramBank::default(); n_dram_banks],
-            l1v_ctr: LevelCounters::new(tel, "l1v"),
-            l1s_ctr: LevelCounters::new(tel, "l1s"),
-            l2_ctr: LevelCounters::new(tel, "l2"),
-            dram_ctr: tel.counter("mem.dram.accesses"),
-            row_hits: tel.counter("mem.dram.row_hits"),
-            row_misses: tel.counter("mem.dram.row_misses"),
-            row_conflicts: tel.counter("mem.dram.row_conflicts"),
+            l1v_tally: LevelTally::default(),
+            l1s_tally: LevelTally::default(),
+            l2_tally: LevelTally::default(),
+            dram_accesses: 0,
+            row_hits: 0,
+            row_misses: 0,
+            row_conflicts: 0,
+            counters: MemStats::default()
+                .counters()
+                .map(|(name, _)| tel.counter(name)),
+            published_stats: MemStats::default(),
             row_hit_rate: detailed.then(|| tel.gauge("mem.dram.row_hit_rate")),
             bank_peak_gauges: (0..if detailed { n_l2 } else { 0 })
                 .map(|i| tel.gauge(&format!("mem.l2.bank.{i}.peak_queue")))
@@ -549,7 +448,7 @@ impl MemoryHierarchy {
             &mut self.l2[bank],
             &mut self.l2_mshr[bank],
             &mut self.delays.l2,
-            &self.l2_ctr,
+            &mut self.l2_tally,
             &self.trace,
             CacheLevel::L2,
             false,
@@ -564,7 +463,7 @@ impl MemoryHierarchy {
                 let td = enter.max(self.dram_free[ch]);
                 self.delays.dram.record(td - enter);
                 self.dram_free[ch] = td + self.config.dram.service_interval;
-                self.dram_ctr.inc();
+                self.dram_accesses += 1;
                 self.trace.emit_with(|| TraceEvent {
                     ts: td,
                     dur: 0,
@@ -596,7 +495,7 @@ impl MemoryHierarchy {
             &mut self.l2[bank],
             &mut self.l2_mshr[bank],
             &mut self.delays.l2,
-            &self.l2_ctr,
+            &mut self.l2_tally,
             &self.trace,
             CacheLevel::L2,
             true,
@@ -635,15 +534,15 @@ impl MemoryHierarchy {
         let t = ready.max(free);
         let lat = match open_row {
             Some(r) if r == row => {
-                self.row_hits.inc();
+                self.row_hits += 1;
                 self.config.fidelity.dram_banks.row_hit_latency
             }
             Some(_) => {
-                self.row_conflicts.inc();
+                self.row_conflicts += 1;
                 self.config.fidelity.dram_banks.row_conflict_latency
             }
             None => {
-                self.row_misses.inc();
+                self.row_misses += 1;
                 self.config.fidelity.dram_banks.row_empty_latency
             }
         };
@@ -655,7 +554,7 @@ impl MemoryHierarchy {
             open_row: Some(row),
             free: done,
         };
-        self.dram_ctr.inc();
+        self.dram_accesses += 1;
         self.trace.emit_with(|| TraceEvent {
             ts: done,
             dur: 0,
@@ -685,7 +584,7 @@ impl MemoryHierarchy {
             &mut self.l1v[cu],
             &mut self.l1v_mshr[cu],
             &mut self.delays.l1v,
-            &self.l1v_ctr,
+            &mut self.l1v_tally,
             &self.trace,
             CacheLevel::L1V,
             detailed,
@@ -716,7 +615,7 @@ impl MemoryHierarchy {
             &mut self.l1s[group],
             &mut self.l1s_mshr[group],
             &mut self.delays.l1s,
-            &self.l1s_ctr,
+            &mut self.l1s_tally,
             &self.trace,
             CacheLevel::L1S,
             detailed,
@@ -777,11 +676,19 @@ impl MemoryHierarchy {
     /// Publishes queue delays accumulated since the last publish into
     /// the registry histograms (`mem.<level>.queue_delay`), using each
     /// bucket's midpoint as the representative value (the floor would
-    /// systematically underestimate percentiles). Called at kernel end
-    /// (cold path) so the hot path never touches a locked histogram;
+    /// systematically underestimate percentiles). Called when a kernel
+    /// ends, in a result or in an error (cold path), so the hot path
+    /// never touches a locked histogram or an atomic counter: the
+    /// hit/miss/DRAM tallies are published as deltas here too, and the
     /// detailed-fidelity health gauges (per-bank peak queue occupancy,
-    /// DRAM row-buffer hit rate) refresh here too.
+    /// DRAM row-buffer hit rate) refresh.
     pub fn publish_queue_delays(&mut self) {
+        let stats = self.stats();
+        let unpublished = stats.since(&self.published_stats).counters();
+        for ((_, n), counter) in unpublished.iter().zip(&self.counters) {
+            counter.add(*n);
+        }
+        self.published_stats = stats;
         let delta = self.delays.since(&self.published);
         for ((_, hist), handle) in delta.levels().iter().zip(self.qdelay_hists.iter()) {
             for (i, n) in hist.buckets.iter().enumerate() {
@@ -795,7 +702,7 @@ impl MemoryHierarchy {
             g.set(q.peak as f64);
         }
         if let Some(g) = &self.row_hit_rate {
-            g.set(self.stats().dram_row_hit_rate());
+            g.set(stats.dram_row_hit_rate());
         }
     }
 
@@ -875,25 +782,26 @@ impl MemoryHierarchy {
         port.lines.clear();
     }
 
-    /// Snapshot of the accumulated statistics (registry counters).
+    /// Snapshot of the accumulated statistics: the hierarchy's own
+    /// tallies, exact whether or not they have been published.
     pub fn stats(&self) -> MemStats {
         MemStats {
-            l1v_hits: self.l1v_ctr.hits.get(),
-            l1v_misses: self.l1v_ctr.misses.get(),
-            l1v_evictions: self.l1v_ctr.evictions.get(),
-            l1s_hits: self.l1s_ctr.hits.get(),
-            l1s_misses: self.l1s_ctr.misses.get(),
-            l1s_evictions: self.l1s_ctr.evictions.get(),
-            l2_hits: self.l2_ctr.hits.get(),
-            l2_misses: self.l2_ctr.misses.get(),
-            l2_evictions: self.l2_ctr.evictions.get(),
-            dram_accesses: self.dram_ctr.get(),
-            l1v_mshr_merges: self.l1v_ctr.merges.get(),
-            l1s_mshr_merges: self.l1s_ctr.merges.get(),
-            l2_mshr_merges: self.l2_ctr.merges.get(),
-            dram_row_hits: self.row_hits.get(),
-            dram_row_misses: self.row_misses.get(),
-            dram_row_conflicts: self.row_conflicts.get(),
+            l1v_hits: self.l1v_tally.hits,
+            l1v_misses: self.l1v_tally.misses,
+            l1v_evictions: self.l1v_tally.evictions,
+            l1s_hits: self.l1s_tally.hits,
+            l1s_misses: self.l1s_tally.misses,
+            l1s_evictions: self.l1s_tally.evictions,
+            l2_hits: self.l2_tally.hits,
+            l2_misses: self.l2_tally.misses,
+            l2_evictions: self.l2_tally.evictions,
+            dram_accesses: self.dram_accesses,
+            l1v_mshr_merges: self.l1v_tally.merges,
+            l1s_mshr_merges: self.l1s_tally.merges,
+            l2_mshr_merges: self.l2_tally.merges,
+            dram_row_hits: self.row_hits,
+            dram_row_misses: self.row_misses,
+            dram_row_conflicts: self.row_conflicts,
         }
     }
 }
@@ -1098,13 +1006,23 @@ mod tests {
         let mut h = MemoryHierarchy::with_telemetry(small_config(), &tel);
         h.access_line(0, 1, AccessKind::Read, 0);
         h.access_line(0, 1, AccessKind::Read, 1000);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("mem.l1v.hits"), Some(1));
-        assert_eq!(snap.counter("mem.l1v.misses"), Some(1));
-        assert_eq!(snap.counter("mem.dram.accesses"), Some(1));
-        // The MemStats snapshot is assembled from the same counters.
-        assert_eq!(h.stats().l1v_hits, 1);
-        assert_eq!(h.stats().dram_accesses, 1);
+        // `stats()` reads the hierarchy's own tallies: exact before any
+        // publish, while the registry has seen nothing yet.
+        let stats = h.stats();
+        assert_eq!(stats.l1v_hits, 1);
+        assert_eq!(stats.l1v_misses, 1);
+        assert_eq!(stats.dram_accesses, 1);
+        assert_eq!(tel.snapshot().counter("mem.l1v.hits"), Some(0));
+        // Publishing brings every registry counter level with `stats()`,
+        // and a second publish with no new traffic adds nothing.
+        for _ in 0..2 {
+            h.publish_queue_delays();
+            let snap = tel.snapshot();
+            for (name, value) in stats.counters() {
+                assert_eq!(snap.counter(name), Some(value), "{name}");
+            }
+        }
+        assert_eq!(h.stats(), stats);
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod alloc;
 mod cache;
 mod config;
 mod hierarchy;
+mod mshr;
 mod stats;
 
 pub use addr::{set_bits, AddressSpace, U64HashBuilder, U64Hasher};

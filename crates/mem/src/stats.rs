@@ -1,9 +1,9 @@
 //! Memory system statistics.
 //!
-//! [`MemStats`] is a point-in-time *snapshot* assembled from the
-//! telemetry registry counters owned by [`crate::MemoryHierarchy`] —
-//! the registry is the single source of truth; this struct exists so
-//! results can carry a serializable, diffable copy.
+//! [`MemStats`] is a point-in-time *snapshot* of the tallies kept by
+//! [`crate::MemoryHierarchy`] — a serializable, diffable copy that
+//! results carry. The hierarchy mirrors it into the telemetry registry
+//! (one `mem.*` counter per field) when a kernel ends.
 
 use serde::{Deserialize, Serialize};
 
@@ -49,6 +49,28 @@ pub struct MemStats {
 }
 
 impl MemStats {
+    /// Every field beside the name of the registry counter mirroring it.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 16] {
+        [
+            ("mem.l1v.hits", self.l1v_hits),
+            ("mem.l1v.misses", self.l1v_misses),
+            ("mem.l1v.evictions", self.l1v_evictions),
+            ("mem.l1v.mshr_merges", self.l1v_mshr_merges),
+            ("mem.l1s.hits", self.l1s_hits),
+            ("mem.l1s.misses", self.l1s_misses),
+            ("mem.l1s.evictions", self.l1s_evictions),
+            ("mem.l1s.mshr_merges", self.l1s_mshr_merges),
+            ("mem.l2.hits", self.l2_hits),
+            ("mem.l2.misses", self.l2_misses),
+            ("mem.l2.evictions", self.l2_evictions),
+            ("mem.l2.mshr_merges", self.l2_mshr_merges),
+            ("mem.dram.accesses", self.dram_accesses),
+            ("mem.dram.row_hits", self.dram_row_hits),
+            ("mem.dram.row_misses", self.dram_row_misses),
+            ("mem.dram.row_conflicts", self.dram_row_conflicts),
+        ]
+    }
+
     /// Vector L1 hit rate in `[0, 1]`; zero when no accesses occurred.
     pub fn l1v_hit_rate(&self) -> f64 {
         let total = self.l1v_hits + self.l1v_misses;

@@ -357,16 +357,20 @@ impl GpuSimulator {
             hooks,
         );
         run.functional_insts = functional_insts;
-        let mut result = run.run(ctrl)?;
+        let outcome = run.run(ctrl);
         let events_scheduled = run.events_scheduled();
         let shard_busy: Vec<u64> = run.shards.iter().map(|s| s.busy_cycles).collect();
         let epochs = run.epochs;
+        // Bulk-publish the memory counters and queue-delay histograms
+        // accumulated during the run (cold path; the hot loop touches
+        // neither atomics nor locked histograms) — before an error
+        // propagates, so the registry a flight record or a skipped-run
+        // report snapshots holds the kernel that failed.
+        self.hierarchy.publish_queue_delays();
+        let mut result = outcome?;
         self.clock = start + result.cycles;
         result.name = launch.kernel.name().to_string();
         result.mem = self.hierarchy.stats().since(&mem_before);
-        // Bulk-publish the queue-delay histograms accumulated during the
-        // run (cold path; the hot loop never touches locked histograms).
-        self.hierarchy.publish_queue_delays();
         self.counters.record(&result);
         self.counters.events.add(events_scheduled);
         // Per-shard utilization and epoch health (cold path, once per

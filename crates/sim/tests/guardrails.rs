@@ -2,7 +2,10 @@
 //! detector, and the cycle-fuel watchdog must turn pathological kernels
 //! into typed errors in bounded time instead of hangs or panics.
 
-use gpu_isa::{CmpOp, Inst, Kernel, KernelBuilder, KernelLaunch, Program, SpecialReg, Sreg};
+use gpu_isa::{
+    CmpOp, Inst, Kernel, KernelBuilder, KernelLaunch, MemWidth, Program, SpecialReg, Sreg, VAluOp,
+    VectorSrc,
+};
 use gpu_sim::{GpuConfig, GpuSimulator, SimError};
 
 /// A kernel where only warp 1 of each workgroup reaches the barrier:
@@ -60,6 +63,47 @@ fn runaway_kernel_exhausts_fuel_in_bounded_time() {
         }
         other => panic!("expected FuelExhausted, got {other:?}"),
     }
+}
+
+#[test]
+fn aborted_kernel_still_publishes_its_memory_statistics() {
+    // A memory-bound kernel (every lane loads its own cache line) cut
+    // short by the fuel watchdog: the registry that flight records and
+    // skipped-run reports snapshot must hold the misses and queue delays
+    // of exactly the kernel that failed.
+    let mut cfg = GpuConfig::tiny();
+    cfg.watchdog.cycle_fuel = 2_000;
+    let mut gpu = GpuSimulator::new(cfg);
+    let threads = 64 * 4 * 64u64;
+    let a = gpu.alloc_buffer(threads * 128 + 4).unwrap();
+    let mut kb = KernelBuilder::new("strided_loads");
+    let sa = kb.sreg();
+    kb.load_arg(sa, 0);
+    let tid = kb.vreg();
+    kb.global_thread_id(tid);
+    let off = kb.vreg();
+    kb.valu(VAluOp::Shl, off, VectorSrc::Reg(tid), VectorSrc::Imm(7));
+    let v = kb.vreg();
+    kb.global_load(v, sa, off, 0, MemWidth::B32);
+    kb.global_store(v, sa, off, 0, MemWidth::B32);
+    let launch = KernelLaunch::new(Kernel::new(kb.finish().unwrap()), 64, 4, vec![a]);
+    match gpu.run_kernel(&launch) {
+        Err(SimError::FuelExhausted { .. }) => {}
+        other => panic!("expected FuelExhausted, got {other:?}"),
+    }
+    let snap = gpu.telemetry().snapshot();
+    let misses = snap.counter("mem.l1v.misses").unwrap_or(0);
+    assert!(misses > 0, "the aborted kernel's misses were dropped");
+    assert_eq!(misses, gpu.mem_stats().l1v_misses);
+    let delays = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "mem.l1v.queue_delay")
+        .expect("queue-delay histogram");
+    assert!(
+        delays.count > 0,
+        "the aborted kernel's queue delays were dropped"
+    );
 }
 
 #[test]
