@@ -14,13 +14,13 @@
 use gpu_mem::MemFidelityMode;
 use gpu_telemetry::MetricsSnapshot;
 use photon_bench::cli::{parse_exec_options, usage as exec_usage};
-use photon_bench::harness::{results_dir, Method, RunOutcome};
+use photon_bench::harness::{results_dir, RunOutcome};
 use photon_bench::report::{
     build_report, check_against_baselines, gauge_summary, histogram_summary, load_all_reports,
     summary_table, write_report,
 };
 use photon_bench::specs::smoke_grid;
-use photon_bench::{run_specs, ExecOptions};
+use photon_bench::{run_specs, ExecOptions, Method};
 
 fn usage() -> ! {
     eprintln!(

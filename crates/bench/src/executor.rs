@@ -29,7 +29,7 @@ use gpu_telemetry::{MetricsSnapshot, Telemetry, TraceLog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How an executor invocation runs: worker count, per-run timeout,
@@ -432,9 +432,13 @@ pub fn resolve_spec(
     }
     match (led, cached) {
         (Some(run), _) => run,
-        (None, Some(m)) => {
-            Resolution::answered(RunOutcome::Completed(m), MetricsSnapshot::default(), true)
-        }
+        // The one copy a cached reference costs: the outcome owns its
+        // measurement, the cache keeps sharing its own.
+        (None, Some(m)) => Resolution::answered(
+            RunOutcome::Completed(Arc::unwrap_or_clone(m)),
+            MetricsSnapshot::default(),
+            true,
+        ),
         (None, None) => run_spec_observed(spec, opts, telemetry),
     }
 }

@@ -10,10 +10,10 @@
 //! one) never re-simulates a reference it already has.
 
 use crate::executor::{run_specs, ExecOptions, ExecReport};
-use crate::harness::{write_json, Measurement, Method, RunOutcome, Table};
+use crate::harness::{write_json, Measurement, RunOutcome, Table};
 use crate::specs::{
     comparison_grid, fig13_methods, fig14_methods, fig15_methods, fig17_methods, figure16_grid,
-    figure17_grid, mi100, r9_nano, scaled_photon_config, DEFAULT_SEED,
+    figure17_grid, mi100, r9_nano, scaled_photon_config, Method, DEFAULT_SEED,
 };
 use gpu_sim::{GpuConfig, GpuSimulator};
 use gpu_workloads::registry::{Benchmark, RealWorldApp};

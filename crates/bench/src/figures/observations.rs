@@ -9,7 +9,8 @@
 //! fixed workload order, so the output is identical at any job count.
 
 use crate::executor::{parallel_map, ExecOptions};
-use crate::harness::{r9_nano, scaled_photon_config, size_scale, write_json, Table};
+use crate::harness::{write_json, Table};
+use crate::specs::{r9_nano, scaled_photon_config, size_scale};
 use gpu_sim::{GpuSimulator, Recorder};
 use gpu_workloads::dnn::DnnScale;
 use gpu_workloads::registry::{Benchmark, RealWorldApp};

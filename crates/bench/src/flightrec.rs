@@ -10,7 +10,7 @@
 //! newest spans win but failed spans are always kept — the failing span
 //! *is* the evidence.
 
-use crate::persist;
+use crate::persist::{self, LoadError};
 use gpu_telemetry::span::{build_tree, job_hex, SpanRecord, SpanTree};
 use gpu_telemetry::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -131,36 +131,20 @@ pub fn dump(dir: &Path, rec: &FlightRecord) -> Result<PathBuf, String> {
 /// payload quarantines the file (rotating older corpses) and errors; an
 /// unframed file is rejected too — every dump this module writes is
 /// framed, so a bare one is itself evidence of tampering or truncation.
+/// A path with no file, or one the host refused to read, errors and is
+/// left alone: nothing was read, so nothing was proven corrupt.
 ///
 /// # Errors
 /// Returns a rendered I/O, checksum, or parse error.
 pub fn load(path: &Path) -> Result<FlightRecord, String> {
-    let framed = match persist::read_framed(path) {
-        Ok(f) => f,
-        Err(e) => {
-            if path.exists() {
-                persist::quarantine(path);
-            }
-            return Err(e);
-        }
+    let why = match persist::load::<FlightRecord>(path) {
+        Ok(rec) if rec.verified => return Ok(rec.payload),
+        Ok(_) => "flight record has no valid checksum frame".to_string(),
+        Err(LoadError::Corrupt(why)) => why,
+        Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    if !framed.verified {
-        persist::quarantine(path);
-        return Err(format!(
-            "{}: flight record has no valid checksum frame",
-            path.display()
-        ));
-    }
-    match serde_json::from_str::<FlightRecord>(&framed.payload) {
-        Ok(rec) => Ok(rec),
-        Err(e) => {
-            persist::quarantine(path);
-            Err(format!(
-                "{}: unparseable flight record: {e}",
-                path.display()
-            ))
-        }
-    }
+    persist::quarantine(path);
+    Err(format!("{}: {why}", path.display()))
 }
 
 #[cfg(test)]
@@ -248,6 +232,20 @@ mod tests {
         assert!(err.contains("checksum mismatch"), "{err}");
         assert!(!path.exists(), "corrupt dump must be moved aside");
         assert!(path.with_extension("json.corrupt").exists());
+        // What could not be read was not proven corrupt: a directory
+        // where a dump should be stays put, and so does nothing at all.
+        let unreadable = dir.join("0000000000000001.json");
+        std::fs::create_dir(&unreadable).unwrap();
+        assert!(load(&unreadable).is_err());
+        assert!(unreadable.is_dir(), "an unreadable path must be left alone");
+        assert!(load(&dir.join("0000000000000002.json")).is_err());
+        let corpses = std::fs::read_dir(&dir).unwrap().flatten();
+        assert_eq!(
+            corpses
+                .filter(|e| e.file_name().to_string_lossy().contains(".corrupt"))
+                .count(),
+            1
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

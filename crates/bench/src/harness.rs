@@ -1,5 +1,6 @@
 //! Shared experiment machinery: methods, measurements, and tables.
 
+use crate::specs::Method;
 use gpu_baselines::{
     PkaConfig, PkaController, SieveConfig, SieveController, TbPointConfig, TbPointController,
 };
@@ -10,10 +11,6 @@ use photon::{PhotonConfig, PhotonController};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
-
-// The experiment-grid vocabulary lives in [`crate::specs`]; these
-// re-exports keep the long-standing `harness::` paths working.
-pub use crate::specs::{full_size, mi100, r9_nano, scaled_photon_config, size_scale, Method};
 
 /// One measured run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,6 +54,21 @@ impl Measurement {
     /// The paper's speedup metric against a full-detailed reference.
     pub fn speedup_vs(&self, full: &Measurement) -> f64 {
         full.wall_secs / self.wall_secs.max(1e-9)
+    }
+
+    /// What a byte-budgeted store charges for holding this measurement
+    /// when no rendered text of it is at hand: the struct plus its row
+    /// vectors, from their lengths alone — no rendering, no walk of the
+    /// rows.
+    pub fn footprint(&self) -> u64 {
+        use std::mem::{size_of, size_of_val};
+        let accounting = self.accounting.as_ref().map_or(0, |a| {
+            size_of_val(a.cus.as_slice()) + size_of_val(a.timeline.as_slice())
+        });
+        (size_of::<Self>()
+            + size_of_val(self.kernel_cycles.as_slice())
+            + size_of_val(self.bb_errors.as_slice())
+            + accounting) as u64
     }
 }
 

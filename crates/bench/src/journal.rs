@@ -9,8 +9,9 @@
 //! {"crc":"<16 hex fnv1a>","entry":{...JournalEntry...}}
 //! ```
 //!
-//! The `crc` covers the serialized `entry` object, so a line torn by a
-//! crash mid-append (or corrupted on disk) fails validation and is
+//! The line framing is [`crate::persist::frame_line`]'s: the `crc`
+//! covers the bytes of the serialized `entry` object, so a line torn by
+//! a crash mid-append (or corrupted on disk) fails validation and is
 //! skipped — the loader never propagates partial data, and a journal
 //! with a torn trailing line simply resumes one spec earlier. Every
 //! line is flushed and fsync'd before the executor reports the spec
@@ -85,69 +86,23 @@ pub struct JournalLoad {
 
 /// Loads a journal, tolerating a missing file (empty journal) and any
 /// number of torn or corrupt lines (each counted, never propagated).
+/// [`crate::persist::load_lines`] verifies and parses; what is checked
+/// here is the journal's own: the schema version and the key.
 pub fn load_journal(path: &Path) -> JournalLoad {
     let mut out = JournalLoad::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => return out,
+    let Ok((entries, corrupt)) = crate::persist::load_lines::<JournalEntry>(path) else {
+        return out;
     };
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Some(entry) => match u64::from_str_radix(&entry.key, 16) {
-                Ok(key) => {
-                    out.entries.insert(key, entry);
-                }
-                Err(_) => out.corrupt_lines += 1,
-            },
-            None => out.corrupt_lines += 1,
+    out.corrupt_lines = corrupt;
+    for entry in entries {
+        match u64::from_str_radix(&entry.key, 16) {
+            Ok(key) if entry.schema_version == JOURNAL_SCHEMA_VERSION => {
+                out.entries.insert(key, entry);
+            }
+            _ => out.corrupt_lines += 1,
         }
     }
     out
-}
-
-/// Wraps an already-serialized JSON object into one crc-framed journal
-/// line (trailing newline included): `{"crc":"<16 hex>","entry":<json>}`.
-/// The generic half of the journal format — `photon-serve`'s
-/// pending-jobs journal reuses it for entries that are not
-/// [`JournalEntry`]s.
-pub fn frame_line(entry_json: &str) -> String {
-    let crc = crate::persist::checksum(entry_json.as_bytes());
-    format!("{{\"crc\":\"{crc:016x}\",\"entry\":{entry_json}}}\n")
-}
-
-/// Validates one crc-framed line and returns the inner `entry` value;
-/// `None` for anything torn or corrupt. The checksum was taken over the
-/// entry's serialized text; the vendored serde_json renders parse(s)
-/// back to s byte-identically (numbers keep their shortest form, field
-/// order is preserved), so re-serializing the parsed value reproduces
-/// the hashed bytes.
-pub fn parse_framed_line(line: &str) -> Option<serde_json::Value> {
-    let v = serde_json::from_str::<serde_json::Value>(line).ok()?;
-    let crc = match v.get("crc") {
-        Some(serde_json::Value::String(s)) => u64::from_str_radix(s, 16).ok()?,
-        _ => return None,
-    };
-    let entry_value = v.get("entry")?;
-    let entry_json = serde_json::to_string(entry_value).ok()?;
-    if crate::persist::checksum(entry_json.as_bytes()) != crc {
-        return None;
-    }
-    Some(entry_value.clone())
-}
-
-/// Validates and parses one journal line; `None` for anything torn,
-/// corrupt, or from another schema version.
-fn parse_line(line: &str) -> Option<JournalEntry> {
-    let entry_value = parse_framed_line(line)?;
-    let entry = JournalEntry::deserialize(&entry_value).ok()?;
-    if entry.schema_version != JOURNAL_SCHEMA_VERSION {
-        return None;
-    }
-    Some(entry)
 }
 
 /// Whether an outcome is worth journaling: replaying it on resume must
@@ -204,11 +159,6 @@ impl Journal {
         })
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one record and fsyncs it. Failures warn (the journal is
     /// an accelerator for resume, never a correctness dependency).
     pub fn record(&self, key: u64, label: &str, outcome: &RunOutcome, metrics: &MetricsSnapshot) {
@@ -226,7 +176,7 @@ impl Journal {
                 return;
             }
         };
-        let mut line = frame_line(&entry_json);
+        let mut line = crate::persist::frame_line(&entry_json);
         if faults::active() && faults::should_inject(FaultSite::JournalTorn, key) {
             // Simulate a crash mid-append: only a prefix of the line
             // lands on disk. The loader must skip it cleanly.

@@ -1,19 +1,20 @@
-//! The content-addressed reference cache, promoted (PR 7) into a
-//! sharded, LRU-bounded, concurrency-safe store with single-flight
-//! deduplication — the storage layer behind both the parallel executor
-//! and `photon-serve`.
+//! The content-addressed reference cache: an LRU-bounded,
+//! concurrency-safe store with single-flight deduplication — the
+//! storage layer behind both the parallel executor and `photon-serve`.
 //!
 //! ## Layering
 //!
-//! * [`ShardedStore`] — the generic in-memory core: N mutex-sharded
-//!   maps keyed by `u64` content hashes, recency-stamped LRU eviction
+//! * [`LruStore`] — the generic in-memory core: one mutex around one
+//!   map keyed by `u64` content hashes, recency-stamped LRU eviction
 //!   under a byte budget, and a single-flight table so concurrent
-//!   computations of the same key coalesce onto one leader.
-//! * [`RefCache`] — the full-detailed reference cache built on top: a
-//!   `ShardedStore<Measurement>` plus crash-safe disk persistence under
-//!   `results/cache/` ([`crate::persist`] atomic writes with checksum
-//!   footers) and a byte-budgeted disk directory with oldest-mtime
-//!   eviction.
+//!   computations of the same key coalesce onto one leader. Sized to
+//!   its traffic: the busiest serve workload makes a few thousand
+//!   operations a second, each a map probe and an `Arc` clone.
+//! * [`RefCache`] — the full-detailed reference cache built on top: an
+//!   `LruStore<Arc<Measurement>>` (a hit is a pointer copy) plus
+//!   crash-safe disk persistence under `results/cache/`
+//!   ([`crate::persist`] atomic writes with checksum footers) and a
+//!   byte-budgeted disk directory with oldest-mtime eviction.
 //!
 //! ## Key definition
 //!
@@ -34,20 +35,20 @@
 //! entry that fails validation is **quarantined** — renamed to
 //! `<key>.json.corrupt` — so the next warm run recomputes silently
 //! instead of re-warning about the same corpse forever. Quarantines are
-//! counted ([`RefCache::quarantined`]) and surface as the
+//! counted ([`CacheStats::quarantined`]) and surface as the
 //! `refcache.quarantined` telemetry counter in executor reports.
 //! A leader whose computation fails publishes the failure to its
 //! followers (they see `None`) and caches nothing, so a transient
 //! failure never poisons the store.
 
 use crate::harness::Measurement;
-use crate::persist;
+use crate::persist::{self, LoadError};
 use crate::specs::RunSpec;
 use gpu_isa::{fnv1a, fnv1a_extend, isa_fingerprint};
 use gpu_telemetry::faults::{self, FaultSite};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -57,11 +58,6 @@ use std::sync::{Arc, Condvar, Mutex};
 /// rows (the vendored serde has no `#[serde(default)]`, so old entries
 /// cannot deserialize and must be recomputed).
 pub const CACHE_SCHEMA_VERSION: u32 = 2;
-
-/// Shard count of the in-memory store: enough that sixteen executor or
-/// server workers rarely contend on the same lock, few enough that the
-/// per-shard byte budget stays meaningful.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// Default in-memory byte budget (64 MiB).
 pub const DEFAULT_MEM_BUDGET: u64 = 64 * 1024 * 1024;
@@ -84,7 +80,7 @@ pub fn reference_key(spec: &RunSpec) -> u64 {
     fnv1a_extend(h, &spec.seed.to_le_bytes())
 }
 
-/// Where a [`ShardedStore::get_or_compute`] (or
+/// Where a [`LruStore::get_or_compute`] (or
 /// [`RefCache::get_or_compute_full`]) answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Origin {
@@ -109,7 +105,7 @@ pub struct StoreStats {
     pub coalesced: u64,
     /// Entries evicted from memory by the LRU byte budget.
     pub evicted: u64,
-    /// Entries refused because they alone exceed a shard's budget.
+    /// Entries refused because they alone exceed the whole budget.
     pub rejected: u64,
     /// Entries currently resident in memory.
     pub entries: u64,
@@ -123,20 +119,6 @@ struct Entry<V> {
     stamp: u64,
 }
 
-struct Shard<V> {
-    map: HashMap<u64, Entry<V>>,
-    bytes: u64,
-}
-
-impl<V> Default for Shard<V> {
-    fn default() -> Self {
-        Shard {
-            map: HashMap::new(),
-            bytes: 0,
-        }
-    }
-}
-
 /// One in-flight computation: followers block on the condvar until the
 /// leader publishes. `None` means the leader's computation failed —
 /// followers must handle the miss themselves.
@@ -145,128 +127,108 @@ struct Flight<V> {
     cv: Condvar,
 }
 
-impl<V> Default for Flight<V> {
-    fn default() -> Self {
-        Flight {
-            slot: Mutex::new((false, None)),
-            cv: Condvar::new(),
-        }
-    }
+/// Everything the store's one lock guards.
+struct Inner<V> {
+    map: HashMap<u64, Entry<V>>,
+    inflight: HashMap<u64, Arc<Flight<V>>>,
+    /// Recency clock: every get and insert takes the next stamp.
+    clock: u64,
+    /// Counters and residency; `entries` is filled in at read time.
+    stats: StoreStats,
 }
 
-/// The sharded, LRU-bounded, single-flight in-memory store.
+/// The LRU-bounded, single-flight in-memory store.
 ///
-/// Keys are already well-mixed content hashes; values are cloned out on
-/// every hit, so `V` should be cheap to clone or wrapped in an `Arc` by
-/// the caller. The byte budget is split evenly across shards and
-/// enforced per shard: the store's total residency never exceeds the
-/// budget, and the most recently used entry of a shard is never the
-/// eviction victim.
-pub struct ShardedStore<V> {
-    shards: Box<[Mutex<Shard<V>>]>,
-    shard_budget: u64,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    evicted: AtomicU64,
-    rejected: AtomicU64,
-    inflight: Mutex<HashMap<u64, Arc<Flight<V>>>>,
+/// Values are cloned out on every hit, so `V` should be an `Arc` (both
+/// users' are). The byte budget is enforced over the whole store: the
+/// residency never exceeds it, the eviction victim is always the least
+/// recently used entry of the store, and an entry is refused only when
+/// it alone exceeds the budget.
+pub struct LruStore<V> {
+    inner: Mutex<Inner<V>>,
+    budget: u64,
 }
 
-impl<V> std::fmt::Debug for ShardedStore<V> {
+impl<V> std::fmt::Debug for LruStore<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .field("shard_budget", &self.shard_budget)
+        f.debug_struct("LruStore")
+            .field("budget", &self.budget)
             .finish()
     }
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl<V: Clone> ShardedStore<V> {
-    /// A store of `shards` mutex-sharded maps under a total byte
-    /// `budget` (split evenly per shard, at least 1 byte each).
-    pub fn new(shards: usize, budget: u64) -> ShardedStore<V> {
-        let n = shards.max(1);
-        ShardedStore {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: (budget / n as u64).max(1),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            inflight: Mutex::new(HashMap::new()),
+impl<V: Clone> LruStore<V> {
+    /// A store under a total byte `budget` (at least 1).
+    pub fn new(budget: u64) -> LruStore<V> {
+        LruStore {
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                inflight: HashMap::new(),
+                clock: 0,
+                stats: StoreStats::default(),
+            }),
+            budget: budget.max(1),
         }
-    }
-
-    fn shard_of(&self, key: u64) -> &Mutex<Shard<V>> {
-        // Fibonacci-mix the (already hashed) key so shard choice does
-        // not correlate with any bit pattern of the key derivation.
-        let i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len();
-        &self.shards[i]
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        let mut shard = lock(self.shard_of(key));
-        match shard.map.get_mut(&key) {
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
+        inner.clock += 1;
+        match inner.map.get_mut(&key) {
             Some(e) => {
-                e.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                e.stamp = inner.clock;
+                inner.stats.hits += 1;
                 Some(e.value.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                inner.stats.misses += 1;
                 None
             }
         }
     }
 
     /// Inserts `value` under `key` at an accounted size of `bytes`,
-    /// evicting least-recently-used entries of the same shard until the
-    /// shard is back under budget. A value that alone exceeds the shard
-    /// budget is not stored (counted in `rejected`).
+    /// evicting least-recently-used entries until the store is back
+    /// under budget. A value that alone exceeds the budget is not
+    /// stored (counted in `rejected`).
     pub fn insert(&self, key: u64, value: V, bytes: u64) {
-        if bytes > self.shard_budget {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
+        if bytes > self.budget {
+            inner.stats.rejected += 1;
             return;
         }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = lock(self.shard_of(key));
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                value,
-                bytes,
-                stamp,
-            },
-        ) {
-            shard.bytes -= old.bytes;
+        inner.clock += 1;
+        let entry = Entry {
+            value,
+            bytes,
+            stamp: inner.clock,
+        };
+        if let Some(old) = inner.map.insert(key, entry) {
+            inner.stats.bytes -= old.bytes;
         }
-        shard.bytes += bytes;
-        while shard.bytes > self.shard_budget {
-            // The just-inserted entry carries the freshest stamp, so the
-            // victim is always some other entry.
-            let victim = shard
+        inner.stats.bytes += bytes;
+        while inner.stats.bytes > self.budget {
+            // The just-inserted entry carries the freshest stamp and
+            // fits the budget alone, so the victim is some other entry.
+            let Some(victim) = inner
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    if let Some(e) = shard.map.remove(&k) {
-                        shard.bytes -= e.bytes;
-                    }
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            if let Some(e) = inner.map.remove(&victim) {
+                inner.stats.bytes -= e.bytes;
             }
+            inner.stats.evicted += 1;
         }
     }
 
@@ -277,31 +239,34 @@ impl<V: Clone> ShardedStore<V> {
     /// while still answering followers).
     ///
     /// Returns the value (or `None` if the computation produced none)
-    /// and whether this caller coalesced.
-    pub fn join_or_lead<F>(&self, key: u64, compute: F) -> (Option<V>, bool)
+    /// and whether this caller led ([`Origin::Miss`]) or coalesced.
+    pub fn join_or_lead<F>(&self, key: u64, compute: F) -> (Option<V>, Origin)
     where
         F: FnOnce() -> (Option<V>, u64, bool),
     {
         let flight = {
-            let mut inflight = lock(&self.inflight);
-            if let Some(f) = inflight.get(&key) {
+            let mut inner = lock(&self.inner);
+            if let Some(f) = inner.inflight.get(&key) {
                 let f = Arc::clone(f);
-                drop(inflight);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                inner.stats.coalesced += 1;
+                drop(inner);
                 let mut slot = lock(&f.slot);
                 while !slot.0 {
                     slot = f.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
                 }
-                return (slot.1.clone(), true);
+                return (slot.1.clone(), Origin::Coalesced);
             }
-            let f = Arc::new(Flight::default());
-            inflight.insert(key, Arc::clone(&f));
+            let f = Arc::new(Flight {
+                slot: Mutex::new((false, None)),
+                cv: Condvar::new(),
+            });
+            inner.inflight.insert(key, Arc::clone(&f));
             f
         };
         // Lead. Publish-on-drop so a panicking computation can never
         // strand its followers on the condvar.
         struct Publish<'a, V> {
-            store: &'a ShardedStore<V>,
+            store: &'a LruStore<V>,
             key: u64,
             flight: Arc<Flight<V>>,
             value: Option<V>,
@@ -313,7 +278,7 @@ impl<V: Clone> ShardedStore<V> {
                 slot.1 = self.value.take();
                 self.flight.cv.notify_all();
                 drop(slot);
-                lock(&self.store.inflight).remove(&self.key);
+                lock(&self.store.inner).inflight.remove(&self.key);
             }
         }
         let mut publish = Publish {
@@ -330,7 +295,7 @@ impl<V: Clone> ShardedStore<V> {
         }
         publish.value = value.clone();
         drop(publish);
-        (value, false)
+        (value, Origin::Miss)
     }
 
     /// [`get`](Self::get) then [`join_or_lead`](Self::join_or_lead):
@@ -340,37 +305,18 @@ impl<V: Clone> ShardedStore<V> {
     where
         F: FnOnce() -> (Option<V>, u64, bool),
     {
-        if let Some(v) = self.get(key) {
-            return (Some(v), Origin::Hit);
+        match self.get(key) {
+            Some(v) => (Some(v), Origin::Hit),
+            None => self.join_or_lead(key, compute),
         }
-        let (v, coalesced) = self.join_or_lead(key, compute);
-        (
-            v,
-            if coalesced {
-                Origin::Coalesced
-            } else {
-                Origin::Miss
-            },
-        )
     }
 
     /// Current counters and residency.
     pub fn stats(&self) -> StoreStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for s in self.shards.iter() {
-            let s = lock(s);
-            entries += s.map.len() as u64;
-            bytes += s.bytes;
-        }
+        let inner = lock(&self.inner);
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            entries,
-            bytes,
+            entries: inner.map.len() as u64,
+            ..inner.stats.clone()
         }
     }
 }
@@ -388,8 +334,9 @@ pub struct CacheEntry {
     pub isa_fingerprint: String,
     /// Workload display name (diagnostic).
     pub workload: String,
-    /// The memoized full-detailed measurement.
-    pub measurement: Measurement,
+    /// The memoized full-detailed measurement (shared with the
+    /// in-memory store, so writing an entry copies nothing).
+    pub measurement: Arc<Measurement>,
 }
 
 /// Aggregated health/throughput counters of a [`RefCache`].
@@ -413,7 +360,7 @@ pub struct CacheStats {
 pub struct RefCache {
     /// Persistence directory (`None` = memory only).
     dir: Option<PathBuf>,
-    store: ShardedStore<Measurement>,
+    store: LruStore<Arc<Measurement>>,
     disk_budget: u64,
     disk_hits: AtomicU64,
     disk_evicted: AtomicU64,
@@ -439,17 +386,12 @@ impl RefCache {
     pub fn with_budgets(dir: Option<PathBuf>, mem_budget: u64, disk_budget: u64) -> RefCache {
         RefCache {
             dir,
-            store: ShardedStore::new(DEFAULT_SHARDS, mem_budget),
+            store: LruStore::new(mem_budget),
             disk_budget,
             disk_hits: AtomicU64::new(0),
             disk_evicted: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
         }
-    }
-
-    /// Entries this instance quarantined to `.corrupt` files.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
     }
 
     /// Aggregated memory + disk counters.
@@ -474,30 +416,37 @@ impl RefCache {
     }
 
     /// Looks up the reference measurement for `key`, checking memory
-    /// first and then disk (a disk hit is promoted into memory). Disk
-    /// entries that fail checksum verification, fail to parse, carry
-    /// the wrong schema version, or were stored under a different key
-    /// are quarantined (renamed to `.corrupt`) with a warning and
-    /// recomputed.
-    pub fn lookup(&self, key: u64) -> Option<Measurement> {
+    /// first and then disk (a disk hit is promoted into memory, charged
+    /// the length of the entry text just read). Disk entries that fail
+    /// checksum verification, fail to parse, carry the wrong schema
+    /// version, or were stored under a different key are quarantined
+    /// (renamed to `.corrupt`) with a warning and recomputed.
+    pub fn lookup(&self, key: u64) -> Option<Arc<Measurement>> {
         if let Some(m) = self.store.get(key) {
             return Some(m);
         }
-        let m = self.disk_lookup(key)?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.store.insert(key, m.clone(), measurement_bytes(&m));
+        let (m, bytes) = self.disk_lookup(key)?;
+        self.store.insert(key, Arc::clone(&m), bytes);
         Some(m)
     }
 
-    fn disk_lookup(&self, key: u64) -> Option<Measurement> {
+    /// The entry persisted under `key` and the length of its text, if
+    /// one is there and is what it claims to be.
+    fn disk_lookup(&self, key: u64) -> Option<(Arc<Measurement>, u64)> {
         let path = self.entry_path(key)?;
-        let mut text = std::fs::read_to_string(&path).ok()?;
-        if faults::active() && faults::should_inject(FaultSite::RefcacheReadCorrupt, key) {
-            corrupt_one_byte(&mut text, key);
-        }
-        match validate_entry(&text, key, &path) {
-            Ok(m) => Some(m),
-            Err(why) => {
+        let entry = persist::read_text(&path).and_then(|mut text| {
+            if faults::active() && faults::should_inject(FaultSite::RefcacheReadCorrupt, key) {
+                corrupt_one_byte(&mut text, key);
+            }
+            let entry = validate_entry(&text, key).map_err(LoadError::Corrupt)?;
+            Ok((entry.measurement, text.len() as u64))
+        });
+        match entry {
+            Ok(hit) => {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                Some(hit)
+            }
+            Err(LoadError::Corrupt(why)) => {
                 eprintln!(
                     "warning: quarantining reference cache entry {}: {why} (recomputing)",
                     path.display()
@@ -507,6 +456,9 @@ impl RefCache {
                 }
                 None
             }
+            // Nothing there, or the host refused the read: a miss, and
+            // nothing to judge the file by.
+            Err(LoadError::Missing | LoadError::Unreadable(_)) => None,
         }
     }
 
@@ -515,23 +467,29 @@ impl RefCache {
     /// checksum footer — then re-bounds the disk directory. I/O
     /// failures warn and degrade to memory-only.
     pub fn store(&self, key: u64, workload: &str, m: &Measurement) {
-        self.store.insert(key, m.clone(), measurement_bytes(m));
-        self.store_disk(key, workload, m);
+        let m = Arc::new(m.clone());
+        let bytes = self.store_disk(key, workload, &m);
+        self.store.insert(key, m, bytes);
     }
 
-    fn store_disk(&self, key: u64, workload: &str, m: &Measurement) {
+    /// Persists `m` (when persistence is on) and returns what the
+    /// memory store should charge for it: the length of the entry text
+    /// just written, else [`Measurement::footprint`] — never a render
+    /// made only to be measured.
+    fn store_disk(&self, key: u64, workload: &str, m: &Arc<Measurement>) -> u64 {
         let Some(path) = self.entry_path(key) else {
-            return;
+            return m.footprint();
         };
         let entry = CacheEntry {
             schema_version: CACHE_SCHEMA_VERSION,
             key: format!("{key:016x}"),
             isa_fingerprint: format!("{:016x}", isa_fingerprint()),
             workload: workload.to_string(),
-            measurement: m.clone(),
+            measurement: Arc::clone(m),
         };
-        let write = || -> Result<(), String> {
-            let text = serde_json::to_string_pretty(&entry).map_err(|e| e.to_string())?;
+        let write = || -> Result<u64, String> {
+            let text = render_entry(&entry)?;
+            let bytes = text.len() as u64;
             if faults::active() {
                 if faults::should_inject(FaultSite::RefcacheWriteIoErr, key) {
                     return Err("injected I/O error".to_string());
@@ -544,18 +502,22 @@ impl RefCache {
                     if let Some(parent) = path.parent() {
                         std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
                     }
-                    return std::fs::write(&path, torn).map_err(|e| e.to_string());
+                    std::fs::write(&path, torn).map_err(|e| e.to_string())?;
+                    return Ok(bytes);
                 }
             }
-            persist::atomic_write_framed(&path, &text).map_err(|e| e.to_string())
+            persist::atomic_write_framed(&path, &text).map_err(|e| e.to_string())?;
+            Ok(bytes)
         };
-        if let Err(e) = write() {
+        let bytes = write().unwrap_or_else(|e| {
             eprintln!(
                 "warning: could not persist reference cache entry {}: {e}",
                 path.display()
             );
-        }
+            m.footprint()
+        });
         self.enforce_disk_budget();
+        bytes
     }
 
     /// Single-flight resolution of a full-detailed reference: serve
@@ -570,38 +532,28 @@ impl RefCache {
         key: u64,
         workload: &str,
         compute: F,
-    ) -> (Option<Measurement>, Origin)
+    ) -> (Option<Arc<Measurement>>, Origin)
     where
         F: FnOnce() -> Option<Measurement>,
     {
         if let Some(m) = self.lookup(key) {
             return (Some(m), Origin::Hit);
         }
-        let (m, coalesced) = self.store.join_or_lead(key, || {
+        self.store.join_or_lead(key, || {
             // Memory already missed above; re-check disk in case a
             // sibling process persisted the entry in the meantime.
-            if let Some(m) = self.disk_lookup(key) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let bytes = measurement_bytes(&m);
+            if let Some((m, bytes)) = self.disk_lookup(key) {
                 return (Some(m), bytes, true);
             }
             match compute() {
                 Some(m) => {
-                    self.store_disk(key, workload, &m);
-                    let bytes = measurement_bytes(&m);
+                    let m = Arc::new(m);
+                    let bytes = self.store_disk(key, workload, &m);
                     (Some(m), bytes, true)
                 }
                 None => (None, 0, false),
             }
-        });
-        (
-            m,
-            if coalesced {
-                Origin::Coalesced
-            } else {
-                Origin::Miss
-            },
-        )
+        })
     }
 
     /// Re-bounds the on-disk cache directory: while the summed size of
@@ -662,13 +614,12 @@ impl RefCache {
     }
 }
 
-/// The accounted in-memory size of a measurement: its canonical JSON
-/// length (what the disk entry costs, minus framing) — cheap enough for
-/// a cold path and proportional to the real footprint.
-pub fn measurement_bytes(m: &Measurement) -> u64 {
-    serde_json::to_string(m)
-        .map(|s| s.len() as u64)
-        .unwrap_or(0)
+/// The one place a cache entry is rendered; test builds tally the
+/// calls, to pin that a lookup never renders.
+fn render_entry(entry: &CacheEntry) -> Result<String, String> {
+    #[cfg(test)]
+    tests::RENDERS.with(|n| n.set(n.get() + 1));
+    serde_json::to_string_pretty(entry).map_err(|e| e.to_string())
 }
 
 /// Deterministically flips one byte of an in-memory entry text (the
@@ -685,13 +636,11 @@ fn corrupt_one_byte(text: &mut String, key: u64) {
     *text = String::from_utf8_lossy(&bytes).into_owned();
 }
 
-fn validate_entry(text: &str, key: u64, path: &Path) -> Result<Measurement, String> {
-    // Checksum frame first: a torn or bit-flipped entry must be caught
-    // before JSON parsing sees it. Unframed entries (pre-framing cache
-    // dirs) fall through to the parse, which is their only validation.
-    let framed = persist::split_frame(text)?;
-    let text = framed.payload.as_str();
-    let entry: CacheEntry = serde_json::from_str(text).map_err(|e| format!("unparseable ({e})"))?;
+/// Decodes an entry text ([`persist::decode`]: checksum over the bytes
+/// as read, then one parse) and applies the cache's own checks: the
+/// schema version, and the key it was resolved by.
+fn validate_entry(text: &str, key: u64) -> Result<CacheEntry, String> {
+    let entry = persist::decode::<CacheEntry>(text)?.payload;
     if entry.schema_version != CACHE_SCHEMA_VERSION {
         return Err(format!(
             "schema version {} (tool expects {})",
@@ -701,13 +650,11 @@ fn validate_entry(text: &str, key: u64, path: &Path) -> Result<Measurement, Stri
     let expect = format!("{key:016x}");
     if entry.key != expect {
         return Err(format!(
-            "stored under key {} but resolved by {} — stale file name at {}",
-            entry.key,
-            expect,
-            path.display()
+            "stored under key {} but resolved by {expect} — stale file name",
+            entry.key
         ));
     }
-    Ok(entry.measurement)
+    Ok(entry)
 }
 
 #[cfg(test)]
@@ -716,6 +663,12 @@ mod tests {
     use crate::specs::{Method, RunSpec};
     use gpu_sim::GpuConfig;
     use gpu_workloads::registry::Benchmark;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Cache entries rendered by this thread.
+        pub(super) static RENDERS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn meas() -> Measurement {
         Measurement {
@@ -774,25 +727,24 @@ mod tests {
             key: format!("{:016x}", 7u64),
             isa_fingerprint: "0".into(),
             workload: "fir".into(),
-            measurement: meas(),
+            measurement: Arc::new(meas()),
         };
         let text = serde_json::to_string(&good).unwrap();
-        assert!(validate_entry(&text, 7, Path::new("x")).is_ok());
+        assert!(validate_entry(&text, 7).is_ok());
         // wrong key
-        assert!(validate_entry(&text, 8, Path::new("x")).is_err());
+        assert!(validate_entry(&text, 8).is_err());
         // wrong schema version
         let mut stale = good.clone();
         stale.schema_version = CACHE_SCHEMA_VERSION + 1;
         let text = serde_json::to_string(&stale).unwrap();
-        assert!(validate_entry(&text, 7, Path::new("x")).is_err());
+        assert!(validate_entry(&text, 7).is_err());
         // garbage
-        assert!(validate_entry("{not json", 7, Path::new("x")).is_err());
+        assert!(validate_entry("{not json", 7).is_err());
     }
 
     #[test]
-    fn sharded_store_lru_eviction_respects_budget_and_recency() {
-        // One shard so eviction order is fully deterministic.
-        let store: ShardedStore<u64> = ShardedStore::new(1, 100);
+    fn store_lru_eviction_respects_budget_and_recency() {
+        let store: LruStore<u64> = LruStore::new(100);
         store.insert(1, 10, 40);
         store.insert(2, 20, 40);
         // Touch 1 so 2 becomes the LRU entry.
@@ -813,7 +765,7 @@ mod tests {
     #[test]
     fn single_flight_coalesces_concurrent_computes() {
         use std::sync::atomic::AtomicUsize;
-        let store: ShardedStore<u64> = ShardedStore::new(4, 1 << 20);
+        let store: LruStore<u64> = LruStore::new(1 << 20);
         let computes = AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
@@ -843,7 +795,7 @@ mod tests {
 
     #[test]
     fn failed_compute_is_not_cached_and_followers_see_none() {
-        let store: ShardedStore<u64> = ShardedStore::new(4, 1 << 20);
+        let store: LruStore<u64> = LruStore::new(1 << 20);
         let (v, origin) = store.get_or_compute(5, || (None, 0, false));
         assert_eq!(v, None);
         assert_eq!(origin, Origin::Miss);
@@ -914,6 +866,38 @@ mod tests {
         );
         // The newest live entry survives.
         assert!(dir.join(format!("{:016x}.json", 2u64)).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_disk_hit_is_promoted_without_rendering_and_charged_the_text_it_read() {
+        let dir =
+            std::env::temp_dir().join(format!("photon-refcache-norender-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        RefCache::persistent(dir.clone()).store(9, "fir", &meas());
+        assert_eq!(RENDERS.with(Cell::get), 1, "one render, for the disk");
+        let on_disk = std::fs::metadata(dir.join(format!("{:016x}.json", 9u64)))
+            .unwrap()
+            .len();
+
+        // A fresh instance has nothing in memory: the first lookup is a
+        // disk hit, the second a memory hit — and both return the same
+        // allocation.
+        let cache = RefCache::persistent(dir.clone());
+        let first = cache.lookup(9).expect("disk hit");
+        let second = cache.lookup(9).expect("memory hit");
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(*first, meas());
+        assert_eq!(RENDERS.with(Cell::get), 1, "a lookup must not render");
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.memory.hits), (1, 1));
+        assert_eq!(stats.memory.bytes, on_disk);
+
+        // With no entry text at hand the charge is structural.
+        let mem = RefCache::memory_only();
+        mem.store(9, "fir", &meas());
+        assert_eq!(mem.stats().memory.bytes, meas().footprint());
+        assert_eq!(RENDERS.with(Cell::get), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

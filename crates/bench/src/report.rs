@@ -6,10 +6,12 @@
 //! by the repo benchmark (`benchmark/README.md`).
 
 use crate::harness::{results_dir, Measurement, RunOutcome, Table};
+use crate::persist::{self, LoadError};
 use gpu_telemetry::{
     compare_reports, percentile_from_buckets, MethodRun, MetricsSnapshot, Regression, RunReport,
     SkippedRun,
 };
+use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
 /// Converts one measurement into a [`MethodRun`], computing speedup and
@@ -93,8 +95,7 @@ pub fn report_path(workload: &str) -> PathBuf {
 pub fn write_report(report: &RunReport) -> Result<PathBuf, String> {
     let path = report_path(&report.workload);
     let text = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
-    crate::persist::atomic_write_framed(&path, &text)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    persist::atomic_write_framed(&path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)
 }
 
@@ -106,15 +107,14 @@ pub fn write_report(report: &RunReport) -> Result<PathBuf, String> {
 /// # Errors
 /// Returns a rendered I/O, checksum, parse, or schema-version error.
 pub fn load_report(path: &Path) -> Result<RunReport, String> {
-    let framed = crate::persist::read_framed(path)?;
-    parse_report(path, &framed.payload)
+    let doc = persist::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_report(path, &doc.payload)
 }
 
-/// Parses a checksum-stripped payload as a [`RunReport`] of this
-/// tool's schema version; `path` only labels the error.
-fn parse_report(path: &Path, payload: &str) -> Result<RunReport, String> {
-    let report: RunReport =
-        serde_json::from_str(payload).map_err(|e| format!("{}: {e}", path.display()))?;
+/// Reads an intact JSON document as a [`RunReport`] of this tool's
+/// schema version; `path` only labels the error.
+fn parse_report(path: &Path, doc: &serde_json::Value) -> Result<RunReport, String> {
+    let report = RunReport::deserialize(doc).map_err(|e| format!("{}: {e}", path.display()))?;
     if report.schema_version != gpu_telemetry::REPORT_SCHEMA_VERSION {
         return Err(format!(
             "{}: schema version {} (tool expects {})",
@@ -127,11 +127,12 @@ fn parse_report(path: &Path, payload: &str) -> Result<RunReport, String> {
 }
 
 /// Every `BENCH_*.json` run report in `dir` (the results directory),
-/// sorted by workload. Only a file proven corrupt — its checksum footer
-/// does not match its content — is quarantined to `<name>.corrupt`. A
-/// file that is intact but is not a [`RunReport`] (`photon-loadgen`'s
-/// `BENCH_serve*.json` share the name pattern) is some other tool's
-/// artifact: it is skipped with a note and left where it lies.
+/// sorted by workload. Only a file proven corrupt — its bytes fail
+/// their checksum footer or are not a JSON document at all — is
+/// quarantined to `<name>.corrupt`. A document that is intact but is
+/// not a [`RunReport`] (`photon-loadgen`'s `BENCH_serve*.json` share
+/// the name pattern) is some other tool's artifact: it is skipped with
+/// a note and left where it lies.
 ///
 /// # Errors
 /// Returns an error only when the directory itself is unreadable.
@@ -144,22 +145,16 @@ pub fn load_all_reports(dir: &Path) -> Result<Vec<RunReport>, String> {
             continue;
         }
         let path = entry.path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("warning: skipping report: {}: {e}", path.display());
-                continue;
-            }
-        };
-        match crate::persist::split_frame(&text) {
-            Ok(framed) => match parse_report(&path, &framed.payload) {
+        match persist::load(&path) {
+            Ok(doc) => match parse_report(&path, &doc.payload) {
                 Ok(r) => out.push(r),
                 Err(e) => eprintln!("note: not a run report, skipped: {e}"),
             },
-            Err(e) => {
-                crate::persist::quarantine(&path);
+            Err(LoadError::Corrupt(e)) => {
+                persist::quarantine(&path);
                 eprintln!("warning: quarantined report: {}: {e}", path.display());
             }
+            Err(e) => eprintln!("warning: skipping report: {}: {e}", path.display()),
         }
     }
     out.sort_by(|a, b| a.workload.cmp(&b.workload));
@@ -420,18 +415,21 @@ mod tests {
             MetricsSnapshot::default(),
         );
         let text = serde_json::to_string(&report).unwrap();
-        crate::persist::atomic_write_framed(&dir.join("BENCH_fir.json"), &text).unwrap();
+        persist::atomic_write_framed(&dir.join("BENCH_fir.json"), &text).unwrap();
         // photon-loadgen's report shares the name pattern but not the
         // schema: intact, not ours, so it must survive the listing.
-        crate::persist::atomic_write_framed(
+        persist::atomic_write_framed(
             &dir.join("BENCH_serve.json"),
             r#"{"schema_version":1,"clients":4,"cold":{"p50_ms":9.5}}"#,
         )
         .unwrap();
         // A run report whose content no longer matches its footer is
         // proven corrupt: that one is quarantined.
-        let framed = crate::persist::frame(&text).replace("\"fir\"", "\"fit\"");
+        let framed = persist::frame(&text).replace("\"fir\"", "\"fit\"");
         std::fs::write(dir.join("BENCH_torn.json"), framed).unwrap();
+        // So is one cut short with no footer left to convict it: what
+        // remains is no JSON document, of this tool's or anyone's.
+        std::fs::write(dir.join("BENCH_cut.json"), &text[..text.len() / 2]).unwrap();
 
         let loaded = load_all_reports(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
@@ -439,6 +437,7 @@ mod tests {
         assert_eq!(
             names_in(&dir),
             [
+                "BENCH_cut.json.corrupt",
                 "BENCH_fir.json",
                 "BENCH_serve.json",
                 "BENCH_torn.json.corrupt"

@@ -14,8 +14,8 @@ use gpu_telemetry::Telemetry;
 use gpu_workloads::registry::Benchmark;
 use gpu_workloads::App;
 use photon::Levels;
-use photon_bench::harness::{try_run_app_method, FailureKind, Method, RunOutcome};
-use photon_bench::{journal_key, load_journal, run_specs, ExecOptions, RunSpec};
+use photon_bench::harness::{try_run_app_method, FailureKind, RunOutcome};
+use photon_bench::{journal_key, load_journal, run_specs, ExecOptions, Method, RunSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard};

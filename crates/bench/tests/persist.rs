@@ -2,7 +2,9 @@
 //! boundary — the on-disk state a crash mid-write can leave behind when
 //! the atomic-rename path is bypassed — must never panic a loader and
 //! must never yield partial data. A load either fails (and the caller
-//! recomputes) or returns exactly what was written.
+//! recomputes) or returns exactly what was written. Plus the line codec
+//! held to one real journal line byte by byte, and one of every stored
+//! artifact as the writers of commit efc1183 left it (`tests/fixtures/`).
 
 use photon_bench::journal::{load_journal, Journal};
 use photon_bench::{atomic_write_framed, load_report, read_framed};
@@ -97,8 +99,8 @@ fn run_report_truncated_at_every_boundary_loads_fully_or_not_at_all() {
 fn journal_truncated_at_every_boundary_yields_only_complete_entries() {
     use gpu_sim::GpuConfig;
     use gpu_workloads::registry::Benchmark;
-    use photon_bench::harness::{Method, RunOutcome};
-    use photon_bench::{journal_key, RunSpec};
+    use photon_bench::harness::RunOutcome;
+    use photon_bench::{journal_key, Method, RunSpec};
 
     let dir = temp_dir();
     let path = dir.join("journal.jsonl");
@@ -142,4 +144,148 @@ fn journal_truncated_at_every_boundary_yields_only_complete_entries() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// The fixture journal's second line: a skip whose label and reason
+/// carry escapes and multi-byte scalars.
+fn real_journal_line() -> String {
+    let text = std::fs::read_to_string(fixture("journal.jsonl")).unwrap();
+    text.lines().nth(1).expect("two lines").to_string()
+}
+
+#[test]
+fn line_codec_rejects_every_prefix_substitution_and_suffix_of_a_real_line() {
+    use photon_bench::persist::parse_framed_line;
+    use serde_json::Value;
+
+    let line = real_journal_line();
+    let entry: Value = parse_framed_line(&line).expect("the line as written verifies");
+    assert_eq!(
+        entry.get("key"),
+        Some(&Value::String("aaaabbbbccccdddd".into()))
+    );
+
+    // Every proper prefix (a torn append), cut on a scalar boundary.
+    for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+        assert!(
+            parse_framed_line::<Value>(&line[..cut]).is_none(),
+            "prefix of {cut} bytes verified"
+        );
+    }
+    // Every ASCII byte — frame, crc digits and entry alike — replaced
+    // by every other ASCII byte. (A line is text; bytes that are not
+    // UTF-8 never get past `persist::read_text`.)
+    let mut bytes = line.clone().into_bytes();
+    for i in 0..bytes.len() {
+        let original = bytes[i];
+        if !original.is_ascii() {
+            continue;
+        }
+        for sub in (0..128u8).filter(|&b| b != original) {
+            bytes[i] = sub;
+            let tampered = std::str::from_utf8(&bytes).expect("ASCII for ASCII");
+            assert!(
+                parse_framed_line::<Value>(tampered).is_none(),
+                "byte {i}: {:?} -> {:?} verified",
+                original as char,
+                sub as char
+            );
+        }
+        bytes[i] = original;
+    }
+    // The crc spelled in uppercase: the same number, not the same bytes.
+    let (head, rest) = line.split_at(r#"{"crc":""#.len());
+    let (crc, rest) = rest.split_at(16);
+    assert!(crc.bytes().any(|b| b.is_ascii_lowercase()), "{crc}");
+    let shouted = format!("{head}{}{rest}", crc.to_ascii_uppercase());
+    assert!(parse_framed_line::<Value>(&shouted).is_none());
+    // Trailing bytes after the closing brace, crc untouched.
+    for tail in ["}", " ", "x", ",{}", "\n{}"] {
+        assert!(
+            parse_framed_line::<Value>(&format!("{line}{tail}")).is_none(),
+            "trailing {tail:?} verified"
+        );
+    }
+}
+
+#[test]
+fn stored_fixtures_still_load_entry_for_entry() {
+    use photon_bench::harness::RunOutcome;
+    use photon_bench::{flightrec, RefCache};
+
+    // The run journal, entry for entry.
+    let journal = load_journal(&fixture("journal.jsonl"));
+    assert_eq!((journal.entries.len(), journal.corrupt_lines), (2, 0));
+    let full = &journal.entries[&0x1111_2222_3333_4444];
+    assert_eq!(full.label, "fir/Full");
+    let m = full.outcome.measurement().expect("completed");
+    assert_eq!((m.sim_cycles, m.wall_secs), (1234, 0.1 + 0.2));
+    assert_eq!(m.bb_errors[0].kernel, "fir \"tap\" loop\n— é");
+    assert_eq!(m.bb_errors[0].predicted_mean, 1e-7);
+    assert_eq!(full.metrics.counter("sim.insts"), Some(4242));
+    let skipped = &journal.entries[&0xaaaa_bbbb_cccc_dddd];
+    assert_eq!(skipped.label, "fir/PKA — \"quoted\"");
+    match &skipped.outcome {
+        RunOutcome::Skipped { reason, error, .. } => {
+            assert_eq!(reason, "simulation error: deadlock at \"wg 3\"\n\ttab — é");
+            assert_eq!(error.as_deref(), Some("Deadlock { cycle: 10 }"));
+        }
+        RunOutcome::Completed(_) => panic!("the skip loaded as a measurement"),
+    }
+
+    // The owners' loaders may quarantine what they reject: hand them
+    // copies, never the committed files.
+    let dir = temp_dir();
+
+    // The reference-cache entry, resolved by the key it was stored under.
+    let key = 0x0123_4567_89ab_cdef_u64;
+    std::fs::copy(
+        fixture("cache_entry.json"),
+        dir.join(format!("{key:016x}.json")),
+    )
+    .unwrap();
+    let cache = RefCache::persistent(dir.clone());
+    let cached = cache.lookup(key).expect("the stored entry is a hit");
+    assert_eq!(&*cached, m);
+    assert_eq!(cache.stats().quarantined, 0);
+
+    // The run report (framed, verified).
+    let report = load_report(&fixture("BENCH_fixture.json")).expect("report loads");
+    assert_eq!(report.workload, "fixture");
+    assert_eq!(report.runs.len(), 2);
+    assert_eq!(report.run("Photon").unwrap().sim_cycles, 1200);
+
+    // The flight record.
+    let dump = dir.join("flightrec.json");
+    std::fs::copy(fixture("flightrec.json"), &dump).unwrap();
+    let rec = flightrec::load(&dump).expect("flight record loads");
+    assert_eq!(
+        (rec.job.as_str(), rec.trigger.as_str()),
+        ("000000000000abcd", "span-failed")
+    );
+    assert_eq!(rec.spans.len(), 3);
+    assert_eq!(rec.tree.failed, vec![2]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn committed_baselines_still_load_framed_or_not() {
+    let baselines = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/baselines");
+    // The legacy baseline predates the framing and is committed bare:
+    // accepted on the strength of its parse. The detailed one is framed.
+    for (name, framed) in [
+        ("BENCH_smoke.json", false),
+        ("BENCH_smoke_detailed.json", true),
+    ] {
+        let path = baselines.join(name);
+        let report = load_report(&path).unwrap_or_else(|e| panic!("{e}"));
+        assert!(!report.runs.is_empty(), "{name}");
+        assert_eq!(read_framed(&path).unwrap().verified, framed, "{name}");
+    }
 }

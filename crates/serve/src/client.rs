@@ -86,8 +86,9 @@ impl Client {
     }
 
     /// Blocks until `job` finishes, discarding streamed progress
-    /// events; returns the final response (the fetched report on
-    /// success).
+    /// events; returns the final response — a status line (`ok`, `job`,
+    /// `state`, `origin`, `wall_secs`; the last two null for a cancelled
+    /// job). The report itself comes from [`Client::fetch`].
     ///
     /// # Errors
     /// Returns I/O errors.

@@ -12,7 +12,7 @@
 //! two-lane admission queue (interactive sampled methods dequeue before
 //! batch `Full` runs) over a pool of worker threads, deduplicates
 //! identical jobs at submit time, single-flights result computation
-//! through the sharded [`photon_bench::RefCache`] / result store, and
+//! through the [`photon_bench::RefCache`] / result store, and
 //! drains gracefully on SIGTERM/ctrl-c — in-flight jobs finish, queued
 //! jobs are journaled so a restarted server resumes them.
 //!

@@ -41,7 +41,7 @@
 //! [`Scheduler::begin_drain`] stops dequeueing; workers finish their
 //! in-flight jobs and exit. [`Scheduler::drain_pending_to`] writes every
 //! still-queued spec to a crc-framed pending-jobs journal (the same
-//! line format as the run journal, via [`photon_bench::frame_line`]);
+//! line format as the run journal, [`photon_bench::persist::frame_line`]);
 //! [`Scheduler::resume_pending_from`] re-enqueues them on the next
 //! start, so a SIGTERM'd server loses no accepted work.
 
@@ -51,10 +51,10 @@ use gpu_telemetry::{MetricsSnapshot, Telemetry};
 use photon_bench::flightrec::{self, Trigger};
 use photon_bench::harness::RunOutcome;
 use photon_bench::journal::journalable;
-use photon_bench::refcache::measurement_bytes;
+use photon_bench::persist::{frame_line, load_lines};
 use photon_bench::{
-    frame_line, journal_key, parse_framed_line, resolve_spec, ExecOptions, Method, RefCache,
-    Resolution, RunSpec, ShardedStore,
+    journal_key, resolve_spec, ExecOptions, LruStore, Measurement, Method, RefCache, Resolution,
+    RunSpec,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -271,7 +271,7 @@ pub struct Scheduler {
     done_cv: Condvar,
     /// Completed results by job id, LRU-bounded; what makes a warm
     /// resubmission of *any* method instant.
-    results: ShardedStore<Arc<JobResult>>,
+    results: LruStore<Arc<JobResult>>,
     /// The full-detailed reference cache (shared semantics with the
     /// batch executor, including disk persistence when enabled).
     cache: RefCache,
@@ -294,7 +294,7 @@ impl Scheduler {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            results: ShardedStore::new(16, opts.result_budget),
+            results: LruStore::new(opts.result_budget),
             cache: opts.exec.ref_cache(),
             telemetry: Telemetry::default(),
             opts,
@@ -727,7 +727,7 @@ impl Scheduler {
             let res = resolve_spec(spec, &self.opts.exec, &self.cache, Some(progress));
             let jr = self.record(res, &workload, ctx, started);
             let cacheable = journalable(&jr.outcome);
-            let bytes = jr.outcome.measurement().map_or(256, measurement_bytes);
+            let bytes = jr.outcome.measurement().map_or(256, Measurement::footprint);
             (Some(Arc::new(jr)), bytes, cacheable)
         });
         if !probed_miss {
@@ -815,25 +815,16 @@ impl Scheduler {
     /// removes the journal. Torn or corrupt lines are skipped (counted
     /// in the return). Call before accepting connections.
     pub fn resume_pending_from(&self, path: &Path) -> (usize, usize) {
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok((entries, mut corrupt)) = load_lines::<PendingEntry>(path) else {
             return (0, 0);
         };
         let mut resumed = 0;
-        let mut corrupt = 0;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let entry = parse_framed_line(line)
-                .and_then(|v: Value| PendingEntry::deserialize(&v).ok())
-                .filter(|e| e.schema_version == PROTOCOL_VERSION);
-            match entry {
-                Some(e) => {
-                    self.submit(e.spec, &e.tenant);
-                    resumed += 1;
-                }
-                None => corrupt += 1,
+        for e in entries {
+            if e.schema_version == PROTOCOL_VERSION {
+                self.submit(e.spec, &e.tenant);
+                resumed += 1;
+            } else {
+                corrupt += 1;
             }
         }
         let _ = std::fs::remove_file(path);
@@ -841,18 +832,6 @@ impl Scheduler {
             .counter("serve.resumed_jobs")
             .add(resumed as u64);
         (resumed, corrupt)
-    }
-
-    /// The ids currently queued (interactive lane first) — drain
-    /// reporting and tests.
-    pub fn queued_ids(&self) -> Vec<u64> {
-        let state = self.lock_state();
-        state
-            .interactive
-            .iter()
-            .chain(state.batch.iter())
-            .copied()
-            .collect()
     }
 
     /// The correlated span trail of one job, as `(spans, tree)`, or
@@ -917,29 +896,37 @@ impl Scheduler {
     /// the result/reference store counters.
     pub fn stats(&self) -> Value {
         self.refresh_gauges();
-        let jobs: Vec<Value> = {
+        // Copy the live jobs out under the state lock; their span
+        // trees are built after it is released, so a `photon-top` poll
+        // never holds up submit, wait, fetch or the workers.
+        let live: Vec<(u64, String, String, Phase, u64)> = {
             let state = self.lock_state();
             state
                 .jobs
                 .iter()
                 .filter(|(_, j)| !j.phase.terminal())
                 .map(|(id, j)| {
-                    let recs = span::job_records(*id);
-                    let tree = span::build_tree(*id, &recs);
-                    serde_json::json!({
-                        "job": job_id(*id),
-                        "label": j.spec.label(),
-                        "tenant": j.tenant,
-                        "state": j.phase.name(),
-                        "phase": tree
-                            .current_phase()
-                            .map(|s| s.kind.name())
-                            .unwrap_or_else(|| j.phase.name()),
-                        "age_ms": j.queued_at.elapsed().as_millis() as u64,
-                    })
+                    let age_ms = j.queued_at.elapsed().as_millis() as u64;
+                    (*id, j.spec.label(), j.tenant.clone(), j.phase, age_ms)
                 })
                 .collect()
         };
+        let jobs: Vec<Value> = live
+            .into_iter()
+            .map(|(id, label, tenant, phase, age_ms)| {
+                let tree = span::build_tree(id, &span::job_records(id));
+                serde_json::json!({
+                    "job": job_id(id),
+                    "label": label,
+                    "tenant": tenant,
+                    "state": phase.name(),
+                    "phase": tree
+                        .current_phase()
+                        .map_or(phase.name(), |s| s.kind.name()),
+                    "age_ms": age_ms,
+                })
+            })
+            .collect();
         let cache_stats = self.cache.stats();
         // Mirror the disk-eviction count into the registry (counters
         // are monotonic: add the delta since the last stats call).

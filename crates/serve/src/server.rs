@@ -350,14 +350,17 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
                             break;
                         }
                         Some(phase) if phase.terminal() => {
-                            let v = match scheduler.fetch(job) {
-                                Some(r) => outcome_response(job, &r),
-                                None => serde_json::json!({
-                                    "ok": true,
-                                    "job": job_id(job),
-                                    "state": phase.name(),
-                                }),
-                            };
+                            // A status, not the body: `fetch` ships the
+                            // report, once, to whoever asks for it. A
+                            // cancelled job has no result: nulls.
+                            let done = scheduler.fetch(job);
+                            let v = serde_json::json!({
+                                "ok": true,
+                                "job": job_id(job),
+                                "state": phase.name(),
+                                "origin": done.as_ref().map(|r| r.origin),
+                                "wall_secs": done.as_ref().map(|r| r.wall_secs),
+                            });
                             response = Some(v);
                             break;
                         }

@@ -3,7 +3,8 @@
 //! single-flight coalescing, cancellation, admission control, lane
 //! priority, and drain/resume.
 
-use photon_bench::{frame_line, journal_key, parse_framed_line, ExecOptions, Method, RunSpec};
+use photon_bench::persist::{frame_line, load_lines};
+use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
 use photon_serve::server::ShutdownHandle;
 use photon_serve::{job_id, ServeOptions, Server};
@@ -157,6 +158,66 @@ fn submit_wait_fetch_round_trip() {
     assert_eq!(srv.counter("serve.submitted"), submitted);
 
     assert!(srv.counter("serve.completed") >= 1);
+    srv.stop();
+}
+
+#[test]
+fn wait_answers_with_a_status_and_fetch_with_the_body() {
+    use gpu_workloads::registry::RealWorldApp;
+    use photon_bench::Measurement;
+    use serde::Deserialize;
+    use std::io::{BufRead, BufReader, Write};
+
+    let srv = TestServer::start(1, 16, None);
+    // Twenty kernels under Full: accounting, a stall timeline and
+    // per-block rows make the report tens of kilobytes.
+    let spec = RunSpec::real_world(
+        GpuConfig::tiny(),
+        RealWorldApp::PageRank(256),
+        Default::default(),
+        Method::Full,
+    );
+    let mut c = srv.client();
+    let job = response_job(&c.submit(&spec, "t0").expect("submit")).expect("job id");
+
+    // The final `wait` line, as it crosses the wire.
+    let mut stream = std::net::TcpStream::connect(&srv.addr).expect("connect");
+    stream
+        .write_all(format!("{{\"op\":\"wait\",\"job\":\"{job}\"}}\n").as_bytes())
+        .expect("wait request");
+    let mut reader = BufReader::new(stream);
+    let fin = loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("wait line") > 0);
+        if !line.contains("\"event\":\"progress\"") {
+            break line;
+        }
+    };
+    assert!(fin.len() < 512, "wait shipped {} bytes: {fin}", fin.len());
+    let keys = |v: &Value| -> Vec<String> {
+        match v {
+            Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    };
+    let status: Value = serde_json::from_str(fin.trim()).expect("json");
+    assert_eq!(keys(&status), ["ok", "job", "state", "origin", "wall_secs"]);
+    assert_eq!(status.get("state"), Some(&Value::String("done".into())));
+    assert_eq!(
+        status.get("origin"),
+        Some(&Value::String("executed".into()))
+    );
+
+    // The body comes from `fetch`, laid out as it always was.
+    let fetched = c.fetch(&job).expect("fetch");
+    assert_eq!(
+        keys(&fetched),
+        ["ok", "job", "origin", "wall_secs", "report", "metrics"]
+    );
+    let m = fetched.get("report").and_then(|r| r.get("measurement"));
+    let m = Measurement::deserialize(m.expect("a measurement")).expect("deserializes");
+    assert_eq!(m.kernel_cycles.len(), 20);
+    assert!(serde_json::to_string(&fetched).unwrap().len() > 10 * fin.len());
     srv.stop();
 }
 
@@ -391,8 +452,9 @@ fn drain_journals_queued_jobs_and_restart_resumes_them() {
     // the good line beside it.
     let text = std::fs::read_to_string(&pending).expect("pending journal");
     let good = text.lines().next().expect("a drained line");
-    let entry = parse_framed_line(good).expect("crc-valid line");
-    let bad = with_unknown_engine_mode(&serde_json::to_string(&entry).expect("serialize"));
+    let (entries, corrupt) = load_lines::<Value>(&pending).expect("pending journal");
+    assert_eq!((entries.len(), corrupt), (2, 0));
+    let bad = with_unknown_engine_mode(&serde_json::to_string(&entries[0]).expect("serialize"));
     let mixed = dir.join("mixed.jsonl");
     std::fs::write(&mixed, format!("{good}\n{}", frame_line(&bad))).expect("write mixed");
     let sched = photon_serve::Scheduler::new(ServeOptions {
@@ -416,5 +478,33 @@ fn drain_journals_queued_jobs_and_restart_resumes_them() {
     }
     drop(c);
     srv.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pending_journal_fixture_resumes() {
+    // `tests/fixtures/pending.jsonl`: two queued jobs drained by the
+    // scheduler of commit efc1183 (crates/bench/tests/fixtures/README.md).
+    // Resume consumes the journal, so hand it a copy.
+    let dir = std::env::temp_dir().join(format!("photon_serve_fixture_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let pending = dir.join("pending.jsonl");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pending.jsonl");
+    std::fs::copy(fixture, &pending).expect("copy fixture");
+
+    let sched = photon_serve::Scheduler::new(ServeOptions {
+        exec: ExecOptions {
+            cache: false,
+            ..ExecOptions::default()
+        },
+        ..ServeOptions::default()
+    });
+    assert_eq!(sched.resume_pending_from(&pending), (2, 0));
+    for method in [Method::Full, Method::Pka] {
+        let view = sched
+            .status(journal_key(&fir(64, method)))
+            .expect("resumed");
+        assert_eq!(view.phase.name(), "queued");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

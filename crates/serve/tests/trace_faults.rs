@@ -68,12 +68,13 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
     // panic rate).
     let fin = c.wait(&job).expect("wait");
     assert!(response_ok(&fin), "wait failed: {fin:?}");
+    let fetched = c.fetch(&job).expect("fetch");
     assert!(
         matches!(
-            fin.get("report").and_then(|r| r.get("completed")),
+            fetched.get("report").and_then(|r| r.get("completed")),
             Some(Value::Bool(false))
         ),
-        "job must fail under exec.panic: {fin:?}"
+        "job must fail under exec.panic: {fetched:?}"
     );
 
     // `trace` returns the span tree; the failing sim span names the

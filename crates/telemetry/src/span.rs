@@ -5,36 +5,38 @@
 //! id plus a monotonically increasing span id — minted at submission and
 //! threaded through the scheduler, the executor, and the engine's epoch
 //! loop. Code along the path opens typed spans ([`SpanKind`]) against
-//! the context; closed spans are published into a bounded per-thread
-//! ring. Unlike the deep kernel tracer in [`crate::trace`] (per
+//! the context. Unlike the deep kernel tracer in [`crate::trace`] (per
 //! simulated event, recording only once a ring is attached), this layer
 //! is **always recording**: spans are coarse (one per phase, not per
 //! simulated event) so the cost is a few dozen records per job.
 //!
-//! Publish discipline: each thread owns its ring and is its only
-//! writer, so publishing never contends with another publisher — the
-//! per-ring mutex is uncontended except against an occasional snapshot
-//! reader. When a thread exits, its ring is flushed into a bounded
-//! global archive so a job's spans survive the (short-lived) run thread
-//! that emitted them. **Open** spans live in a separate side list, not
-//! the ring, so ring overflow can never drop a still-open root span —
-//! an in-flight job is always visible to `photon-top` no matter how
-//! many closed spans have wrapped past it.
-//!
-//! The ring holds [`ring_capacity`] records per thread (override:
-//! [`set_ring_capacity`]); the archive holds 8× that. Snapshot readers
-//! ([`job_records`]) merge rings + archive + open list, dedup by span
-//! id, and sort by id, so reconstruction is independent of publication
-//! order.
+//! There is one collector behind one mutex: the list of **open** spans
+//! and the **closed** ones, kept per job — every read is of one job's
+//! trail — as a bounded ring each: the newest 512 of a job, 4 096 over
+//! all jobs, the job published to least recently going first, whole.
+//! Opening a span is one lock, closing it another — the record moves
+//! from the list to its job's ring under that lock, so a span is always
+//! in exactly one of the two and a reader never has to reconcile them.
+//! Because open spans are in no ring, overflow can never drop a
+//! still-open root span — an in-flight job is always visible to
+//! `photon-top` no matter how many closed spans have wrapped past it;
+//! because a ring belongs to a job and not to a thread, a job's spans
+//! outlive the (short-lived) run thread that emitted them; and because
+//! a job wraps only its own ring, a flood of spans on one job leaves
+//! every other job's trail as it was. Snapshot readers
+//! ([`job_records`]) clone that one job's records, sorted by id.
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Default closed-span ring capacity per thread.
-const DEFAULT_RING_CAPACITY: usize = 512;
+/// How many closed spans the collector keeps per job (the newest win) …
+const JOB_CAPACITY: usize = 512;
+/// … and over all jobs.
+const CLOSED_CAPACITY: usize = 8 * JOB_CAPACITY;
 
 /// Recovers a poisoned lock: span state is plain data, always valid.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -130,26 +132,97 @@ pub struct TraceCtx {
 }
 
 // ---------------------------------------------------------------------
-// Global collector state. Everything is const-constructible (same
-// discipline as `faults`): no lazy allocation on the hot path beyond
-// the per-thread ring itself.
+// The collector. Const-constructible (same discipline as `faults`): no
+// lazy allocation on the hot path beyond the records and their rings.
 // ---------------------------------------------------------------------
 
 /// Process-monotonic span id allocator (0 is reserved for "no parent").
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
+struct Collector {
+    /// Spans opened but not yet closed. In no ring, so overflow can
+    /// never drop an open span.
+    open: Vec<SpanRecord>,
+    /// Closed spans by job: when the job was last published to, and
+    /// its newest `JOB_CAPACITY` records, oldest first.
+    closed: BTreeMap<u64, (u64, VecDeque<SpanRecord>)>,
+    /// Records published so far: the recency clock.
+    published: u64,
+    /// Records held in `closed` now, at most `CLOSED_CAPACITY`.
+    held: usize,
+}
 
-/// All live per-thread rings plus the archive are reachable from here.
-static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+impl Collector {
+    const fn new() -> Collector {
+        Collector {
+            open: Vec::new(),
+            closed: BTreeMap::new(),
+            published: 0,
+            held: 0,
+        }
+    }
 
-/// Closed spans flushed from exited threads (bounded, 8× ring size).
-static ARCHIVE: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
-static ARCHIVE_HEAD: AtomicUsize = AtomicUsize::new(0);
+    /// Appends a closed span to its job's ring, wrapping that ring at
+    /// `JOB_CAPACITY`; over `CLOSED_CAPACITY` in all, the job published
+    /// to least recently goes, whole — a trail is its job's newest
+    /// spans or nothing, never what a stranger's flood left of it.
+    fn publish(&mut self, rec: SpanRecord) {
+        let job = rec.job;
+        self.published += 1;
+        let (stamp, ring) = self.closed.entry(job).or_default();
+        *stamp = self.published;
+        if ring.len() == JOB_CAPACITY {
+            ring.pop_front();
+        } else {
+            self.held += 1;
+        }
+        ring.push_back(rec);
+        while self.held > CLOSED_CAPACITY {
+            // A job holds at most JOB_CAPACITY < CLOSED_CAPACITY, so
+            // some other job is there to go.
+            let stalest = self.closed.iter().filter(|(j, _)| **j != job);
+            let Some(victim) = stalest.min_by_key(|(_, (at, _))| *at).map(|(j, _)| *j) else {
+                break;
+            };
+            self.held -= self
+                .closed
+                .remove(&victim)
+                .map_or(0, |(_, ring)| ring.len());
+        }
+    }
 
-/// Spans opened but not yet closed. Separate from the rings so overflow
-/// can never drop an open span.
-static OPEN: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+    /// Moves span `id` from the open list into its job's ring, stamped
+    /// with its duration and outcome; a span that is not open is left
+    /// alone.
+    fn close(&mut self, id: u64, now: u64, ok: bool, detail: &str) {
+        let Some(i) = self.open.iter().position(|r| r.id == id) else {
+            return;
+        };
+        let mut rec = self.open.swap_remove(i);
+        rec.dur_us = now.saturating_sub(rec.start_us);
+        rec.open = false;
+        rec.ok = ok;
+        if !detail.is_empty() {
+            rec.detail = detail.to_string();
+        }
+        self.publish(rec);
+    }
+
+    /// `job`'s closed spans still held plus its open ones (`dur_us` =
+    /// elapsed so far), cloning only that job's records.
+    fn job_records(&self, job: u64, now: u64) -> Vec<SpanRecord> {
+        let closed = self.closed.get(&job).into_iter();
+        let closed = closed.flat_map(|(_, ring)| ring.iter().cloned());
+        let open = self.open.iter().filter(|r| r.job == job).map(|r| {
+            let mut r = r.clone();
+            r.dur_us = now.saturating_sub(r.start_us);
+            r
+        });
+        closed.chain(open).collect()
+    }
+}
+
+static COLLECTOR: Mutex<Collector> = Mutex::new(Collector::new());
 
 fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
@@ -161,108 +234,10 @@ pub fn now_us() -> u64 {
     process_start().elapsed().as_micros() as u64
 }
 
-/// Closed-span ring capacity per thread (512 unless overridden by
-/// [`set_ring_capacity`]).
-pub fn ring_capacity() -> usize {
-    RING_CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Overrides the ring capacity for rings created after the call (test
-/// hook; existing rings keep their size).
-pub fn set_ring_capacity(n: usize) {
-    RING_CAPACITY.store(n.max(1), Ordering::Relaxed);
-}
-
-/// A bounded ring of closed spans owned by one publishing thread.
-#[derive(Debug)]
-struct ThreadRing {
-    slots: Mutex<RingSlots>,
-}
-
-#[derive(Debug)]
-struct RingSlots {
-    buf: Vec<SpanRecord>,
-    head: usize,
-    cap: usize,
-}
-
-impl ThreadRing {
-    fn with_capacity(cap: usize) -> ThreadRing {
-        ThreadRing {
-            slots: Mutex::new(RingSlots {
-                buf: Vec::new(),
-                head: 0,
-                cap: cap.max(1),
-            }),
-        }
-    }
-
-    fn push(&self, rec: SpanRecord) {
-        let mut s = lock(&self.slots);
-        if s.buf.len() < s.cap {
-            s.buf.push(rec);
-        } else {
-            let head = s.head;
-            s.buf[head] = rec;
-            s.head = (head + 1) % s.cap;
-        }
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<SpanRecord>) {
-        out.extend(lock(&self.slots).buf.iter().cloned());
-    }
-
-    fn drain(&self) -> Vec<SpanRecord> {
-        let mut s = lock(&self.slots);
-        s.head = 0;
-        std::mem::take(&mut s.buf)
-    }
-}
-
-/// Thread-local publisher handle; flushes to the archive on thread
-/// exit so short-lived run threads don't take their evidence with them.
-struct LocalRing(Arc<ThreadRing>);
-
-impl Drop for LocalRing {
-    fn drop(&mut self) {
-        let records = self.0.drain();
-        lock(&RINGS).retain(|r| !Arc::ptr_eq(r, &self.0));
-        if records.is_empty() {
-            return;
-        }
-        let cap = ring_capacity().saturating_mul(8).max(1);
-        let mut archive = lock(&ARCHIVE);
-        for rec in records {
-            if archive.len() < cap {
-                archive.push(rec);
-            } else {
-                let head = ARCHIVE_HEAD.load(Ordering::Relaxed) % cap;
-                archive[head] = rec;
-                ARCHIVE_HEAD.store(head + 1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 thread_local! {
-    static LOCAL_RING: LocalRing = {
-        let ring = Arc::new(ThreadRing::with_capacity(ring_capacity()));
-        lock(&RINGS).push(Arc::clone(&ring));
-        ring.ref_into_local()
-    };
     /// The context deep layers (engine, persist) emit against without
     /// explicit API threading.
     static CURRENT: Cell<Option<TraceCtx>> = const { Cell::new(None) };
-}
-
-impl ThreadRing {
-    fn ref_into_local(self: Arc<Self>) -> LocalRing {
-        LocalRing(self)
-    }
-}
-
-fn publish_closed(rec: SpanRecord) {
-    LOCAL_RING.with(|r| r.0.push(rec));
 }
 
 fn next_id() -> u64 {
@@ -279,79 +254,58 @@ pub fn start_job(job: u64, label: &str) -> TraceCtx {
     open(TraceCtx { job, span: 0 }, SpanKind::Job, label)
 }
 
-/// Opens a child span under `ctx` and returns the child's context.
-pub fn open(ctx: TraceCtx, kind: SpanKind, label: &str) -> TraceCtx {
-    let id = next_id();
-    lock(&OPEN).push(SpanRecord {
-        job: ctx.job,
-        id,
-        parent: ctx.span,
-        kind,
-        label: label.to_string(),
-        start_us: now_us(),
-        dur_us: 0,
-        open: true,
-        ok: true,
-        detail: String::new(),
-    });
-    TraceCtx {
-        job: ctx.job,
-        span: id,
-    }
-}
-
-/// Closes span `id`: stamps the duration and outcome and publishes it
-/// into the closing thread's ring. Double closes are no-ops.
-pub fn close(id: u64, ok: bool, detail: &str) {
-    let rec = {
-        let mut open_spans = lock(&OPEN);
-        match open_spans.iter().position(|r| r.id == id) {
-            Some(i) => open_spans.swap_remove(i),
-            None => return,
-        }
-    };
-    let mut rec = rec;
-    rec.dur_us = now_us().saturating_sub(rec.start_us);
-    rec.open = false;
-    rec.ok = ok;
-    if !detail.is_empty() {
-        rec.detail = detail.to_string();
-    }
-    publish_closed(rec);
-}
-
-/// Publishes an already-finished (instantaneous) span — e.g. a
-/// coalesced duplicate submission — without the open/close round trip.
-pub fn emit(ctx: TraceCtx, kind: SpanKind, label: &str, ok: bool, detail: &str) {
-    publish_closed(SpanRecord {
-        job: ctx.job,
-        id: next_id(),
-        parent: ctx.span,
-        kind,
-        label: label.to_string(),
-        start_us: now_us(),
-        dur_us: 0,
-        open: false,
-        ok,
-        detail: detail.to_string(),
-    });
-}
-
-/// Publishes a pre-timed closed span (aggregate engine sections measure
-/// themselves and report once per kernel).
-pub fn emit_timed(ctx: TraceCtx, kind: SpanKind, label: &str, start_us: u64, dur_us: u64) {
-    publish_closed(SpanRecord {
+/// A fresh closed, successful, zero-length span under `ctx`: what
+/// [`open`], [`emit`] and [`emit_timed`] each amend before handing it
+/// to the collector.
+fn record(ctx: TraceCtx, kind: SpanKind, label: &str, start_us: u64) -> SpanRecord {
+    SpanRecord {
         job: ctx.job,
         id: next_id(),
         parent: ctx.span,
         kind,
         label: label.to_string(),
         start_us,
-        dur_us,
+        dur_us: 0,
         open: false,
         ok: true,
         detail: String::new(),
-    });
+    }
+}
+
+/// Opens a child span under `ctx` and returns the child's context.
+pub fn open(ctx: TraceCtx, kind: SpanKind, label: &str) -> TraceCtx {
+    let mut rec = record(ctx, kind, label, now_us());
+    rec.open = true;
+    let child = TraceCtx {
+        job: rec.job,
+        span: rec.id,
+    };
+    lock(&COLLECTOR).open.push(rec);
+    child
+}
+
+/// Closes span `id`: stamps the duration and outcome and moves it from
+/// the open list into its job's ring. Double closes are no-ops.
+pub fn close(id: u64, ok: bool, detail: &str) {
+    let now = now_us();
+    lock(&COLLECTOR).close(id, now, ok, detail);
+}
+
+/// Publishes an already-finished (instantaneous) span — e.g. a
+/// coalesced duplicate submission — without the open/close round trip.
+pub fn emit(ctx: TraceCtx, kind: SpanKind, label: &str, ok: bool, detail: &str) {
+    let mut rec = record(ctx, kind, label, now_us());
+    rec.ok = ok;
+    rec.detail = detail.to_string();
+    lock(&COLLECTOR).publish(rec);
+}
+
+/// Publishes a pre-timed closed span (aggregate engine sections measure
+/// themselves and report once per kernel).
+pub fn emit_timed(ctx: TraceCtx, kind: SpanKind, label: &str, start_us: u64, dur_us: u64) {
+    let mut rec = record(ctx, kind, label, start_us);
+    rec.dur_us = dur_us;
+    lock(&COLLECTOR).publish(rec);
 }
 
 /// RAII close: drops close the span with `ok = !panicking()`, so a
@@ -426,53 +380,14 @@ pub fn current() -> Option<TraceCtx> {
 // Snapshots and tree reconstruction.
 // ---------------------------------------------------------------------
 
-/// Every recorded span for `job`: closed spans from all thread rings
-/// and the archive, plus open spans (flagged `open`, `dur_us` =
-/// elapsed-so-far). Deduped by id (closed wins) and sorted by id.
+/// Every recorded span for `job`, sorted by id: its closed spans still
+/// held plus its open spans (flagged `open`, `dur_us` = elapsed-so-far).
+/// Only that job's records are cloned.
 pub fn job_records(job: u64) -> Vec<SpanRecord> {
-    let mut out = all_closed();
-    out.retain(|r| r.job == job);
     let now = now_us();
-    {
-        let open_spans = lock(&OPEN);
-        for r in open_spans.iter().filter(|r| r.job == job) {
-            let mut r = r.clone();
-            r.dur_us = now.saturating_sub(r.start_us);
-            out.push(r);
-        }
-    }
-    dedup_by_id(&mut out);
+    let mut out = lock(&COLLECTOR).job_records(job, now);
+    out.sort_by_key(|r| r.id);
     out
-}
-
-/// Snapshot of every currently open span (photon-top's in-flight view).
-pub fn open_records() -> Vec<SpanRecord> {
-    let now = now_us();
-    lock(&OPEN)
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.dur_us = now.saturating_sub(r.start_us);
-            r
-        })
-        .collect()
-}
-
-fn all_closed() -> Vec<SpanRecord> {
-    let mut out = Vec::new();
-    let rings: Vec<Arc<ThreadRing>> = lock(&RINGS).clone();
-    for ring in rings {
-        ring.snapshot_into(&mut out);
-    }
-    out.extend(lock(&ARCHIVE).iter().cloned());
-    out
-}
-
-/// Sorts by id; on duplicates (a span caught mid-hand-off between the
-/// open list and a ring) the closed record wins.
-fn dedup_by_id(records: &mut Vec<SpanRecord>) {
-    records.sort_by_key(|r| (r.id, r.open));
-    records.dedup_by_key(|r| r.id);
 }
 
 /// Per-kind duration rollup over one job's spans.
@@ -510,11 +425,11 @@ pub struct SpanTree {
 }
 
 /// Builds the span tree for `job` from any record ordering: records are
-/// id-sorted and deduped first, so reconstruction is independent of the
-/// order spans were published or snapshotted in.
+/// id-sorted first, so reconstruction is independent of the order spans
+/// were published or snapshotted in.
 pub fn build_tree(job: u64, records: &[SpanRecord]) -> SpanTree {
     let mut records: Vec<SpanRecord> = records.iter().filter(|r| r.job == job).cloned().collect();
-    dedup_by_id(&mut records);
+    records.sort_by_key(|r| r.id);
 
     let mut phases: Vec<PhaseDuration> = Vec::new();
     for kind in SpanKind::ALL {
@@ -533,9 +448,6 @@ pub fn build_tree(job: u64, records: &[SpanRecord]) -> SpanTree {
     }
     let failed: Vec<u64> = records.iter().filter(|r| !r.ok).map(|r| r.id).collect();
 
-    // Ids present in this set: children of absent parents (wrapped out
-    // of the ring) surface as roots rather than vanishing.
-    let present: std::collections::HashSet<u64> = records.iter().map(|r| r.id).collect();
     let mut nodes: std::collections::HashMap<u64, SpanNode> = records
         .iter()
         .map(|r| {
@@ -549,23 +461,17 @@ pub fn build_tree(job: u64, records: &[SpanRecord]) -> SpanTree {
         })
         .collect();
     // Attach children to parents from the highest id down: a node's
-    // children are complete before it is itself attached.
-    let mut ids: Vec<u64> = records.iter().map(|r| r.id).collect();
-    ids.sort_unstable_by(|a, b| b.cmp(a));
+    // children are complete before it is itself attached. A child whose
+    // parent is absent (wrapped out of its ring) surfaces as a root
+    // rather than vanishing.
     let mut roots: Vec<SpanNode> = Vec::new();
-    for id in ids {
-        let Some(node) = nodes.remove(&id) else {
+    for r in records.iter().rev() {
+        let Some(node) = nodes.remove(&r.id) else {
             continue;
         };
-        let parent = node.span.parent;
-        if parent != 0 && present.contains(&parent) {
-            if let Some(p) = nodes.get_mut(&parent) {
-                p.children.push(node);
-            } else {
-                roots.push(node);
-            }
-        } else {
-            roots.push(node);
+        match nodes.get_mut(&r.parent) {
+            Some(parent) => parent.children.push(node),
+            None => roots.push(node),
         }
     }
     roots.sort_by_key(|n| n.span.id);
@@ -646,41 +552,89 @@ mod tests {
         NEXT.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// A closed (or, with `open`, still open) span `id` of `job`.
+    fn rec(job: u64, id: u64, kind: SpanKind, open: bool) -> SpanRecord {
+        SpanRecord {
+            job,
+            id,
+            parent: 0,
+            kind,
+            label: format!("s{id}"),
+            start_us: id,
+            dur_us: 0,
+            open,
+            ok: true,
+            detail: String::new(),
+        }
+    }
+
     #[test]
     fn ring_overflow_wraps_without_dropping_the_open_root_span() {
-        set_ring_capacity(8);
-        let job = job_ids();
-        let done = std::thread::spawn(move || {
-            let root = start_job(job, "overflow");
-            // Far past capacity: the ring wraps many times over.
-            for i in 0..100 {
-                emit(root, SpanKind::CacheProbe, &format!("probe-{i}"), true, "");
-            }
-            // Snapshot while the root is still open, from the
-            // publishing thread (its ring is live).
-            let records = job_records(job);
-            close(root.span, true, "");
-            records
-        })
-        .join()
-        .expect("publisher thread");
-        let root = done
+        // A collector of its own, so the wrap evicts no other test's
+        // spans from the process-wide one.
+        let mut collector = Collector::new();
+        // A bystander's short trail, as `mm_det2`'s run thread leaves
+        // its epoch-barrier / mem-service pair before the benchmark's
+        // telemetry probe closes 100 000 spans on a job of its own.
+        collector.publish(rec(3, 1, SpanKind::EpochBarrier, false));
+        collector.publish(rec(3, 2, SpanKind::MemService, false));
+        collector.open.push(rec(7, 3, SpanKind::Job, true));
+        // Far past every capacity: job 7's ring wraps many times over.
+        let last = 4 + 3 * CLOSED_CAPACITY as u64;
+        for id in 4..=last {
+            collector.publish(rec(7, id, SpanKind::CacheProbe, false));
+        }
+        let records = collector.job_records(7, last);
+        let root = records
             .iter()
             .find(|r| r.kind == SpanKind::Job)
             .expect("open root span must survive any amount of ring wrap");
         assert!(root.open);
-        // The ring kept the newest closed spans, dropping the oldest.
-        let probes: Vec<&SpanRecord> = done
+        // The ring kept the job's newest closed spans, dropping its oldest …
+        assert_eq!(records.len(), 1 + JOB_CAPACITY, "ring must stay bounded");
+        assert!(records.iter().any(|r| r.id == last));
+        assert!(!records.iter().any(|r| r.id == 4));
+        // … and nobody else's.
+        let bystander: Vec<u64> = collector
+            .job_records(3, last)
             .iter()
-            .filter(|r| r.kind == SpanKind::CacheProbe)
+            .map(|r| r.id)
             .collect();
-        assert!(
-            probes.len() <= 8,
-            "ring must stay bounded: {}",
-            probes.len()
-        );
-        assert!(probes.iter().any(|r| r.label == "probe-99"));
-        assert!(!probes.iter().any(|r| r.label == "probe-0"));
+        assert_eq!(bystander, [1, 2]);
+        // Closing the root moves it into the ring: still exactly once.
+        collector.close(3, last, true, "");
+        let records = collector.job_records(7, last);
+        assert_eq!(records.iter().filter(|r| r.id == 3).count(), 1);
+        assert!(records.iter().all(|r| !r.open));
+    }
+
+    #[test]
+    fn over_the_whole_bound_the_job_published_to_least_recently_goes_whole() {
+        let mut collector = Collector::new();
+        // Jobs 100.. publish four spans each, in turn, until the
+        // collector is exactly full.
+        let jobs = 100..100 + CLOSED_CAPACITY as u64 / 4;
+        let mut id = 0;
+        let mut publish = |collector: &mut Collector, job: u64| {
+            id += 1;
+            collector.publish(rec(job, id, SpanKind::Sim, false));
+        };
+        for job in jobs.clone() {
+            for _ in 0..4 {
+                publish(&mut collector, job);
+            }
+        }
+        assert_eq!(collector.held, CLOSED_CAPACITY);
+        // One span more, on the job that published first: it is now the
+        // freshest, so 101 goes — all four of its spans, and nothing of
+        // anyone else.
+        publish(&mut collector, 100);
+        assert!(collector.job_records(101, 0).is_empty());
+        assert_eq!(collector.held, CLOSED_CAPACITY + 1 - 4);
+        for job in jobs.filter(|j| *j != 101) {
+            let want = if job == 100 { 5 } else { 4 };
+            assert_eq!(collector.job_records(job, 0).len(), want, "job {job}");
+        }
     }
 
     #[test]
@@ -779,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn exited_threads_flush_to_the_archive() {
+    fn spans_closed_by_an_exited_thread_are_still_returned() {
         let job = job_ids();
         std::thread::spawn(move || {
             let root = start_job(job, "short-lived");
@@ -788,11 +742,33 @@ mod tests {
         })
         .join()
         .expect("thread");
-        // The publishing thread is gone; its spans must still be
-        // readable through the archive.
+        // The publishing thread is gone; its spans belong to the
+        // collector, not to it.
         let records = job_records(job);
         assert_eq!(records.len(), 2, "{records:?}");
         assert!(records.iter().all(|r| !r.open));
+    }
+
+    #[test]
+    fn a_snapshot_sees_each_span_once_and_only_its_own_job() {
+        let (mine, other) = (job_ids(), job_ids());
+        let root = start_job(mine, "mine");
+        let noise = start_job(other, "other");
+        let child = open(root, SpanKind::Sim, "attempt");
+        // Open, the child is in the open list; closed, in the ring —
+        // never both, never neither.
+        for closed in [false, true] {
+            if closed {
+                close(child.span, true, "");
+            }
+            let records = job_records(mine);
+            let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
+            assert_eq!(ids, vec![root.span, child.span], "{records:?}");
+            assert_eq!(records[1].open, !closed);
+            assert!(records.iter().all(|r| r.job == mine));
+        }
+        close(root.span, true, "");
+        close(noise.span, true, "");
     }
 
     #[test]

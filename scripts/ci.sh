@@ -30,6 +30,22 @@ if grep -rnE 'bench[_]hot|BENCH[_]hot|hot[p]ath|PHOTON[_]SKIP_' \
   exit 1
 fi
 
+# One store, one record codec, one span collector: the sharded store,
+# the render-to-measure helper and the per-thread span rings are gone,
+# and a journal line's crc is checked in persist alone.
+if grep -rnE 'Sharded[S]tore|DEFAULT[_]SHARDS|measurement[_]bytes|Thread[R]ing' \
+    crates scripts README.md DESIGN.md .claude \
+    || grep -rn 'parse_framed[_]line' crates --include='*.rs' \
+      | grep -v '^crates/bench/src/persist.rs:' \
+      | grep -v '^crates/bench/tests/persist.rs:'; then
+  echo "    the store is one LruStore, an insert is charged without rendering, and"
+  echo "    stored checksums are compared with content in crates/bench/src/persist.rs only"
+  exit 1
+fi
+
+echo "==> non-test lines per crate (scripts/loc.sh; every PR reports before -> after)"
+scripts/loc.sh
+
 echo "==> cargo build --release"
 cargo build --release
 
