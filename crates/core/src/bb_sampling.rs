@@ -101,17 +101,6 @@ impl BbSampler {
         self.records_seen
     }
 
-    /// Per-block diagnostic row: `(block index, records, slope, stable,
-    /// instruction share)` — used by the observation figures and for
-    /// threshold tuning.
-    pub fn detector_stats(&self) -> Vec<crate::controller::BbDetectorRow> {
-        self.detectors
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i, d.len(), d.slope(), self.stable[i], self.shares[i]))
-            .collect()
-    }
-
     /// The current per-block mean-duration estimates (diagnostics).
     pub fn mean_durations(&self) -> Vec<(usize, Option<f64>, u64)> {
         self.detectors

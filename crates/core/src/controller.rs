@@ -30,10 +30,6 @@ use gpu_telemetry::{Counter, EventKind, Telemetry, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// One diagnostic row per basic block: `(block index, records, slope,
-/// stable, instruction share)`.
-pub type BbDetectorRow = (usize, u64, Option<f64>, bool, f64);
-
 /// Counters describing what Photon did across a run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhotonStats {
@@ -131,7 +127,6 @@ pub struct PhotonController {
     /// Pre-recorded analyses consumed instead of tracing (offline mode).
     offline_analyses: Option<Vec<OnlineAnalysis>>,
     offline_cursor: usize,
-    last_bb_stats: Option<Vec<BbDetectorRow>>,
     last_bb_means: Option<Vec<(usize, Option<f64>, u64)>>,
 }
 
@@ -158,7 +153,6 @@ impl PhotonController {
             recorded_analyses: Vec::new(),
             offline_analyses: None,
             offline_cursor: 0,
-            last_bb_stats: None,
             last_bb_means: None,
         }
     }
@@ -185,23 +179,6 @@ impl PhotonController {
     /// for offline reuse.
     pub fn export_analyses(&self) -> &[OnlineAnalysis] {
         &self.recorded_analyses
-    }
-
-    /// Diagnostic view of the current kernel's basic-block detectors
-    /// (`(block, records, slope, stable, share)` rows), if a kernel is
-    /// in flight.
-    pub fn bb_detector_stats(&self) -> Option<Vec<BbDetectorRow>> {
-        self.state.as_ref().map(|s| s.bb_sampler.detector_stats())
-    }
-
-    /// The current kernel's stable-block rate, if a kernel is in flight.
-    pub fn bb_stable_rate(&self) -> Option<f64> {
-        self.state.as_ref().map(|s| s.bb_sampler.stable_rate())
-    }
-
-    /// Detector stats snapshot taken when the last kernel finished.
-    pub fn last_bb_detector_stats(&self) -> Option<&[BbDetectorRow]> {
-        self.last_bb_stats.as_deref()
     }
 
     /// Mean-duration snapshot taken when the last kernel finished.
@@ -413,7 +390,6 @@ impl SamplingController for PhotonController {
             return;
         }
         let Some(st) = self.state.take() else { return };
-        self.last_bb_stats = Some(st.bb_sampler.detector_stats());
         self.last_bb_means = Some(st.bb_sampler.mean_durations());
         if !st.switched_bb && !st.switched_warp {
             self.stats.full_detailed += 1;

@@ -300,11 +300,6 @@ impl KernelBuilder {
         self.push(Inst::SBarrier)
     }
 
-    /// Emits a memory-wait fence.
-    pub fn waitcnt(&mut self) -> &mut Self {
-        self.push(Inst::SWaitcnt)
-    }
-
     // ---- composite helpers ----------------------------------------------
 
     /// Computes each lane's flat global thread id into `dst`:

@@ -247,13 +247,6 @@ impl AddressSpace {
             .map(|i| self.read_u32(addr + 4 * i as u64))
             .collect()
     }
-
-    /// Writes raw bytes starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -173,6 +173,13 @@ fn sample_mode(mode: WgMode) -> SampleMode {
     }
 }
 
+/// The paper's R9 Nano (Table 1) with private telemetry.
+impl Default for GpuSimulator {
+    fn default() -> Self {
+        Self::new(GpuConfig::r9_nano())
+    }
+}
+
 impl GpuSimulator {
     /// Creates a simulator for the given configuration with its own
     /// private telemetry.
@@ -358,6 +365,8 @@ impl GpuSimulator {
         );
         run.functional_insts = functional_insts;
         let outcome = run.run(ctrl);
+        #[cfg(test)]
+        crate::repush_oracle::collect(&mut run.shards);
         let events_scheduled = run.events_scheduled();
         let shard_busy: Vec<u64> = run.shards.iter().map(|s| s.busy_cycles).collect();
         let epochs = run.epochs;
@@ -565,7 +574,8 @@ impl<'a> KernelRun<'a> {
         }
     }
 
-    /// Total timing events scheduled across all shard calendars.
+    /// Total timing events scheduled across all shard calendars. A
+    /// busy-port retry waits in a calendar's lane and is not one.
     pub(crate) fn events_scheduled(&self) -> u64 {
         self.shards.iter().map(|s| s.events.pushes()).sum()
     }
@@ -628,18 +638,26 @@ impl<'a> KernelRun<'a> {
 
     /// The serial event loop: pop → watchdog → windows → handler, with
     /// the single spanning shard serviced inline against the hierarchy.
+    /// The watchdog, the windows and the abort check run once per
+    /// distinct cycle: within a cycle progress only grows, windows
+    /// depend on the cycle alone, and only `fire_windows` sets
+    /// `abort_ipc`, so repeating them could change nothing.
     fn run_serial(
         &mut self,
         wd: WatchdogConfig,
         ctrl: &mut dyn SamplingController,
     ) -> Result<Cycle, SimError> {
         let mut now = self.start;
-        while let Some((cycle, kind)) = self.shards[0].events.pop() {
+        let mut checked = None;
+        while let Some((cycle, kind)) = self.shards[0].next_event(Cycle::MAX) {
             now = cycle;
-            self.watchdog(now, &wd)?;
-            self.fire_windows(now, ctrl);
-            if self.abort_ipc.is_some() {
-                break;
+            if checked != Some(now) {
+                checked = Some(now);
+                self.watchdog(now, &wd)?;
+                self.fire_windows(now, ctrl);
+                if self.abort_ipc.is_some() {
+                    break;
+                }
             }
             let r = {
                 let shard = &mut self.shards[0];
@@ -1497,16 +1515,26 @@ mod tests {
     #[test]
     fn telemetry_counters_accumulate() {
         let mut gpu = GpuSimulator::new(GpuConfig::tiny());
-        let launch = vadd_launch(&mut gpu, 2, 2);
+        // Eight warps per workgroup put two on every SIMD, ready at the
+        // same cycle: half of them find their port taken.
+        let launch = vadd_launch(&mut gpu, 2, 8);
         let r = gpu.run_kernel(&launch).unwrap();
         let snap = gpu.telemetry().snapshot();
         assert_eq!(snap.counter("sim.kernels"), Some(1));
         assert_eq!(snap.counter("sim.kernels.skipped"), Some(0));
         assert_eq!(snap.counter("sim.insts.detailed"), Some(r.detailed_insts));
         assert_eq!(snap.counter("sim.cycles"), Some(r.cycles));
-        assert_eq!(snap.counter("sim.warps.detailed"), Some(4));
-        // Every detailed instruction schedules at least one event.
-        assert!(snap.counter("sim.events").unwrap() >= r.detailed_insts);
+        assert_eq!(snap.counter("sim.warps.detailed"), Some(16));
+        let acct = r.accounting.as_ref().expect("accounting present");
+        let port_waits: u64 = acct
+            .cus
+            .iter()
+            .map(|cu| cu.classes[StallClass::NoWarpReady.index()])
+            .sum();
+        assert!(port_waits > 0, "test premise: warps waited on a taken port");
+        // One event per detailed instruction: busy-port retries wait in
+        // the calendar's lane and are not events.
+        assert_eq!(snap.counter("sim.events"), Some(r.detailed_insts));
         // The memory hierarchy shares the same registry.
         let l1v =
             snap.counter("mem.l1v.hits").unwrap_or(0) + snap.counter("mem.l1v.misses").unwrap_or(0);
@@ -1517,7 +1545,7 @@ mod tests {
             .iter()
             .find(|h| h.name == "sim.warp.duration")
             .expect("warp duration histogram registered");
-        assert_eq!(hist.count, 4);
+        assert_eq!(hist.count, 16);
         assert!(hist.min > 0);
     }
 

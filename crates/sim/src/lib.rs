@@ -46,6 +46,8 @@ mod error;
 mod exec;
 mod functional;
 mod overlay;
+#[cfg(test)]
+mod repush_oracle;
 mod result;
 mod shard;
 mod warp;

@@ -169,17 +169,6 @@ impl AppResult {
     pub fn total_predicted_warps(&self) -> u64 {
         self.kernels.iter().map(|k| k.predicted_warps).sum()
     }
-
-    /// Fraction of warps simulated in detail across the app (1.0 when
-    /// no warps ran, so full-detailed baselines report full coverage).
-    pub fn detailed_coverage(&self) -> f64 {
-        let total = self.total_warps();
-        if total == 0 {
-            1.0
-        } else {
-            self.total_detailed_warps() as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -140,6 +140,10 @@ pub(crate) struct RunAccounting {
     pub(crate) cu_resident: Vec<u64>,
     /// Stall mix per timeline window, CU-aggregated.
     pub(crate) win_stalls: Vec<[u64; STALL_CLASSES]>,
+    /// Index into `win_stalls` and cycle span of the window the last
+    /// attributed cycle fell in (empty before the first one).
+    win_idx: usize,
+    win_span: std::ops::Range<Cycle>,
     /// `num_bbs × STALL_CLASSES` warp-cycle counts for detailed warps.
     bb_stall: Vec<u64>,
     bb_instances: Vec<u64>,
@@ -155,6 +159,8 @@ impl RunAccounting {
             cu_stalls: vec![0; n_cu * STALL_CLASSES],
             cu_resident: vec![0; n_cu],
             win_stalls: Vec::new(),
+            win_idx: 0,
+            win_span: start..start,
             bb_stall: vec![0; n_bbs * STALL_CLASSES],
             bb_instances: vec![0; n_bbs],
             bb_insts: vec![0; n_bbs],
@@ -164,7 +170,8 @@ impl RunAccounting {
 
     /// Attributes the warp-cycles `[from, to)` on `cu` to `class`,
     /// optionally also to basic block `bb`, splitting across timeline
-    /// windows.
+    /// windows. The window index is recomputed (a division) only when a
+    /// span starts outside the window the previous one ended in.
     fn span(&mut self, cu: usize, bb: Option<u32>, class: StallClass, from: Cycle, to: Cycle) {
         if to <= from {
             return;
@@ -179,13 +186,16 @@ impl RunAccounting {
         }
         let mut a = from;
         while a < to {
-            let idx = (a.saturating_sub(self.start) / self.window) as usize;
-            let win_end = self.start + (idx as Cycle + 1) * self.window;
-            let b = to.min(win_end);
-            if self.win_stalls.len() <= idx {
-                self.win_stalls.resize(idx + 1, [0; STALL_CLASSES]);
+            if !self.win_span.contains(&a) {
+                self.win_idx = (a.saturating_sub(self.start) / self.window) as usize;
+                let lo = self.start + self.win_idx as Cycle * self.window;
+                self.win_span = lo..lo + self.window;
+                if self.win_stalls.len() <= self.win_idx {
+                    self.win_stalls.resize(self.win_idx + 1, [0; STALL_CLASSES]);
+                }
             }
-            self.win_stalls[idx][class.index()] += b - a;
+            let b = to.min(self.win_span.end);
+            self.win_stalls[self.win_idx][class.index()] += b - a;
             a = b;
         }
     }
@@ -472,6 +482,13 @@ pub(crate) struct Shard {
     ipc_window: Cycle,
     start: Cycle,
     max_insts_per_warp: u64,
+    /// The retry lane's oracle: push a busy-port `Ready` again at the
+    /// cycle the port frees, as the engine did before the lane.
+    #[cfg(test)]
+    pub(crate) repush: bool,
+    /// Every issue of this shard, in order, while a test records them.
+    #[cfg(test)]
+    pub(crate) issues: Option<Vec<crate::repush_oracle::Issue>>,
 }
 
 pub(crate) const N_CLASSES: usize = InstClass::ALL.len();
@@ -538,7 +555,22 @@ impl Shard {
             ipc_window,
             start,
             max_insts_per_warp,
+            #[cfg(test)]
+            repush: crate::repush_oracle::selected(),
+            #[cfg(test)]
+            issues: crate::repush_oracle::recording().then(Vec::new),
         }
+    }
+
+    /// Pops the shard's next event before `limit`. A warp that comes
+    /// back from the retry lane gets the push moment its last re-push
+    /// would have recorded: the cycle before it issues.
+    pub(crate) fn next_event(&mut self, limit: Cycle) -> Option<(Cycle, EvKind)> {
+        let (now, ev, retried) = self.events.pop_ready(&self.simd_free, limit)?;
+        if let (true, EvKind::Ready(w)) = (retried, ev) {
+            self.warps[w as usize].event_from = now - 1;
+        }
+        Some((now, ev))
     }
 
     /// Admits a dispatched workgroup into this shard: allocates the
@@ -661,9 +693,16 @@ impl Shard {
         let ev_from = self.warps[w as usize].event_from;
         let port_idx = cu * self.simds_per_cu as usize + simd;
         if self.simd_free[port_idx] > now {
+            // The port is taken this cycle: retry when it frees, in the
+            // calendar's lane (`next_event` brings the warp back).
             let at = self.simd_free[port_idx];
-            self.warps[w as usize].event_from = now;
-            self.events.push(at, EvKind::Ready(w));
+            #[cfg(test)]
+            if self.repush {
+                self.warps[w as usize].event_from = now;
+                self.events.push(at, EvKind::Ready(w));
+                return Ok(());
+            }
+            self.events.push_lane(at, port_idx as u32, EvKind::Ready(w));
             return Ok(());
         }
         self.simd_free[port_idx] = now + 1;
@@ -738,6 +777,10 @@ impl Shard {
 
         let info = execute(state, op, mem, &mut wg.lds, &env, &mut self.lines_scratch)?;
         let warp_gid = self.warps[w as usize].global_id;
+        #[cfg(test)]
+        if let Some(log) = &mut self.issues {
+            log.push((now, warp_gid, info.class, ev_from));
+        }
         self.detailed_insts += 1;
         self.last_progress = self.last_progress.max(now);
         self.count_ipc(now);
@@ -1032,10 +1075,7 @@ impl Shard {
     ) -> Result<(), ShardStop> {
         let mut overlay = crate::overlay::OverlayMem::new(base);
         let mut any = false;
-        while self.events.next_cycle().is_some_and(|c| c < t_end) {
-            let Some((now, kind)) = self.events.pop() else {
-                break;
-            };
+        while let Some((now, kind)) = self.next_event(t_end) {
             any = true;
             let r = match kind {
                 EvKind::Ready(w) => self.handle_ready(

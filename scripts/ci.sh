@@ -63,14 +63,31 @@ echo "==> pinned simulated counts: hold-out seed of the benchmark's simulation w
 # benchmark/expected.json pins it. One-second runs: host time is not
 # looked at, only the verdicts. Writes under the git-ignored
 # benchmark/out/ alone.
+#
+# One count may differ until expected.json is re-blessed: busy-port
+# retries stopped being calendar events, so `sim.events` fell to one
+# per instruction (a Full run has no predicted warps). Accepted only as
+# the single diff line `sim.events: expected E, got G` with G < E and G
+# equal to the run's own `sim.insts_detailed`; resnet50_kernels never
+# retried, so it must still print `sim_stats: same`.
+counts_hold() {
+  local w="$1" out="$2" diff insts
+  grep -qx 'sim_stats: same' <<<"$out" && return 0
+  [[ "$w" != resnet50_kernels ]] || return 1
+  diff="$(sed -n '/^sim_stats: DIFFERENT/,/^(wrote /p' <<<"$out" | sed '1d;$d')"
+  [[ "$diff" =~ ^\ \ sim\.events:\ expected\ ([0-9]+),\ got\ ([0-9]+)$ ]] || return 1
+  insts="$(grep -o '"sim.insts_detailed": [0-9]*' "benchmark/out/result_$w.json" \
+    | tail -n 1 | grep -o '[0-9]*$')"
+  ((BASH_REMATCH[2] < BASH_REMATCH[1])) && [[ "${BASH_REMATCH[2]}" == "$insts" ]]
+}
 for w in mm_compute spmv_irregular fir_stream resnet50_kernels mm_det2; do
   out="$(benchmark/run.sh --workload "$w" --seed 2 --seconds 1 --trace 0)"
-  if ! grep -qx 'sim_stats: same' <<<"$out" \
+  if ! counts_hold "$w" "$out" \
       || ! tail -n 1 <<<"$out" | grep -q '"failed":0'; then
     echo "    $w (seed 2) moved a pinned count or failed an operation:"
     echo "$out"; exit 1
   fi
-  echo "    $w: sim_stats same, failed 0"
+  echo "    $w: $(grep -x 'sim_stats: same' <<<"$out" || echo 'sim.events = sim.insts_detailed'), failed 0"
 done
 
 echo "==> clippy"
