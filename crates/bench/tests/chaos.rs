@@ -544,10 +544,12 @@ fn resume_simulates_only_the_specs_missing_from_the_journal() {
 #[test]
 fn engine_epoch_stall_slows_workers_without_changing_results() {
     let _g = lock_faults();
-    // Deterministic epoch engine at 4 worker threads: injected barrier
-    // stalls (a slow/descheduled worker) may cost wall time but must be
-    // invisible in every simulated metric — the epoch protocol commits
-    // shard effects in canonical order regardless of worker timing.
+    // Deterministic epoch engine at 4 worker threads: stalls injected
+    // into the run phase of `(epoch, chunk)` jobs — mostly on pool
+    // threads, which the coordinator then waits on (a slow/descheduled
+    // worker) — may cost wall time but must be invisible in every
+    // simulated metric: the epoch protocol commits shard effects in
+    // canonical order regardless of worker timing.
     let run = || {
         let mut cfg = GpuConfig::tiny();
         cfg.engine.mode = gpu_sim::EngineMode::Deterministic;
@@ -563,7 +565,7 @@ fn engine_epoch_stall_slows_workers_without_changing_results() {
     assert!(faults::injected(FaultSite::EngineEpochStall) >= 1);
     assert_eq!(
         clean, stalled,
-        "barrier stalls must not leak into simulation results"
+        "worker stalls must not leak into simulation results"
     );
 }
 

@@ -11,17 +11,28 @@
 //!    against a copy-on-write overlay of device memory
 //!    ([`crate::overlay::OverlayMem`]), queueing memory requests into
 //!    its port, controller callbacks into its [`CtrlBuf`], and
-//!    workgroup completions for the coordinator. With `threads > 1`
-//!    the shards are chunked across scoped worker threads; with one
-//!    thread they run inline — the barrier protocol below is identical
-//!    either way, which is what makes the deterministic mode's results
+//!    workgroup completions for the coordinator. With one thread the
+//!    shards run inline. With `threads > 1` they are cut into chunks of
+//!    `shards.len().div_ceil(threads)`, and a pool that lives for the
+//!    whole kernel runs them: one `std::thread::scope` around the epoch
+//!    loop spawns a thread per chunk but the first, which the
+//!    coordinator runs itself. Each epoch a pool thread receives its
+//!    chunk by value — moved out of the shard vector, appended back in
+//!    chunk order afterwards — together with an `Arc` holding device
+//!    memory, which the coordinator moves out of the simulator for the
+//!    run phase and takes back, unshared, before the barrier; the
+//!    barrier and dispatch keep `&mut` access to it. When shards stop
+//!    with an error the lowest shard index wins, whichever thread ran
+//!    it; a pool thread's panic is re-raised in the caller with its own
+//!    payload. The barrier protocol below is identical either way,
+//!    which is what makes the deterministic mode's results
 //!    thread-count-invariant.
 //! 3. **Barrier.** The coordinator merges overlay writes into device
 //!    memory (shard order), services every port request against the
 //!    shared hierarchy in canonical `(req_cycle, cu, submission)`
 //!    order — an order that is invariant to how shards were chunked —
-//!    replays buffered controller callbacks sorted by
-//!    `(cycle, warp, seq)`, and dispatches freed workgroup slots in
+//!    replays buffered controller callbacks in `(cycle, warp, push
+//!    order)` order, and dispatches freed workgroup slots in
 //!    `(cycle, wg)` order.
 //!
 //! The quantum is sized at or below every cross-shard latency (see
@@ -40,12 +51,185 @@ use crate::config::WatchdogConfig;
 use crate::controller::SamplingController;
 use crate::engine::KernelRun;
 use crate::error::SimError;
-use crate::shard::{CtrlEv, ShardStop};
+use crate::shard::{CtrlEv, Shard, ShardStop};
+use gpu_isa::KernelLaunch;
 use gpu_mem::{AddressSpace, Cycle};
 use gpu_telemetry::faults::{self, FaultSite};
 use gpu_telemetry::span::{self, SpanKind};
 use gpu_telemetry::{EventKind, TraceEvent};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
+
+/// One epoch's run phase: its index and its window `[start, end)`.
+#[derive(Clone, Copy)]
+struct Epoch {
+    idx: u64,
+    start: Cycle,
+    end: Cycle,
+}
+
+/// Runs a chunk of shards over the epoch's window, in shard order, and
+/// returns the first stop. Chunk 0 (every shard, without a pool) runs
+/// on the coordinator, the others on pool threads.
+fn run_chunk(
+    shards: &mut [Shard],
+    chunk: usize,
+    ep: Epoch,
+    mem: &AddressSpace,
+    launch: &KernelLaunch,
+) -> Option<ShardStop> {
+    if faults::active() {
+        // Chaos hook: a slow or descheduled worker. Keyed by
+        // `(epoch, chunk)`, so the decision never depends on scheduling.
+        faults::maybe_stall(
+            FaultSite::EngineEpochStall,
+            ep.idx << 32 | chunk as u64,
+            Duration::from_millis(50),
+        );
+    }
+    shards
+        .iter_mut()
+        .find_map(|s| s.run_epoch(ep.start, ep.end, mem, launch).err())
+}
+
+/// A chunk's run phase, sent to its pool thread.
+struct Job {
+    shards: Vec<Shard>,
+    ep: Epoch,
+    mem: Arc<AddressSpace>,
+}
+
+/// A pool thread's answer: the chunk, in the order it came, and the
+/// first stop in it.
+struct Done {
+    shards: Vec<Shard>,
+    stop: Option<ShardStop>,
+}
+
+/// One pool thread, parked on its job channel between epochs.
+struct Worker<'scope> {
+    chunk: usize,
+    /// Global index of the chunk's first shard.
+    first: usize,
+    jobs: SyncSender<Job>,
+    done: Receiver<Done>,
+    handle: ScopedJoinHandle<'scope, ()>,
+    /// The chunk's vector between epochs, kept for its capacity.
+    spare: Vec<Shard>,
+}
+
+impl<'scope> Worker<'scope> {
+    fn spawn<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        chunk: usize,
+        first: usize,
+        launch: &'env KernelLaunch,
+    ) -> Self {
+        let (jobs, job_rx) = sync_channel::<Job>(1);
+        let (done_tx, done) = sync_channel(1);
+        #[cfg(test)]
+        let panic_at = PANIC_AT.get();
+        #[cfg(test)]
+        SPAWNED.set(SPAWNED.get() + 1);
+        let handle = scope.spawn(move || {
+            // Ends when the coordinator drops `jobs`.
+            for Job {
+                mut shards,
+                ep,
+                mem,
+            } in job_rx
+            {
+                #[cfg(test)]
+                if panic_at == Some((ep.idx, chunk)) {
+                    panic!(
+                        "injected pool-thread panic: epoch {}, chunk {chunk}",
+                        ep.idx
+                    );
+                }
+                let stop = run_chunk(&mut shards, chunk, ep, &mem, launch);
+                // Let go of device memory before answering: the
+                // coordinator takes it back once every chunk is in.
+                drop(mem);
+                if done_tx.send(Done { shards, stop }).is_err() {
+                    break;
+                }
+            }
+        });
+        Worker {
+            chunk,
+            first,
+            jobs,
+            done,
+            handle,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Re-raises the panic that ended this pool thread, with its own
+    /// payload.
+    fn rethrow(self) -> ! {
+        match self.handle.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("pool thread {} quit with its job channel open", self.chunk),
+        }
+    }
+}
+
+/// The barrier's controller-callback replay, in canonical
+/// `(cycle, warp, push order)` order. A warp lives in exactly one shard,
+/// so its callbacks' push order settles every tie; the key is a pure
+/// function of simulation state, never of the thread count.
+#[derive(Default)]
+struct Replay {
+    /// One key per callback, packed so that one integer compare sorts:
+    /// `cycle − base` (high 32 bits), warp id (64), index into `evs`
+    /// (low 32). Shards are gathered in order and each buffer in push
+    /// order, so the index breaks ties in push order.
+    keys: Vec<u128>,
+    evs: Vec<CtrlEv>,
+}
+
+impl Replay {
+    fn run(&mut self, shards: &mut [Shard], ctrl: &mut dyn SamplingController) {
+        let (mut base, mut top, mut n) = (Cycle::MAX, 0, 0usize);
+        for &(cycle, ..) in shards.iter().flat_map(|s| &s.ctrl_buf.evs) {
+            (base, top, n) = (base.min(cycle), top.max(cycle), n + 1);
+        }
+        if n == 0 {
+            return;
+        }
+        assert!(
+            top - base <= u64::from(u32::MAX) && n <= u32::MAX as usize,
+            "epoch barrier: {n} callbacks over cycles {base}..={top} overflow the replay key"
+        );
+        #[cfg(test)]
+        let want = tests::replay_oracle(shards);
+        for shard in shards.iter_mut() {
+            for (cycle, gid, ev) in shard.ctrl_buf.evs.drain(..) {
+                let key = u128::from(cycle - base) << 96 | u128::from(gid) << 32;
+                self.keys.push(key | self.evs.len() as u128);
+                self.evs.push(ev);
+            }
+        }
+        self.keys.sort_unstable();
+        #[cfg(test)]
+        assert!(
+            self.keys.iter().map(|&k| k as u32).eq(want),
+            "callback replay order differs from the sort it replaced"
+        );
+        for &key in &self.keys {
+            match &self.evs[key as u32 as usize] {
+                CtrlEv::Bb(rec) => ctrl.on_bb_record(rec),
+                CtrlEv::Warp(rec) => ctrl.on_warp_retire(rec),
+                &CtrlEv::Inst(class, latency) => ctrl.on_inst_retire(class, latency),
+            }
+        }
+        self.keys.clear();
+        self.evs.clear();
+    }
+}
 
 impl KernelRun<'_> {
     /// The epoch loop (deterministic mode). Returns the cycle of the
@@ -56,9 +240,30 @@ impl KernelRun<'_> {
         wd: WatchdogConfig,
         ctrl: &mut dyn SamplingController,
     ) -> Result<Cycle, SimError> {
-        let quantum = self.cfg.resolved_quantum().max(1);
         let threads = self.cfg.resolved_threads() as usize;
-        let faults_on = faults::active();
+        let chunk = self.shards.len().div_ceil(threads).max(1);
+        let chunks = self.shards.len().div_ceil(chunk);
+        if chunks <= 1 {
+            return self.epoch_loop(wd, ctrl, &mut Vec::new());
+        }
+        let launch = self.launch;
+        std::thread::scope(|scope| {
+            let mut pool = (1..chunks)
+                .map(|ci| Worker::spawn(scope, ci, ci * chunk, launch))
+                .collect();
+            // Returning drops the pool's job channels, which ends its
+            // threads before the scope joins them.
+            self.epoch_loop(wd, ctrl, &mut pool)
+        })
+    }
+
+    fn epoch_loop(
+        &mut self,
+        wd: WatchdogConfig,
+        ctrl: &mut dyn SamplingController,
+        pool: &mut Vec<Worker<'_>>,
+    ) -> Result<Cycle, SimError> {
+        let quantum = self.cfg.resolved_quantum().max(1);
         // Job-trace hook: when this kernel runs inside a traced job
         // (serve/executor), accumulate host time for the barrier and
         // the memory-service section and emit one aggregate span each
@@ -73,7 +278,7 @@ impl KernelRun<'_> {
         let mut busy_before: Vec<u64> = Vec::with_capacity(self.shards.len());
         let mut lines_buf: Vec<u64> = Vec::new();
         let mut req_order: Vec<((Cycle, Cycle, u32), usize, usize)> = Vec::new();
-        let mut ctrl_evs: Vec<(Cycle, u64, u32, CtrlEv)> = Vec::new();
+        let mut replay = Replay::default();
         let mut completions: Vec<(Cycle, u32, usize, u32)> = Vec::new();
 
         // Event-driven epoch placement: jump straight to the next
@@ -90,60 +295,18 @@ impl KernelRun<'_> {
             if self.abort_ipc.is_some() {
                 break;
             }
-            if faults_on {
-                // Chaos hook: delay the barrier round-trip, exercising
-                // the engine's tolerance of slow worker scheduling.
-                faults::maybe_stall(
-                    FaultSite::EngineEpochStall,
-                    epoch_idx,
-                    Duration::from_millis(50),
-                );
-            }
             let t_end = next + quantum;
 
             busy_before.clear();
             busy_before.extend(self.shards.iter().map(|s| s.busy_cycles));
 
             // --- Run every shard over [next, t_end). -----------------
-            let mut stops: Vec<(usize, ShardStop)> = Vec::new();
-            if threads <= 1 || self.shards.len() <= 1 {
-                for (i, shard) in self.shards.iter_mut().enumerate() {
-                    if let Err(stop) = shard.run_epoch(next, t_end, self.mem, self.launch) {
-                        stops.push((i, stop));
-                        break;
-                    }
-                }
-            } else {
-                let mem: &AddressSpace = &*self.mem;
-                let launch = self.launch;
-                let chunk = self.shards.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for (ci, shards) in self.shards.chunks_mut(chunk).enumerate() {
-                        let base_idx = ci * chunk;
-                        handles.push(scope.spawn(move || {
-                            let mut local: Vec<(usize, ShardStop)> = Vec::new();
-                            for (i, shard) in shards.iter_mut().enumerate() {
-                                if let Err(stop) = shard.run_epoch(next, t_end, mem, launch) {
-                                    local.push((base_idx + i, stop));
-                                }
-                            }
-                            local
-                        }));
-                    }
-                    for h in handles {
-                        match h.join() {
-                            Ok(mut local) => stops.append(&mut local),
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    }
-                });
-            }
-            if !stops.is_empty() {
-                // Deterministic error reporting: the lowest shard index
-                // wins regardless of which worker noticed first.
-                stops.sort_by_key(|&(i, _)| i);
-                let (_, stop) = stops.swap_remove(0);
+            let ep = Epoch {
+                idx: epoch_idx,
+                start: next,
+                end: t_end,
+            };
+            if let Some(stop) = self.run_phase(pool, ep) {
                 return Err(self.stop_to_err(stop));
             }
 
@@ -153,9 +316,8 @@ impl KernelRun<'_> {
             //    (Within a shard the overlay already resolved ordering;
             //    cross-shard same-epoch write conflicts are unmodeled,
             //    like cross-CU same-epoch RAW.)
-            for si in 0..self.shards.len() {
-                let writes = std::mem::take(&mut self.shards[si].pending_writes);
-                for (addr, byte) in writes {
+            for shard in &mut self.shards {
+                for (addr, byte) in shard.pending_writes.drain(..) {
                     self.mem.write_u8(addr, byte);
                 }
             }
@@ -197,21 +359,8 @@ impl KernelRun<'_> {
                 mem_host_us += span::now_us().saturating_sub(t0);
             }
 
-            // 3. Replay buffered controller callbacks in canonical
-            //    (cycle, warp, seq) order. A warp lives in exactly one
-            //    shard, so the per-shard seq resolves all residual ties.
-            ctrl_evs.clear();
-            for shard in &mut self.shards {
-                ctrl_evs.append(&mut shard.ctrl_buf.evs);
-            }
-            ctrl_evs.sort_unstable_by_key(|&(cycle, gid, seq, _)| (cycle, gid, seq));
-            for (_, _, _, ev) in ctrl_evs.drain(..) {
-                match ev {
-                    CtrlEv::Bb(rec) => ctrl.on_bb_record(&rec),
-                    CtrlEv::Warp(rec) => ctrl.on_warp_retire(&rec),
-                    CtrlEv::Inst(class, latency) => ctrl.on_inst_retire(class, latency),
-                }
-            }
+            // 3. Replay buffered controller callbacks.
+            replay.run(&mut self.shards, ctrl);
 
             // 4. Free completed workgroups and refill CUs, in canonical
             //    (cycle, wg) order so the round-robin dispatcher state
@@ -277,5 +426,229 @@ impl KernelRun<'_> {
             );
         }
         Ok(now)
+    }
+
+    /// Runs every shard over the epoch's window: inline without a pool,
+    /// else chunk 0 here and the others on the pool. Returns the stop
+    /// of the lowest-indexed shard that stopped.
+    fn run_phase(&mut self, pool: &mut Vec<Worker<'_>>, ep: Epoch) -> Option<ShardStop> {
+        if pool.is_empty() {
+            return run_chunk(&mut self.shards, 0, ep, self.mem, self.launch);
+        }
+        let mem = Arc::new(std::mem::take(&mut *self.mem));
+        // Hand the chunks out last first, so each is the vector's tail.
+        for i in (0..pool.len()).rev() {
+            let w = &mut pool[i];
+            let mut shards = std::mem::take(&mut w.spare);
+            shards.extend(self.shards.drain(w.first..));
+            let mem = Arc::clone(&mem);
+            if w.jobs.send(Job { shards, ep, mem }).is_err() {
+                pool.swap_remove(i).rethrow();
+            }
+        }
+        let mut stop = run_chunk(&mut self.shards, 0, ep, &mem, self.launch);
+        for i in 0..pool.len() {
+            let Ok(Done {
+                mut shards,
+                stop: s,
+            }) = pool[i].done.recv()
+            else {
+                pool.swap_remove(i).rethrow();
+            };
+            self.shards.append(&mut shards);
+            pool[i].spare = shards;
+            // Chunks come back in shard order, so the first stop is the
+            // lowest-indexed shard's.
+            stop = stop.or(s);
+        }
+        let Some(mem) = Arc::into_inner(mem) else {
+            unreachable!("every pool thread let go of device memory before answering")
+        };
+        *self.mem = mem;
+        stop
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pool threads spawned by kernels run on this thread.
+    static SPAWNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// The `(epoch, chunk)` whose pool job panics, for kernels started
+    /// on this thread.
+    static PANIC_AT: std::cell::Cell<Option<(u64, usize)>> = const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{EngineMode, GpuConfig};
+    use crate::controller::NullController;
+    use crate::engine::GpuSimulator;
+    use crate::error::ExecFaultKind;
+    use crate::repush_oracle::Script;
+    use gpu_isa::{CmpOp, Kernel, KernelBuilder, SAluOp, SpecialReg, VAluOp, VectorSrc};
+    use gpu_workloads::App;
+
+    /// The replay order the barrier used before the packed keys, kept
+    /// as their oracle: every buffered callback tagged
+    /// `(cycle, warp, seq)` — `seq` its place in its shard's buffer,
+    /// which orders a shard's callbacks as the per-kernel push counter
+    /// it replaced did — and sorted by that tag. Returns indices into
+    /// the shard-order concatenation of the buffers, in replay order.
+    pub(super) fn replay_oracle(shards: &[Shard]) -> Vec<u32> {
+        let mut evs: Vec<(Cycle, u64, u32, u32)> = Vec::new();
+        for shard in shards {
+            for (seq, &(cycle, gid, _)) in shard.ctrl_buf.evs.iter().enumerate() {
+                evs.push((cycle, gid, seq as u32, evs.len() as u32));
+            }
+        }
+        evs.sort_unstable_by_key(|&(cycle, gid, seq, _)| (cycle, gid, seq));
+        evs.into_iter().map(|(.., idx)| idx).collect()
+    }
+
+    fn det(cfg: GpuConfig, threads: u32) -> GpuConfig {
+        let mut cfg = cfg.with_engine_mode(EngineMode::Deterministic);
+        cfg.engine.threads = threads;
+        cfg
+    }
+
+    /// The 16-CU machine the thread sweeps run on: chunks of 6/6/4 at
+    /// three threads, 4/4/4/4 at five, one shard each at 64 (clamped).
+    fn sixteen_cus() -> GpuConfig {
+        GpuConfig::r9_nano().with_num_cus(16)
+    }
+
+    /// FIR and MM as launches plus their device memory image (built on
+    /// the library's simulator type, which only the builders can name).
+    fn apps() -> Vec<(&'static str, Vec<gpu_isa::KernelLaunch>, AddressSpace)> {
+        let mut out = Vec::new();
+        let mut gpu = Default::default();
+        let app: App = gpu_workloads::fir::build(&mut gpu, 256, 7);
+        out.push(("FIR", app, gpu.mem().clone()));
+        let mut gpu = Default::default();
+        let app: App = gpu_workloads::mm::build_warps(&mut gpu, 128, 7);
+        out.push(("MM", app, gpu.mem().clone()));
+        out.into_iter()
+            .map(|(name, app, image)| {
+                let launches = app.launches().iter().map(|l| l.launch.clone()).collect();
+                (name, launches, image)
+            })
+            .collect()
+    }
+
+    /// Thread-count invariance where chunks are uneven and sampled
+    /// workgroups' callbacks flow through the barrier: every run
+    /// replays each epoch's callbacks against [`replay_oracle`] too.
+    #[test]
+    fn uneven_chunks_with_a_sampling_controller_are_thread_invariant() {
+        for (name, launches, image) in apps() {
+            let run = |threads: u32| {
+                let mut gpu = GpuSimulator::new(det(sixteen_cus(), threads));
+                *gpu.mem_mut() = image.clone();
+                let mut ctrl = Script::new(3, None);
+                let kernels: Vec<_> = launches
+                    .iter()
+                    .map(|l| gpu.run_kernel_sampled(l, &mut ctrl).expect("runs"))
+                    .collect();
+                (kernels, ctrl.calls, gpu.telemetry().snapshot())
+            };
+            let (want_kernels, want_calls, want_snap) = run(1);
+            let sampled: u64 = want_kernels.iter().map(|k| k.predicted_warps).sum();
+            assert!(sampled > 0, "{name}: test premise: sampled workgroups");
+            assert!(want_snap.counter("engine.epochs").unwrap_or(0) > 100);
+            for threads in [2, 3, 5, 64] {
+                let (kernels, calls, snap) = run(threads);
+                // Kernel results carry their cycle accounting.
+                assert_eq!(want_kernels, kernels, "{name}/{threads}: kernel results");
+                assert!(want_calls == calls, "{name}/{threads}: callback stream");
+                assert_eq!(want_snap, snap, "{name}/{threads}: metrics snapshot");
+            }
+        }
+    }
+
+    /// The pool is spawned once per kernel: `chunks − 1` threads
+    /// however many epochs run (the coordinator runs chunk 0).
+    #[test]
+    fn the_pool_spawns_one_thread_per_chunk_but_the_first_per_kernel() {
+        let (_, launches, image) = apps().swap_remove(1);
+        for (cfg, threads, chunks) in [
+            (GpuConfig::tiny(), 1, 1),
+            (GpuConfig::tiny(), 2, 2),
+            (GpuConfig::tiny(), 4, 4),
+            (sixteen_cus(), 3, 3),
+            (sixteen_cus(), 5, 4),
+            (sixteen_cus(), 64, 16),
+        ] {
+            let mut gpu = GpuSimulator::new(det(cfg, threads));
+            *gpu.mem_mut() = image.clone();
+            let before = SPAWNED.get();
+            gpu.run_kernel(&launches[0]).expect("runs");
+            let epochs = gpu.telemetry().snapshot().counter("engine.epochs");
+            assert!(epochs > Some(100), "test premise: many epochs");
+            assert_eq!(SPAWNED.get() - before, chunks - 1, "threads {threads}");
+        }
+    }
+
+    /// Every warp of workgroups 2 and 3 reads LDS far out of bounds; on
+    /// the 4-CU machine they land on CUs 2 and 3, which pool threads own
+    /// at two and four threads.
+    fn faulting_launch() -> gpu_isa::KernelLaunch {
+        let mut kb = KernelBuilder::new("lds_oob_in_worker_chunk");
+        let (wg, i, acc) = (kb.sreg(), kb.sreg(), kb.sreg());
+        kb.special(wg, SpecialReg::WgId);
+        kb.smov(acc, 0i64);
+        kb.for_uniform(i, 0i64, 40i64, |kb| {
+            kb.salu(SAluOp::Add, acc, acc, 1i64);
+        });
+        let (addr, v) = (kb.vreg(), kb.vreg());
+        kb.valu(VAluOp::Shl, addr, VectorSrc::LaneId, VectorSrc::Imm(2));
+        kb.scmp(CmpOp::Ge, wg, 2i64);
+        kb.if_scc(|kb| {
+            kb.valu(
+                VAluOp::Add,
+                addr,
+                VectorSrc::Reg(addr),
+                VectorSrc::Imm(1 << 20),
+            );
+        });
+        kb.lds_load(v, addr, 0);
+        let kernel = Kernel::new(kb.finish().expect("valid kernel"));
+        gpu_isa::KernelLaunch::new(kernel, 8, 2, vec![]).with_lds(256)
+    }
+
+    #[test]
+    fn a_fault_on_a_pool_thread_is_the_same_error_at_every_thread_count() {
+        let launch = faulting_launch();
+        let errs: Vec<SimError> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let mut gpu = GpuSimulator::new(det(GpuConfig::tiny(), threads));
+                gpu.run_kernel(&launch).expect_err("faults")
+            })
+            .collect();
+        let SimError::ExecFault { warp, fault, .. } = errs[0] else {
+            panic!("want an execution fault, got {:?}", errs[0]);
+        };
+        assert!(matches!(fault, ExecFaultKind::LdsOutOfBounds { .. }));
+        assert!((4..6).contains(&warp), "shard 2's warps (wg 2) win: {warp}");
+        assert_eq!(errs[0], errs[1], "two threads");
+        assert_eq!(errs[0], errs[2], "four threads");
+    }
+
+    #[test]
+    fn a_pool_thread_panic_reaches_the_caller_with_its_payload() {
+        let (_, launches, image) = apps().swap_remove(1);
+        let mut gpu = GpuSimulator::new(det(GpuConfig::tiny(), 4));
+        *gpu.mem_mut() = image;
+        PANIC_AT.set(Some((7, 2)));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gpu.run_kernel_sampled(&launches[0], &mut NullController)
+        }));
+        PANIC_AT.set(None);
+        let payload = caught.expect_err("the injected panic propagates");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted payload");
+        assert_eq!(msg, "injected pool-thread panic: epoch 7, chunk 2");
     }
 }

@@ -116,9 +116,15 @@ impl<'a> OverlayMem<'a> {
     }
 
     /// Drains the shadowed bytes (unordered) so they can be merged into
-    /// the base address space at an epoch barrier.
+    /// the base address space at an epoch barrier; a shard extends its
+    /// own reused buffer with them.
+    pub fn drain_writes(&mut self) -> impl Iterator<Item = (u64, u8)> + '_ {
+        self.writes.drain()
+    }
+
+    /// [`Self::drain_writes`] collected into a new `Vec`.
     pub fn take_writes(&mut self) -> Vec<(u64, u8)> {
-        self.writes.drain().collect()
+        self.drain_writes().collect()
     }
 }
 

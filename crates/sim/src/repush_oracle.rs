@@ -12,7 +12,9 @@
 //! controller callbacks and issue stream, while `sim.events` falls to
 //! one per instruction plus one per predicted warp.
 
+use crate::controller::{BbRecord, SamplingController, WarpRecord, WgMode};
 use crate::shard::Shard;
+use crate::warp::WarpTrace;
 use gpu_isa::InstClass;
 use gpu_mem::Cycle;
 use std::cell::{Cell, RefCell};
@@ -47,86 +49,96 @@ pub(crate) fn collect(shards: &mut [Shard]) {
     });
 }
 
+/// One controller callback, in the order the engine made it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Call {
+    Dispatch(WgMode),
+    Bb(BbRecord),
+    Warp(WarpRecord),
+    Inst(InstClass, Cycle),
+    Window(Cycle, u64, Cycle),
+    Abort(bool),
+}
+
+/// Records every callback; optionally samples every `sample_every`-th
+/// workgroup with short predictions (warps that retire early, under
+/// the detailed ones' contention) and aborts after `abort_after`
+/// windows.
+pub(crate) struct Script {
+    pub(crate) calls: Vec<Call>,
+    dispatched: u64,
+    windows: usize,
+    sample_every: u64,
+    abort_after: Option<usize>,
+}
+
+impl Script {
+    pub(crate) fn new(sample_every: u64, abort_after: Option<usize>) -> Self {
+        Script {
+            calls: Vec::new(),
+            dispatched: 0,
+            windows: 0,
+            sample_every,
+            abort_after,
+        }
+    }
+}
+
+impl SamplingController for Script {
+    fn dispatch_mode(&mut self) -> WgMode {
+        self.dispatched += 1;
+        let n = self.sample_every;
+        let mode = if n == 0 {
+            WgMode::Detailed
+        } else if self.dispatched.is_multiple_of(n) {
+            WgMode::WarpSampled
+        } else if self.dispatched % n == 1 && n > 2 {
+            WgMode::BbSampled
+        } else {
+            WgMode::Detailed
+        };
+        self.calls.push(Call::Dispatch(mode));
+        mode
+    }
+    fn on_bb_record(&mut self, rec: &BbRecord) {
+        self.calls.push(Call::Bb(*rec));
+    }
+    fn on_warp_retire(&mut self, rec: &WarpRecord) {
+        self.calls.push(Call::Warp(*rec));
+    }
+    fn on_inst_retire(&mut self, class: InstClass, latency: Cycle) {
+        self.calls.push(Call::Inst(class, latency));
+    }
+    fn on_ipc_window(&mut self, start: Cycle, insts: u64, window: Cycle) {
+        self.windows += 1;
+        self.calls.push(Call::Window(start, insts, window));
+    }
+    fn check_abort(&mut self) -> Option<f64> {
+        let abort = self.abort_after.is_some_and(|n| self.windows >= n);
+        self.calls.push(Call::Abort(abort));
+        abort.then_some(0.75)
+    }
+    fn predict_warp_bb(&mut self, trace: &WarpTrace) -> Cycle {
+        1 + trace.insts % 23
+    }
+    fn predict_warp_avg(&mut self) -> Cycle {
+        1 + self.dispatched * 7 % 29
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{EngineConfig, EngineMode, GpuConfig};
-    use crate::controller::{BbRecord, SamplingController, WarpRecord, WgMode};
     use crate::engine::GpuSimulator;
     use crate::error::SimError;
     use crate::result::KernelResult;
-    use crate::warp::WarpTrace;
     use gpu_isa::{CmpOp, Kernel, KernelBuilder, KernelLaunch, MemWidth, SAluOp};
     use gpu_isa::{SpecialReg, VAluOp, VectorSrc};
     use gpu_mem::{AddressSpace, MemStats};
     use gpu_workloads::dnn::DnnScale;
     use gpu_workloads::registry::{Benchmark, RealWorldApp};
     use gpu_workloads::App;
-
-    /// One controller callback, in the order the engine made it.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Call {
-        Dispatch(WgMode),
-        Bb(BbRecord),
-        Warp(WarpRecord),
-        Inst(InstClass, Cycle),
-        Window(Cycle, u64, Cycle),
-        Abort(bool),
-    }
-
-    /// Records every callback; optionally samples every `sample_every`-th
-    /// workgroup with short predictions (warps that retire early, under
-    /// the detailed ones' contention) and aborts after `abort_after`
-    /// windows.
-    struct Script {
-        calls: Vec<Call>,
-        dispatched: u64,
-        windows: usize,
-        sample_every: u64,
-        abort_after: Option<usize>,
-    }
-
-    impl SamplingController for Script {
-        fn dispatch_mode(&mut self) -> WgMode {
-            self.dispatched += 1;
-            let n = self.sample_every;
-            let mode = if n == 0 {
-                WgMode::Detailed
-            } else if self.dispatched.is_multiple_of(n) {
-                WgMode::WarpSampled
-            } else if self.dispatched % n == 1 && n > 2 {
-                WgMode::BbSampled
-            } else {
-                WgMode::Detailed
-            };
-            self.calls.push(Call::Dispatch(mode));
-            mode
-        }
-        fn on_bb_record(&mut self, rec: &BbRecord) {
-            self.calls.push(Call::Bb(*rec));
-        }
-        fn on_warp_retire(&mut self, rec: &WarpRecord) {
-            self.calls.push(Call::Warp(*rec));
-        }
-        fn on_inst_retire(&mut self, class: InstClass, latency: Cycle) {
-            self.calls.push(Call::Inst(class, latency));
-        }
-        fn on_ipc_window(&mut self, start: Cycle, insts: u64, window: Cycle) {
-            self.windows += 1;
-            self.calls.push(Call::Window(start, insts, window));
-        }
-        fn check_abort(&mut self) -> Option<f64> {
-            let abort = self.abort_after.is_some_and(|n| self.windows >= n);
-            self.calls.push(Call::Abort(abort));
-            abort.then_some(0.75)
-        }
-        fn predict_warp_bb(&mut self, trace: &WarpTrace) -> Cycle {
-            1 + trace.insts % 23
-        }
-        fn predict_warp_avg(&mut self) -> Cycle {
-            1 + self.dispatched * 7 % 29
-        }
-    }
 
     struct Case {
         name: String,
@@ -166,13 +178,7 @@ mod tests {
         };
         let mut gpu = GpuSimulator::new(cfg);
         *gpu.mem_mut() = case.image.clone();
-        let mut ctrl = Script {
-            calls: Vec::new(),
-            dispatched: 0,
-            windows: 0,
-            sample_every: case.sample_every,
-            abort_after: case.abort_after,
-        };
+        let mut ctrl = Script::new(case.sample_every, case.abort_after);
         let kernels = case
             .launches
             .iter()

@@ -350,19 +350,17 @@ pub(crate) enum CtrlEv {
     Inst(InstClass, Cycle),
 }
 
-/// Controller callbacks buffered during an epoch, tagged for canonical
-/// `(cycle, warp_gid, seq)` replay ordering across shards.
+/// Controller callbacks buffered during an epoch, in push order, tagged
+/// `(cycle, warp_gid)` for the canonical `(cycle, warp, push order)`
+/// replay across shards.
 #[derive(Default)]
 pub(crate) struct CtrlBuf {
-    pub(crate) evs: Vec<(Cycle, u64, u32, CtrlEv)>,
-    seq: u32,
+    pub(crate) evs: Vec<(Cycle, u64, CtrlEv)>,
 }
 
 impl CtrlBuf {
     fn push(&mut self, cycle: Cycle, gid: u64, ev: CtrlEv) {
-        let s = self.seq;
-        self.seq += 1;
-        self.evs.push((cycle, gid, s, ev));
+        self.evs.push((cycle, gid, ev));
     }
 }
 
@@ -1064,8 +1062,8 @@ impl Shard {
 
     /// Runs this shard's events in `[win_start, t_end)` against a
     /// copy-on-write view of `base`, buffering controller callbacks and
-    /// port requests for the barrier. Called from worker threads in the
-    /// epoch engine.
+    /// port requests for the barrier. The epoch engine calls it on its
+    /// coordinator and pool threads.
     pub(crate) fn run_epoch(
         &mut self,
         win_start: Cycle,
@@ -1089,14 +1087,14 @@ impl Shard {
                 EvKind::PredRetire(w) => self.retire_warp(w, now, &mut CtrlSink::Buffered),
             };
             if let Err(stop) = r {
-                self.pending_writes = overlay.take_writes();
+                self.pending_writes.extend(overlay.drain_writes());
                 return Err(stop);
             }
         }
         if any {
             self.busy_cycles += t_end - win_start;
         }
-        self.pending_writes = overlay.take_writes();
+        self.pending_writes.extend(overlay.drain_writes());
         Ok(())
     }
 
@@ -1128,8 +1126,8 @@ impl Shard {
     }
 }
 
-// The epoch engine moves `&mut Shard` chunks to scoped worker threads
-// and shares the base address space read-only across them.
+// The epoch engine moves shard chunks to its pool threads by value and
+// shares the base address space read-only across them.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_sync<T: Sync>() {}

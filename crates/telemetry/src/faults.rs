@@ -68,7 +68,8 @@ pub enum FaultSite {
     ControllerNan,
     /// Run-journal line lands torn (truncated mid-line).
     JournalTorn,
-    /// Epoch barrier of the sharded timing engine stalls for a beat
+    /// One shard chunk's run phase in the sharded timing engine's epoch
+    /// loop stalls for a beat, keyed by `(epoch, chunk)` — a slow worker
     /// (wall-clock only; simulated results must be unaffected, which is
     /// exactly what the chaos gate verifies).
     EngineEpochStall,

@@ -108,19 +108,38 @@ echo "==> warm-cache rerun must perform zero full-detailed simulations"
 cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 --require-cached
 
 echo "==> engine-parallel gate"
-# Bit-identity across thread counts is the golden-cycles suite's job: it
-# pins the deterministic engine to 1, 2 and 4 threads itself and ran
-# under `cargo test` above.
+# Bit-identity across thread counts is the test suites' job, and ran
+# under `cargo test` above: the golden-cycles suite pins the
+# deterministic engine to 1, 2 and 4 threads, and
+# tests/engine_thread_invariance.rs plus gpu-sim's epoch tests sweep 1,
+# 2, 3, 5 and 64 threads (uneven chunks) on 16 CUs with a sampling
+# controller.
 par_tmp="$(mktemp -d)"
 cp results/BENCH_smoke.json "$par_tmp/BENCH_smoke_serial.json"
 
-# Chaos: epoch-barrier stalls injected into a deterministic 4-thread
-# smoke run must be absorbed (slow workers cost wall time, never
-# results); the accounting invariants must survive.
+# Chaos: run-phase stalls injected into a deterministic 4-thread smoke
+# run (keyed by epoch and shard chunk, so mostly on pool threads the
+# coordinator then waits for) must be absorbed: slow workers cost wall
+# time, never results. The accounting invariants must survive, and the
+# same smoke recomputed unstalled on one thread must match it run for
+# run — simulated cycles, instruction/warp/kernel counts, stall shares.
 cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
   --no-journal --engine deterministic --engine-threads 4 \
   --faults "engine.epoch.stall:0.001:7"
 cargo run -q --release -p photon-bench --bin profile -- check
+cp results/BENCH_smoke.json "$par_tmp/BENCH_smoke_det4_stalled.json"
+cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
+  --no-journal --no-cache --engine deterministic --engine-threads 1
+run_counts() {
+  grep -E '"(sim_cycles|detailed_insts|functional_insts|detailed_warps|predicted_warps|skipped_kernels)":' "$1"
+}
+if ! diff <(run_counts "$par_tmp/BENCH_smoke_det4_stalled.json") \
+    <(run_counts results/BENCH_smoke.json); then
+  echo "    stalled 4-thread and unstalled 1-thread deterministic smoke runs differ"
+  exit 1
+fi
+cargo run -q --release -p photon-bench --bin profile -- diff \
+  "$par_tmp/BENCH_smoke_det4_stalled.json" results/BENCH_smoke.json 0.000001
 
 # Restore the serial smoke report for the gates below.
 cp "$par_tmp/BENCH_smoke_serial.json" results/BENCH_smoke.json
