@@ -59,6 +59,71 @@ pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// Page number no address maps to (addresses have 52 page bits).
 const NO_PAGE: u64 = u64::MAX;
 
+/// Lanes of a warp: one per bit of an EXEC mask.
+pub(crate) const LANES: usize = u64::BITS as usize;
+
+/// The addresses of one warp-wide access, resolved once into the shape
+/// that decides what moving its data and coalescing its lines cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarpAccess<'a> {
+    /// Every lane active, lane `l` at `start + l·W` for a `W`-byte
+    /// access, and the run's last byte below the top of the address
+    /// space: one contiguous run of bytes.
+    Unit(u64),
+    /// Every lane active, all at this one address.
+    Uniform(u64),
+    /// The lanes set in `mask`, each at `addrs[lane]`: every other
+    /// shape, including every partial mask.
+    Lanes {
+        /// Per-lane byte addresses.
+        addrs: &'a [u64; LANES],
+        /// The active lanes.
+        mask: u64,
+    },
+}
+
+impl<'a> WarpAccess<'a> {
+    /// The shape of the `width`-byte accesses at `addrs[lane]` for the
+    /// lanes set in `mask`. Only a full mask can be Unit or Uniform, and
+    /// a run that would wrap past the top of the address space stays
+    /// Lanes.
+    pub fn resolve(addrs: &'a [u64; LANES], mask: u64, width: u64) -> Self {
+        if mask == u64::MAX {
+            let a0 = addrs[0];
+            let (mut unit, mut uniform) = (true, true);
+            for (l, &a) in addrs.iter().enumerate() {
+                unit &= a == a0.wrapping_add(l as u64 * width);
+                uniform &= a == a0;
+            }
+            if uniform {
+                return WarpAccess::Uniform(a0);
+            }
+            let run_end = a0.checked_add((LANES as u64 * width).saturating_sub(1));
+            if unit && run_end.is_some() {
+                return WarpAccess::Unit(a0);
+            }
+        }
+        WarpAccess::Lanes { addrs, mask }
+    }
+
+    /// `(lane, address)` of every active lane of a `width`-byte access,
+    /// lowest lane first.
+    pub fn lanes(self, width: u64) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let mask = match self {
+            WarpAccess::Lanes { mask, .. } => mask,
+            _ => u64::MAX,
+        };
+        set_bits(mask).map(move |lane| {
+            let a = match self {
+                WarpAccess::Unit(start) => start.wrapping_add(lane as u64 * width),
+                WarpAccess::Uniform(a) => a,
+                WarpAccess::Lanes { addrs, .. } => addrs[lane],
+            };
+            (lane, a)
+        })
+    }
+}
+
 /// A sparse, paged, byte-addressable memory.
 ///
 /// Pages are allocated on first touch and zero-initialized, so simulated
@@ -107,7 +172,37 @@ impl AddressSpace {
         self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
     }
 
-    /// Reads a little-endian `u32` (may straddle a page boundary).
+    /// Fills `buf` with the bytes from `addr` on, wrapping past the top
+    /// of the address space to 0; one page probe per page touched.
+    fn read_bytes(&self, mut addr: u64, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let o = (addr & PAGE_MASK) as usize;
+            let take = (PAGE_SIZE - o).min(buf.len() - done);
+            let dst = &mut buf[done..done + take];
+            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(p) => dst.copy_from_slice(&p[o..o + take]),
+                None => dst.fill(0),
+            }
+            done += take;
+            addr = addr.wrapping_add(take as u64);
+        }
+    }
+
+    /// Writes `bytes` from `addr` on, wrapping past the top of the
+    /// address space to 0; one page borrow per page touched.
+    fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let o = (addr & PAGE_MASK) as usize;
+            let take = (PAGE_SIZE - o).min(bytes.len());
+            self.page_mut(addr)[o..o + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            addr = addr.wrapping_add(take as u64);
+        }
+    }
+
+    /// Reads a little-endian `u32`. A word may straddle a page boundary;
+    /// one at the top of the address space wraps to address 0.
     pub fn read_u32(&self, addr: u64) -> u32 {
         if (addr & PAGE_MASK) as usize <= PAGE_SIZE - 4 {
             match self.pages.get(&(addr >> PAGE_SHIFT)) {
@@ -119,14 +214,12 @@ impl AddressSpace {
             }
         } else {
             let mut b = [0u8; 4];
-            for (i, byte) in b.iter_mut().enumerate() {
-                *byte = self.read_u8(addr + i as u64);
-            }
+            self.read_bytes(addr, &mut b);
             u32::from_le_bytes(b)
         }
     }
 
-    /// Writes a little-endian `u32`.
+    /// Writes a little-endian `u32`, wrapping as [`Self::read_u32`] does.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
         let bytes = value.to_le_bytes();
         if (addr & PAGE_MASK) as usize <= PAGE_SIZE - 4 {
@@ -134,19 +227,83 @@ impl AddressSpace {
             let o = (addr & PAGE_MASK) as usize;
             page[o..o + 4].copy_from_slice(&bytes);
         } else {
-            for (i, byte) in bytes.iter().enumerate() {
-                self.write_u8(addr + i as u64, *byte);
-            }
+            self.write_bytes(addr, &bytes);
         }
     }
 
-    /// Warp-wide load: for every lane set in `mask`, reads the `W`-byte
-    /// little-endian value (`W` is 1 or 4, zero-extended) at
-    /// `addrs[lane]` into `out[lane]`; other lanes of `out` are left
+    /// The `W`-byte value (`W` is 1 or 4, zero-extended) at `addr`.
+    fn read_w<const W: usize>(&self, addr: u64) -> u32 {
+        match W {
+            1 => self.read_u8(addr) as u32,
+            _ => self.read_u32(addr),
+        }
+    }
+
+    /// Writes the low `W` bytes (`W` is 1 or 4) of `value` at `addr`.
+    fn write_w<const W: usize>(&mut self, addr: u64, value: u32) {
+        match W {
+            1 => self.write_u8(addr, value as u8),
+            _ => self.write_u32(addr, value),
+        }
+    }
+
+    /// Warp-wide load: for every active lane of `access`, reads the
+    /// `W`-byte little-endian value (`W` is 1 or 4, zero-extended) at the
+    /// lane's address into `out[lane]`; other lanes of `out` are left
     /// alone. Equal to one [`Self::read_u8`] / [`Self::read_u32`] per
-    /// lane, but the page table is probed once per run of consecutive
-    /// lanes on the same page.
-    pub fn gather<const W: usize>(&self, addrs: &[u64], mask: u64, out: &mut [u32]) {
+    /// lane. A Unit run is one page probe and one copy (two if it
+    /// crosses a page), a Uniform access one read for all lanes, and
+    /// Lanes one probe per run of consecutive same-page lanes.
+    pub fn load<const W: usize>(&self, access: WarpAccess<'_>, out: &mut [u32; LANES]) {
+        match access {
+            WarpAccess::Unit(start) => {
+                let n = LANES * W;
+                let o = (start & PAGE_MASK) as usize;
+                let mut buf = [0u8; LANES * 4];
+                let bytes = if o + n <= PAGE_SIZE {
+                    match self.pages.get(&(start >> PAGE_SHIFT)) {
+                        Some(p) => &p[o..o + n],
+                        None => &buf[..n],
+                    }
+                } else {
+                    self.read_bytes(start, &mut buf[..n]);
+                    &buf[..n]
+                };
+                for (v, b) in out.iter_mut().zip(bytes.chunks_exact(W)) {
+                    let mut word = [0u8; 4];
+                    word[..W].copy_from_slice(b);
+                    *v = u32::from_le_bytes(word);
+                }
+            }
+            WarpAccess::Uniform(a) => *out = [self.read_w::<W>(a); LANES],
+            WarpAccess::Lanes { addrs, mask } => self.gather::<W>(addrs, mask, out),
+        }
+    }
+
+    /// Warp-wide store: for every active lane of `access`, in lane
+    /// order, writes the low `W` bytes (`W` is 1 or 4) of `vals[lane]` at
+    /// the lane's address — so a later lane wins where words overlap.
+    /// Equal to one [`Self::write_u8`] / [`Self::write_u32`] per lane. A
+    /// Unit run is one page borrow and one copy (two if it crosses a
+    /// page), a Uniform access the last lane's value written once, and
+    /// Lanes one borrow per run of consecutive same-page lanes.
+    pub fn store<const W: usize>(&mut self, access: WarpAccess<'_>, vals: &[u32; LANES]) {
+        match access {
+            WarpAccess::Unit(start) => {
+                let mut buf = [0u8; LANES * 4];
+                for (b, v) in buf.chunks_exact_mut(W).zip(vals) {
+                    b.copy_from_slice(&v.to_le_bytes()[..W]);
+                }
+                self.write_bytes(start, &buf[..LANES * W]);
+            }
+            WarpAccess::Uniform(a) => self.write_w::<W>(a, vals[LANES - 1]),
+            WarpAccess::Lanes { addrs, mask } => self.scatter::<W>(addrs, mask, vals),
+        }
+    }
+
+    /// [`Self::load`] of Lanes: the page table is probed once per run of
+    /// consecutive active lanes on the same page.
+    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
         let mut cur = NO_PAGE;
         let mut page: Option<&[u8; PAGE_SIZE]> = None;
         for lane in set_bits(mask) {
@@ -168,12 +325,9 @@ impl AddressSpace {
         }
     }
 
-    /// Warp-wide store: for every lane set in `mask`, in lane order,
-    /// writes the low `W` bytes (`W` is 1 or 4) of `vals[lane]` at
-    /// `addrs[lane]`. Equal to one [`Self::write_u8`] /
-    /// [`Self::write_u32`] per lane (a later lane wins on overlap), with
-    /// the page resolved once per run of consecutive same-page lanes.
-    pub fn scatter<const W: usize>(&mut self, addrs: &[u64], mask: u64, vals: &[u32]) {
+    /// [`Self::store`] of Lanes: the page is resolved once per run of
+    /// consecutive active lanes on the same page.
+    fn scatter<const W: usize>(&mut self, addrs: &[u64; LANES], mask: u64, vals: &[u32; LANES]) {
         let straddles = |a: u64| (a & PAGE_MASK) as usize > PAGE_SIZE - W;
         let mut rest = mask;
         while rest != 0 {
@@ -199,15 +353,15 @@ impl AddressSpace {
         }
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a little-endian `u64`, wrapping as [`Self::read_u32`] does.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        (self.read_u32(addr) as u64) | ((self.read_u32(addr + 4) as u64) << 32)
+        (self.read_u32(addr) as u64) | ((self.read_u32(addr.wrapping_add(4)) as u64) << 32)
     }
 
-    /// Writes a little-endian `u64`.
+    /// Writes a little-endian `u64`, wrapping as [`Self::read_u32`] does.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         self.write_u32(addr, value as u32);
-        self.write_u32(addr + 4, (value >> 32) as u32);
+        self.write_u32(addr.wrapping_add(4), (value >> 32) as u32);
     }
 
     /// Reads an `f32` (bit pattern of the `u32` at `addr`).
@@ -314,32 +468,61 @@ mod tests {
         );
     }
 
+    /// Per-lane addresses for every shape `load` / `store` treat
+    /// differently, within the first three pages.
+    fn lane_patterns(rng: &mut rand::rngs::StdRng) -> Vec<[u64; LANES]> {
+        use rand::Rng;
+        let page = PAGE_SIZE as u64;
+        let lane = |f: &mut dyn FnMut(u64) -> u64| std::array::from_fn(|l| f(l as u64));
+        vec![
+            // unit stride, unaligned: a word straddles the page boundary
+            lane(&mut |l| page - 30 + 4 * l),
+            // unit stride, aligned, crossing into page 1 at lane 32
+            lane(&mut |l| page - 128 + 4 * l),
+            // unit stride inside one page; byte unit stride into page 2
+            lane(&mut |l| 100 + 4 * l),
+            lane(&mut |l| 2 * page - 32 + l),
+            // one word straddling a page; one inside a line
+            lane(&mut |_| page - 2),
+            lane(&mut |_| 2 * page + 8),
+            // hops between pages, page-straddling words
+            lane(&mut |l| (l % 3) * page + 4 * l),
+            lane(&mut |l| page - 2 + (l % 2) * page),
+            lane(&mut |_| rng.gen_range(0..3 * page - 4)),
+        ]
+    }
+
     #[test]
     fn gather_and_scatter_equal_one_access_per_lane() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let top = 3 * PAGE_SIZE as u64;
-        for round in 0..200 {
-            // runs on one page, hops between pages, page-straddling words
-            let addrs: Vec<u64> = (0..64)
-                .map(|l| match round % 4 {
-                    0 => PAGE_SIZE as u64 - 30 + 4 * l,
-                    1 => (l % 3) * PAGE_SIZE as u64 + 4 * l,
-                    2 => PAGE_SIZE as u64 - 2 + (l % 2) * PAGE_SIZE as u64,
-                    _ => rng.gen_range(0..top - 4),
-                })
-                .collect();
-            let mask: u64 = if round % 5 == 0 { u64::MAX } else { rng.gen() };
-            let vals: Vec<u32> = (0..64).map(|_| rng.gen()).collect();
+        let mut shapes = [0; 3];
+        for round in 0..216 {
+            let addrs = lane_patterns(&mut rng)[round / 2 % 9];
+            // every pattern at both widths under one mask kind per 18 rounds
+            let mask: u64 = if round / 18 % 4 != 3 {
+                u64::MAX
+            } else {
+                rng.gen()
+            };
+            let vals: [u32; LANES] = std::array::from_fn(|_| rng.gen());
+            let width = if round % 2 == 0 { 4 } else { 1 };
+            let access = WarpAccess::resolve(&addrs, mask, width);
+            shapes[match access {
+                WarpAccess::Unit(_) => 0,
+                WarpAccess::Uniform(_) => 1,
+                WarpAccess::Lanes { .. } => 2,
+            }] += 1;
 
             let mut got = AddressSpace::new();
             got.write_u32_slice(PAGE_SIZE as u64 - 64, &vals); // page 2 stays untouched
             let mut want = got.clone();
-            if round % 2 == 0 {
-                got.scatter::<4>(&addrs, mask, &vals);
+            if width == 4 {
+                got.store::<4>(access, &vals);
                 set_bits(mask).for_each(|l| want.write_u32(addrs[l], vals[l]));
             } else {
-                got.scatter::<1>(&addrs, mask, &vals);
+                got.store::<1>(access, &vals);
                 set_bits(mask).for_each(|l| want.write_u8(addrs[l], vals[l] as u8));
             }
             for a in 0..top + 8 {
@@ -347,15 +530,100 @@ mod tests {
             }
             assert_eq!(got.resident_pages(), want.resident_pages());
 
-            let (mut words, mut bytes) = ([7u32; 64], [7u32; 64]);
-            got.gather::<4>(&addrs, mask, &mut words);
-            got.gather::<1>(&addrs, mask, &mut bytes);
-            for l in 0..64 {
-                let on = mask >> l & 1 == 1;
-                assert_eq!(words[l], if on { got.read_u32(addrs[l]) } else { 7 });
-                assert_eq!(bytes[l], if on { got.read_u8(addrs[l]) as u32 } else { 7 });
+            // Loads, with the page the stores left untouched read too.
+            let mut got_lanes = [7u32; LANES];
+            if width == 4 {
+                got.load::<4>(access, &mut got_lanes);
+            } else {
+                got.load::<1>(access, &mut got_lanes);
+            }
+            for l in 0..LANES {
+                let want_lane = match (mask >> l & 1 == 1, width) {
+                    (false, _) => 7,
+                    (true, 4) => got.read_u32(addrs[l]),
+                    (true, _) => got.read_u8(addrs[l]) as u32,
+                };
+                assert_eq!(got_lanes[l], want_lane, "round {round} lane {l}");
             }
         }
+        assert!(
+            shapes.iter().all(|&n| n >= 20),
+            "every shape ran: {shapes:?}"
+        );
+    }
+
+    #[test]
+    fn resolve_takes_the_bulk_shapes_only_when_exact() {
+        let unit: [u64; LANES] = std::array::from_fn(|l| 0x1000 + 4 * l as u64);
+        assert_eq!(
+            WarpAccess::resolve(&unit, u64::MAX, 4),
+            WarpAccess::Unit(0x1000)
+        );
+        // the same addresses are not unit stride for bytes, and no
+        // partial mask is Unit
+        assert!(matches!(
+            WarpAccess::resolve(&unit, u64::MAX, 1),
+            WarpAccess::Lanes { .. }
+        ));
+        assert!(matches!(
+            WarpAccess::resolve(&unit, u64::MAX >> 1, 4),
+            WarpAccess::Lanes { .. }
+        ));
+        let mut off = unit;
+        off[37] += 4;
+        assert!(matches!(
+            WarpAccess::resolve(&off, u64::MAX, 4),
+            WarpAccess::Lanes { .. }
+        ));
+
+        let same = [u64::MAX - 1; LANES];
+        assert_eq!(
+            WarpAccess::resolve(&same, u64::MAX, 4),
+            WarpAccess::Uniform(u64::MAX - 1)
+        );
+        assert!(matches!(
+            WarpAccess::resolve(&same, 1, 4),
+            WarpAccess::Lanes { .. }
+        ));
+        let mut odd = same;
+        odd[63] = 0;
+        assert!(matches!(
+            WarpAccess::resolve(&odd, u64::MAX, 4),
+            WarpAccess::Lanes { .. }
+        ));
+
+        // A run whose last byte is the top of the address space is Unit;
+        // one byte further would wrap, and stays Lanes.
+        let last: [u64; LANES] = std::array::from_fn(|l| u64::MAX - 255 + 4 * l as u64);
+        assert_eq!(
+            WarpAccess::resolve(&last, u64::MAX, 4),
+            WarpAccess::Unit(u64::MAX - 255)
+        );
+        let wraps = last.map(|a| a.wrapping_add(1));
+        assert!(matches!(
+            WarpAccess::resolve(&wraps, u64::MAX, 4),
+            WarpAccess::Lanes { .. }
+        ));
+    }
+
+    #[test]
+    fn a_word_at_the_top_of_the_address_space_wraps_to_zero() {
+        let mut m = AddressSpace::new();
+        m.write_u32(u64::MAX - 1, 0x1122_3344);
+        assert_eq!(
+            [
+                m.read_u8(u64::MAX - 1),
+                m.read_u8(u64::MAX),
+                m.read_u8(0),
+                m.read_u8(1)
+            ],
+            [0x44, 0x33, 0x22, 0x11]
+        );
+        assert_eq!(m.read_u32(u64::MAX - 1), 0x1122_3344);
+        m.write_u64(u64::MAX - 3, 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u64(u64::MAX - 3), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u32(0), 0x0102_0304);
+        assert_eq!(m.resident_pages(), 2);
     }
 
     #[test]

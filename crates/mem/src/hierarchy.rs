@@ -1,6 +1,6 @@
 //! Queueing timing model of the cache/DRAM hierarchy.
 
-use crate::addr::set_bits;
+use crate::addr::{set_bits, WarpAccess, LANES};
 use crate::cache::{AccessKind, CacheAccess};
 use crate::config::{MemHierarchyConfig, MshrConfig};
 use crate::stats::{MemStats, QueueDelayHist, QueueDelays};
@@ -49,13 +49,20 @@ pub fn coalesce_lines(addrs: impl IntoIterator<Item = u64>, width_bytes: u64) ->
     lines
 }
 
-/// The lines touched by one `width_bytes` access at `a`.
+/// The lines touched by one `width_bytes` access at `a`, ascending. An
+/// access whose bytes pass the top of the address space wraps to
+/// address 0 as its bytes do (`AddressSpace`), so it touches the last
+/// line and line 0 onwards; width 0 touches the line of `a`.
 #[inline]
-fn lines_of(a: u64, width_bytes: u64) -> std::ops::RangeInclusive<u64> {
-    // Saturate instead of wrapping: an access whose last byte would
-    // pass the top of the address space clamps to the final line rather
-    // than spanning the whole 2^64 range (or underflowing on width 0).
-    a / LINE_BYTES..=a.saturating_add(width_bytes.saturating_sub(1)) / LINE_BYTES
+fn lines_of(a: u64, width_bytes: u64) -> impl Iterator<Item = u64> {
+    let (last, wrapped) = a.overflowing_add(width_bytes.saturating_sub(1));
+    // lines 0 ..= last of a wrapped access come first; none otherwise
+    let (low_end, high) = if wrapped {
+        (last / LINE_BYTES + 1, u64::MAX / LINE_BYTES)
+    } else {
+        (0, last / LINE_BYTES)
+    };
+    (0..low_end).chain(a / LINE_BYTES..=high)
 }
 
 /// Sorts and dedups a line buffer in place, completing a coalesce.
@@ -66,14 +73,27 @@ fn sort_dedup(out: &mut Vec<u64>) {
 
 /// The interpreter's allocation-free form of [`coalesce_lines`]: leaves
 /// in `out` (cleared first) the sorted, unique lines touched by the
-/// `width_bytes` accesses at `addrs[lane]` for every lane set in `mask`.
-///
-/// A line is appended only if it differs from the one before it, and
-/// the buffer is sorted and deduplicated only if some lane stepped
-/// backwards — warps mostly walk memory in ascending lane order, which
-/// makes the common case a single pass.
-pub fn coalesce_lanes_into(out: &mut Vec<u64>, addrs: &[u64], mask: u64, width_bytes: u64) {
+/// `width_bytes` accesses of `access`, by its shape. A Unit run is one
+/// line range and a Uniform access the one or two lines of its word.
+/// Lanes under a full mask take `coalesce_ascending`, and fall back to
+/// `coalesce_appending` as partial masks do.
+pub fn coalesce_access_into(out: &mut Vec<u64>, access: WarpAccess<'_>, width_bytes: u64) {
     out.clear();
+    match access {
+        WarpAccess::Unit(start) => out.extend(lines_of(start, LANES as u64 * width_bytes)),
+        WarpAccess::Uniform(a) => out.extend(lines_of(a, width_bytes)),
+        WarpAccess::Lanes { addrs, mask } => {
+            if mask != u64::MAX || !coalesce_ascending(out, addrs, width_bytes) {
+                coalesce_appending(out, addrs, mask, width_bytes);
+            }
+        }
+    }
+}
+
+/// Lanes, one active lane at a time: a line is appended only if it
+/// differs from the one before it, and the buffer is sorted and
+/// deduplicated only if some lane stepped backwards.
+fn coalesce_appending(out: &mut Vec<u64>, addrs: &[u64; LANES], mask: u64, width_bytes: u64) {
     let mut ascending = true;
     for lane in set_bits(mask) {
         for line in lines_of(addrs[lane], width_bytes) {
@@ -88,6 +108,34 @@ pub fn coalesce_lanes_into(out: &mut Vec<u64>, addrs: &[u64], mask: u64, width_b
     if !ascending {
         sort_dedup(out);
     }
+}
+
+/// Lanes under a full mask in one pass over the address array: each
+/// lane's line is appended when it differs from the last one, while
+/// two branch-free reductions check that no word straddles a line (or
+/// wraps) and no lane's line is below the one before it. When both
+/// hold, `out` is the result and so is `true`; otherwise `out` is left
+/// empty.
+#[inline]
+fn coalesce_ascending(out: &mut Vec<u64>, addrs: &[u64; LANES], width_bytes: u64) -> bool {
+    let Some(room) = LINE_BYTES.checked_sub(width_bytes) else {
+        return false; // every word is wider than a line
+    };
+    let mut last = addrs[0] / LINE_BYTES;
+    out.push(last);
+    let mut ok = true;
+    for &a in addrs {
+        let line = a / LINE_BYTES;
+        ok &= (a % LINE_BYTES <= room) & (line >= last);
+        if line != last {
+            out.push(line);
+            last = line;
+        }
+    }
+    if !ok {
+        out.clear();
+    }
+    ok
 }
 
 /// Plain tallies for one cache level, bumped on the per-line path and
@@ -1136,28 +1184,60 @@ mod tests {
         assert_eq!(coalesce_lines([0u64, 64, 128], 4), vec![0, 1, 2]);
     }
 
+    /// Every shape, and the same addresses forced down the Lanes path,
+    /// against `coalesce_lines` over the active lanes.
     #[test]
     fn coalesce_lanes_equals_coalesce_lines_over_the_active_lanes() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let mut out = vec![1, 2, 3]; // stale contents are discarded
-        for round in 0..300u64 {
-            let addrs: Vec<u64> = (0..64)
-                .map(|l| match round % 5 {
-                    0 => 0x1000 + 4 * l,             // ascending: the single-pass case
-                    1 => 0x1000 + 4 * (63 - l),      // descending
-                    2 => 0x1000 + 62 + 64 * (l % 7), // straddling, repeating
-                    3 => u64::MAX - 4 * l,           // clamps at the top line
+        let mut shapes = [0; 3];
+        for round in 0..330u64 {
+            let addrs: [u64; LANES] = std::array::from_fn(|l| {
+                let l = l as u64;
+                match round % 11 {
+                    0 => 0x1000 + 4 * l,                       // ascending: Unit for words
+                    1 => 0x1000 + 4 * (63 - l),                // descending
+                    2 => 0x1000 + 62 + 64 * (l % 7),           // straddling, repeating
+                    3 => u64::MAX - 4 * l,                     // wraps past the top
+                    4 => 0x1000 + (l / 8) * 256 + (l % 8) * 4, // an 8x8 tile
+                    5 => 0x1000 + 62,                          // one word straddling lines
+                    6 => u64::MAX - 1,                         // one word wrapping
+                    7 => 0x1003 + l,                           // Unit for bytes
+                    8 => u64::MAX - 255 + 4 * l,               // a run ending at the top
+                    9 => 0x2000 - 2 + 4 * l,                   // unaligned ascending
                     _ => rng.gen_range(0..0x4000),
-                })
-                .collect();
-            let mask: u64 = if round % 3 == 0 { u64::MAX } else { rng.gen() };
+                }
+            });
+            let mask: u64 = if round % 3 != 2 { u64::MAX } else { rng.gen() };
             let width = [0, 1, 4, 8][(round % 4) as usize];
-            coalesce_lanes_into(&mut out, &addrs, mask, width);
             let want = coalesce_lines(set_bits(mask).map(|l| addrs[l]), width);
-            assert_eq!(out, want, "round {round} width {width} mask {mask:#x}");
+            let access = WarpAccess::resolve(&addrs, mask, width);
+            shapes[match access {
+                WarpAccess::Unit(_) => 0,
+                WarpAccess::Uniform(_) => 1,
+                WarpAccess::Lanes { .. } => 2,
+            }] += 1;
+            for access in [
+                access,
+                WarpAccess::Lanes {
+                    addrs: &addrs,
+                    mask,
+                },
+            ] {
+                coalesce_access_into(&mut out, access, width);
+                assert_eq!(out, want, "round {round} width {width} {access:?}");
+            }
         }
-        coalesce_lanes_into(&mut out, &[0; 64], 0, 4);
+        assert!(
+            shapes.iter().all(|&n| n >= 10),
+            "every shape ran: {shapes:?}"
+        );
+        let lanes = WarpAccess::Lanes {
+            addrs: &[0; LANES],
+            mask: 0,
+        };
+        coalesce_access_into(&mut out, lanes, 4);
         assert!(out.is_empty());
     }
 
@@ -1166,12 +1246,14 @@ mod tests {
         let lines = |a, w| lines_of(a, w).collect::<Vec<u64>>();
         // Straddling a line boundary touches both lines.
         assert_eq!(lines(62, 4), vec![0, 1]);
-        // An access whose last byte would pass the top of the address
-        // space saturates to the final line instead of wrapping to 0
-        // (which would enumerate the entire 2^64 range).
+        // An access whose bytes pass the top of the address space wraps
+        // to address 0 as `AddressSpace`'s bytes do: it touches the last
+        // line and the first ones, listed ascending.
         let top_line = u64::MAX / LINE_BYTES;
-        assert_eq!(lines(u64::MAX - 10, 100), vec![top_line]);
-        assert_eq!(lines(u64::MAX, 8), vec![top_line]);
+        assert_eq!(lines(u64::MAX - 3, 4), vec![top_line]);
+        assert_eq!(lines(u64::MAX - 1, 4), vec![0, top_line]);
+        assert_eq!(lines(u64::MAX - 10, 100), vec![0, 1, top_line]);
+        assert_eq!(lines(u64::MAX, 8), vec![0, top_line]);
         // Width 0 must not underflow; it touches the line of `a`.
         assert_eq!(lines(130, 0), vec![2]);
         // Dedup is order-insensitive: unsorted duplicates coalesce to a

@@ -36,7 +36,7 @@ mod hierarchy;
 mod mshr;
 mod stats;
 
-pub use addr::{set_bits, AddressSpace, U64HashBuilder, U64Hasher};
+pub use addr::{set_bits, AddressSpace, U64HashBuilder, U64Hasher, WarpAccess};
 pub use alloc::{AllocError, BumpAllocator};
 pub use cache::{AccessKind, Cache, CacheAccess};
 pub use config::{
@@ -44,7 +44,7 @@ pub use config::{
     MemHierarchyConfig, MshrConfig, NocConfig,
 };
 pub use hierarchy::{
-    coalesce_lanes_into, coalesce_lines, MemPort, MemRequest, MemResponse, MemoryHierarchy,
+    coalesce_access_into, coalesce_lines, MemPort, MemRequest, MemResponse, MemoryHierarchy,
     LINE_BYTES,
 };
 pub use stats::{MemStats, QueueDelayHist, QueueDelays, QDELAY_BUCKETS};

@@ -14,7 +14,7 @@ use gpu_isa::{
     BranchCond, CmpOp, InstClass, LaneSrc, MaskReg, MemWidth, MicroOp, Op, Program, SAluOp,
     ScalarOperand, SpecialReg, Sreg, VAluOp, Vreg, LANES,
 };
-use gpu_mem::{coalesce_lanes_into, set_bits};
+use gpu_mem::{coalesce_access_into, set_bits, WarpAccess};
 
 /// Per-launch values visible to the interpreter.
 #[derive(Debug, Clone, Copy)]
@@ -243,26 +243,61 @@ fn branch_taken(warp: &WarpState, cond: BranchCond) -> bool {
     }
 }
 
-/// The per-lane byte addresses `sreg(base) + imm + offset[l]` (wrapping)
-/// of a global access, with the coalesced lines of the active lanes
-/// left in `lines`.
+/// The `W`-byte global access at `sreg(base) + imm + offset[l]`
+/// (wrapping) in every active lane, resolved once into its shape, with
+/// its coalesced lines left in `lines`. The per-lane addresses are
+/// built in `addrs`, which a Lanes access borrows.
 #[inline]
-fn global_access(
+fn global_access<'a, const W: usize>(
     warp: &WarpState,
     base: Sreg,
     offset: Vreg,
     imm: u64,
-    width: MemWidth,
+    addrs: &'a mut [u64; LANES],
     lines: &mut Vec<u64>,
-) -> [u64; LANES] {
+) -> WarpAccess<'a> {
     let base = warp.sregs[base.index()].wrapping_add(imm);
     let offset = &warp.vregs[offset.index()];
-    let mut addrs = [0u64; LANES];
     for l in 0..LANES {
         addrs[l] = base.wrapping_add(offset[l] as u64);
     }
-    coalesce_lanes_into(lines, &addrs, warp.exec, width.bytes());
-    addrs
+    let access = WarpAccess::resolve(addrs, warp.exec, W as u64);
+    #[cfg(test)]
+    tests::tally(access, warp.exec);
+    coalesce_access_into(lines, access, W as u64);
+    access
+}
+
+/// `dst = mem[addrs]` for the active lanes of a `W`-byte global load.
+#[inline]
+fn global_load<const W: usize, M: DataMem>(
+    warp: &mut WarpState,
+    mem: &M,
+    dst: Vreg,
+    base: Sreg,
+    offset: Vreg,
+    imm: u64,
+    lines: &mut Vec<u64>,
+) {
+    let mut addrs = [0u64; LANES];
+    let access = global_access::<W>(warp, base, offset, imm, &mut addrs, lines);
+    mem.load::<W>(access, &mut warp.vregs[dst.index()]);
+}
+
+/// `mem[addrs] = src` for the active lanes of a `W`-byte global store.
+#[inline]
+fn global_store<const W: usize, M: DataMem>(
+    warp: &WarpState,
+    mem: &mut M,
+    src: Vreg,
+    base: Sreg,
+    offset: Vreg,
+    imm: u64,
+    lines: &mut Vec<u64>,
+) {
+    let mut addrs = [0u64; LANES];
+    let access = global_access::<W>(warp, base, offset, imm, &mut addrs, lines);
+    mem.store::<W>(access, &warp.vregs[src.index()]);
 }
 
 /// The byte range of the LDS word at `v + imm`, unless it starts below
@@ -442,11 +477,9 @@ pub(crate) fn execute<M: DataMem>(
             width,
         } => {
             if warp.exec != 0 {
-                let addrs = global_access(warp, base, offset, imm, width, lines);
-                let dst = &mut warp.vregs[dst.index()];
                 match width {
-                    MemWidth::B8 => mem.gather::<1>(&addrs, warp.exec, dst),
-                    MemWidth::B32 => mem.gather::<4>(&addrs, warp.exec, dst),
+                    MemWidth::B8 => global_load::<1, M>(warp, mem, dst, base, offset, imm, lines),
+                    MemWidth::B32 => global_load::<4, M>(warp, mem, dst, base, offset, imm, lines),
                 }
                 effect = StepEffect::Mem { write: false };
             }
@@ -459,11 +492,9 @@ pub(crate) fn execute<M: DataMem>(
             width,
         } => {
             if warp.exec != 0 {
-                let addrs = global_access(warp, base, offset, imm, width, lines);
-                let src = &warp.vregs[src.index()];
                 match width {
-                    MemWidth::B8 => mem.scatter::<1>(&addrs, warp.exec, src),
-                    MemWidth::B32 => mem.scatter::<4>(&addrs, warp.exec, src),
+                    MemWidth::B8 => global_store::<1, M>(warp, mem, src, base, offset, imm, lines),
+                    MemWidth::B32 => global_store::<4, M>(warp, mem, src, base, offset, imm, lines),
                 }
                 effect = StepEffect::Mem { write: true };
             }
@@ -523,9 +554,45 @@ mod tests {
     use super::*;
     use crate::overlay::OverlayMem;
     use gpu_isa::{Inst, KernelBuilder, ScalarSrc, VectorSrc};
-    use gpu_mem::{coalesce_lines, AddressSpace};
+    use gpu_mem::{coalesce_lines, AddressSpace, LINE_BYTES};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    const UNIT: usize = 0;
+    const UNIFORM: usize = 1;
+    const LANES_SHAPE: usize = 2;
+
+    /// Global accesses counted by [`tally`]: `[full EXEC, partial EXEC]`,
+    /// then `[UNIT, UNIFORM, LANES_SHAPE]`.
+    type Shapes = [[u64; 3]; 2];
+
+    thread_local! {
+        /// Global accesses executed on this thread, by mask and shape.
+        static SHAPES: Cell<Shapes> = const { Cell::new([[0; 3]; 2]) };
+    }
+
+    /// Counts one global access of `global_access`.
+    pub(super) fn tally(access: WarpAccess<'_>, exec: u64) {
+        let shape = match access {
+            WarpAccess::Unit(_) => UNIT,
+            WarpAccess::Uniform(_) => UNIFORM,
+            WarpAccess::Lanes { .. } => LANES_SHAPE,
+        };
+        let mut shapes = SHAPES.get();
+        shapes[(exec != u64::MAX) as usize][shape] += 1;
+        SHAPES.set(shapes);
+    }
+
+    /// `f`'s result, and the accesses [`tally`] counted while it ran on
+    /// this thread.
+    fn shapes_during<R>(f: impl FnOnce() -> R) -> (R, Shapes) {
+        let before = SHAPES.get();
+        let r = f();
+        let after = SHAPES.get();
+        let shapes = std::array::from_fn(|m| std::array::from_fn(|s| after[m][s] - before[m][s]));
+        (r, shapes)
+    }
 
     fn env(args: &[u64]) -> LaunchEnv<'_> {
         LaunchEnv {
@@ -1269,30 +1336,117 @@ mod tests {
     /// Bytes either side of `GLOBAL_BASE` the address patterns stay in.
     const GLOBAL_SPAN: u64 = 3 * 4096;
 
-    /// Per-lane byte offsets from `GLOBAL_BASE` (which is page- and
-    /// line-aligned) for every access shape the gather, scatter and
-    /// coalescer treat differently.
-    fn offset_patterns(rng: &mut StdRng) -> Vec<(&'static str, [u32; LANES])> {
+    /// A global access pattern: a name, the base address (before the
+    /// immediate), per-lane byte offsets from it, and the shape a full
+    /// mask takes at widths `[B8, B32]`.
+    type Pattern = (&'static str, u64, [u32; LANES], [usize; 2]);
+
+    /// One pattern for every access shape the loads, stores and
+    /// coalescer treat differently, and for each boundary between them.
+    /// Most start at `GLOBAL_BASE`, which is page- and line-aligned.
+    fn offset_patterns(rng: &mut StdRng) -> Vec<Pattern> {
         let lane = |f: &mut dyn FnMut(u32) -> u32| std::array::from_fn(|l| f(l as u32));
+        let at = GLOBAL_BASE;
+        let mut off_by_4 = lane(&mut |l| 4 * l);
+        off_by_4[37] += 4;
+        let mut one_differs = [1234; LANES];
+        one_differs[63] = 1238;
         vec![
-            ("unit stride", lane(&mut |l| 4 * l)),
+            ("unit stride", at, lane(&mut |l| 4 * l), [LANES_SHAPE, UNIT]),
+            // every 16th word straddles a line, and (imm 0) the run's
+            // last byte is the first of a line
+            (
+                "unit, unaligned",
+                at,
+                lane(&mut |l| 1 + 4 * l),
+                [LANES_SHAPE, UNIT],
+            ),
             // lanes 0..=1 sit below a page boundary, lane 2 straddles
             // it (for 4-byte accesses), the rest lie beyond it
-            ("crosses a page", lane(&mut |l| 4096 - 10 + 4 * l)),
+            (
+                "crosses a page",
+                at,
+                lane(&mut |l| 4096 - 10 + 4 * l),
+                [LANES_SHAPE, UNIT],
+            ),
+            (
+                "unit across a page",
+                at,
+                lane(&mut |l| 4096 - 128 + 4 * l),
+                [LANES_SHAPE, UNIT],
+            ),
+            ("byte unit", at, lane(&mut |l| 1 + l), [UNIT, LANES_SHAPE]),
+            (
+                "byte unit across a page",
+                at,
+                lane(&mut |l| 4096 - 32 + l),
+                [UNIT, LANES_SHAPE],
+            ),
+            ("unit but one lane off by 4", at, off_by_4, [LANES_SHAPE; 2]),
             // every lane straddles a line boundary
-            ("straddles lines", lane(&mut |l| 62 + 64 * l)),
-            ("descending", lane(&mut |l| 4 * (LANES as u32 - 1 - l))),
-            ("one address", lane(&mut |_| 1234)),
-            ("duplicate runs", lane(&mut |l| 4 * (l / 4))),
-            ("page ping-pong", lane(&mut |l| (l % 2) * 4096 + 4 * l)),
+            (
+                "straddles lines",
+                at,
+                lane(&mut |l| 62 + 64 * l),
+                [LANES_SHAPE; 2],
+            ),
+            (
+                "descending",
+                at,
+                lane(&mut |l| 4 * (LANES as u32 - 1 - l)),
+                [LANES_SHAPE; 2],
+            ),
+            ("one address", at, [1234; LANES], [UNIFORM; 2]),
+            (
+                "one word straddling a page",
+                at,
+                [4094; LANES],
+                [UNIFORM; 2],
+            ),
+            ("one word straddling a line", at, [62; LANES], [UNIFORM; 2]),
+            (
+                "uniform but one lane different",
+                at,
+                one_differs,
+                [LANES_SHAPE; 2],
+            ),
+            (
+                "duplicate runs",
+                at,
+                lane(&mut |l| 4 * (l / 4)),
+                [LANES_SHAPE; 2],
+            ),
+            (
+                "page ping-pong",
+                at,
+                lane(&mut |l| (l % 2) * 4096 + 4 * l),
+                [LANES_SHAPE; 2],
+            ),
             (
                 "random",
+                at,
                 lane(&mut |_| rng.gen_range(0..GLOBAL_SPAN as u32 - 4)),
+                [LANES_SHAPE; 2],
+            ),
+            // lane 32 (imm 0) or 36 (imm -16) wraps past the top of the
+            // address space, so the run is not Unit
+            (
+                "wraps past the top",
+                u64::MAX - 129,
+                lane(&mut |l| 4 * l),
+                [LANES_SHAPE; 2],
+            ),
+            (
+                "one word at the top",
+                u64::MAX - 1,
+                [0; LANES],
+                [UNIFORM; 2],
             ),
         ]
     }
 
-    /// Fills the window the patterns can touch with seeded bytes.
+    /// Fills the windows the patterns can touch with seeded bytes: around
+    /// `GLOBAL_BASE` and either side of the top of the address space.
     fn seeded_memory(rng: &mut StdRng) -> AddressSpace {
         let mut mem = AddressSpace::new();
         for a in (GLOBAL_BASE - 4096..GLOBAL_BASE + GLOBAL_SPAN).step_by(4) {
@@ -1300,6 +1454,12 @@ mod tests {
             if (a >> 12) % 3 != 1 {
                 mem.write_u32(a, rng.gen());
             }
+        }
+        for a in (u64::MAX - 4095..u64::MAX)
+            .step_by(4)
+            .chain((0..4096).step_by(4))
+        {
+            mem.write_u32(a, rng.gen());
         }
         mem
     }
@@ -1310,21 +1470,28 @@ mod tests {
     fn check_global_access<M: DataMem>(make: impl Fn() -> M, rng: &mut StdRng) {
         let (dst, base, off, src) = (Vreg::new(0), Sreg::new(0), Vreg::new(1), Vreg::new(2));
         let e = env(&[]);
-        for (name, offsets) in offset_patterns(rng) {
-            for width in [MemWidth::B8, MemWidth::B32] {
+        for (name, at, offsets, full_shapes) in offset_patterns(rng) {
+            for (width, full_shape) in [MemWidth::B8, MemWidth::B32].into_iter().zip(full_shapes) {
                 for imm in [0, -16] {
                     for exec in exec_masks(rng) {
                         let what = format!("{name} {width:?} imm={imm} exec={exec:#x}");
                         let mut warp = seeded_warp(rng);
                         warp.exec = exec;
-                        warp.sregs[base.index()] = GLOBAL_BASE;
+                        warp.sregs[base.index()] = at;
                         warp.vregs[off.index()] = offsets;
                         let addr = |l: usize| {
-                            GLOBAL_BASE.wrapping_add(imm as i64 as u64) + offsets[l] as u64
+                            at.wrapping_add(imm as i64 as u64)
+                                .wrapping_add(offsets[l] as u64)
                         };
                         let active: Vec<usize> = set_bits(exec).collect();
                         let want_lines =
                             coalesce_lines(active.iter().map(|&l| addr(l)), width.bytes());
+                        let mut want_shapes = [[0; 3]; 2];
+                        match exec {
+                            0 => {}
+                            u64::MAX => want_shapes[0][full_shape] = 1,
+                            _ => want_shapes[1][LANES_SHAPE] = 1,
+                        }
                         let mut lines = vec![99]; // stale contents must not leak
 
                         // load, with `dst` aliasing the offsets half the time
@@ -1339,7 +1506,10 @@ mod tests {
                         let p = Program::from_insts("t", vec![load, Inst::SEndpgm]).unwrap();
                         let mut mem = make();
                         let mut got = warp.clone();
-                        let info = step(&mut got, &p, &mut mem, &mut [], &e, &mut lines).unwrap();
+                        let (info, shapes) = shapes_during(|| {
+                            step(&mut got, &p, &mut mem, &mut [], &e, &mut lines).unwrap()
+                        });
+                        assert_eq!(shapes, want_shapes, "load shape {what}");
                         let mut want = warp.clone();
                         for &l in &active {
                             want.vregs[dst.index()][l] = match width {
@@ -1370,7 +1540,10 @@ mod tests {
                         let p = Program::from_insts("t", vec![store, Inst::SEndpgm]).unwrap();
                         let (mut got_mem, mut want_mem) = (make(), make());
                         let mut w = warp.clone();
-                        let info = step(&mut w, &p, &mut got_mem, &mut [], &e, &mut lines).unwrap();
+                        let (info, shapes) = shapes_during(|| {
+                            step(&mut w, &p, &mut got_mem, &mut [], &e, &mut lines).unwrap()
+                        });
+                        assert_eq!(shapes, want_shapes, "store shape {what}");
                         for &l in &active {
                             let v = warp.vregs[src.index()][l];
                             match width {
@@ -1378,7 +1551,8 @@ mod tests {
                                 MemWidth::B32 => want_mem.write_u32(addr(l), v),
                             }
                         }
-                        for a in GLOBAL_BASE - 64..GLOBAL_BASE + GLOBAL_SPAN + 64 {
+                        let window = at.wrapping_sub(80);
+                        for a in (0..GLOBAL_SPAN + 144).map(|i| window.wrapping_add(i)) {
                             assert_eq!(
                                 got_mem.read_u8(a),
                                 want_mem.read_u8(a),
@@ -1410,18 +1584,139 @@ mod tests {
     fn global_access_on_overlay_matches_per_lane_access() {
         let mut rng = StdRng::seed_from_u64(0x0e71a);
         let base = seeded_memory(&mut rng);
-        // clean: loads take the base's page-run gather
+        // clean: loads take the base's bulk paths
         check_global_access(|| OverlayMem::new(&base), &mut rng);
-        // dirty: bytes shadowed inside and across the words loads read
+        // dirty: bytes shadowed inside and across the words loads read,
+        // on both sides of the top of the address space too
         check_global_access(
             || {
                 let mut ov = OverlayMem::new(&base);
-                for a in (GLOBAL_BASE - 8..GLOBAL_BASE + GLOBAL_SPAN).step_by(7) {
+                let near_top = (u64::MAX - 300..=u64::MAX).chain(0..300);
+                for a in (GLOBAL_BASE - 8..GLOBAL_BASE + GLOBAL_SPAN)
+                    .chain(near_top)
+                    .step_by(7)
+                {
                     ov.write_u8(a, (a as u8) ^ 0x5a);
                 }
                 ov
             },
             &mut rng,
         );
+    }
+
+    /// A word at `u64::MAX - 1` wraps to address 0 — for its bytes, in
+    /// every memory and every build (overflow checks on or off), and for
+    /// its lines, which are the last line and line 0.
+    #[test]
+    fn a_word_at_the_top_of_the_address_space_wraps_in_every_build() {
+        let mut kb = KernelBuilder::new("t");
+        let buf = kb.sreg();
+        kb.load_arg(buf, 0);
+        let off = kb.vreg();
+        kb.vmov(off, VectorSrc::Imm(0));
+        let v = kb.vreg();
+        kb.valu(
+            VAluOp::Add,
+            v,
+            VectorSrc::LaneId,
+            VectorSrc::Imm(0x1122_3300),
+        );
+        kb.global_store(v, buf, off, 0, MemWidth::B32);
+        let r = kb.vreg();
+        kb.global_load(r, buf, off, 0, MemWidth::B32);
+        let p = kb.finish().unwrap();
+        let top_line = u64::MAX / LINE_BYTES;
+
+        fn run<M: DataMem>(p: &Program, mem: &mut M, r: Vreg, top_line: u64) {
+            let (mut w, mut lines) = (WarpState::new(), Vec::new());
+            let args = [u64::MAX - 1];
+            let e = env(&args);
+            for _ in 0..3 {
+                step(&mut w, p, mem, &mut [], &e, &mut lines).unwrap();
+            }
+            let st = step(&mut w, p, mem, &mut [], &e, &mut lines).unwrap();
+            assert_eq!(st.effect, StepEffect::Mem { write: true });
+            assert_eq!(lines, [0, top_line]);
+            // the last lane's value, low byte first, from u64::MAX - 1 on
+            let bytes = [u64::MAX - 1, u64::MAX, 0, 1].map(|a| mem.read_u8(a));
+            assert_eq!(bytes, [0x3f, 0x33, 0x22, 0x11]);
+            let ld = step(&mut w, p, mem, &mut [], &e, &mut lines).unwrap();
+            assert_eq!(ld.effect, StepEffect::Mem { write: false });
+            assert_eq!(lines, [0, top_line]);
+            assert_eq!(w.vregs[r.index()], [0x1122_333f; LANES]);
+        }
+        let base = AddressSpace::new();
+        run(&p, &mut base.clone(), r, top_line);
+        run(&p, &mut OverlayMem::new(&base), r, top_line);
+    }
+
+    /// Runs every warp of `launch` alone to its end on `mem` (barriers as
+    /// no-ops); returns the global memory instructions executed and the
+    /// shapes [`tally`] counted for them.
+    fn global_accesses(launch: &gpu_isa::KernelLaunch, mem: &mut AddressSpace) -> (u64, Shapes) {
+        shapes_during(|| {
+            let mut executed = 0;
+            let mut lds = vec![0u8; launch.lds_bytes.max(4) as usize];
+            let mut lines = Vec::new();
+            for wg_id in 0..launch.num_wgs {
+                for warp_in_wg in 0..launch.warps_per_wg {
+                    let e = LaunchEnv {
+                        args: &launch.args,
+                        wg_id,
+                        warp_in_wg,
+                        warps_per_wg: launch.warps_per_wg,
+                        num_wgs: launch.num_wgs,
+                    };
+                    let mut w = WarpState::new();
+                    let program = launch.kernel.program();
+                    loop {
+                        let info = step(&mut w, program, mem, &mut lds, &e, &mut lines).unwrap();
+                        match info.effect {
+                            StepEffect::End => break,
+                            StepEffect::Mem { .. } => executed += 1,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            executed
+        })
+    }
+
+    /// The deterministic witness for the bulk paths: every global access
+    /// FIR makes is Unit or Uniform, none takes the per-lane path.
+    #[test]
+    fn fir_takes_no_per_lane_global_access() {
+        let mut gpu = Default::default();
+        let app: gpu_workloads::App = gpu_workloads::fir::build(&mut gpu, 256, 7);
+        let mut mem = gpu.mem().clone();
+        let (mut executed, mut shapes) = (0, [[0; 3]; 2]);
+        for l in app.launches() {
+            let (n, s) = global_accesses(&l.launch, &mut mem);
+            executed += n;
+            (0..2).for_each(|m| (0..3).for_each(|k| shapes[m][k] += s[m][k]));
+        }
+        assert!(executed > 0);
+        assert_eq!(shapes[0][UNIT] + shapes[0][UNIFORM], executed, "{shapes:?}");
+        assert!(shapes[0][UNIT] > 0 && shapes[0][UNIFORM] > 0, "{shapes:?}");
+        assert_eq!(shapes[0][LANES_SHAPE] + shapes[1].iter().sum::<u64>(), 0);
+    }
+
+    /// ... and a partial EXEC mask always does: SpMV's row loops.
+    #[test]
+    fn spmv_partial_masks_take_the_per_lane_path() {
+        let mut gpu = Default::default();
+        let app: gpu_workloads::App = gpu_workloads::spmv::build(&mut gpu, 8, 7);
+        let mut mem = gpu.mem().clone();
+        let (mut executed, mut tallied, mut partial) = (0, 0, [0; 3]);
+        for l in app.launches() {
+            let (n, s) = global_accesses(&l.launch, &mut mem);
+            executed += n;
+            tallied += s.iter().flatten().sum::<u64>();
+            (0..3).for_each(|k| partial[k] += s[1][k]);
+        }
+        assert_eq!(tallied, executed);
+        assert!(partial[LANES_SHAPE] > 0, "test premise: partial masks");
+        assert_eq!(partial[UNIT] + partial[UNIFORM], 0, "{partial:?}");
     }
 }

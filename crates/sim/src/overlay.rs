@@ -6,10 +6,12 @@
 //! copy-on-write [`OverlayMem`] and leave no side effects.
 
 use gpu_isa::LANES;
-use gpu_mem::{set_bits, AddressSpace, U64HashBuilder};
+use gpu_mem::{AddressSpace, U64HashBuilder, WarpAccess};
 use std::collections::HashMap;
 
 /// A byte-addressable data memory the functional interpreter can run on.
+/// Addresses wrap: a word at the top of the address space continues at
+/// address 0.
 pub trait DataMem {
     /// Reads one byte (untouched memory reads zero).
     fn read_u8(&self, addr: u64) -> u8;
@@ -22,39 +24,15 @@ pub trait DataMem {
     /// Writes a little-endian `u32`.
     fn write_u32(&mut self, addr: u64, value: u32);
 
-    /// Warp-wide load: for every lane set in `mask`, reads the `W`-byte
-    /// value (`W` is 1 or 4, zero-extended) at `addrs[lane]` into
-    /// `out[lane]`, leaving the other lanes of `out` alone.
-    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
-        gather_per_lane::<W, _>(self, addrs, mask, out)
-    }
+    /// Warp-wide load: for every active lane of `access`, reads the
+    /// `W`-byte value (`W` is 1 or 4, zero-extended) at the lane's
+    /// address into `out[lane]`, leaving the other lanes of `out` alone.
+    fn load<const W: usize>(&self, access: WarpAccess<'_>, out: &mut [u32; LANES]);
 
-    /// Warp-wide store: for every lane set in `mask`, in lane order,
-    /// writes the low `W` bytes (`W` is 1 or 4) of `vals[lane]` at
-    /// `addrs[lane]`.
-    fn scatter<const W: usize>(&mut self, addrs: &[u64; LANES], mask: u64, vals: &[u32; LANES]) {
-        for lane in set_bits(mask) {
-            match W {
-                1 => self.write_u8(addrs[lane], vals[lane] as u8),
-                _ => self.write_u32(addrs[lane], vals[lane]),
-            }
-        }
-    }
-}
-
-/// [`DataMem::gather`] as one scalar read per active lane.
-fn gather_per_lane<const W: usize, M: DataMem + ?Sized>(
-    mem: &M,
-    addrs: &[u64; LANES],
-    mask: u64,
-    out: &mut [u32; LANES],
-) {
-    for lane in set_bits(mask) {
-        out[lane] = match W {
-            1 => mem.read_u8(addrs[lane]) as u32,
-            _ => mem.read_u32(addrs[lane]),
-        };
-    }
+    /// Warp-wide store: for every active lane of `access`, in lane
+    /// order, writes the low `W` bytes (`W` is 1 or 4) of `vals[lane]` at
+    /// the lane's address.
+    fn store<const W: usize>(&mut self, access: WarpAccess<'_>, vals: &[u32; LANES]);
 }
 
 impl DataMem for AddressSpace {
@@ -73,11 +51,11 @@ impl DataMem for AddressSpace {
     fn write_u32(&mut self, addr: u64, value: u32) {
         AddressSpace::write_u32(self, addr, value)
     }
-    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
-        AddressSpace::gather::<W>(self, addrs, mask, out)
+    fn load<const W: usize>(&self, access: WarpAccess<'_>, out: &mut [u32; LANES]) {
+        AddressSpace::load::<W>(self, access, out)
     }
-    fn scatter<const W: usize>(&mut self, addrs: &[u64; LANES], mask: u64, vals: &[u32; LANES]) {
-        AddressSpace::scatter::<W>(self, addrs, mask, vals)
+    fn store<const W: usize>(&mut self, access: WarpAccess<'_>, vals: &[u32; LANES]) {
+        AddressSpace::store::<W>(self, access, vals)
     }
 }
 
@@ -144,13 +122,13 @@ impl DataMem for OverlayMem<'_> {
         }
         let mut b = [0u8; 4];
         for (i, byte) in b.iter_mut().enumerate() {
-            *byte = self.read_u8(addr + i as u64);
+            *byte = self.read_u8(addr.wrapping_add(i as u64));
         }
         u32::from_le_bytes(b)
     }
 
     fn read_u64(&self, addr: u64) -> u64 {
-        (self.read_u32(addr) as u64) | ((self.read_u32(addr + 4) as u64) << 32)
+        (self.read_u32(addr) as u64) | ((self.read_u32(addr.wrapping_add(4)) as u64) << 32)
     }
 
     fn write_u8(&mut self, addr: u64, value: u8) {
@@ -159,18 +137,40 @@ impl DataMem for OverlayMem<'_> {
 
     fn write_u32(&mut self, addr: u64, value: u32) {
         for (i, byte) in value.to_le_bytes().iter().enumerate() {
-            self.writes.insert(addr + i as u64, *byte);
+            self.writes.insert(addr.wrapping_add(i as u64), *byte);
         }
     }
 
-    fn gather<const W: usize>(&self, addrs: &[u64; LANES], mask: u64, out: &mut [u32; LANES]) {
+    fn load<const W: usize>(&self, access: WarpAccess<'_>, out: &mut [u32; LANES]) {
         // Same fall-through as `read_u32`: nothing shadowed yet, so the
-        // base's page-run gather is exact. Once dirty, every byte needs
-        // its shadow probe and the per-lane reads do that.
+        // base's bulk load is exact. Once dirty, every byte needs its
+        // shadow probe and the per-lane reads do that.
         if self.writes.is_empty() {
-            self.base.gather::<W>(addrs, mask, out)
-        } else {
-            gather_per_lane::<W, _>(self, addrs, mask, out)
+            return self.base.load::<W>(access, out);
+        }
+        let read = |a| match W {
+            1 => self.read_u8(a) as u32,
+            _ => self.read_u32(a),
+        };
+        match access {
+            WarpAccess::Uniform(a) => *out = [read(a); LANES],
+            _ => access
+                .lanes(W as u64)
+                .for_each(|(lane, a)| out[lane] = read(a)),
+        }
+    }
+
+    fn store<const W: usize>(&mut self, access: WarpAccess<'_>, vals: &[u32; LANES]) {
+        let mut write = |a, v: u32| match W {
+            1 => self.write_u8(a, v as u8),
+            _ => self.write_u32(a, v),
+        };
+        match access {
+            // every lane writes the same bytes: the last lane's stay
+            WarpAccess::Uniform(a) => write(a, vals[LANES - 1]),
+            _ => access
+                .lanes(W as u64)
+                .for_each(|(lane, a)| write(a, vals[lane])),
         }
     }
 }

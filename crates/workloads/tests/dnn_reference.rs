@@ -63,6 +63,52 @@ fn conv2d_matches_host_reference() {
     }
 }
 
+/// Four whole warps of output, each input load full-EXEC but neither
+/// unit-stride nor one address (rows of eight words, 40 bytes apart),
+/// each weight load one address per warp — against the kernel's own
+/// arithmetic on the host: products summed in `(ic, ky, kx)` order,
+/// each multiply and add rounded on its own. Equal to the last bit.
+#[test]
+fn wide_conv2d_matches_host_reference() {
+    let mut gpu = GpuSimulator::new(GpuConfig::tiny());
+    let in_shape = Shape { c: 3, h: 8, w: 8 };
+    let mut nb = NetBuilder::new(&mut gpu, in_shape, 17);
+    let input_cp = nb.checkpoint();
+    nb.conv("c", 4, 3, 1, 1, false);
+    let out_cp = nb.checkpoint();
+    let app = nb.finish("wide_conv_test");
+    app.run(&mut gpu, &mut NullController).unwrap();
+
+    let (in_c, out_c, k, hw) = (3usize, 4usize, 3usize, 8usize);
+    let input = read_tensor(&gpu, input_cp.buf, in_shape.len() as usize);
+    let weights = read_tensor(&gpu, app.launches()[1].launch.args[1], out_c * in_c * k * k);
+    let got = read_tensor(&gpu, out_cp.buf, out_c * hw * hw);
+    let at = |c: usize, y: usize, x: usize| -> f32 {
+        // padded by one on every side
+        if y == 0 || x == 0 || y > hw || x > hw {
+            0.0
+        } else {
+            input[(c * hw + y - 1) * hw + x - 1]
+        }
+    };
+    for oc in 0..out_c {
+        for oy in 0..hw {
+            for ox in 0..hw {
+                let mut acc = 0.0f32;
+                for ic in 0..in_c {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let w = weights[((oc * in_c + ic) * k + ky) * k + kx];
+                            acc += at(ic, oy + ky, ox + kx) * w;
+                        }
+                    }
+                }
+                assert_eq!(got[(oc * hw + oy) * hw + ox], acc, "out[{oc},{oy},{ox}]");
+            }
+        }
+    }
+}
+
 #[test]
 fn maxpool_matches_host_reference() {
     let mut gpu = GpuSimulator::new(GpuConfig::tiny());
@@ -117,6 +163,35 @@ fn dense_matches_host_reference() {
             "fc[{of}] = {}, expected {acc}",
             got[of]
         );
+    }
+}
+
+/// A dense layer two whole warps wide (and a partial third): every
+/// input load one address for all lanes, every weight load strided by
+/// the 12-element input — against the kernel's own arithmetic on the
+/// host, products summed in input order with each multiply and add
+/// rounded on its own. Equal to the last bit.
+#[test]
+fn wide_dense_matches_host_reference() {
+    let mut gpu = GpuSimulator::new(GpuConfig::tiny());
+    let in_shape = Shape { c: 3, h: 2, w: 2 };
+    let mut nb = NetBuilder::new(&mut gpu, in_shape, 13);
+    let input_cp = nb.checkpoint();
+    nb.dense("fc", 150, false);
+    let out_cp = nb.checkpoint();
+    let app = nb.finish("wide_dense_test");
+    app.run(&mut gpu, &mut NullController).unwrap();
+
+    let (in_f, out_f) = (12usize, 150usize);
+    let x = read_tensor(&gpu, input_cp.buf, in_f);
+    let w = read_tensor(&gpu, app.launches()[0].launch.args[1], out_f * in_f);
+    let got = read_tensor(&gpu, out_cp.buf, out_f);
+    for of in 0..out_f {
+        let mut acc = 0.0f32;
+        for i in 0..in_f {
+            acc += x[i] * w[of * in_f + i];
+        }
+        assert_eq!(got[of], acc, "fc[{of}]");
     }
 }
 

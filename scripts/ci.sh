@@ -55,6 +55,14 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+# The differential oracles of the interpreter and the memory hierarchy
+# (per-lane loads and stores against the Unit / Uniform / Lanes paths,
+# the linear-scan MSHR and tag arrays) again in the release build the
+# benchmark times: the debug run above checks arithmetic overflow, this
+# one checks the code the optimiser vectorised.
+echo "==> cargo test --release (gpu-mem, gpu-sim)"
+cargo test -q --release -p gpu-mem -p gpu-sim
+
 echo "==> the frozen benchmark package still builds against this tree"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
