@@ -1,7 +1,7 @@
 //! Queueing timing model of the cache/DRAM hierarchy.
 
 use crate::addr::{set_bits, WarpAccess, LANES};
-use crate::cache::{AccessKind, CacheAccess};
+use crate::cache::{AccessKind, LegacyAccess};
 use crate::config::{MemHierarchyConfig, MshrConfig};
 use crate::stats::{MemStats, QueueDelayHist, QueueDelays};
 use crate::Cycle;
@@ -222,22 +222,66 @@ struct DramBank {
 enum StageOut {
     /// The access completes at this cycle with no downstream traffic.
     Done(Cycle),
-    /// Fresh miss: the caller sends it downstream entering at this cycle
-    /// and allocates an MSHR entry with the eventual completion.
-    Downstream(Cycle),
+    /// Fresh miss: the caller sends it downstream entering at this cycle,
+    /// then records when its fill completes — on the way the legacy tag
+    /// array installed the line in (`Some`), or in an MSHR entry.
+    Downstream(Cycle, Option<usize>),
 }
 
-/// Runs the tag + outstanding-miss stage of one cache level for an
-/// access the level accepted at `t`.
-///
-/// Legacy mode preserves the original fill-at-lookup timing bit-for-bit
-/// and only fixes the counting: an access that "hits" a line whose fill
-/// is still in flight is recorded as a merged miss, not a hit. Detailed
-/// mode separates lookup from fill — tags install when the fill returns,
-/// same-line misses merge into the outstanding entry (completing at fill
-/// time, never earlier than a hit), and exhausted merge slots or MSHR
-/// entries back-pressure, recording the wait as a queue delay the engine
-/// charges to `mem_queue_full`.
+/// Traces one tag-array decision of `level` at `t`.
+fn emit_access(trace: &Trace, level: CacheLevel, t: Cycle, hit: bool, evicted: bool) {
+    trace.emit_with(|| TraceEvent {
+        ts: t,
+        dur: 0,
+        kind: EventKind::CacheAccess {
+            level,
+            hit,
+            evicted,
+        },
+    });
+}
+
+/// The legacy tag stage of one cache level, for an access the level
+/// accepted at `t`: the original fill-at-lookup timing bit-for-bit, with
+/// the counting fixed — an access that "hits" a line whose fill is still
+/// in flight is recorded as a merged miss, not a hit. Timing is
+/// unchanged (that is what keeps golden_cycles bit-identical); only the
+/// accounting flips.
+fn legacy_tag_stage(
+    cache: &mut Cache,
+    tally: &mut LevelTally,
+    trace: &Trace,
+    level: CacheLevel,
+    addr: u64,
+    hit_latency: u64,
+    t: Cycle,
+) -> StageOut {
+    match cache.access_in_flight(addr, t) {
+        LegacyAccess::Hit { in_flight } => {
+            if in_flight {
+                tally.record_merge();
+            } else {
+                tally.hits += 1;
+            }
+            emit_access(trace, level, t, !in_flight, false);
+            StageOut::Done(t + hit_latency)
+        }
+        LegacyAccess::Miss { evicted, way } => {
+            tally.misses += 1;
+            tally.evictions += u64::from(evicted);
+            emit_access(trace, level, t, false, evicted);
+            StageOut::Downstream(t + hit_latency, Some(way))
+        }
+    }
+}
+
+/// The detailed tag + outstanding-miss stage of one cache level, for an
+/// access the level accepted at `t`. Lookup and fill are separate — tags
+/// install when the fill returns, same-line misses merge into the
+/// outstanding entry (completing at fill time, never earlier than a
+/// hit), and exhausted merge slots or MSHR entries back-pressure,
+/// recording the wait as a queue delay the engine charges to
+/// `mem_queue_full`.
 #[allow(clippy::too_many_arguments)]
 fn tag_stage(
     cache: &mut Cache,
@@ -246,50 +290,12 @@ fn tag_stage(
     tally: &mut LevelTally,
     trace: &Trace,
     level: CacheLevel,
-    detailed: bool,
     addr: u64,
-    kind: AccessKind,
     hit_latency: u64,
     t: Cycle,
 ) -> StageOut {
     let line = addr / LINE_BYTES;
-    let emit = |hit: bool, evicted: bool| {
-        trace.emit_with(|| TraceEvent {
-            ts: t,
-            dur: 0,
-            kind: EventKind::CacheAccess {
-                level,
-                hit,
-                evicted,
-            },
-        });
-    };
-    if !detailed {
-        mshr.advance(t);
-        return match cache.access(addr, kind, t) {
-            CacheAccess::Hit => {
-                if mshr.in_flight(line) {
-                    // The line's fill is still in flight: the legacy tag
-                    // array made this look like a hit, but it is a
-                    // coalesced miss. Timing is unchanged (that is what
-                    // keeps golden_cycles bit-identical); only the
-                    // accounting flips.
-                    tally.record_merge();
-                    emit(false, false);
-                } else {
-                    tally.hits += 1;
-                    emit(true, false);
-                }
-                StageOut::Done(t + hit_latency)
-            }
-            CacheAccess::Miss { evicted } => {
-                tally.misses += 1;
-                tally.evictions += u64::from(evicted);
-                emit(false, evicted);
-                StageOut::Downstream(t + hit_latency)
-            }
-        };
-    }
+    let emit = |hit: bool, evicted: bool| emit_access(trace, level, t, hit, evicted);
     mshr.expire(t, |l, at| {
         tally.evictions += u64::from(cache.fill(l * LINE_BYTES, at))
     });
@@ -332,7 +338,7 @@ fn tag_stage(
     // never displaces a line.
     tally.misses += 1;
     emit(false, false);
-    StageOut::Downstream(enter + hit_latency)
+    StageOut::Downstream(enter + hit_latency, None)
 }
 
 /// The timing model of one GPU's memory system.
@@ -360,10 +366,9 @@ pub struct MemoryHierarchy {
     l2: Vec<Cache>,
     l2_free: Vec<Cycle>,
     dram_free: Vec<Cycle>,
-    // Outstanding-miss state. In detailed mode these are real MSHR
-    // files (merging, fill-time tag install, exhaustion back-pressure);
-    // in legacy mode they are unbounded counting shadows that only fix
-    // the double-hit accounting of fill-at-lookup tags.
+    // Outstanding-miss state of detailed mode: MSHR files (merging,
+    // fill-time tag install, exhaustion back-pressure). Empty in legacy
+    // mode, whose tag arrays keep each line's fill cycle themselves.
     l1v_mshr: Vec<MshrFile>,
     l1s_mshr: Vec<MshrFile>,
     l2_mshr: Vec<MshrFile>,
@@ -402,27 +407,43 @@ pub struct MemoryHierarchy {
 impl MemoryHierarchy {
     /// Builds the hierarchy for a configuration with its own private
     /// telemetry (convenient for tests and standalone use).
+    ///
+    /// # Panics
+    /// As [`MemoryHierarchy::with_telemetry`].
     pub fn new(config: MemHierarchyConfig) -> Self {
         Self::with_telemetry(config, &Telemetry::default())
     }
 
     /// Builds the hierarchy wired to a shared [`Telemetry`] handle, so
     /// its counters and trace events land in the simulator's registry.
+    ///
+    /// # Panics
+    /// Panics, naming the field, if a cache level's line is not
+    /// [`LINE_BYTES`] (the hierarchy's transaction unit), if there are no
+    /// L2 banks or no DRAM channels, or if a cache's geometry is one
+    /// [`Cache::new`] rejects.
     pub fn with_telemetry(config: MemHierarchyConfig, tel: &Telemetry) -> Self {
+        for (level, cache) in [
+            ("l1v", &config.l1v),
+            ("l1s", &config.l1s),
+            ("l2", &config.l2),
+        ] {
+            assert!(
+                cache.line_bytes == LINE_BYTES,
+                "{level}.line_bytes must be {LINE_BYTES}, got {}",
+                cache.line_bytes
+            );
+        }
+        assert!(config.l2_banks > 0, "l2_banks must be at least 1");
+        assert!(config.dram.channels > 0, "dram.channels must be at least 1");
         let n_cu = config.num_cus as usize;
         let n_scalar = n_cu.div_ceil(CUS_PER_SCALAR_CACHE);
         let n_l2 = config.l2_banks as usize;
         let n_ch = config.dram.channels as usize;
         let detailed = config.is_detailed();
         let mshr = |cfg: &MshrConfig, n: usize| -> Vec<MshrFile> {
-            (0..n)
-                .map(|_| {
-                    if detailed {
-                        MshrFile::new(cfg)
-                    } else {
-                        MshrFile::unbounded()
-                    }
-                })
+            (0..if detailed { n } else { 0 })
+                .map(|_| MshrFile::new(cfg))
                 .collect()
         };
         let n_dram_banks = if detailed {
@@ -483,30 +504,25 @@ impl MemoryHierarchy {
     /// per-bank reservation and flat DRAM channel timing bit-for-bit;
     /// detailed mode routes through the NoC/bank queues and the DRAM
     /// bank model.
-    fn l2_and_beyond(&mut self, line_addr: u64, kind: AccessKind, ready: Cycle) -> Cycle {
+    fn l2_and_beyond(&mut self, line_addr: u64, ready: Cycle) -> Cycle {
         if self.detailed {
-            return self.l2_and_beyond_detailed(line_addr, kind, ready);
+            return self.l2_and_beyond_detailed(line_addr, ready);
         }
         let bank = (line_addr % self.config.l2_banks) as usize;
         let t = ready.max(self.l2_free[bank]);
         self.delays.l2.record(t - ready);
         self.l2_free[bank] = t + self.config.l2.service_interval;
-        let hit_latency = self.config.l2.hit_latency;
-        match tag_stage(
+        match legacy_tag_stage(
             &mut self.l2[bank],
-            &mut self.l2_mshr[bank],
-            &mut self.delays.l2,
             &mut self.l2_tally,
             &self.trace,
             CacheLevel::L2,
-            false,
             line_addr * LINE_BYTES,
-            kind,
-            hit_latency,
+            self.config.l2.hit_latency,
             t,
         ) {
             StageOut::Done(done) => done,
-            StageOut::Downstream(enter) => {
+            StageOut::Downstream(enter, way) => {
                 let ch = ((line_addr / self.config.l2_banks) % self.config.dram.channels) as usize;
                 let td = enter.max(self.dram_free[ch]);
                 self.delays.dram.record(td - enter);
@@ -518,7 +534,9 @@ impl MemoryHierarchy {
                     kind: EventKind::DramAccess { channel: ch as u32 },
                 });
                 let done = td + self.config.dram.latency;
-                self.l2_mshr[bank].alloc(line_addr, done);
+                if let Some(way) = way {
+                    self.l2[bank].raise_fill(way, done);
+                }
                 done
             }
         }
@@ -527,8 +545,8 @@ impl MemoryHierarchy {
     /// Detailed L2 stage: Fibonacci-mixed bank selection, crossbar
     /// latency, a bounded per-bank queue, then the tag/MSHR stage and
     /// (on a fresh miss) the DRAM bank model.
-    fn l2_and_beyond_detailed(&mut self, line_addr: u64, kind: AccessKind, ready: Cycle) -> Cycle {
-        let bank = (fib_mix(line_addr) % self.config.l2_banks.max(1)) as usize;
+    fn l2_and_beyond_detailed(&mut self, line_addr: u64, ready: Cycle) -> Cycle {
+        let bank = (fib_mix(line_addr) % self.config.l2_banks) as usize;
         let arrive = ready + self.config.fidelity.noc.latency;
         let depth = self.config.fidelity.noc.queue_depth.max(1) as usize;
         let admit = self.l2_queues[bank].admit(arrive, depth);
@@ -546,14 +564,12 @@ impl MemoryHierarchy {
             &mut self.l2_tally,
             &self.trace,
             CacheLevel::L2,
-            true,
             line_addr * LINE_BYTES,
-            kind,
             hit_latency,
             start,
         ) {
             StageOut::Done(done) => done,
-            StageOut::Downstream(enter) => {
+            StageOut::Downstream(enter, _) => {
                 let done = self.dram_detailed(line_addr, enter);
                 self.l2_mshr[bank].alloc(line_addr, done);
                 done
@@ -569,7 +585,7 @@ impl MemoryHierarchy {
     /// and a per-channel data bus serializing one line per service
     /// interval.
     fn dram_detailed(&mut self, line_addr: u64, ready: Cycle) -> Cycle {
-        let channels = self.config.dram.channels.max(1);
+        let channels = self.config.dram.channels;
         let banks = self.config.fidelity.dram_banks.banks_per_channel.max(1);
         // HBM-style pseudo-channel interleave granularity: 4 lines.
         let m = fib_mix(line_addr >> 2);
@@ -620,31 +636,45 @@ impl MemoryHierarchy {
         &mut self,
         cu: usize,
         line_addr: u64,
-        kind: AccessKind,
+        _kind: AccessKind,
         now: Cycle,
     ) -> Cycle {
         let t = now.max(self.l1v_free[cu]);
         self.delays.l1v.record(t - now);
         self.l1v_free[cu] = t + self.config.l1v.service_interval;
         let hit_latency = self.config.l1v.hit_latency;
-        let detailed = self.detailed;
-        match tag_stage(
-            &mut self.l1v[cu],
-            &mut self.l1v_mshr[cu],
-            &mut self.delays.l1v,
-            &mut self.l1v_tally,
-            &self.trace,
-            CacheLevel::L1V,
-            detailed,
-            line_addr * LINE_BYTES,
-            kind,
-            hit_latency,
-            t,
-        ) {
+        let addr = line_addr * LINE_BYTES;
+        let stage = if self.detailed {
+            tag_stage(
+                &mut self.l1v[cu],
+                &mut self.l1v_mshr[cu],
+                &mut self.delays.l1v,
+                &mut self.l1v_tally,
+                &self.trace,
+                CacheLevel::L1V,
+                addr,
+                hit_latency,
+                t,
+            )
+        } else {
+            legacy_tag_stage(
+                &mut self.l1v[cu],
+                &mut self.l1v_tally,
+                &self.trace,
+                CacheLevel::L1V,
+                addr,
+                hit_latency,
+                t,
+            )
+        };
+        match stage {
             StageOut::Done(done) => done,
-            StageOut::Downstream(enter) => {
-                let done = self.l2_and_beyond(line_addr, kind, enter);
-                self.l1v_mshr[cu].alloc(line_addr, done);
+            StageOut::Downstream(enter, way) => {
+                let done = self.l2_and_beyond(line_addr, enter);
+                match way {
+                    Some(way) => self.l1v[cu].raise_fill(way, done),
+                    None => self.l1v_mshr[cu].alloc(line_addr, done),
+                }
                 done
             }
         }
@@ -658,25 +688,38 @@ impl MemoryHierarchy {
         self.delays.l1s.record(t - now);
         self.l1s_free[group] = t + self.config.l1s.service_interval;
         let hit_latency = self.config.l1s.hit_latency;
-        let detailed = self.detailed;
-        match tag_stage(
-            &mut self.l1s[group],
-            &mut self.l1s_mshr[group],
-            &mut self.delays.l1s,
-            &mut self.l1s_tally,
-            &self.trace,
-            CacheLevel::L1S,
-            detailed,
-            addr,
-            AccessKind::Read,
-            hit_latency,
-            t,
-        ) {
+        let stage = if self.detailed {
+            tag_stage(
+                &mut self.l1s[group],
+                &mut self.l1s_mshr[group],
+                &mut self.delays.l1s,
+                &mut self.l1s_tally,
+                &self.trace,
+                CacheLevel::L1S,
+                addr,
+                hit_latency,
+                t,
+            )
+        } else {
+            legacy_tag_stage(
+                &mut self.l1s[group],
+                &mut self.l1s_tally,
+                &self.trace,
+                CacheLevel::L1S,
+                addr,
+                hit_latency,
+                t,
+            )
+        };
+        match stage {
             StageOut::Done(done) => done,
-            StageOut::Downstream(enter) => {
+            StageOut::Downstream(enter, way) => {
                 let line = addr / LINE_BYTES;
-                let done = self.l2_and_beyond(line, AccessKind::Read, enter);
-                self.l1s_mshr[group].alloc(line, done);
+                let done = self.l2_and_beyond(line, enter);
+                match way {
+                    Some(way) => self.l1s[group].raise_fill(way, done),
+                    None => self.l1s_mshr[group].alloc(line, done),
+                }
                 done
             }
         }
@@ -1467,5 +1510,29 @@ mod tests {
         assert_eq!(q.peak, 3);
         // Arrivals after starts drain see a free queue again.
         assert_eq!(q.admit(35, 2), 35);
+    }
+
+    #[test]
+    #[should_panic(expected = "l2.line_bytes must be 64, got 128")]
+    fn a_cache_line_other_than_line_bytes_is_rejected() {
+        let mut cfg = small_config();
+        cfg.l2.line_bytes = 128;
+        MemoryHierarchy::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "l2_banks must be at least 1")]
+    fn zero_l2_banks_are_rejected() {
+        let mut cfg = detailed_config();
+        cfg.l2_banks = 0;
+        MemoryHierarchy::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "dram.channels must be at least 1")]
+    fn zero_dram_channels_are_rejected() {
+        let mut cfg = small_config();
+        cfg.dram.channels = 0;
+        MemoryHierarchy::new(cfg);
     }
 }

@@ -2,13 +2,17 @@
 //!
 //! [`LinearMshrFile`] and [`NestedCache`] are the linear-scan MSHR file
 //! and the `Vec<Vec<Way>>` tag array that [`crate::mshr::MshrFile`] and
-//! [`crate::cache::Cache`] replaced, kept verbatim. In test builds the
-//! hierarchy is compiled against the [`Cache`] / [`MshrFile`] wrappers
-//! below, which run either implementation, so the very same timing code
-//! can be replayed on both and every response compared.
+//! [`crate::cache::Cache`] replaced. A `LinearMshrFile` also stands in
+//! for the legacy path's in-flight fills, as the eagerly expired,
+//! unbounded counting shadow each legacy tag array used to be paired
+//! with, where the tag array now keeps fill cycles and ghosts itself. In
+//! test builds the hierarchy is compiled against the [`Cache`] /
+//! [`MshrFile`] wrappers below, which run either implementation, so the
+//! very same timing code can be replayed on both and every response
+//! compared.
 
 use super::{MemResponse, MemoryHierarchy, LINE_BYTES};
-use crate::cache::{AccessKind, CacheAccess};
+use crate::cache::{AccessKind, CacheAccess, LegacyAccess};
 use crate::config::{CacheConfig, MemHierarchyConfig, MshrConfig};
 use crate::mshr::MshrEntry;
 use crate::Cycle;
@@ -111,15 +115,26 @@ impl NestedCache {
 }
 
 /// The linear-scan MSHR file: `expire`, `find_mut` and `alloc` each walk
-/// the whole `Vec`, and the legacy shadow expires eagerly.
+/// the whole `Vec`. `refreshes` counts allocations that found their line
+/// still tracked (for the legacy shadow: re-misses of a line in flight).
 #[derive(Debug)]
 pub(super) struct LinearMshrFile {
     entries: Vec<MshrEntry>,
     capacity: usize,
     merge_slots: u64,
+    refreshes: u64,
 }
 
 impl LinearMshrFile {
+    fn new(capacity: usize, merge_slots: u64) -> Self {
+        LinearMshrFile {
+            entries: Vec::new(),
+            capacity,
+            merge_slots,
+            refreshes: 0,
+        }
+    }
+
     fn expire(&mut self, now: Cycle, mut install: impl FnMut(u64, Cycle)) {
         let mut i = 0;
         while i < self.entries.len() {
@@ -139,6 +154,7 @@ impl LinearMshrFile {
     fn alloc(&mut self, line: u64, fill_at: Cycle) {
         if let Some(e) = self.find_mut(line) {
             e.fill_at = e.fill_at.max(fill_at);
+            self.refreshes += 1;
         } else {
             self.entries.push(MshrEntry {
                 line,
@@ -152,40 +168,103 @@ impl LinearMshrFile {
 /// The tag array the test-build hierarchy is made of.
 #[derive(Debug)]
 pub(super) enum Cache {
-    Flat(crate::cache::Cache),
-    Nested(NestedCache),
+    /// This tree's tag array, and the latest cycle its legacy path was
+    /// accessed at.
+    Flat(crate::cache::Cache, Cycle),
+    /// The nested tag array with the legacy shadow it was paired with,
+    /// and the line its latest legacy miss installed.
+    Nested {
+        cache: NestedCache,
+        shadow: LinearMshrFile,
+        missed: u64,
+    },
 }
 
 impl Cache {
     pub(super) fn new(config: &CacheConfig) -> Self {
-        Cache::Flat(crate::cache::Cache::new(config))
+        Cache::Flat(crate::cache::Cache::new(config), 0)
     }
 
-    pub(super) fn access(&mut self, addr: u64, kind: AccessKind, now: Cycle) -> CacheAccess {
+    /// The flat array asserts that its legacy clock never runs
+    /// backwards — what keeps a ghost whose fill has passed dead for
+    /// good. The shadow expires eagerly, so a line is in flight iff it
+    /// holds an entry for it.
+    pub(super) fn access_in_flight(&mut self, addr: u64, now: Cycle) -> LegacyAccess {
         match self {
-            Cache::Flat(c) => c.access(addr, kind, now),
-            Cache::Nested(c) => c.access(addr, kind, now),
+            Cache::Flat(c, clock) => {
+                assert!(
+                    now >= *clock,
+                    "tag array clock ran backwards: {now} after {clock}"
+                );
+                *clock = now;
+                c.access_in_flight(addr, now)
+            }
+            Cache::Nested {
+                cache,
+                shadow,
+                missed,
+            } => {
+                shadow.expire(now, |_, _| {});
+                let line = addr / LINE_BYTES;
+                match cache.access(addr, AccessKind::Read, now) {
+                    CacheAccess::Hit => LegacyAccess::Hit {
+                        in_flight: shadow.find_mut(line).is_some(),
+                    },
+                    CacheAccess::Miss { evicted } => {
+                        *missed = line;
+                        LegacyAccess::Miss { evicted, way: 0 }
+                    }
+                }
+            }
+        }
+    }
+
+    pub(super) fn raise_fill(&mut self, way: usize, done: Cycle) {
+        match self {
+            Cache::Flat(c, _) => c.raise_fill(way, done),
+            Cache::Nested { shadow, missed, .. } => shadow.alloc(*missed, done),
         }
     }
 
     pub(super) fn lookup(&mut self, addr: u64, now: Cycle) -> bool {
         match self {
-            Cache::Flat(c) => c.lookup(addr, now),
-            Cache::Nested(c) => c.lookup(addr, now),
+            Cache::Flat(c, _) => c.lookup(addr, now),
+            Cache::Nested { cache, .. } => cache.lookup(addr, now),
         }
     }
 
     pub(super) fn fill(&mut self, addr: u64, now: Cycle) -> bool {
         match self {
-            Cache::Flat(c) => c.fill(addr, now),
-            Cache::Nested(c) => c.fill(addr, now),
+            Cache::Flat(c, _) => c.fill(addr, now),
+            Cache::Nested { cache, .. } => cache.fill(addr, now),
         }
     }
 
     pub(super) fn flush(&mut self) {
         match self {
-            Cache::Flat(c) => c.flush(),
-            Cache::Nested(c) => c.flush(),
+            Cache::Flat(c, _) => c.flush(),
+            Cache::Nested { cache, shadow, .. } => {
+                cache.flush();
+                shadow.entries.clear();
+            }
+        }
+    }
+
+    /// Legacy misses on a line whose earlier fill was still in flight:
+    /// ghosts taken, or shadow entries refreshed.
+    fn ghost_hits(&self) -> u64 {
+        match self {
+            Cache::Flat(c, _) => c.tally.slot_hits + c.tally.spill_hits,
+            Cache::Nested { shadow, .. } => shadow.refreshes,
+        }
+    }
+
+    /// This tree's tag array behind the wrapper, and its legacy clock
+    /// (invariant tests).
+    fn flat(&self) -> (&crate::cache::Cache, Cycle) {
+        match self {
+            Cache::Flat(c, clock) => (c, *clock),
+            Cache::Nested { .. } => panic!("the oracle tag array keeps no ghosts"),
         }
     }
 }
@@ -202,45 +281,18 @@ impl MshrFile {
         MshrFile::Indexed(crate::mshr::MshrFile::new(cfg))
     }
 
-    pub(super) fn unbounded() -> Self {
-        MshrFile::Indexed(crate::mshr::MshrFile::unbounded())
-    }
-
-    /// The linear-scan file as the parent tree built it: bounded by
-    /// `cfg` in detailed fidelity, the unbounded shadow in legacy.
-    fn linear(cfg: &MshrConfig, detailed: bool) -> Self {
-        let (capacity, merge_slots) = if detailed {
-            ((cfg.entries as usize).max(1), cfg.merge_slots)
-        } else {
-            (usize::MAX, u64::MAX)
-        };
-        MshrFile::Linear(LinearMshrFile {
-            entries: Vec::new(),
-            capacity,
-            merge_slots,
-        })
+    /// The linear-scan file as the parent tree built it.
+    fn linear(cfg: &MshrConfig) -> Self {
+        MshrFile::Linear(LinearMshrFile::new(
+            (cfg.entries as usize).max(1),
+            cfg.merge_slots,
+        ))
     }
 
     pub(super) fn expire(&mut self, now: Cycle, install: impl FnMut(u64, Cycle)) {
         match self {
             MshrFile::Indexed(m) => m.expire(now, install),
             MshrFile::Linear(m) => m.expire(now, install),
-        }
-    }
-
-    /// The linear shadow expired eagerly where the indexed one only
-    /// moves its clock.
-    pub(super) fn advance(&mut self, now: Cycle) {
-        match self {
-            MshrFile::Indexed(m) => m.advance(now),
-            MshrFile::Linear(m) => m.expire(now, |_, _| {}),
-        }
-    }
-
-    pub(super) fn in_flight(&mut self, line: u64) -> bool {
-        match self {
-            MshrFile::Indexed(m) => m.in_flight(line),
-            MshrFile::Linear(m) => m.find_mut(line).is_some(),
         }
     }
 
@@ -285,28 +337,23 @@ impl MshrFile {
             MshrFile::Linear(m) => m.entries.clear(),
         }
     }
-
-    /// The indexed file behind the wrapper (invariant tests).
-    fn indexed(&self) -> &crate::mshr::MshrFile {
-        match self {
-            MshrFile::Indexed(m) => m,
-            MshrFile::Linear(_) => panic!("the oracle file has no index"),
-        }
-    }
 }
 
 impl MemoryHierarchy {
     /// The same hierarchy on the bookkeeping this tree replaced.
     fn on_oracle(config: MemHierarchyConfig) -> Self {
         let mut h = MemoryHierarchy::new(config.clone());
-        let detailed = h.detailed;
         for (caches, cfg) in [
             (&mut h.l1v, &config.l1v),
             (&mut h.l1s, &config.l1s),
             (&mut h.l2, &config.l2),
         ] {
             for c in caches {
-                *c = Cache::Nested(NestedCache::new(cfg));
+                *c = Cache::Nested {
+                    cache: NestedCache::new(cfg),
+                    shadow: LinearMshrFile::new(usize::MAX, u64::MAX),
+                    missed: 0,
+                };
             }
         }
         for (files, cfg) in [
@@ -315,24 +362,21 @@ impl MemoryHierarchy {
             (&mut h.l2_mshr, &config.fidelity.l2_mshr),
         ] {
             for m in files {
-                *m = MshrFile::linear(cfg, detailed);
+                *m = MshrFile::linear(cfg);
             }
         }
         h
     }
 
-    fn mshr_files(&self) -> impl Iterator<Item = &crate::mshr::MshrFile> {
-        self.l1v_mshr
-            .iter()
-            .chain(&self.l1s_mshr)
-            .chain(&self.l2_mshr)
-            .map(MshrFile::indexed)
+    fn tag_arrays(&self) -> impl Iterator<Item = &Cache> {
+        self.l1v.iter().chain(&self.l1s).chain(&self.l2)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{GhostTally, GHOST_SLOTS};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -381,7 +425,9 @@ mod tests {
             self.old.flush_caches();
         }
 
-        fn finish(self) {
+        /// Compares everything the twins counted, per tag array the
+        /// re-misses of lines in flight too; returns the new hierarchy.
+        fn finish(self) -> MemoryHierarchy {
             assert!(self.requests > 0);
             assert_eq!(self.new.stats(), self.old.stats());
             assert_eq!(self.new.queue_delays(), self.old.queue_delays());
@@ -391,7 +437,36 @@ mod tests {
             assert_eq!(self.new.l1v_free, self.old.l1v_free);
             assert_eq!(self.new.l2_free, self.old.l2_free);
             assert_eq!(self.new.dram_free, self.old.dram_free);
+            let ghost_hits =
+                |h: &MemoryHierarchy| h.tag_arrays().map(Cache::ghost_hits).collect::<Vec<_>>();
+            assert_eq!(ghost_hits(&self.new), ghost_hits(&self.old));
+            self.new
         }
+    }
+
+    /// The ghost bookkeeping of every tag array of `h`, summed.
+    fn ghost_tally(h: &MemoryHierarchy) -> GhostTally {
+        h.tag_arrays()
+            .map(|c| c.flat().0.tally)
+            .fold(GhostTally::default(), |a, b| GhostTally {
+                slot_hits: a.slot_hits + b.slot_hits,
+                spill_hits: a.spill_hits + b.spill_hits,
+                map_inserts: a.map_inserts + b.map_inserts,
+                map_removes: a.map_removes + b.map_removes,
+                map_sweeps: a.map_sweeps + b.map_sweeps,
+                visits: a.visits + b.visits,
+            })
+    }
+
+    /// Live ghosts over every tag array of `h`, each at its own clock.
+    fn live_ghosts(h: &MemoryHierarchy) -> usize {
+        h.tag_arrays()
+            .map(|c| {
+                let (c, clock) = c.flat();
+                let (slots, spilled, _) = c.ghosts(clock);
+                slots + spilled
+            })
+            .sum()
     }
 
     fn base_config() -> MemHierarchyConfig {
@@ -400,13 +475,35 @@ mod tests {
         c
     }
 
-    /// Runs `stream` once per fidelity on `config`.
-    fn in_both_fidelities(config: MemHierarchyConfig, stream: impl Fn(&mut Twins)) {
-        for config in [config.clone(), config.with_detailed_fidelity()] {
-            let mut twins = Twins::new(config);
-            stream(&mut twins);
-            twins.finish();
-        }
+    /// Two CUs with 4-set, `assoc`-way L1Vs, in front of a 16-line,
+    /// 2-way L2 bank per bank and one slow DRAM channel: lines are
+    /// evicted long before their fills return, many to a set at once.
+    fn tiny_config(assoc: u64) -> MemHierarchyConfig {
+        let mut c = MemHierarchyConfig::r9_nano();
+        c.num_cus = 2;
+        c.l1v.size_bytes = 4 * assoc * LINE_BYTES;
+        c.l1v.assoc = assoc;
+        c.l1s.size_bytes = 2 * LINE_BYTES;
+        c.l1s.assoc = 1;
+        c.l2.size_bytes = 16 * LINE_BYTES;
+        c.l2.assoc = 2;
+        c.dram.channels = 1;
+        c.dram.service_interval = 8;
+        c
+    }
+
+    /// Runs `stream` once per fidelity on `config`; returns the legacy
+    /// run's new hierarchy.
+    fn in_both_fidelities(
+        config: MemHierarchyConfig,
+        stream: impl Fn(&mut Twins),
+    ) -> MemoryHierarchy {
+        let mut detailed = Twins::new(config.clone().with_detailed_fidelity());
+        stream(&mut detailed);
+        detailed.finish();
+        let mut legacy = Twins::new(config);
+        stream(&mut legacy);
+        legacy.finish()
     }
 
     /// SpMV-shaped bursts: 20 random lines per request from each of 16
@@ -428,11 +525,24 @@ mod tests {
 
     #[test]
     fn spmv_shaped_bursts_match_the_oracle() {
-        in_both_fidelities(base_config(), |t| {
+        let h = in_both_fidelities(base_config(), |t| {
             spmv_bursts(t, 1, 150, 40_000);
             // A working set small enough to hit, merge and re-miss.
             spmv_bursts(t, 2, 150, 600);
         });
+        // The legacy path found lines in flight by their ghosts, and its
+        // only map operations were the fallback map's inserts and removes
+        // (probes, and sweeps of dead ghosts): fewer than one per four
+        // misses, where the shadow made two or more hash operations per
+        // miss.
+        let tally = ghost_tally(&h);
+        let s = h.stats();
+        let misses = s.l1v_misses + s.l1s_misses + s.l2_misses;
+        assert!(tally.slot_hits > 0 && tally.spill_hits > 0, "{tally:?}");
+        assert!(
+            (tally.map_inserts + tally.map_removes + tally.map_sweeps) * 4 < misses,
+            "{tally:?} for {misses} misses"
+        );
     }
 
     #[test]
@@ -486,6 +596,53 @@ mod tests {
                 let cu = rng.gen_range(0..2);
                 let line = rng.gen_range(0..5u64) + 1000 * cu as u64;
                 t.vector(cu, &[line], false, step * 25 + rng.gen_range(0..200u64));
+            }
+        });
+    }
+
+    /// Hot lines re-missed under a long DRAM queue, mixed with scalar
+    /// loads: a line's ghost often fills later than its re-miss (an L2
+    /// hit), and a set turns over more lines in flight than it has ghost
+    /// slots.
+    fn slow_dram_stream(t: &mut Twins, seed: u64, steps: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for step in 0..steps {
+            let cu = rng.gen_range(0..2);
+            let line = rng.gen_range(0..64u64);
+            let now = step * 4 + rng.gen_range(0..50u64);
+            if step % 13 == 0 {
+                t.scalar(cu, line * LINE_BYTES, now);
+            } else {
+                t.vector(cu, &[line], step % 5 == 0, now);
+            }
+        }
+    }
+
+    #[test]
+    fn more_in_flight_evictions_than_ghost_slots_match_the_oracle() {
+        for assoc in [1, 2] {
+            let h = in_both_fidelities(tiny_config(assoc), |t| slow_dram_stream(t, 11, 4000));
+            let tally = ghost_tally(&h);
+            assert!(
+                tally.slot_hits > 0 && tally.spill_hits > 0,
+                "{assoc}-way: {tally:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flush_with_live_ghosts_matches_the_oracle() {
+        in_both_fidelities(tiny_config(1), |t| {
+            for kernel in 0..6 {
+                slow_dram_stream(t, 20 + kernel, 300);
+                // Only the legacy tag arrays keep ghosts.
+                if !t.new.detailed {
+                    assert!(live_ghosts(&t.new) > 0, "kernel {kernel}");
+                }
+                t.flush();
+                if !t.new.detailed {
+                    assert_eq!(live_ghosts(&t.new), 0);
+                }
             }
         });
     }
@@ -588,9 +745,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whatever `now` the engine passes — decreasing ones included —
-        /// each legacy file services at a clock that never runs
-        /// backwards: the `debug_assert!` in `MshrFile::advance`, which
-        /// is what makes the lazy sweep exact, never fires, and the
+        /// each legacy tag array is accessed at a clock that never runs
+        /// backwards: the assert in the wrapper's `access_in_flight`,
+        /// which is what keeps a dead ghost dead, never fires, and the
         /// oracle agrees on every response.
         #[test]
         fn legacy_file_clocks_never_run_backwards(
@@ -606,40 +763,68 @@ mod tests {
             }
             twins.finish();
         }
+
+        /// Random `now` on 1- and 2-way tiny caches in front of a slow
+        /// DRAM channel, flushes included, in both fidelities.
+        #[test]
+        fn tiny_caches_under_random_now_match_the_oracle(
+            assoc in 1u64..3,
+            reqs in prop::collection::vec((0usize..2, 0u64..40, 0u64..3_000, 0u8..16), 1..300)
+        ) {
+            in_both_fidelities(tiny_config(assoc), |t| {
+                for &(cu, line, now, op) in &reqs {
+                    match op {
+                        0 => t.flush(),
+                        1..=2 => t.scalar(cu, line * LINE_BYTES, now),
+                        _ => t.vector(cu, &[line, line + 4], op % 4 == 0, now),
+                    }
+                }
+            });
+        }
     }
 
     #[test]
     fn a_long_stream_leaves_legacy_files_bounded_and_flush_empties_them() {
-        // A million distinct lines, each requested long after the fill
-        // before it completed: a file that only ever appended would hold
-        // them all.
+        // A million distinct lines on 1-way L1Vs, each CU's all in one
+        // set, eight cycles apart per CU: every L1V set turns over about
+        // thirty lines in flight at a time, one in its ghost slot and
+        // the rest in the fallback map, which must drop its dead ghosts.
         let mut config = base_config();
         config.num_cus = 4;
+        config.l1v.assoc = 1;
+        let sets = config.l1v.size_bytes / LINE_BYTES;
         let mut h = MemoryHierarchy::new(config);
         for i in 0..1_000_000u64 {
-            h.access_line((i % 4) as usize, i, AccessKind::Read, i * 2_000);
+            let cu = i % 4;
+            h.access_line(cu as usize, (i / 4) * sets + cu, AccessKind::Read, i * 2);
         }
         assert_eq!(h.stats().dram_accesses, 1_000_000);
-        for m in h.mshr_files() {
-            let (held, live, indexed) = m.occupancy();
+        let mut sweeps = 0;
+        for c in h.tag_arrays() {
+            let (c, clock) = c.flat();
+            let (_, live, held) = c.ghosts(clock);
             assert!(
-                held <= 2 * live + 128,
-                "{held} entries for {live} in flight"
+                held <= 2 * live + 64,
+                "{held} spilled ghosts for {live} live"
             );
-            assert_eq!(held, indexed);
+            sweeps += c.tally.map_sweeps;
         }
+        assert!(sweeps > 100, "{sweeps} sweeps");
         h.flush_caches();
-        for m in h.mshr_files() {
-            assert_eq!(m.occupancy(), (0, 0, 0));
+        for c in h.tag_arrays() {
+            let (c, clock) = c.flat();
+            assert_eq!(c.ghosts(clock), (0, 0, 0));
+            assert_eq!(c.lines_in_flight(clock), 0);
         }
     }
 
     #[test]
     fn servicing_a_line_visits_a_constant_number_of_entries() {
         // A miss-heavy stream that keeps hundreds of fills in flight per
-        // file. The linear file visited about three times its length per
-        // line and level; the indexed one probes once or twice and
-        // sweeps in amortised O(1).
+        // L1V. The legacy shadow probed a hash index twice per line and
+        // level and swept itself; the tag array scans a set's ghost
+        // slots at most twice per miss, and the fallback map's sweeps
+        // cost O(1) amortised per ghost spilled.
         let mut h = MemoryHierarchy::new(base_config());
         let mut rng = StdRng::seed_from_u64(8);
         let mut peak_live = 0;
@@ -653,16 +838,22 @@ mod tests {
                     lines += 1;
                 }
             }
-            let live = h.mshr_files().map(|m| m.occupancy().1).max();
-            peak_live = peak_live.max(live.unwrap_or(0));
+            let live = h.l1v.iter().map(|c| {
+                let (c, clock) = c.flat();
+                let (slots, spilled, _) = c.ghosts(clock);
+                c.lines_in_flight(clock) + slots + spilled
+            });
+            peak_live = peak_live.max(live.max().unwrap_or(0));
         }
         assert!(peak_live >= 200, "only {peak_live} fills in flight");
         let s = h.stats();
         assert!(s.l1v_misses * 10 > lines * 9, "stream must be miss-heavy");
-        let visits = |files: &[MshrFile]| files.iter().map(|m| m.indexed().visits).sum::<u64>();
-        let l1v = visits(&h.l1v_mshr) as f64 / lines as f64;
-        let l2 = visits(&h.l2_mshr) as f64 / (s.l2_hits + s.l2_misses) as f64;
-        assert!(l1v <= 4.0, "{l1v} L1V entries visited per line");
-        assert!(l2 <= 4.0, "{l2} L2 entries visited per line");
+        let visits =
+            |caches: &[Cache]| caches.iter().map(|c| c.flat().0.tally.visits).sum::<u64>() as f64;
+        let l1v = visits(&h.l1v) / lines as f64;
+        let l2 = visits(&h.l2) / (s.l2_hits + s.l2_misses) as f64;
+        let bound = 2.0 * GHOST_SLOTS as f64 + 2.0;
+        assert!(l1v <= bound, "{l1v} L1V entries visited per line");
+        assert!(l2 <= bound, "{l2} L2 entries visited per line");
     }
 }
