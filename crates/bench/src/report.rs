@@ -130,8 +130,8 @@ fn parse_report(path: &Path, doc: &serde_json::Value) -> Result<RunReport, Strin
 /// sorted by workload. Only a file proven corrupt — its bytes fail
 /// their checksum footer or are not a JSON document at all — is
 /// quarantined to `<name>.corrupt`. A document that is intact but is
-/// not a [`RunReport`] (`photon-loadgen`'s `BENCH_serve*.json` share
-/// the name pattern) is some other tool's artifact: it is skipped with
+/// not a [`RunReport`] (the directory is shared, and the name pattern
+/// is not ours alone) is some other tool's artifact: it is skipped with
 /// a note and left where it lies.
 ///
 /// # Errors
@@ -416,10 +416,10 @@ mod tests {
         );
         let text = serde_json::to_string(&report).unwrap();
         persist::atomic_write_framed(&dir.join("BENCH_fir.json"), &text).unwrap();
-        // photon-loadgen's report shares the name pattern but not the
+        // Another tool's artifact shares the name pattern but not the
         // schema: intact, not ours, so it must survive the listing.
         persist::atomic_write_framed(
-            &dir.join("BENCH_serve.json"),
+            &dir.join("BENCH_other.json"),
             r#"{"schema_version":1,"clients":4,"cold":{"p50_ms":9.5}}"#,
         )
         .unwrap();
@@ -439,7 +439,7 @@ mod tests {
             [
                 "BENCH_cut.json.corrupt",
                 "BENCH_fir.json",
-                "BENCH_serve.json",
+                "BENCH_other.json",
                 "BENCH_torn.json.corrupt"
             ]
         );

@@ -1,6 +1,6 @@
-//! A small blocking client for the photon-serve protocol — what
-//! `photon-loadgen`, the integration tests, and the CI gate drive the
-//! server with.
+//! A small blocking client for the photon-serve protocol — what the
+//! integration tests (the serve gate among them) and the benchmark
+//! drive the server with.
 
 use photon_bench::RunSpec;
 use serde_json::Value;
@@ -174,24 +174,4 @@ pub fn response_ok(v: &Value) -> bool {
 /// The `job` field of a response, if present.
 pub fn response_job(v: &Value) -> Option<String> {
     str_of(v, "job")
-}
-
-/// A named counter out of a `stats` response's metrics snapshot.
-pub fn stats_counter(stats: &Value, name: &str) -> u64 {
-    let Some(Value::Array(counters)) = stats.get("metrics").and_then(|m| m.get("counters")) else {
-        return 0;
-    };
-    for c in counters {
-        if let (Some(Value::String(n)), Some(v)) = (c.get("name"), c.get("value")) {
-            if n.as_str() == name {
-                return match v {
-                    Value::U64(x) => *x,
-                    Value::I64(x) => *x as u64,
-                    Value::F64(x) => *x as u64,
-                    _ => 0,
-                };
-            }
-        }
-    }
-    0
 }

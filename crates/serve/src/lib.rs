@@ -25,9 +25,11 @@
 //! or lands past the live p99 dumps a flight record
 //! ([`photon_bench::flightrec`]) for post-hoc diagnosis.
 //!
-//! [`client::Client`] is the blocking client used by `photon-loadgen`,
-//! `photon-top` (the live operational view), the integration tests, and
-//! the CI serve gate.
+//! [`client::Client`] is the blocking client the integration tests and
+//! the benchmark drive the server with. `tests/gate.rs` is the serve
+//! gate: it spawns the `photon-serve` binary, drives a duplicate-heavy
+//! mix with `Client` threads and asserts only deterministic counts.
+//! The live view is the `stats` and `metrics` ops themselves.
 //!
 //! See DESIGN.md § "photon-serve" for the protocol grammar, the
 //! lane/admission semantics, the single-flight state machine, and the

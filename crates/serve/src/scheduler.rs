@@ -65,7 +65,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How a scheduler runs: worker count, admission bound, executor
-/// options for the simulations themselves, and store budgets.
+/// options for the simulations themselves, and flight recording.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Simulation worker threads.
@@ -77,9 +77,6 @@ pub struct ServeOptions {
     /// policy). The run journal is unused here — the server has its own
     /// pending-jobs journal.
     pub exec: ExecOptions,
-    /// In-memory result-store byte budget (all methods, keyed by job
-    /// id; LRU-bounded like the reference cache).
-    pub result_budget: u64,
     /// Flight-recorder dump directory. When set, a job that fails,
     /// absorbs a failed span (e.g. a retried fault), or lands past the
     /// live p99 latency dumps its span trail and metrics to
@@ -94,11 +91,14 @@ impl Default for ServeOptions {
             workers: 2,
             queue_capacity: 64,
             exec: ExecOptions::default(),
-            result_budget: 64 * 1024 * 1024,
             flightrec: None,
         }
     }
 }
+
+/// In-memory result-store byte budget (all methods, keyed by job id;
+/// LRU-bounded like the reference cache).
+const RESULT_BUDGET: u64 = 64 * 1024 * 1024;
 
 /// Minimum completed-latency observations before the p99 trigger arms:
 /// with fewer samples the "p99" is noise and every other job would dump.
@@ -294,7 +294,7 @@ impl Scheduler {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            results: LruStore::new(opts.result_budget),
+            results: LruStore::new(RESULT_BUDGET),
             cache: opts.exec.ref_cache(),
             telemetry: Telemetry::default(),
             opts,
@@ -323,6 +323,12 @@ impl Scheduler {
     /// Submits a spec on behalf of `tenant`. See the module docs for
     /// the full decision diagram.
     pub fn submit(&self, spec: RunSpec, tenant: &str) -> Submitted {
+        self.admit(spec, tenant, self.opts.queue_capacity)
+    }
+
+    /// [`submit`](Self::submit) against an explicit admission bound on
+    /// queued jobs.
+    fn admit(&self, spec: RunSpec, tenant: &str, capacity: usize) -> Submitted {
         let id = journal_key(&spec);
         if self.draining.load(Ordering::SeqCst) {
             self.telemetry.counter("serve.rejected").add(1);
@@ -332,7 +338,7 @@ impl Scheduler {
         let mut state = self.lock_state();
         if let Some(job) = state.jobs.get_mut(&id) {
             match job.phase {
-                Phase::Done => {
+                Phase::Done if job.result.as_ref().is_some_and(|r| journalable(&r.outcome)) => {
                     self.telemetry.counter("serve.cache_hits").add(1);
                     self.tenant_counter(tenant, "submitted");
                     return Submitted::Cached { id };
@@ -345,9 +351,10 @@ impl Scheduler {
                     self.tenant_counter(tenant, "submitted");
                     return Submitted::Coalesced { id, phase };
                 }
-                Phase::Cancelled => {
-                    // A cancelled job can be resubmitted: fall through to
-                    // re-enqueue it below.
+                Phase::Done | Phase::Cancelled => {
+                    // A cancelled job, or one that ended in a transient
+                    // failure (never stored, see `run_job`), can be
+                    // resubmitted: fall through to re-enqueue it below.
                 }
             }
         }
@@ -382,7 +389,7 @@ impl Scheduler {
             self.tenant_counter(tenant, "submitted");
             return Submitted::Cached { id };
         }
-        if state.queued() >= self.opts.queue_capacity {
+        if state.queued() >= capacity {
             self.telemetry.counter("serve.rejected").add(1);
             self.tenant_counter(tenant, "rejected");
             return Submitted::Rejected {
@@ -588,8 +595,8 @@ impl Scheduler {
 
     /// Terminal trace bookkeeping for one finished job: closes the root
     /// span, records the latency histogram, mirrors the run's engine
-    /// shard/imbalance telemetry into the server registry (so
-    /// `photon-top` can show the most recent run's shard balance), and
+    /// shard/imbalance telemetry into the server registry (so `stats`
+    /// and `metrics` show the most recent run's shard balance), and
     /// evaluates the flight-recorder triggers.
     fn finish_trace(
         &self,
@@ -812,8 +819,9 @@ impl Scheduler {
     }
 
     /// Re-enqueues jobs journaled by a previous server's drain, then
-    /// removes the journal. Torn or corrupt lines are skipped (counted
-    /// in the return). Call before accepting connections.
+    /// removes the journal. They were admitted once, so the admission
+    /// bound does not apply to them. Torn or corrupt lines are skipped
+    /// (counted in the return). Call before accepting connections.
     pub fn resume_pending_from(&self, path: &Path) -> (usize, usize) {
         let Ok((entries, mut corrupt)) = load_lines::<PendingEntry>(path) else {
             return (0, 0);
@@ -821,7 +829,7 @@ impl Scheduler {
         let mut resumed = 0;
         for e in entries {
             if e.schema_version == PROTOCOL_VERSION {
-                self.submit(e.spec, &e.tenant);
+                self.admit(e.spec, &e.tenant, usize::MAX);
                 resumed += 1;
             } else {
                 corrupt += 1;
@@ -897,7 +905,7 @@ impl Scheduler {
     pub fn stats(&self) -> Value {
         self.refresh_gauges();
         // Copy the live jobs out under the state lock; their span
-        // trees are built after it is released, so a `photon-top` poll
+        // trees are built after it is released, so a `stats` poll
         // never holds up submit, wait, fetch or the workers.
         let live: Vec<(u64, String, String, Phase, u64)> = {
             let state = self.lock_state();

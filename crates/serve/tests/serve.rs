@@ -485,26 +485,30 @@ fn drain_journals_queued_jobs_and_restart_resumes_them() {
 fn pending_journal_fixture_resumes() {
     // `tests/fixtures/pending.jsonl`: two queued jobs drained by the
     // scheduler of commit efc1183 (crates/bench/tests/fixtures/README.md).
-    // Resume consumes the journal, so hand it a copy.
+    // Resume consumes the journal, so hand it a copy. Resumed jobs were
+    // admitted once: a queue bound below the journal's length drops none.
     let dir = std::env::temp_dir().join(format!("photon_serve_fixture_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let pending = dir.join("pending.jsonl");
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pending.jsonl");
-    std::fs::copy(fixture, &pending).expect("copy fixture");
-
-    let sched = photon_serve::Scheduler::new(ServeOptions {
-        exec: ExecOptions {
-            cache: false,
-            ..ExecOptions::default()
-        },
-        ..ServeOptions::default()
-    });
-    assert_eq!(sched.resume_pending_from(&pending), (2, 0));
-    for method in [Method::Full, Method::Pka] {
-        let view = sched
-            .status(journal_key(&fir(64, method)))
-            .expect("resumed");
-        assert_eq!(view.phase.name(), "queued");
+    for queue_capacity in [ServeOptions::default().queue_capacity, 1] {
+        std::fs::copy(&fixture, &pending).expect("copy fixture");
+        let sched = photon_serve::Scheduler::new(ServeOptions {
+            queue_capacity,
+            exec: ExecOptions {
+                cache: false,
+                ..ExecOptions::default()
+            },
+            ..ServeOptions::default()
+        });
+        assert_eq!(sched.resume_pending_from(&pending), (2, 0));
+        for method in [Method::Full, Method::Pka] {
+            let view = sched
+                .status(journal_key(&fir(64, method)))
+                .expect("resumed");
+            assert_eq!(view.phase.name(), "queued", "queue {queue_capacity}");
+        }
+        assert!(!pending.exists(), "resume must consume the journal");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -47,7 +47,6 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
             ..ExecOptions::default()
         },
         flightrec: Some(flightrec_dir.clone()),
-        ..ServeOptions::default()
     };
     let server = Arc::new(Server::bind("127.0.0.1:0", opts, None).expect("bind"));
     let addr = server.local_addr().expect("local addr").to_string();
@@ -119,13 +118,17 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
         "flight record must name the fault site"
     );
 
-    // The metrics op counts the dump and round-trips through the
-    // exposition-format parser.
+    // The metrics op counts the failure and the dump.
     let text = c.metrics().expect("metrics op");
-    let scrape =
-        gpu_telemetry::export::parse_prometheus_text(&text).expect("exposition text must parse");
-    assert_eq!(scrape.value("photon_serve_flightrec_dumps"), Some(1.0));
-    assert_eq!(scrape.value("photon_serve_failed"), Some(1.0));
+    for line in ["photon_serve_failed 1", "photon_serve_flightrec_dumps 1"] {
+        assert!(text.lines().any(|l| l == line), "no {line:?} in:\n{text}");
+    }
+
+    // A transient failure is never stored, so resubmitting the spec
+    // queues a new simulation instead of answering from the failed job.
+    let again = c.submit(&spec, "chaos").expect("resubmit");
+    assert!(response_ok(&again), "resubmit failed: {again:?}");
+    assert_eq!(as_str(&again, "state"), Some("queued"), "{again:?}");
 
     drop(c);
     handle.shutdown();

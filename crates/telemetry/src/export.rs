@@ -298,132 +298,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// One parsed exposition sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromSample {
-    /// Metric name (including any `_bucket`/`_sum`/`_count` suffix).
-    pub name: String,
-    /// Label pairs, in source order (`le` for histogram buckets).
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: f64,
-}
-
-/// A parsed exposition document: `# TYPE` declarations plus samples.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PromScrape {
-    /// `(metric, type)` pairs from `# TYPE` lines, in source order.
-    pub types: Vec<(String, String)>,
-    /// All samples, in source order.
-    pub samples: Vec<PromSample>,
-}
-
-impl PromScrape {
-    /// The value of the sample named `name` with no labels.
-    pub fn value(&self, name: &str) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|s| s.name == name && s.labels.is_empty())
-            .map(|s| s.value)
-    }
-}
-
-/// A minimal Prometheus text-exposition parser: exactly the subset
-/// [`prometheus_text`] emits (`# TYPE`/`# HELP` comments, optional
-/// `{k="v",...}` label sets, floating-point values; no timestamps).
-/// The CI gate round-trips a live scrape through this to prove the
-/// `metrics` op emits well-formed exposition text.
-///
-/// # Errors
-/// Returns `"line N: reason"` for the first malformed line.
-pub fn parse_prometheus_text(text: &str) -> Result<PromScrape, String> {
-    let mut scrape = PromScrape::default();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let mut parts = comment.trim().splitn(3, ' ');
-            if parts.next() == Some("TYPE") {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| format!("line {lineno}: TYPE without a metric name"))?;
-                let kind = parts
-                    .next()
-                    .ok_or_else(|| format!("line {lineno}: TYPE without a type"))?;
-                if !matches!(
-                    kind,
-                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
-                ) {
-                    return Err(format!("line {lineno}: unknown metric type {kind:?}"));
-                }
-                scrape.types.push((name.to_string(), kind.to_string()));
-            }
-            continue;
-        }
-        // Sample line: name[{labels}] value
-        let (name_part, rest) = match line.find('{') {
-            Some(brace) => {
-                let close = line
-                    .rfind('}')
-                    .ok_or_else(|| format!("line {lineno}: unclosed label set"))?;
-                if close < brace {
-                    return Err(format!("line {lineno}: unclosed label set"));
-                }
-                (&line[..brace], &line[close + 1..])
-            }
-            None => match line.find(char::is_whitespace) {
-                Some(sp) => (&line[..sp], &line[sp..]),
-                None => return Err(format!("line {lineno}: sample without a value")),
-            },
-        };
-        let name = name_part.trim();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("line {lineno}: invalid metric name {name:?}"));
-        }
-        let mut labels = Vec::new();
-        if let Some(brace) = line.find('{') {
-            let close = line.rfind('}').unwrap_or(brace);
-            for pair in line[brace + 1..close].split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {lineno}: label without '='"))?;
-                let v = v.trim();
-                let v = v
-                    .strip_prefix('"')
-                    .and_then(|v| v.strip_suffix('"'))
-                    .ok_or_else(|| format!("line {lineno}: unquoted label value"))?;
-                labels.push((k.trim().to_string(), v.to_string()));
-            }
-        }
-        let value_text = rest.trim();
-        let value = match value_text {
-            "+Inf" => f64::INFINITY,
-            "-Inf" => f64::NEG_INFINITY,
-            "NaN" => f64::NAN,
-            v => v
-                .parse::<f64>()
-                .map_err(|_| format!("line {lineno}: bad sample value {v:?}"))?,
-        };
-        scrape.samples.push(PromSample {
-            name: name.to_string(),
-            labels,
-            value,
-        });
-    }
-    Ok(scrape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,62 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_round_trips_through_the_parser() {
-        let tel = crate::Telemetry::default();
-        tel.counter("serve.completed").add(7);
-        tel.gauge("engine.epoch.imbalance").set(1.5);
-        let h = tel.histogram("serve.latency_ms");
-        h.record(3);
-        h.record(120);
-        h.record(4000);
-        let text = prometheus_text(&tel.snapshot());
-
-        let scrape = parse_prometheus_text(&text).expect("own output must parse");
-        assert_eq!(scrape.value("photon_serve_completed"), Some(7.0));
-        assert_eq!(scrape.value("photon_engine_epoch_imbalance"), Some(1.5));
-        assert_eq!(scrape.value("photon_serve_latency_ms_count"), Some(3.0));
-        assert_eq!(scrape.value("photon_serve_latency_ms_sum"), Some(4123.0));
-        assert!(scrape.types.contains(&(
-            "photon_serve_latency_ms".to_string(),
-            "histogram".to_string()
-        )));
-        // Cumulative buckets end at +Inf == count.
-        let inf = scrape
-            .samples
-            .iter()
-            .find(|s| {
-                s.name == "photon_serve_latency_ms_bucket"
-                    && s.labels.iter().any(|(k, v)| k == "le" && v == "+Inf")
-            })
-            .expect("+Inf bucket");
-        assert_eq!(inf.value, 3.0);
-        // Buckets are cumulative (monotone nondecreasing).
-        let buckets: Vec<f64> = scrape
-            .samples
-            .iter()
-            .filter(|s| s.name == "photon_serve_latency_ms_bucket")
-            .map(|s| s.value)
-            .collect();
-        assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
-    }
-
-    #[test]
     fn prometheus_names_are_sanitized() {
         assert_eq!(
             prometheus_name("engine.shard.0.busy_cycles"),
             "photon_engine_shard_0_busy_cycles"
         );
         assert_eq!(prometheus_name("a-b c"), "photon_a_b_c");
-    }
-
-    #[test]
-    fn parser_rejects_malformed_lines() {
-        assert!(parse_prometheus_text("photon_x{le=\"1\" 3").is_err());
-        assert!(parse_prometheus_text("photon x 3").is_err());
-        assert!(parse_prometheus_text("photon_x notanumber").is_err());
-        assert!(parse_prometheus_text("# TYPE photon_x flurble\nphoton_x 1").is_err());
-        // Unknown comments and blank lines are ignored.
-        let ok = parse_prometheus_text("# HELP photon_x something\n\nphoton_x 1\n").unwrap();
-        assert_eq!(ok.value("photon_x"), Some(1.0));
     }
 }

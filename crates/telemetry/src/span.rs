@@ -19,7 +19,7 @@
 //! in exactly one of the two and a reader never has to reconcile them.
 //! Because open spans are in no ring, overflow can never drop a
 //! still-open root span — an in-flight job is always visible to
-//! `photon-top` no matter how many closed spans have wrapped past it;
+//! the `stats` op no matter how many closed spans have wrapped past it;
 //! because a ring belongs to a job and not to a thread, a job's spans
 //! outlive the (short-lived) run thread that emitted them; and because
 //! a job wraps only its own ring, a flood of spans on one job leaves

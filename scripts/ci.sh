@@ -11,7 +11,8 @@ cd "$(dirname "$0")/.."
 # Quarantine hygiene: a clean CI run must not leave new .corrupt
 # corpses behind in results/ (pre-existing ones are tolerated but never
 # allowed to grow — persist::quarantine rotates, keeping at most 2 per
-# basename). Snapshot now, compare at the end.
+# basename). Snapshot now, compare just before the chaos gate, which
+# quarantines a real results/cache entry on purpose and so runs last.
 corpses_snapshot() {
   find results -maxdepth 2 -name '*.corrupt*' 2>/dev/null | sort || true
 }
@@ -190,6 +191,14 @@ cargo run -q --release -p photon-bench --bin profile -- diff \
   "$mem_tmp/BENCH_smoke_detailed.json" results/BENCH_smoke_detailed.json 0.01
 rm -rf "$mem_tmp"
 
+echo "==> quarantine hygiene: no new .corrupt corpses in results/"
+corpses_after="$(corpses_snapshot)"
+if [[ "$corpses_after" != "$corpses_before" ]]; then
+  echo "    quarantine corpses accumulated during this run:"
+  diff <(echo "$corpses_before") <(echo "$corpses_after") || true
+  exit 1
+fi
+
 echo "==> chaos gate: smoke under a fixed fault seed"
 # Every injected failure must be absorbed by a guardrail: panics are
 # retried, corrupt cache reads are quarantined and recomputed, torn
@@ -200,102 +209,5 @@ echo "==> chaos gate: smoke under a fixed fault seed"
 cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
   --faults "exec.panic:0.3:1207,refcache.read.corrupt:1.0:7,journal.torn:1.0:7"
 cargo run -q --release -p photon-bench --bin report -- check
-# refcache.read.corrupt quarantines a real results/cache entry — that
-# corpse is the guardrail firing, not a hygiene violation. Re-baseline
-# the quarantine snapshot so the hygiene gate below still covers
-# everything after this deliberate sabotage (the serve gate in
-# particular must stay corpse-free).
-corpses_before="$(corpses_snapshot)"
-
-echo "==> photon-serve gate: loadgen over a live server"
-serve_tmp="$(mktemp -d)"
-serve_log="$serve_tmp/serve.log"
-serve_wait_up() {
-  for _ in $(seq 1 100); do
-    grep -q "listening on" "$serve_log" && break
-    sleep 0.1
-  done
-  addr="$(grep -o '127\.0\.0\.1:[0-9]*' "$serve_log" | head -1)"
-  if [[ -z "$addr" ]]; then
-    echo "    photon-serve never came up:"; cat "$serve_log"; exit 1
-  fi
-}
-serve_stop_clean() {
-  kill -TERM "$serve_pid"
-  wait "$serve_pid"
-  if ! grep -q "clean exit" "$serve_log"; then
-    echo "    photon-serve did not drain cleanly:"; cat "$serve_log"; exit 1
-  fi
-}
-
-# Duplicate-heavy closed-loop drive: 4 clients x 3 jobs cycling 3
-# specs, so identical submissions constantly collide. --check asserts
-# zero failed fetches, a positive coalesce rate, and a warm p50 at
-# least 10x below cold. SIGTERM afterwards must drain and exit clean.
-./target/release/photon-serve --port 0 --workers 2 --no-cache \
-  --pending "$serve_tmp/pending.jsonl" \
-  --flightrec "$serve_tmp/flightrec" >"$serve_log" 2>&1 &
-serve_pid=$!
-serve_wait_up
-timeout 300 ./target/release/photon-loadgen --addr "$addr" \
-  --clients 4 --jobs-per-client 3 --check
-# Live-view smoke: one non-interactive photon-top frame, and a
-# `metrics` scrape that must round-trip through the exposition-format
-# parser (photon-top --scrape exits nonzero on a parse failure).
-./target/release/photon-top --addr "$addr" --once | grep -q "photon-top" \
-  || { echo "    photon-top --once rendered no frame"; exit 1; }
-./target/release/photon-top --addr "$addr" --scrape | grep -q "photon_serve_submitted" \
-  || { echo "    metrics scrape did not round-trip"; exit 1; }
-serve_stop_clean
-
-# Fault-seeded variant: with panics injected into simulations, every
-# submission must still get a terminal answer (loadgen hangs on a
-# dropped job, which the timeout turns into a failure) and the server
-# must still drain cleanly.
-./target/release/photon-serve --port 0 --workers 2 --no-cache \
-  --pending "$serve_tmp/pending_faults.jsonl" \
-  --flightrec "$serve_tmp/flightrec_faults" \
-  --faults "exec.panic:0.3:1207" >"$serve_log" 2>&1 &
-serve_pid=$!
-serve_wait_up
-timeout 300 ./target/release/photon-loadgen --addr "$addr" \
-  --clients 4 --jobs-per-client 3 --out BENCH_serve_faults
-# Prove the run actually exercised the fault path: stats must report
-# at least one injected exec.panic (absorbed by retries — loadgen
-# above already proved no job was dropped).
-serve_port="${addr##*:}"
-exec 3<>"/dev/tcp/127.0.0.1/$serve_port"
-echo '{"op":"stats"}' >&3
-IFS= read -r serve_stats <&3
-exec 3<&-
-if ! grep -q '"exec.panic"' <<<"$serve_stats"; then
-  echo "    fault-seeded serve run injected no panics"; exit 1
-fi
-serve_stop_clean
-
-# Flight recorder: the injected panics must have cut at least one
-# dump; every dump must load (checksum-verified by `report
-# flightrec`), and at least one must name the injected fault site.
-dumps=("$serve_tmp"/flightrec_faults/*.json)
-if [[ ! -e "${dumps[0]}" ]]; then
-  echo "    fault-seeded serve run produced no flight-recorder dump"; exit 1
-fi
-flight_out=""
-for dump in "${dumps[@]}"; do
-  flight_out+="$(./target/release/report flightrec "$dump")"$'\n'
-done
-if ! grep -q "exec.panic" <<<"$flight_out"; then
-  echo "    no flight record names the injected fault site:"
-  echo "$flight_out"; exit 1
-fi
-rm -rf "$serve_tmp"
-
-echo "==> quarantine hygiene: no new .corrupt corpses in results/"
-corpses_after="$(corpses_snapshot)"
-if [[ "$corpses_after" != "$corpses_before" ]]; then
-  echo "    quarantine corpses accumulated during this run:"
-  diff <(echo "$corpses_before") <(echo "$corpses_after") || true
-  exit 1
-fi
 
 echo "==> ci OK"
