@@ -80,8 +80,9 @@ pub fn reference_key(spec: &RunSpec) -> u64 {
     fnv1a_extend(h, &spec.seed.to_le_bytes())
 }
 
-/// Where a [`LruStore::get_or_compute`] (or
-/// [`RefCache::get_or_compute_full`]) answer came from.
+/// Where a [`RefCache::get_or_compute_full`] (or
+/// [`LruStore::join_or_lead`], which never answers `Hit`) answer came
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Origin {
     /// Served from the store (memory or disk) without waiting.
@@ -296,19 +297,6 @@ impl<V: Clone> LruStore<V> {
         publish.value = value.clone();
         drop(publish);
         (value, Origin::Miss)
-    }
-
-    /// [`get`](Self::get) then [`join_or_lead`](Self::join_or_lead):
-    /// the single call sites use for "answer from cache or compute
-    /// exactly once across all concurrent callers".
-    pub fn get_or_compute<F>(&self, key: u64, compute: F) -> (Option<V>, Origin)
-    where
-        F: FnOnce() -> (Option<V>, u64, bool),
-    {
-        match self.get(key) {
-            Some(v) => (Some(v), Origin::Hit),
-            None => self.join_or_lead(key, compute),
-        }
     }
 
     /// Current counters and residency.
@@ -773,10 +761,14 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        store.get_or_compute(99, || {
+                        store.join_or_lead(99, || {
                             computes.fetch_add(1, Ordering::SeqCst);
-                            // Give followers time to pile onto the flight.
-                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            // Hold the flight open until the other seven
+                            // callers have joined it (or 5 s have passed).
+                            let t0 = std::time::Instant::now();
+                            while store.stats().coalesced < 7 && t0.elapsed().as_secs() < 5 {
+                                std::thread::yield_now();
+                            }
                             (Some(777u64), 8, true)
                         })
                     })
@@ -786,7 +778,7 @@ mod tests {
             for (v, _) in &results {
                 assert_eq!(*v, Some(777));
             }
-            // Exactly one leader; everyone else hit or coalesced.
+            // Exactly one leader; everyone else coalesced.
             assert_eq!(computes.load(Ordering::SeqCst), 1);
             let leaders = results.iter().filter(|(_, o)| *o == Origin::Miss).count();
             assert_eq!(leaders, 1);
@@ -796,11 +788,11 @@ mod tests {
     #[test]
     fn failed_compute_is_not_cached_and_followers_see_none() {
         let store: LruStore<u64> = LruStore::new(1 << 20);
-        let (v, origin) = store.get_or_compute(5, || (None, 0, false));
+        let (v, origin) = store.join_or_lead(5, || (None, 0, false));
         assert_eq!(v, None);
         assert_eq!(origin, Origin::Miss);
         // The failure was not cached: the next call recomputes.
-        let (v, origin) = store.get_or_compute(5, || (Some(1), 8, true));
+        let (v, origin) = store.join_or_lead(5, || (Some(1), 8, true));
         assert_eq!(v, Some(1));
         assert_eq!(origin, Origin::Miss);
     }

@@ -11,13 +11,14 @@
 //! [`scheduler::Scheduler`] runs a bounded
 //! two-lane admission queue (interactive sampled methods dequeue before
 //! batch `Full` runs) over a pool of worker threads, deduplicates
-//! identical jobs at submit time, single-flights result computation
-//! through the [`photon_bench::RefCache`] / result store, and
-//! drains gracefully on SIGTERM/ctrl-c — in-flight jobs finish, queued
-//! jobs are journaled so a restarted server resumes them.
+//! identical jobs at submit time, answers a replayable finished job
+//! from its byte-budgeted result store, shares `Full` runs through the
+//! [`photon_bench::RefCache`], and drains gracefully on SIGTERM/ctrl-c
+//! — in-flight jobs finish, queued jobs are journaled so a restarted
+//! server resumes them.
 //!
 //! Every job carries a trace context minted at submit
-//! ([`protocol::mint_trace`]): typed spans (queued, coalesced,
+//! ([`gpu_telemetry::span::start_job`]): typed spans (queued, coalesced,
 //! cache-probe, sim, epoch-barrier, mem-service, persist) land in
 //! `gpu_telemetry::span`'s always-on rings, the `trace` op returns the
 //! reassembled span tree, the `metrics` op exports the registry in
@@ -41,6 +42,6 @@ pub mod scheduler;
 pub mod server;
 
 pub use client::Client;
-pub use protocol::{job_id, parse_job_id, Request};
+pub use protocol::Request;
 pub use scheduler::{Scheduler, ServeOptions};
 pub use server::Server;

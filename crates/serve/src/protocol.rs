@@ -19,16 +19,17 @@
 //! ```
 //!
 //! `trace` (protocol v2) returns the job's span tree — the correlated
-//! trace minted at submit ([`mint_trace`]) and threaded through the
+//! trace minted at submit ([`span::start_job`]) and threaded through the
 //! scheduler, executor, and engine — with per-phase duration rollups.
 //! `metrics` (protocol v2) returns the server's registry rendered in
 //! Prometheus text exposition format 0.0.4; because the protocol is
 //! line-delimited JSON, the multi-line exposition text rides in the
 //! response's `"body"` field with `"content_type"` alongside.
 //!
-//! A job id is the spec's [`photon_bench::journal_key`] rendered as 16
-//! hex digits — identical submissions share one id by construction,
-//! which is what makes coalescing visible to clients.
+//! A job id is the spec's [`photon_bench::journal_key`] rendered as
+//! exactly 16 hex digits ([`span::job_hex`]; [`span::parse_job_hex`]
+//! refuses anything else). Identical submissions share one id by
+//! construction, which is what makes coalescing visible to clients.
 //!
 //! Responses carry `"ok": true` plus op-specific fields, or
 //! `"ok": false` with `"code"` (HTTP-flavored: 400 bad request, 404
@@ -39,7 +40,7 @@
 //! `spec` accepts a [`RunSpec`]'s serde JSON rendering verbatim — the
 //! same text `serde_json::to_string(&spec)` produces.
 
-use gpu_telemetry::span::{self, TraceCtx};
+use gpu_telemetry::span;
 use photon_bench::RunSpec;
 use serde::Deserialize;
 use serde_json::Value;
@@ -92,24 +93,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// Mints the trace context for a job at submit time: the root `job`
-/// span, keyed by the wire job id (= journal key), so every span the
-/// scheduler, executor, and engine emit downstream correlates back to
-/// the id the client holds.
-pub fn mint_trace(key: u64, label: &str) -> TraceCtx {
-    span::start_job(key, label)
-}
-
-/// Renders a job key as the wire job id (16 hex digits).
-pub fn job_id(key: u64) -> String {
-    format!("{key:016x}")
-}
-
-/// Parses a wire job id back into its key.
-pub fn parse_job_id(s: &str) -> Option<u64> {
-    u64::from_str_radix(s, 16).ok()
-}
-
 fn str_field(v: &Value, name: &str) -> Option<String> {
     match v.get(name) {
         Some(Value::String(s)) => Some(s.clone()),
@@ -119,7 +102,7 @@ fn str_field(v: &Value, name: &str) -> Option<String> {
 
 fn job_field(v: &Value) -> Result<u64, String> {
     let s = str_field(v, "job").ok_or("missing string field \"job\"")?;
-    parse_job_id(&s).ok_or_else(|| format!("bad job id {s:?} (expected 16 hex digits)"))
+    span::parse_job_hex(&s).ok_or_else(|| format!("bad job id {s:?} (expected 16 hex digits)"))
 }
 
 /// Parses one request line.
@@ -176,6 +159,7 @@ pub fn error_response(code: u32, error: &str) -> Value {
 mod tests {
     use super::*;
     use gpu_sim::GpuConfig;
+    use gpu_telemetry::span::job_hex;
     use gpu_workloads::registry::Benchmark;
     use photon_bench::Method;
 
@@ -200,17 +184,16 @@ mod tests {
 
     #[test]
     fn job_ops_parse_hex_ids() {
-        let line = format!("{{\"op\":\"fetch\",\"job\":\"{}\"}}", job_id(0xabcdef));
+        let line = format!("{{\"op\":\"fetch\",\"job\":\"{}\"}}", job_hex(0xabcdef));
         match parse_request(&line).unwrap() {
             Request::Fetch { job } => assert_eq!(job, 0xabcdef),
             other => panic!("parsed {other:?}"),
         }
-        assert_eq!(parse_job_id(&job_id(u64::MAX)), Some(u64::MAX));
     }
 
     #[test]
     fn v2_ops_parse() {
-        let line = format!("{{\"op\":\"trace\",\"job\":\"{}\"}}", job_id(0x1234));
+        let line = format!("{{\"op\":\"trace\",\"job\":\"{}\"}}", job_hex(0x1234));
         match parse_request(&line).unwrap() {
             Request::Trace { job } => assert_eq!(job, 0x1234),
             other => panic!("parsed {other:?}"),
@@ -228,6 +211,8 @@ mod tests {
         assert!(parse_request("{\"op\":\"teleport\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\",\"job\":\"zz\"}").is_err());
+        assert!(parse_request("{\"op\":\"fetch\",\"job\":\"abc\"}").is_err());
+        assert!(parse_request("{\"op\":\"fetch\",\"job\":\"+00000000000abcd\"}").is_err());
         assert!(parse_request("{\"op\":\"submit\"}").is_err());
         assert!(parse_request("{\"op\":\"submit\",\"spec\":{\"bogus\":1}}").is_err());
     }

@@ -1,36 +1,43 @@
 //! The job scheduler behind `photon-serve`: a bounded two-lane
 //! admission queue over a pool of simulation worker threads, with
-//! submit-time coalescing, an LRU-bounded result store, cancellation,
-//! and graceful drain/resume.
+//! submit-time coalescing, a byte-budgeted store of finished jobs,
+//! cancellation, and graceful drain/resume.
 //!
 //! ## Single-flight state machine
 //!
 //! A job is keyed by its spec's [`photon_bench::journal_key`], so every
-//! identical submission resolves to the *same* job id:
+//! identical submission resolves to the *same* job id. A job is in
+//! exactly one place: the live map while queued or running, the result
+//! store once done or cancelled.
 //!
 //! ```text
 //!             submit(spec)
 //!                  │
 //!        ┌─────────┴──────────────────────────────┐
-//!        │ id already live?                       │ id unknown?
+//!        │ id in the live map?                    │ else
 //!        ▼                                        ▼
-//!   Queued/Running ──► join (subscribers+1,   result store hit ──► Done
-//!        │              "coalesced")          else admission check:
+//!   Queued/Running ──► join (subscribers+1,   replayable result stored
+//!        │              "coalesced")            ──► Cached
+//!        │                                    else admission check:
 //!        │                                    queue full ──► 429
 //!        │                                    draining   ──► 503
 //!        │                                    else enqueue ──► Queued
 //!        ▼
 //!   worker dequeues (interactive lane first) ──► Running
-//!        │   results.get_or_compute(id, resolve_spec): the scheduler
-//!        │   probes and fills its result store; resolve_spec probes the
-//!        │   reference cache, leads or joins a Full run, and simulates
+//!        │   resolve_spec probes the reference cache, leads or joins
+//!        │   a Full run, and simulates
 //!        ▼
-//!      Done (result stored iff replayable) / Cancelled
+//!   stored as Done, then removed from the live map
+//!   (a cancel stores and removes a queued job as Cancelled)
 //! ```
 //!
-//! The scheduler only records what the returned
-//! [`photon_bench::Resolution`] reports: `serve.sim_runs`,
-//! `exec.retried`, the result's `origin`.
+//! A worker is the only runner of its id: an id sits in at most one
+//! lane entry, and `submit` coalesces any live id. The scheduler only
+//! records what the returned [`photon_bench::Resolution`] reports:
+//! `serve.sim_runs`, `exec.retried`, the result's `origin`. Every
+//! finished job is stored, but only a replayable one (the run journal's
+//! rule) answers a resubmission; a cancelled job or a transient failure
+//! is enqueued again.
 //!
 //! Cancelling a queued job removes it from its lane before any worker
 //! dequeues it (`exec.cancelled`); with several subscribers, a cancel
@@ -45,8 +52,8 @@
 //! [`Scheduler::resume_pending_from`] re-enqueues them on the next
 //! start, so a SIGTERM'd server loses no accepted work.
 
-use crate::protocol::{job_id, mint_trace, PROTOCOL_VERSION};
-use gpu_telemetry::span::{self, SpanKind, TraceCtx};
+use crate::protocol::PROTOCOL_VERSION;
+use gpu_telemetry::span::{self, job_hex, SpanKind, TraceCtx};
 use gpu_telemetry::{MetricsSnapshot, Telemetry};
 use photon_bench::flightrec::{self, Trigger};
 use photon_bench::harness::RunOutcome;
@@ -96,8 +103,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// In-memory result-store byte budget (all methods, keyed by job id;
-/// LRU-bounded like the reference cache).
+/// In-memory result-store byte budget (finished jobs of all methods,
+/// keyed by job id; LRU-bounded like the reference cache).
 const RESULT_BUDGET: u64 = 64 * 1024 * 1024;
 
 /// Minimum completed-latency observations before the p99 trigger arms:
@@ -141,8 +148,7 @@ pub struct JobResult {
     pub outcome: RunOutcome,
     /// The run's metrics snapshot (empty for cache-served results).
     pub metrics: MetricsSnapshot,
-    /// `"executed"`, `"refcache"`, or `"store"` — where the answer came
-    /// from.
+    /// `"executed"` or `"refcache"` — where the answer came from.
     pub origin: &'static str,
     /// Wall-clock seconds the job spent from dequeue to completion.
     pub wall_secs: f64,
@@ -157,7 +163,6 @@ struct Job {
     /// Per-job live registry: the running simulation writes `sim.*`
     /// counters here and `status`/`wait` read them concurrently.
     progress: Telemetry,
-    result: Option<Arc<JobResult>>,
     /// Trace context minted at submit: the root `job` span every
     /// downstream span (queued, sim, epoch-barrier, ...) hangs off.
     ctx: TraceCtx,
@@ -168,41 +173,27 @@ struct Job {
     queued_at: Instant,
 }
 
-/// How many terminal (Done/Cancelled) jobs the `jobs` map retains.
-/// Beyond this the oldest are dropped: their cacheable results stay
-/// fetchable from the LRU-budgeted results store, so the map stays
-/// bounded on a long-running server instead of accumulating one entry
-/// per unique spec forever.
-const MAX_TERMINAL_JOBS: usize = 256;
+/// A job once it is done or cancelled, as the result store keeps it.
+struct Finished {
+    /// `workload/method` label.
+    label: String,
+    /// `Done` or `Cancelled`.
+    phase: Phase,
+    /// The answer (`None` for a cancelled job).
+    result: Option<Arc<JobResult>>,
+}
 
+/// The live jobs (queued or running) and the two lanes.
 struct State {
     jobs: HashMap<u64, Job>,
     interactive: VecDeque<u64>,
     batch: VecDeque<u64>,
     running: usize,
-    /// Terminal job ids in completion order; the pruning ring for
-    /// [`MAX_TERMINAL_JOBS`].
-    terminal: VecDeque<u64>,
 }
 
 impl State {
     fn queued(&self) -> usize {
         self.interactive.len() + self.batch.len()
-    }
-
-    /// Records that `id` reached a terminal phase and evicts the oldest
-    /// terminal entries past the retention bound. An evicted id that
-    /// has since been resubmitted (and so is live again) is left alone.
-    fn note_terminal(&mut self, id: u64) {
-        self.terminal.push_back(id);
-        while self.terminal.len() > MAX_TERMINAL_JOBS {
-            let Some(old) = self.terminal.pop_front() else {
-                break;
-            };
-            if self.jobs.get(&old).is_some_and(|job| job.phase.terminal()) {
-                self.jobs.remove(&old);
-            }
-        }
     }
 }
 
@@ -223,7 +214,7 @@ pub enum Submitted {
         /// That job's current phase.
         phase: Phase,
     },
-    /// Answered instantly from the result store / finished job table.
+    /// Answered instantly from the result store.
     Cached {
         /// The finished job's id.
         id: u64,
@@ -244,7 +235,8 @@ pub struct StatusView {
     pub phase: Phase,
     /// `workload/method` label.
     pub label: String,
-    /// Live `sim.*` progress counters (empty before the run starts).
+    /// `sim.*` progress counters: live while the job runs, its result's
+    /// once done (empty before the run starts and for a cancelled job).
     pub progress: Vec<(String, u64)>,
 }
 
@@ -269,9 +261,9 @@ pub struct Scheduler {
     work_cv: Condvar,
     /// Signals waiters that some job changed phase.
     done_cv: Condvar,
-    /// Completed results by job id, LRU-bounded; what makes a warm
+    /// Finished jobs by id, LRU-bounded by bytes; what makes a warm
     /// resubmission of *any* method instant.
-    results: LruStore<Arc<JobResult>>,
+    results: LruStore<Arc<Finished>>,
     /// The full-detailed reference cache (shared semantics with the
     /// batch executor, including disk persistence when enabled).
     cache: RefCache,
@@ -290,7 +282,6 @@ impl Scheduler {
                 interactive: VecDeque::new(),
                 batch: VecDeque::new(),
                 running: 0,
-                terminal: VecDeque::new(),
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -337,54 +328,18 @@ impl Scheduler {
         }
         let mut state = self.lock_state();
         if let Some(job) = state.jobs.get_mut(&id) {
-            match job.phase {
-                Phase::Done if job.result.as_ref().is_some_and(|r| journalable(&r.outcome)) => {
-                    self.telemetry.counter("serve.cache_hits").add(1);
-                    self.tenant_counter(tenant, "submitted");
-                    return Submitted::Cached { id };
-                }
-                Phase::Queued | Phase::Running => {
-                    job.subscribers += 1;
-                    let phase = job.phase;
-                    span::emit(job.ctx, SpanKind::Coalesced, tenant, true, phase.name());
-                    self.telemetry.counter("serve.coalesced").add(1);
-                    self.tenant_counter(tenant, "submitted");
-                    return Submitted::Coalesced { id, phase };
-                }
-                Phase::Done | Phase::Cancelled => {
-                    // A cancelled job, or one that ended in a transient
-                    // failure (never stored, see `run_job`), can be
-                    // resubmitted: fall through to re-enqueue it below.
-                }
-            }
+            job.subscribers += 1;
+            let phase = job.phase;
+            span::emit(job.ctx, SpanKind::Coalesced, tenant, true, phase.name());
+            self.telemetry.counter("serve.coalesced").add(1);
+            self.tenant_counter(tenant, "submitted");
+            return Submitted::Coalesced { id, phase };
         }
-        if let Some(result) = self.results.get(id) {
-            // Known answer from an earlier (possibly evicted-from-jobs)
-            // submission: materialize a Done job so fetch/status work.
-            let ctx = mint_trace(id, &spec.label());
-            span::emit(
-                ctx,
-                SpanKind::CacheProbe,
-                &spec.workload.name(),
-                true,
-                "store-hit",
-            );
-            span::close(ctx.span, true, "cache-hit");
-            state.jobs.insert(
-                id,
-                Job {
-                    spec,
-                    tenant: tenant.to_string(),
-                    phase: Phase::Done,
-                    subscribers: 1,
-                    progress: Telemetry::default(),
-                    result: Some(result),
-                    ctx,
-                    queued_span: 0,
-                    queued_at: Instant::now(),
-                },
-            );
-            state.note_terminal(id);
+        // Probed under the state lock: a worker stores a finished job
+        // before it leaves the live map, so it is never in neither. Only
+        // a result that replays like a rerun (the journal's rule) counts.
+        let stored = self.results.get(id);
+        if stored.is_some_and(|f| f.result.as_ref().is_some_and(|r| journalable(&r.outcome))) {
             self.telemetry.counter("serve.cache_hits").add(1);
             self.tenant_counter(tenant, "submitted");
             return Submitted::Cached { id };
@@ -402,7 +357,7 @@ impl Scheduler {
         } else {
             state.batch.push_back(id);
         }
-        let ctx = mint_trace(id, &spec.label());
+        let ctx = span::start_job(id, &spec.label());
         let queued = span::open(ctx, SpanKind::Queued, lane);
         state.jobs.insert(
             id,
@@ -412,7 +367,6 @@ impl Scheduler {
                 phase: Phase::Queued,
                 subscribers: 1,
                 progress: Telemetry::default(),
-                result: None,
                 ctx,
                 queued_span: queued.span,
                 queued_at: Instant::now(),
@@ -446,15 +400,55 @@ impl Scheduler {
             .add(1);
     }
 
-    /// One job's phase + live progress counters.
-    pub fn status(&self, id: u64) -> Option<StatusView> {
+    /// Looks `id` up where it is: `live` reads it in the live map,
+    /// else `finished` reads it in the result store.
+    fn find<T>(
+        &self,
+        id: u64,
+        live: impl FnOnce(&Job) -> T,
+        finished: impl FnOnce(&Finished) -> T,
+    ) -> Option<T> {
         let state = self.lock_state();
-        let job = state.jobs.get(&id)?;
-        Some(StatusView {
-            phase: job.phase,
-            label: job.spec.label(),
-            progress: job.progress.snapshot().counters_with_prefix("sim."),
-        })
+        match state.jobs.get(&id) {
+            Some(job) => Some(live(job)),
+            None => self.results.get(id).map(|f| finished(&f)),
+        }
+    }
+
+    /// Files a terminal job in the result store, charged its
+    /// measurement's footprint (256 bytes without one). Callers store
+    /// before they remove the job from the live map.
+    fn store(&self, id: u64, label: String, phase: Phase, result: Option<Arc<JobResult>>) {
+        let bytes = result
+            .as_ref()
+            .and_then(|r| r.outcome.measurement())
+            .map_or(256, Measurement::footprint);
+        let finished = Finished {
+            label,
+            phase,
+            result,
+        };
+        self.results.insert(id, Arc::new(finished), bytes);
+    }
+
+    /// One job's phase + progress counters.
+    pub fn status(&self, id: u64) -> Option<StatusView> {
+        self.find(
+            id,
+            |job| StatusView {
+                phase: job.phase,
+                label: job.spec.label(),
+                progress: job.progress.snapshot().counters_with_prefix("sim."),
+            },
+            |f| StatusView {
+                phase: f.phase,
+                label: f.label.clone(),
+                progress: f
+                    .result
+                    .as_ref()
+                    .map_or_else(Vec::new, |r| r.metrics.counters_with_prefix("sim.")),
+            },
+        )
     }
 
     /// Blocks until `id` reaches a terminal phase or `step` elapses;
@@ -465,13 +459,12 @@ impl Scheduler {
         let deadline = Instant::now() + step;
         let mut state = self.lock_state();
         loop {
-            let phase = state.jobs.get(&id)?.phase;
-            if phase.terminal() {
-                return Some(phase);
-            }
+            let Some(job) = state.jobs.get(&id) else {
+                return self.results.get(id).map(|f| f.phase);
+            };
             let now = Instant::now();
             if now >= deadline {
-                return Some(phase);
+                return Some(job.phase);
             }
             let (s, _timeout) = self
                 .done_cv
@@ -483,11 +476,7 @@ impl Scheduler {
 
     /// The completed result of `id`, if it is done.
     pub fn fetch(&self, id: u64) -> Option<Arc<JobResult>> {
-        let state = self.lock_state();
-        match state.jobs.get(&id) {
-            Some(job) => job.result.clone(),
-            None => self.results.get(id),
-        }
+        self.find(id, |_| None, |f| f.result.clone()).flatten()
     }
 
     /// Cancels one subscription to `id`. Only a queued job with no
@@ -496,7 +485,9 @@ impl Scheduler {
     /// or finished job reports `false`.
     pub fn cancel(&self, id: u64) -> Option<bool> {
         let mut state = self.lock_state();
-        let job = state.jobs.get_mut(&id)?;
+        let Some(job) = state.jobs.get_mut(&id) else {
+            return self.results.get(id).map(|_| false);
+        };
         if job.phase != Phase::Queued {
             return Some(false);
         }
@@ -504,12 +495,12 @@ impl Scheduler {
         if job.subscribers > 0 {
             return Some(false);
         }
-        job.phase = Phase::Cancelled;
         span::close(job.queued_span, false, "cancelled");
         span::close(job.ctx.span, false, "cancelled");
+        self.store(id, job.spec.label(), Phase::Cancelled, None);
+        state.jobs.remove(&id);
         state.interactive.retain(|&q| q != id);
         state.batch.retain(|&q| q != id);
-        state.note_terminal(id);
         self.telemetry.counter("exec.cancelled").add(1);
         self.telemetry.counter("serve.cancelled").add(1);
         drop(state);
@@ -564,18 +555,18 @@ impl Scheduler {
             // epoch-barrier, mem-service) attaches to this job.
             let result = {
                 let _scope = span::enter(ctx);
-                self.run_job(id, &spec, &progress, ctx)
+                let res = resolve_spec(&spec, &self.opts.exec, &self.cache, Some(&progress));
+                Arc::new(self.record(res, &spec.workload.name(), ctx, started))
             };
-
+            // Stored outside the state lock (an eviction scan never
+            // holds up `submit`) and before the job leaves the live map.
+            self.store(id, spec.label(), Phase::Done, Some(Arc::clone(&result)));
             let mut state = self.lock_state();
             state.running -= 1;
-            if let Some(job) = state.jobs.get_mut(&id) {
-                job.phase = Phase::Done;
-                job.result = Some(Arc::clone(&result));
-                let tenant = job.tenant.clone();
+            let tenant = state.jobs.remove(&id).map(|job| job.tenant);
+            drop(state);
+            if let Some(tenant) = tenant {
                 let ok = result.outcome.measurement().is_some();
-                state.note_terminal(id);
-                drop(state);
                 self.telemetry
                     .counter(if ok {
                         "serve.completed"
@@ -708,56 +699,6 @@ impl Scheduler {
         }
     }
 
-    /// Runs one job: single-flight on the result store around
-    /// [`resolve_spec`], which owns everything below it (reference
-    /// cache, guardrails, retries). Results are stored only when
-    /// replaying them would be indistinguishable from re-running (same
-    /// rule as the run journal); a transient failure answers its
-    /// subscribers but the next submission re-simulates.
-    fn run_job(
-        &self,
-        id: u64,
-        spec: &RunSpec,
-        progress: &Telemetry,
-        ctx: TraceCtx,
-    ) -> Arc<JobResult> {
-        let started = Instant::now();
-        // The result-store probe: closed "miss" the moment the compute
-        // closure is entered, "store-hit" if single-flight answered
-        // without computing (this thread coalesced onto a stored value).
-        let workload = spec.workload.name();
-        let probe = span::open(ctx, SpanKind::CacheProbe, &workload);
-        let mut probed_miss = false;
-        let (stored, _origin) = self.results.get_or_compute(id, || {
-            probed_miss = true;
-            span::close(probe.span, true, "miss");
-            let res = resolve_spec(spec, &self.opts.exec, &self.cache, Some(progress));
-            let jr = self.record(res, &workload, ctx, started);
-            let cacheable = journalable(&jr.outcome);
-            let bytes = jr.outcome.measurement().map_or(256, Measurement::footprint);
-            (Some(Arc::new(jr)), bytes, cacheable)
-        });
-        if !probed_miss {
-            span::close(probe.span, true, "store-hit");
-        }
-        // A leader that unwinds publishes `None` to its followers;
-        // answer them with a retryable failure rather than panic too.
-        stored.unwrap_or_else(|| {
-            Arc::new(JobResult {
-                outcome: RunOutcome::Skipped {
-                    workload,
-                    method: spec.method.name(),
-                    reason: "internal: result store returned no value".to_string(),
-                    error: None,
-                    failure: photon_bench::FailureKind::Transient,
-                },
-                metrics: MetricsSnapshot::default(),
-                origin: "executed",
-                wall_secs: started.elapsed().as_secs_f64(),
-            })
-        })
-    }
-
     /// Stops dequeueing: workers finish their in-flight jobs and their
     /// loops return. New submissions are answered with 503.
     pub fn begin_drain(&self) {
@@ -847,19 +788,19 @@ impl Scheduler {
     /// for its id.
     pub fn trace(&self, id: u64) -> Option<Value> {
         let records = span::job_records(id);
-        let (label, state_name) = {
-            let state = self.lock_state();
-            match state.jobs.get(&id) {
-                Some(job) => (Some(job.spec.label()), Some(job.phase.name())),
-                None => (None, None),
-            }
-        };
+        let (label, state_name) = self
+            .find(
+                id,
+                |job| (job.spec.label(), job.phase.name()),
+                |f| (f.label.clone(), f.phase.name()),
+            )
+            .unzip();
         if records.is_empty() && label.is_none() {
             return None;
         }
         let tree = span::build_tree(id, &records);
         Some(serde_json::json!({
-            "job": job_id(id),
+            "job": job_hex(id),
             "label": label,
             "state": state_name,
             "phase": tree.current_phase().map(|s| s.kind.name()),
@@ -912,7 +853,6 @@ impl Scheduler {
             state
                 .jobs
                 .iter()
-                .filter(|(_, j)| !j.phase.terminal())
                 .map(|(id, j)| {
                     let age_ms = j.queued_at.elapsed().as_millis() as u64;
                     (*id, j.spec.label(), j.tenant.clone(), j.phase, age_ms)
@@ -924,7 +864,7 @@ impl Scheduler {
             .map(|(id, label, tenant, phase, age_ms)| {
                 let tree = span::build_tree(id, &span::job_records(id));
                 serde_json::json!({
-                    "job": job_id(id),
+                    "job": job_hex(id),
                     "label": label,
                     "tenant": tenant,
                     "state": phase.name(),

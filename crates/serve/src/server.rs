@@ -9,8 +9,9 @@
 //! adequate for a job server whose unit of work is a simulation taking
 //! milliseconds to minutes.
 
-use crate::protocol::{self, error_response, job_id, Request};
+use crate::protocol::{self, error_response, Request};
 use crate::scheduler::{Phase, Scheduler, ServeOptions, Submitted};
+use gpu_telemetry::span::job_hex;
 use photon_bench::harness::RunOutcome;
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -228,19 +229,19 @@ fn submit_response(submitted: &Submitted) -> Value {
     match submitted {
         Submitted::Queued { id, lane } => serde_json::json!({
             "ok": true,
-            "job": job_id(*id),
+            "job": job_hex(*id),
             "state": "queued",
             "lane": *lane,
         }),
         Submitted::Coalesced { id, phase } => serde_json::json!({
             "ok": true,
-            "job": job_id(*id),
+            "job": job_hex(*id),
             "state": phase.name(),
             "coalesced": true,
         }),
         Submitted::Cached { id } => serde_json::json!({
             "ok": true,
-            "job": job_id(*id),
+            "job": job_hex(*id),
             "state": "done",
             "cached": true,
         }),
@@ -274,7 +275,7 @@ fn outcome_response(id: u64, result: &crate::scheduler::JobResult) -> Value {
     };
     serde_json::json!({
         "ok": true,
-        "job": job_id(id),
+        "job": job_hex(id),
         "origin": result.origin,
         "wall_secs": result.wall_secs,
         "report": report,
@@ -334,7 +335,7 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
             Ok(Request::Status { job }) => match scheduler.status(job) {
                 Some(view) => serde_json::json!({
                     "ok": true,
-                    "job": job_id(job),
+                    "job": job_hex(job),
                     "state": view.phase.name(),
                     "label": view.label,
                     "progress": progress_object(&view.progress),
@@ -356,7 +357,7 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
                             let done = scheduler.fetch(job);
                             let v = serde_json::json!({
                                 "ok": true,
-                                "job": job_id(job),
+                                "job": job_hex(job),
                                 "state": phase.name(),
                                 "origin": done.as_ref().map(|r| r.origin),
                                 "wall_secs": done.as_ref().map(|r| r.wall_secs),
@@ -374,7 +375,7 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
                                 "ok": false,
                                 "code": 503u32,
                                 "error": "server draining; job journaled for resume",
-                                "job": job_id(job),
+                                "job": job_hex(job),
                                 "state": phase.name(),
                             }));
                             break;
@@ -386,7 +387,7 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
                                 .unwrap_or_default();
                             let event = serde_json::json!({
                                 "event": "progress",
-                                "job": job_id(job),
+                                "job": job_hex(job),
                                 "state": phase.name(),
                                 "progress": progress_object(&progress),
                             });
@@ -403,18 +404,20 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
             }
             Ok(Request::Fetch { job }) => match scheduler.fetch(job) {
                 Some(result) => outcome_response(job, &result),
-                None => match scheduler.status(job) {
-                    Some(view) => error_response(
-                        409,
-                        &format!("job is {} — not fetchable yet", view.phase.name()),
-                    ),
+                None => match scheduler.status(job).map(|view| view.phase) {
+                    Some(Phase::Cancelled) => {
+                        error_response(409, "job was cancelled — resubmit it to run it")
+                    }
+                    Some(phase) => {
+                        error_response(409, &format!("job is {} — not fetchable yet", phase.name()))
+                    }
                     None => error_response(404, "unknown job"),
                 },
             },
             Ok(Request::Cancel { job }) => match scheduler.cancel(job) {
                 Some(removed) => serde_json::json!({
                     "ok": true,
-                    "job": job_id(job),
+                    "job": job_hex(job),
                     "cancelled": removed,
                 }),
                 None => error_response(404, "unknown job"),

@@ -3,11 +3,13 @@
 //! single-flight coalescing, cancellation, admission control, lane
 //! priority, and drain/resume.
 
+use gpu_telemetry::span::job_hex;
 use photon_bench::persist::{frame_line, load_lines};
 use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
+use photon_serve::scheduler::Phase;
 use photon_serve::server::ShutdownHandle;
-use photon_serve::{job_id, ServeOptions, Server};
+use photon_serve::{ServeOptions, Server};
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -226,7 +228,7 @@ fn identical_concurrent_submissions_run_one_simulation() {
     const CLIENTS: usize = 8;
     let srv = TestServer::start(2, 32, None);
     let spec = fir(512, Method::Full);
-    let expected_job = job_id(journal_key(&spec));
+    let expected_job = job_hex(journal_key(&spec));
 
     let barrier = std::sync::Barrier::new(CLIENTS);
     let reports: Vec<String> = std::thread::scope(|scope| {
@@ -388,7 +390,7 @@ fn fragmented_request_line_survives_read_timeouts() {
 }
 
 #[test]
-fn terminal_jobs_are_pruned_from_the_jobs_map() {
+fn finished_jobs_leave_the_live_map_for_the_store() {
     use photon_serve::Scheduler;
 
     // No workers: submit+cancel walks each distinct spec to a terminal
@@ -403,24 +405,58 @@ fn terminal_jobs_are_pruned_from_the_jobs_map() {
         ..ServeOptions::default()
     };
     let sched = Scheduler::new(opts);
-    let first = journal_key(&fir(1, Method::Full));
-    let last = journal_key(&fir(400, Method::Full));
     for i in 1..=400u64 {
         let spec = fir(i, Method::Full);
         let id = journal_key(&spec);
         sched.submit(spec, "t0");
-        sched.cancel(id);
+        assert_eq!(sched.cancel(id), Some(true));
     }
-    // Well past the retention bound, the oldest terminal job has been
-    // dropped from the jobs map; recent ones are retained.
-    assert!(
-        sched.status(first).is_none(),
-        "oldest terminal job must be pruned"
+    // No terminal job stays live; the store holds every one of them.
+    let stats = sched.stats();
+    assert_eq!(stats.get("jobs"), Some(&Value::Array(Vec::new())));
+    let entries = stats
+        .get("results_store")
+        .and_then(|store| store.get("entries"));
+    assert_eq!(entries, Some(&Value::U64(400)));
+    let first = journal_key(&fir(1, Method::Full));
+    let view = sched.status(first).expect("the first job is still known");
+    assert_eq!(view.phase.name(), "cancelled");
+}
+
+#[test]
+fn an_executed_job_answers_from_the_store_once_it_leaves_the_live_map() {
+    let srv = TestServer::start(1, 16, None);
+    let mut c = srv.client();
+
+    let blocker = fir(2048, Method::Full);
+    let sub = c.submit(&blocker, "t0").expect("submit blocker");
+    let blocker_job = response_job(&sub).expect("job id");
+    await_state(&mut c, &blocker_job, "running");
+
+    // A cancelled job has no result and never gets one.
+    let sub = c.submit(&fir(512, Method::Full), "t0").expect("victim");
+    let victim_job = response_job(&sub).expect("job id");
+    assert!(response_ok(&c.cancel(&victim_job).expect("cancel")));
+    let fetched = c.fetch(&victim_job).expect("fetch cancelled");
+    assert_eq!(fetched.get("code"), Some(&Value::U64(409)));
+    assert_eq!(
+        fetched.get("error"),
+        Some(&Value::String(
+            "job was cancelled — resubmit it to run it".into()
+        ))
     );
-    assert!(
-        sched.status(last).is_some(),
-        "recent terminal jobs must be retained"
-    );
+
+    assert!(response_ok(&c.wait(&blocker_job).expect("wait")));
+    let sched = srv.server.scheduler();
+    assert_eq!(sched.stats().get("jobs"), Some(&Value::Array(Vec::new())));
+    let id = journal_key(&blocker);
+    assert_eq!(sched.wait_step(id, Duration::ZERO), Some(Phase::Done));
+    // A finished job's progress is its result's final `sim.*` counters.
+    let progress = sched.status(id).expect("status").progress;
+    assert!(!progress.is_empty(), "a finished job shows its counters");
+    let result = sched.fetch(id).expect("fetch");
+    assert_eq!(progress, result.metrics.counters_with_prefix("sim."));
+    srv.stop();
 }
 
 #[test]
@@ -472,7 +508,7 @@ fn drain_journals_queued_jobs_and_restart_resumes_them() {
     assert!(!pending.exists(), "resume must consume the pending journal");
     let mut c = srv.client();
     for spec in [&q1, &q2] {
-        let job = job_id(journal_key(spec));
+        let job = job_hex(journal_key(spec));
         let fin = c.wait(&job).expect("wait resumed");
         assert!(response_ok(&fin), "resumed job failed: {fin:?}");
     }

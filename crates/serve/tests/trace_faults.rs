@@ -5,10 +5,11 @@
 //! the regular serve tests if they shared a process.
 
 use gpu_telemetry::faults::{self, FaultPlan};
+use gpu_telemetry::span::job_hex;
 use photon_bench::flightrec;
 use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
-use photon_serve::{job_id, ServeOptions, Server};
+use photon_serve::{ServeOptions, Server};
 use serde_json::Value;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +57,7 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
     let acceptor = std::thread::spawn(move || srv.run().expect("acceptor"));
 
     let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 256, Method::Pka);
-    let expected_job = job_id(journal_key(&spec));
+    let expected_job = job_hex(journal_key(&spec));
     let mut c = Client::connect(&addr).expect("connect");
     let sub = c.submit(&spec, "chaos").expect("submit");
     assert!(response_ok(&sub), "submit failed: {sub:?}");

@@ -1,7 +1,6 @@
 //! Trace exporters: Chrome trace-event JSON (loadable in
-//! `chrome://tracing` / Perfetto), line-delimited JSON (JSONL) for
-//! ad-hoc tooling, and Prometheus text exposition for the registry
-//! (served by photon-serve's `metrics` op).
+//! `chrome://tracing` / Perfetto) and Prometheus text exposition for
+//! the registry (served by photon-serve's `metrics` op).
 //!
 //! All formats are deterministic for a given input: events/metrics are
 //! emitted in record (or name) order and object keys in a fixed order,
@@ -213,31 +212,6 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     serde_json::to_string_pretty(&doc).unwrap_or_default()
 }
 
-/// Renders a [`TraceLog`] as JSONL: one `{"ts","dur","kind",...payload}`
-/// object per line, preceded by a header line carrying the schema
-/// version and drop count.
-pub fn jsonl(log: &TraceLog) -> String {
-    let mut out = String::new();
-    let header = obj(vec![
-        ("schema_version", u(u64::from(SCHEMA_VERSION))),
-        ("dropped_events", u(log.dropped)),
-        ("events", u(log.events.len() as u64)),
-    ]);
-    out.push_str(&serde_json::to_string(&header).unwrap_or_default());
-    out.push('\n');
-    for ev in &log.events {
-        let line = obj(vec![
-            ("ts", u(ev.ts)),
-            ("dur", u(ev.dur)),
-            ("kind", s(ev.kind.name())),
-            ("args", args(&ev.kind)),
-        ]);
-        out.push_str(&serde_json::to_string(&line).unwrap_or_default());
-        out.push('\n');
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Prometheus text exposition (format version 0.0.4).
 // ---------------------------------------------------------------------
@@ -366,24 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_line() {
-        let out = jsonl(&sample_log());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5); // header + 4 events
-        for line in &lines {
-            let _: Value = serde_json::from_str(line).unwrap();
-        }
-        assert!(lines[0].contains("\"schema_version\":2"));
-        assert!(lines[2].contains("cache_access"));
-        assert!(lines[4].contains("occupancy"));
-    }
-
-    #[test]
     fn empty_log_exports_cleanly() {
         let log = TraceLog::default();
         let chrome = chrome_trace_json(&log);
         assert!(chrome.contains("\"traceEvents\": []"));
-        assert_eq!(jsonl(&log).lines().count(), 1);
     }
 
     #[test]

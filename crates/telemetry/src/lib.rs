@@ -2,7 +2,7 @@
 //!
 //! Unified observability for the Photon stack: a low-overhead metrics
 //! registry (counters / gauges / histograms), a structured event tracer
-//! with Chrome-trace and JSONL exporters, the machine-readable
+//! with a Chrome-trace exporter, the machine-readable
 //! [`RunReport`] schema benchmark runs are recorded in, and the
 //! deterministic [`faults`] injection harness chaos tests drive the
 //! stack's guardrails with.

@@ -531,16 +531,18 @@ impl SpanTree {
     }
 }
 
-/// Renders a job id the way the serve protocol spells it (16 hex).
+/// Renders a job id the way the serve protocol spells it: 16 hex
+/// digits, the one codec for wire ids, flight records and span trees.
 pub fn job_hex(job: u64) -> String {
     format!("{job:016x}")
 }
 
-/// Parses a 16-hex job id.
+/// Parses a job id: exactly 16 ASCII hex digits, no sign.
 pub fn parse_job_hex(s: &str) -> Option<u64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok())
-        .flatten()
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok()
 }
 
 #[cfg(test)]
@@ -775,6 +777,9 @@ mod tests {
     fn job_hex_round_trips() {
         assert_eq!(job_hex(0xdead), "000000000000dead");
         assert_eq!(parse_job_hex("000000000000dead"), Some(0xdead));
+        assert_eq!(parse_job_hex(&job_hex(u64::MAX)), Some(u64::MAX));
         assert_eq!(parse_job_hex("xyz"), None);
+        assert_eq!(parse_job_hex("abc"), None);
+        assert_eq!(parse_job_hex("+00000000000abcd"), None);
     }
 }

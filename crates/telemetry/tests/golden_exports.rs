@@ -1,11 +1,11 @@
 //! Golden-file tests for the exporters: a fixed trace must render to
-//! byte-identical Chrome-trace JSON and JSONL across runs and
-//! platforms, and a fixed registry to byte-identical Prometheus text.
+//! byte-identical Chrome-trace JSON across runs and platforms, and a
+//! fixed registry to byte-identical Prometheus text.
 //! Regenerate the goldens with `UPDATE_GOLDEN=1 cargo test -p
 //! gpu-telemetry` after an intentional schema change (and bump
 //! `SCHEMA_VERSION`).
 
-use gpu_telemetry::export::{chrome_trace_json, jsonl, prometheus_text};
+use gpu_telemetry::export::{chrome_trace_json, prometheus_text};
 use gpu_telemetry::{
     AbortKind, CacheLevel, EventKind, SampleMode, Telemetry, TraceEvent, TraceLog,
 };
@@ -157,11 +157,6 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn chrome_trace_matches_golden() {
     check_golden("trace.chrome.json", &chrome_trace_json(&fixed_log()));
-}
-
-#[test]
-fn jsonl_matches_golden() {
-    check_golden("trace.jsonl", &jsonl(&fixed_log()));
 }
 
 /// One counter, one gauge and one histogram whose observations leave

@@ -44,6 +44,15 @@ if grep -rnE 'Sharded[S]tore|DEFAULT[_]SHARDS|measurement[_]bytes|Thread[R]ing' 
   exit 1
 fi
 
+# A job is in one place (live map or result store), one codec spells a
+# job id, and Chrome-trace JSON is the only trace file format.
+if grep -rnE 'MAX[_]TERMINAL_JOBS|note[_]terminal|fn mint[_]trace|fn parse[_]job_id|fn json[l]\b' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    finished jobs live in the scheduler's byte-budgeted store, job ids go through"
+  echo "    gpu_telemetry::span::{job_hex, parse_job_hex}, and the JSONL exporter is gone"
+  exit 1
+fi
+
 echo "==> non-test lines per crate (scripts/loc.sh; every PR reports before -> after)"
 scripts/loc.sh
 
