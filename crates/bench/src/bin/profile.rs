@@ -7,10 +7,10 @@
 //! $ profile check [report.json]             # invariant gate (CI); exit 1 on failure
 //! ```
 //!
-//! The optional `diff` ceiling is the mem-fidelity gate's: CI diffs a
-//! cold detailed-memory smoke rerun against the first one at 1%, and
-//! prints the legacy-vs-detailed diff at 95% for its memory signature
-//! (see DESIGN.md, "Memory model"), instead of the 5% default.
+//! The optional `diff` ceiling replaces the 5% default: CI holds a rerun
+//! to its first run at 0.000001 (stall shares; the counts are diffed
+//! exactly beside it) and prints the legacy-vs-detailed diff at 95% for
+//! its memory signature (see DESIGN.md, "Memory model").
 //!
 //! `check` without an argument validates `results/BENCH_smoke.json`
 //! (the artifact `report smoke` writes): every run's stall classes must
@@ -19,7 +19,7 @@
 
 use photon_bench::harness::results_dir;
 use photon_bench::profile::{check_report, diff_reports, mem_signature, render_report};
-use photon_bench::report::load_report;
+use photon_bench::report::{load_report, RunReport};
 use std::path::{Path, PathBuf};
 
 /// Share-of-residency growth (absolute) a stall class may show before
@@ -31,7 +31,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn load(path: &Path) -> gpu_telemetry::RunReport {
+fn load(path: &Path) -> RunReport {
     match load_report(path) {
         Ok(r) => r,
         Err(e) => {

@@ -12,10 +12,14 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// One measured run.
+/// One measured run, as the executor, reference cache, run journal,
+/// `photon-serve` and run reports (`results/BENCH_*.json`) carry it.
+/// Report rows written before rows were measurements lack `workload`
+/// and `kernel_cycles`, hence their `#[serde(default)]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Measurement {
     /// Workload name.
+    #[serde(default)]
     pub workload: String,
     /// Problem size in warps (0 for multi-kernel apps).
     pub warps: u64,
@@ -35,7 +39,8 @@ pub struct Measurement {
     pub predicted_warps: u64,
     /// Kernels skipped by kernel-sampling.
     pub skipped_kernels: usize,
-    /// Per-kernel simulated cycles (for per-layer analyses).
+    /// Per-kernel simulated cycles, skipped kernels included.
+    #[serde(default)]
     pub kernel_cycles: Vec<u64>,
     /// Cycle accounting merged across the app's kernels (`None` when
     /// every kernel was skipped, so nothing was resident).
@@ -54,6 +59,24 @@ impl Measurement {
     /// The paper's speedup metric against a full-detailed reference.
     pub fn speedup_vs(&self, full: &Measurement) -> f64 {
         full.wall_secs / self.wall_secs.max(1e-9)
+    }
+
+    /// Detailed instructions per simulated cycle (0 with no cycles).
+    pub fn ipc(&self) -> f64 {
+        if self.sim_cycles == 0 {
+            0.0
+        } else {
+            self.detailed_insts as f64 / self.sim_cycles as f64
+        }
+    }
+
+    /// Fraction of warps simulated in detail (1 with no warps).
+    pub fn sample_coverage(&self) -> f64 {
+        if self.warps == 0 {
+            1.0
+        } else {
+            self.detailed_warps as f64 / self.warps as f64
+        }
     }
 
     /// What a byte-budgeted store charges for holding this measurement

@@ -4,8 +4,9 @@
 //! run by CI (stall classes must sum to resident warp-cycles, and every
 //! non-skipping run must carry per-BB attribution).
 
-use crate::harness::Table;
-use gpu_telemetry::{BbErrorRow, CycleAccounting, MethodRun, RunReport, StallClass};
+use crate::harness::{Measurement, Table};
+use crate::report::RunReport;
+use gpu_telemetry::{BbErrorRow, CycleAccounting, StallClass};
 
 /// Number of worst-offender BB rows shown per run.
 const TOP_BBS: usize = 8;
@@ -20,7 +21,7 @@ fn pct(part: u64, whole: u64) -> String {
 
 /// The stall-class breakdown of one run: warp-cycles per class and the
 /// share of resident warp-cycles, one row per class plus a totals row.
-pub fn stall_table(workload: &str, run: &MethodRun, acct: &CycleAccounting) -> Table {
+pub fn stall_table(workload: &str, run: &Measurement, acct: &CycleAccounting) -> Table {
     let mut t = Table::new(&["workload", "method", "stall class", "warp-cycles", "share"]);
     let totals = acct.totals();
     let resident = acct.resident_warp_cycles();
@@ -77,7 +78,7 @@ fn impact(row: &BbErrorRow) -> f64 {
 /// The per-BB error table for one run: rows sorted by absolute cycle
 /// impact (`|delta × instances|`), truncated to the worst [`TOP_BBS`]
 /// with the dominant stall class of each block's measured cycles.
-pub fn bb_error_table(workload: &str, run: &MethodRun) -> Table {
+pub fn bb_error_table(workload: &str, run: &Measurement) -> Table {
     let mut t = Table::new(&[
         "workload",
         "method",
@@ -150,10 +151,9 @@ pub fn render_report(report: &RunReport) -> String {
 /// (a) stall classes whose share of resident warp-cycles grew by more
 /// than `threshold` (absolute share, e.g. 0.05 = five percentage
 /// points) and (b) total simulated cycles that drifted by more than
-/// the same `threshold` as a fraction of the baseline. The cycle bound
-/// is what CI's mem-fidelity gate uses to hold a cold detailed-memory
-/// rerun to its first run: `profile diff <detailed> <detailed-rerun>
-/// 0.01` fails when the detailed path stops being deterministic.
+/// the same `threshold` as a fraction of the baseline. Only methods
+/// present in `cur` are compared; CI's determinism gates pair this with
+/// an exact diff of the counts, which also catches a vanished method.
 pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold: f64) -> Vec<String> {
     let mut flagged = Vec::new();
     for cur_run in &cur.runs {
@@ -213,7 +213,7 @@ pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold: f64) -> Vec<St
 /// diff), so a fidelity upgrade's stall-share footprint is visible in
 /// CI logs even when it stays inside the bound.
 pub fn mem_signature(base: &RunReport, cur: &RunReport) -> String {
-    let share = |run: &MethodRun, class: StallClass| -> String {
+    let share = |run: &Measurement, class: StallClass| -> String {
         match &run.accounting {
             Some(a) => pct(a.totals()[class.index()], a.resident_warp_cycles()),
             None => "-".to_string(),
@@ -283,7 +283,8 @@ pub fn mem_signature(base: &RunReport, cur: &RunReport) -> String {
 ///   ([`CycleAccounting::check`]) and accounts a nonzero residency;
 /// - every run that simulated cycles without skipping all its kernels
 ///   carries accounting and a non-empty per-BB attribution (predicting
-///   *and* IPC-extrapolating methods both produce rows).
+///   *and* IPC-extrapolating methods both produce rows). A row written
+///   before reports kept `kernel_cycles` counts as one kernel.
 ///
 /// Returns the list of violations (empty = pass).
 pub fn check_report(report: &RunReport) -> Vec<String> {
@@ -304,7 +305,7 @@ pub fn check_report(report: &RunReport) -> Vec<String> {
                     ));
                 }
             }
-            None if run.sim_cycles > 0 && run.skipped_kernels == 0 => {
+            None if run.sim_cycles > 0 && run.skipped_kernels < run.kernel_cycles.len().max(1) => {
                 problems.push(format!("{tag}: simulated cycles but no accounting"));
             }
             None => {}
@@ -340,21 +341,19 @@ mod tests {
         }
     }
 
-    fn run(method: &str, acct: Option<CycleAccounting>, bb_errors: Vec<BbErrorRow>) -> MethodRun {
-        MethodRun {
-            method: method.into(),
+    fn run(method: &str, acct: Option<CycleAccounting>, bb_errors: Vec<BbErrorRow>) -> Measurement {
+        Measurement {
+            workload: "fir".into(),
             warps: 64,
-            wall_secs: 1.0,
+            method: method.into(),
             sim_cycles: 100,
-            ipc: 1.0,
+            wall_secs: 1.0,
             detailed_insts: if bb_errors.is_empty() { 0 } else { 100 },
             functional_insts: 0,
             detailed_warps: 64,
             predicted_warps: 0,
-            sample_coverage: 1.0,
             skipped_kernels: 0,
-            speedup_vs_detailed: 1.0,
-            error_vs_detailed: 0.0,
+            kernel_cycles: vec![100],
             accounting: acct,
             bb_errors,
         }
@@ -374,7 +373,7 @@ mod tests {
         }
     }
 
-    fn report(runs: Vec<MethodRun>) -> RunReport {
+    fn report(runs: Vec<Measurement>) -> RunReport {
         let mut r = RunReport::new("fir");
         r.runs = runs;
         r
@@ -535,5 +534,36 @@ mod tests {
         let no_acct = report(vec![run("full", None, vec![])]);
         let problems = check_report(&no_acct);
         assert!(!problems.is_empty(), "{problems:?}");
+    }
+
+    #[test]
+    fn check_demands_accounting_unless_every_kernel_was_skipped() {
+        let skipping = |skipped_kernels| {
+            let mut r = run("pka", None, vec![]);
+            r.kernel_cycles = vec![60, 0, 40];
+            r.skipped_kernels = skipped_kernels;
+            // A sibling with accounting, so only the skipping row is judged.
+            report(vec![
+                run("full", Some(acct([50, 0, 50, 0, 0, 0, 0, 0])), vec![]),
+                r,
+            ])
+        };
+        // One of three kernels skipped: the other two ran, so cycles
+        // without accounting are a violation.
+        let problems = check_report(&skipping(1));
+        assert_eq!(
+            problems,
+            ["fir / pka: simulated cycles but no accounting"],
+            "{problems:?}"
+        );
+        // All three skipped: nothing was resident, nothing to account.
+        assert!(check_report(&skipping(3)).is_empty());
+        // A legacy row (no kernel_cycles) keeps the old rule: any skip
+        // excuses it, none does not.
+        let mut legacy = skipping(1);
+        legacy.runs[1].kernel_cycles.clear();
+        assert!(check_report(&legacy).is_empty());
+        legacy.runs[1].skipped_kernels = 0;
+        assert_eq!(check_report(&legacy).len(), 1);
     }
 }

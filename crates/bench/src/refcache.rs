@@ -55,8 +55,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Bumped whenever the entry layout or the key derivation changes;
 /// entries persisted under any other version are recomputed.
 /// Version 2: `Measurement` gained cycle accounting and per-BB error
-/// rows (the vendored serde has no `#[serde(default)]`, so old entries
-/// cannot deserialize and must be recomputed).
+/// rows; `bb_errors` is not `#[serde(default)]`, so a version-1 entry
+/// cannot deserialize and must be recomputed.
 pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// Default in-memory byte budget (64 MiB).

@@ -1,72 +1,152 @@
-//! Assembling harness measurements into machine-readable
-//! [`RunReport`]s (`results/BENCH_<app>.json`) and rendering them /
-//! checking them against committed baselines for the `report` binary.
-//! The check compares deterministic quantities only (see
-//! [`gpu_telemetry::compare_reports`]); host time is measured and gated
-//! by the repo benchmark (`benchmark/README.md`).
+//! Machine-readable run reports: the schema every benchmark run is
+//! recorded in (`results/BENCH_<app>.json`), assembled from harness
+//! measurements, rendered, and checked against committed baselines for
+//! the `report` binary. The check compares deterministic quantities
+//! only (see [`compare_reports`]); host time is measured and gated by
+//! the repo benchmark (`benchmark/README.md`).
 
 use crate::harness::{results_dir, Measurement, RunOutcome, Table};
 use crate::persist::{self, LoadError};
-use gpu_telemetry::{
-    compare_reports, percentile_from_buckets, MethodRun, MetricsSnapshot, Regression, RunReport,
-    SkippedRun,
-};
-use serde::Deserialize;
+use gpu_telemetry::{percentile_from_buckets, MetricsSnapshot};
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Converts one measurement into a [`MethodRun`], computing speedup and
-/// cycle error against `detailed` (the full-detailed reference) when one
-/// exists.
-pub fn method_run(m: &Measurement, detailed: Option<&Measurement>) -> MethodRun {
-    let (speedup, error) = match detailed {
-        Some(full) if full.sim_cycles > 0 => (m.speedup_vs(full), m.error_vs(full)),
-        _ => (0.0, 0.0),
-    };
-    MethodRun {
-        method: m.method.clone(),
-        warps: m.warps,
-        wall_secs: m.wall_secs,
-        sim_cycles: m.sim_cycles,
-        ipc: if m.sim_cycles == 0 {
-            0.0
-        } else {
-            m.detailed_insts as f64 / m.sim_cycles as f64
-        },
-        detailed_insts: m.detailed_insts,
-        functional_insts: m.functional_insts,
-        detailed_warps: m.detailed_warps,
-        predicted_warps: m.predicted_warps,
-        sample_coverage: if m.warps == 0 {
-            1.0
-        } else {
-            m.detailed_warps as f64 / m.warps as f64
-        },
-        skipped_kernels: m.skipped_kernels as u64,
-        speedup_vs_detailed: speedup,
-        error_vs_detailed: error,
-        accounting: m.accounting.clone(),
-        bb_errors: m.bb_errors.clone(),
+/// Version stamped into every [`RunReport`]; bump on incompatible
+/// schema changes so old reports are not silently misread. Version 2
+/// added cycle accounting, per-BB prediction-error rows, and histogram
+/// bucket data.
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
+
+/// A (workload, method) pair that did not produce a measurement, with
+/// the typed error preserved (previously lost on serialization).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SkippedRun {
+    /// Sampling method that was attempted.
+    pub method: String,
+    /// Why the harness skipped it (panic, timeout, sim error).
+    pub reason: String,
+    /// The typed simulator error rendered to text, when one existed
+    /// (empty for panics/timeouts with no `SimError`).
+    pub error: String,
+}
+
+/// The per-app benchmark report serialized to `results/BENCH_<app>.json`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct RunReport {
+    /// Report schema version ([`REPORT_SCHEMA_VERSION`]).
+    pub schema_version: u32,
+    /// Workload name.
+    pub workload: String,
+    /// Completed measurements, one per method.
+    pub runs: Vec<Measurement>,
+    /// Methods that failed or were skipped.
+    pub skipped: Vec<SkippedRun>,
+    /// Metric registry snapshot taken after the last run (empty when
+    /// telemetry was not collected).
+    pub metrics: MetricsSnapshot,
+}
+
+impl RunReport {
+    /// A report for `workload` with the schema version filled in.
+    pub fn new(workload: &str) -> Self {
+        RunReport {
+            schema_version: REPORT_SCHEMA_VERSION,
+            workload: workload.to_string(),
+            ..RunReport::default()
+        }
+    }
+
+    /// The run for `method`, if it completed.
+    pub fn run(&self, method: &str) -> Option<&Measurement> {
+        self.runs.iter().find(|r| r.method == method)
+    }
+
+    /// The reference every run's speedup and cycle error are taken
+    /// against: the `Full` run, when it simulated any cycles.
+    pub fn reference(&self) -> Option<&Measurement> {
+        self.run("Full").filter(|full| full.sim_cycles > 0)
     }
 }
 
+/// A difference between a baseline report and a current report that the
+/// `report check` tool flags.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Regression {
+    /// Workload the regression is in.
+    pub workload: String,
+    /// Method the regression is in.
+    pub method: String,
+    /// What regressed, human-readable.
+    pub what: String,
+}
+
+/// Compares `current` against `baseline` and returns every flagged
+/// difference: methods that disappeared or started failing, and any
+/// change — in either direction — of a deterministic [`Measurement`]
+/// field (`sim_cycles`, `detailed_insts`, `functional_insts`,
+/// `detailed_warps`, `predicted_warps`, `skipped_kernels`). Cycle error
+/// is a function of those fields, so it needs no rule of its own. Host
+/// time (`wall_secs`, hence speedup) is not compared: it is measured
+/// and gated by the repo benchmark, on one host, in pairs. An
+/// improvement is flagged too — accepting it is a visible edit of the
+/// committed baseline, never a silent pass.
+pub fn compare_reports(baseline: &RunReport, current: &RunReport) -> Vec<Regression> {
+    let mut out = Vec::new();
+    let mut flag = |method: &str, what: String| {
+        out.push(Regression {
+            workload: current.workload.clone(),
+            method: method.to_string(),
+            what,
+        });
+    };
+    for base in &baseline.runs {
+        let Some(cur) = current.run(&base.method) else {
+            let detail = current
+                .skipped
+                .iter()
+                .find(|s| s.method == base.method)
+                .map(|s| format!("now skipped: {}", s.reason))
+                .unwrap_or_else(|| "missing from current report".to_string());
+            flag(&base.method, detail);
+            continue;
+        };
+        for (field, was, now) in [
+            ("sim_cycles", base.sim_cycles, cur.sim_cycles),
+            ("detailed_insts", base.detailed_insts, cur.detailed_insts),
+            (
+                "functional_insts",
+                base.functional_insts,
+                cur.functional_insts,
+            ),
+            ("detailed_warps", base.detailed_warps, cur.detailed_warps),
+            ("predicted_warps", base.predicted_warps, cur.predicted_warps),
+            (
+                "skipped_kernels",
+                base.skipped_kernels as u64,
+                cur.skipped_kernels as u64,
+            ),
+        ] {
+            if was != now {
+                flag(&base.method, format!("{field} {was} -> {now}"));
+            }
+        }
+    }
+    out
+}
+
 /// Builds the per-app report from a sweep's outcomes plus the metric
-/// registry snapshot taken after the last run. The `Full` measurement
-/// (when present) is the reference for every run's speedup and error —
-/// including its own row, which reports speedup 1.0 and error 0.0.
+/// registry snapshot taken after the last run: each completed
+/// measurement is a row as it is, each skip a [`SkippedRun`].
 pub fn build_report(
     workload: &str,
     outcomes: &[RunOutcome],
     metrics: MetricsSnapshot,
 ) -> RunReport {
-    let detailed = outcomes
-        .iter()
-        .filter_map(RunOutcome::measurement)
-        .find(|m| m.method == "Full");
     let mut report = RunReport::new(workload);
     report.metrics = metrics;
     for out in outcomes {
         match out {
-            RunOutcome::Completed(m) => report.runs.push(method_run(m, detailed)),
+            RunOutcome::Completed(m) => report.runs.push(m.clone()),
             RunOutcome::Skipped {
                 method,
                 reason,
@@ -115,12 +195,11 @@ pub fn load_report(path: &Path) -> Result<RunReport, String> {
 /// schema version; `path` only labels the error.
 fn parse_report(path: &Path, doc: &serde_json::Value) -> Result<RunReport, String> {
     let report = RunReport::deserialize(doc).map_err(|e| format!("{}: {e}", path.display()))?;
-    if report.schema_version != gpu_telemetry::REPORT_SCHEMA_VERSION {
+    if report.schema_version != REPORT_SCHEMA_VERSION {
         return Err(format!(
-            "{}: schema version {} (tool expects {})",
+            "{}: schema version {} (tool expects {REPORT_SCHEMA_VERSION})",
             path.display(),
             report.schema_version,
-            gpu_telemetry::REPORT_SCHEMA_VERSION
         ));
     }
     Ok(report)
@@ -162,22 +241,24 @@ pub fn load_all_reports(dir: &Path) -> Result<Vec<RunReport>, String> {
 }
 
 /// Renders reports as a summary table (one row per completed run, one
-/// trailing row per skipped run).
+/// trailing row per skipped run). Speedup and error are taken against
+/// the report's [`RunReport::reference`], and read 0 without one.
 pub fn summary_table(reports: &[RunReport]) -> Table {
     let mut t = Table::new(&[
         "workload", "method", "cycles", "IPC", "coverage", "wall (s)", "speedup", "error",
     ]);
     for r in reports {
+        let full = r.reference();
         for run in &r.runs {
             t.row(vec![
                 r.workload.clone(),
                 run.method.clone(),
                 run.sim_cycles.to_string(),
-                format!("{:.3}", run.ipc),
-                format!("{:.1}%", run.sample_coverage * 100.0),
+                format!("{:.3}", run.ipc()),
+                format!("{:.1}%", run.sample_coverage() * 100.0),
                 format!("{:.3}", run.wall_secs),
-                format!("{:.2}x", run.speedup_vs_detailed),
-                format!("{:.3}%", run.error_vs_detailed * 100.0),
+                format!("{:.2}x", full.map_or(0.0, |f| run.speedup_vs(f))),
+                format!("{:.3}%", full.map_or(0.0, |f| run.error_vs(f)) * 100.0),
             ]);
         }
         for s in &r.skipped {
@@ -348,6 +429,16 @@ mod tests {
         }
     }
 
+    /// The rendered summary row of `method`, split into its cells.
+    fn summary_row(report: &RunReport, method: &str) -> Vec<String> {
+        let rendered = summary_table(std::slice::from_ref(report)).render();
+        let line = rendered
+            .lines()
+            .find(|l| l.split_whitespace().nth(1) == Some(method))
+            .unwrap_or_else(|| panic!("no {method} row in\n{rendered}"));
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn report_computes_speedup_and_error_vs_full() {
         let outcomes = vec![
@@ -362,17 +453,23 @@ mod tests {
             },
         ];
         let report = build_report("fir", &outcomes, MetricsSnapshot::default());
-        assert_eq!(report.schema_version, gpu_telemetry::REPORT_SCHEMA_VERSION);
+        assert_eq!(report.schema_version, REPORT_SCHEMA_VERSION);
+        // Each completed measurement is a row as it is.
+        assert_eq!(
+            report.runs,
+            [meas("Full", 1000, 2.0), meas("Photon", 950, 0.5)]
+        );
+        assert_eq!(report.reference().map(|m| m.wall_secs), Some(2.0));
 
-        let full = report.run("Full").unwrap();
-        assert_eq!(full.speedup_vs_detailed, 1.0);
-        assert_eq!(full.error_vs_detailed, 0.0);
-        assert_eq!(full.sample_coverage, 1.0);
-
-        let photon = report.run("Photon").unwrap();
-        assert!((photon.speedup_vs_detailed - 4.0).abs() < 1e-12);
-        assert!((photon.error_vs_detailed - 0.05).abs() < 1e-12);
-        assert!((photon.sample_coverage - 0.1).abs() < 1e-12);
+        // IPC, coverage, wall, speedup and error, derived at render time.
+        assert_eq!(
+            summary_row(&report, "Full")[3..],
+            ["5.000", "100.0%", "2.000", "1.00x", "0.000%"]
+        );
+        assert_eq!(
+            summary_row(&report, "Photon")[3..],
+            ["5.000", "10.0%", "0.500", "4.00x", "5.000%"]
+        );
 
         assert_eq!(report.skipped.len(), 1);
         assert_eq!(report.skipped[0].error, "Deadlock { cycle: 10 }");
@@ -382,9 +479,118 @@ mod tests {
     fn report_without_full_reference_reports_zero_comparisons() {
         let outcomes = vec![RunOutcome::Completed(meas("Photon", 950, 0.5))];
         let report = build_report("fir", &outcomes, MetricsSnapshot::default());
-        let photon = report.run("Photon").unwrap();
-        assert_eq!(photon.speedup_vs_detailed, 0.0);
-        assert_eq!(photon.error_vs_detailed, 0.0);
+        assert!(report.reference().is_none());
+        assert_eq!(summary_row(&report, "Photon")[6..], ["0.00x", "0.000%"]);
+        // A Full run that simulated no cycles is no reference either.
+        let mut idle = report.clone();
+        idle.runs.push(meas("Full", 0, 2.0));
+        assert!(idle.reference().is_none());
+        assert_eq!(summary_row(&idle, "Photon")[6..], ["0.00x", "0.000%"]);
+    }
+
+    /// A row with the fields `compare_reports` checks set to round,
+    /// distinct values.
+    fn run(method: &str) -> Measurement {
+        Measurement {
+            warps: 64,
+            wall_secs: 0.1,
+            detailed_insts: 100,
+            detailed_warps: 64,
+            predicted_warps: 0,
+            ..meas(method, 1000, 0.1)
+        }
+    }
+
+    fn report(runs: Vec<Measurement>) -> RunReport {
+        RunReport {
+            runs,
+            ..RunReport::new("fir")
+        }
+    }
+
+    #[test]
+    fn identical_reports_and_host_time_changes_have_no_regressions() {
+        let base = report(vec![run("full"), run("photon")]);
+        assert!(compare_reports(&base, &base).is_empty());
+        // Host time is not this comparison's business.
+        let mut cur = base.clone();
+        cur.runs[1].wall_secs = 50.0;
+        assert!(compare_reports(&base, &cur).is_empty());
+    }
+
+    #[test]
+    fn a_changed_deterministic_field_is_flagged_in_either_direction() {
+        let base = report(vec![run("full"), run("photon")]);
+        for cycles in [999, 1001] {
+            let mut cur = base.clone();
+            cur.runs[1].sim_cycles = cycles;
+            let regs = compare_reports(&base, &cur);
+            assert_eq!(regs.len(), 1, "{regs:?}");
+            assert_eq!(regs[0].method, "photon");
+            assert_eq!(regs[0].what, format!("sim_cycles 1000 -> {cycles}"));
+        }
+        // Each compared field is reported on its own line.
+        let mut cur = base.clone();
+        cur.runs[1].detailed_insts = 90;
+        cur.runs[1].functional_insts = 10;
+        cur.runs[1].detailed_warps = 8;
+        cur.runs[1].predicted_warps = 56;
+        cur.runs[1].skipped_kernels = 1;
+        let whats: Vec<String> = compare_reports(&base, &cur)
+            .into_iter()
+            .map(|r| r.what)
+            .collect();
+        assert_eq!(
+            whats,
+            [
+                "detailed_insts 100 -> 90",
+                "functional_insts 0 -> 10",
+                "detailed_warps 64 -> 8",
+                "predicted_warps 0 -> 56",
+                "skipped_kernels 0 -> 1",
+            ]
+        );
+    }
+
+    #[test]
+    fn missing_and_now_skipped_methods_are_flagged() {
+        let base = report(vec![run("full"), run("photon"), run("pka")]);
+        let mut cur = report(vec![run("full")]);
+        cur.skipped.push(SkippedRun {
+            method: "pka".to_string(),
+            reason: "panicked: boom".to_string(),
+            error: String::new(),
+        });
+        let regs = compare_reports(&base, &cur);
+        assert_eq!(regs.len(), 2, "{regs:?}");
+        assert_eq!(regs[0].method, "photon");
+        assert_eq!(regs[0].what, "missing from current report");
+        assert_eq!(regs[1].method, "pka");
+        assert_eq!(regs[1].what, "now skipped: panicked: boom");
+    }
+
+    #[test]
+    fn report_roundtrips_through_json() {
+        let mut r = report(vec![Measurement {
+            kernel_cycles: vec![400, 600],
+            ..run("full")
+        }]);
+        r.skipped.push(SkippedRun {
+            method: "sieve".to_string(),
+            reason: "timed out".to_string(),
+            error: "deadlock at cycle 10".to_string(),
+        });
+        let text = serde_json::to_string_pretty(&r).unwrap_or_default();
+        let back: RunReport = match serde_json::from_str(&text) {
+            Ok(v) => v,
+            Err(e) => panic!("roundtrip failed: {e}"),
+        };
+        assert_eq!(r, back);
+        assert_eq!(back.run("full").map(|m| m.warps), Some(64));
+        assert_eq!(
+            back.run("full").map(|m| m.kernel_cycles.as_slice()),
+            Some(&[400, 600][..])
+        );
     }
 
     /// A fresh, empty temp directory unique to `tag` and this process.

@@ -3,11 +3,12 @@
 //! the atomic-rename path is bypassed — must never panic a loader and
 //! must never yield partial data. A load either fails (and the caller
 //! recomputes) or returns exactly what was written. Plus the line codec
-//! held to one real journal line byte by byte, and one of every stored
-//! artifact as the writers of commit efc1183 left it (`tests/fixtures/`).
+//! held to one real journal line byte by byte, one of every stored
+//! artifact as the writers of commit efc1183 left it (`tests/fixtures/`),
+//! and the report rows stored before rows were measurements.
 
 use photon_bench::journal::{load_journal, Journal};
-use photon_bench::{atomic_write_framed, load_report, read_framed};
+use photon_bench::{atomic_write_framed, load_report, read_framed, Measurement};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -48,28 +49,12 @@ fn framed_payload_truncated_at_every_boundary_is_never_partially_verified() {
 
 #[test]
 fn run_report_truncated_at_every_boundary_loads_fully_or_not_at_all() {
-    use gpu_telemetry::{MethodRun, RunReport, SkippedRun};
+    use photon_bench::report::{RunReport, SkippedRun};
 
     let dir = temp_dir();
     let full = dir.join("BENCH_fir.json");
     let mut report = RunReport::new("fir");
-    report.runs.push(MethodRun {
-        method: "Full".into(),
-        warps: 2048,
-        wall_secs: 1.5,
-        sim_cycles: 55_978,
-        ipc: 2.2,
-        detailed_insts: 123_456,
-        functional_insts: 0,
-        detailed_warps: 2048,
-        predicted_warps: 0,
-        sample_coverage: 1.0,
-        skipped_kernels: 0,
-        speedup_vs_detailed: 1.0,
-        error_vs_detailed: 0.0,
-        accounting: None,
-        bb_errors: Vec::new(),
-    });
+    report.runs.push(measurement());
     report.skipped.push(SkippedRun {
         method: "PKA".into(),
         reason: "timed out".into(),
@@ -93,6 +78,60 @@ fn run_report_truncated_at_every_boundary_loads_fully_or_not_at_all() {
         assert!(torn.exists(), "cut at byte {cut}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A completed Full run with every field set.
+fn measurement() -> Measurement {
+    Measurement {
+        workload: "fir".into(),
+        warps: 2048,
+        method: "Full".into(),
+        sim_cycles: 55_978,
+        wall_secs: 1.5,
+        detailed_insts: 123_456,
+        functional_insts: 0,
+        detailed_warps: 2048,
+        predicted_warps: 0,
+        skipped_kernels: 0,
+        kernel_cycles: vec![30_000, 25_978],
+        accounting: None,
+        bb_errors: Vec::new(),
+    }
+}
+
+#[test]
+fn serde_default_reaches_only_the_fields_marked_with_it() {
+    use serde_json::Value;
+
+    let m = measurement();
+    // `m` as JSON text with the named fields removed.
+    let without = |names: &[&str]| -> String {
+        let Value::Object(fields) = serde_json::to_value(&m) else {
+            panic!("a measurement serializes to an object");
+        };
+        let kept: Vec<(String, Value)> = fields
+            .into_iter()
+            .filter(|(k, _)| !names.contains(&k.as_str()))
+            .collect();
+        serde_json::to_string(&Value::Object(kept)).unwrap()
+    };
+
+    let legacy: Measurement = serde_json::from_str(&without(&["workload", "kernel_cycles"]))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        legacy,
+        Measurement {
+            workload: String::new(),
+            kernel_cycles: Vec::new(),
+            ..m.clone()
+        }
+    );
+    let err = serde_json::from_str::<Measurement>(&without(&["sim_cycles"]))
+        .expect_err("sim_cycles is not defaulted");
+    assert!(
+        err.to_string().contains("missing field `sim_cycles`"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -287,5 +326,60 @@ fn committed_baselines_still_load_framed_or_not() {
         let report = load_report(&path).unwrap_or_else(|e| panic!("{e}"));
         assert!(!report.runs.is_empty(), "{name}");
         assert_eq!(read_framed(&path).unwrap().verified, framed, "{name}");
+    }
+}
+
+#[test]
+fn render_time_derivation_reproduces_what_committed_reports_stored() {
+    /// The four values a report row stored before rows were
+    /// measurements, read from the raw JSON.
+    #[derive(serde::Deserialize)]
+    struct StoredRow {
+        method: String,
+        ipc: f64,
+        sample_coverage: f64,
+        speedup_vs_detailed: f64,
+        error_vs_detailed: f64,
+    }
+    #[derive(serde::Deserialize)]
+    struct StoredReport {
+        runs: Vec<StoredRow>,
+    }
+
+    let baselines = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/baselines");
+    for path in [
+        baselines.join("BENCH_smoke.json"),
+        baselines.join("BENCH_smoke_detailed.json"),
+        fixture("BENCH_fixture.json"),
+    ] {
+        let name = path.display();
+        let stored: StoredReport = photon_bench::persist::load(&path)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .payload;
+        let report = load_report(&path).unwrap_or_else(|e| panic!("{e}"));
+        let full = report.reference();
+        assert!(full.is_some(), "{name}: no Full reference");
+        assert_eq!(stored.runs.len(), report.runs.len(), "{name}");
+        for (old, run) in stored.runs.iter().zip(&report.runs) {
+            assert_eq!(old.method, run.method, "{name}");
+            // Legacy rows carry neither field; both load empty.
+            assert!(run.workload.is_empty(), "{name}");
+            assert!(run.kernel_cycles.is_empty(), "{name}");
+            // Bit for bit, not approximately.
+            assert_eq!(old.ipc, run.ipc(), "{name} {}", run.method);
+            assert_eq!(old.sample_coverage, run.sample_coverage(), "{name}");
+            assert_eq!(
+                old.speedup_vs_detailed,
+                full.map_or(0.0, |f| run.speedup_vs(f)),
+                "{name} {}",
+                run.method
+            );
+            assert_eq!(
+                old.error_vs_detailed,
+                full.map_or(0.0, |f| run.error_vs(f)),
+                "{name} {}",
+                run.method
+            );
+        }
     }
 }

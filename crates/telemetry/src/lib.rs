@@ -2,10 +2,10 @@
 //!
 //! Unified observability for the Photon stack: a low-overhead metrics
 //! registry (counters / gauges / histograms), a structured event tracer
-//! with a Chrome-trace exporter, the machine-readable
-//! [`RunReport`] schema benchmark runs are recorded in, and the
-//! deterministic [`faults`] injection harness chaos tests drive the
-//! stack's guardrails with.
+//! with a Chrome-trace exporter, per-CU cycle accounting, causal spans,
+//! and the deterministic [`faults`] injection harness chaos tests drive
+//! the stack's guardrails with. The run-report schema that records
+//! benchmark runs lives with its only user, `photon_bench::report`.
 //!
 //! The crate sits at the bottom of the workspace dependency graph so
 //! every layer (`mem`, `sim`, `core`, `baselines`, `bench`) can emit
@@ -38,7 +38,6 @@ mod accounting;
 pub mod export;
 pub mod faults;
 mod registry;
-mod report;
 pub mod span;
 mod trace;
 
@@ -49,9 +48,6 @@ pub use accounting::{
 pub use registry::{
     percentile_from_buckets, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
     HistogramSnapshot, MetricsSnapshot, Registry,
-};
-pub use report::{
-    compare_reports, MethodRun, Regression, RunReport, SkippedRun, REPORT_SCHEMA_VERSION,
 };
 pub use span::{SpanGuard, SpanKind, SpanRecord, SpanTree, TraceCtx};
 pub use trace::{

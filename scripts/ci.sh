@@ -45,11 +45,13 @@ if grep -rnE 'Sharded[S]tore|DEFAULT[_]SHARDS|measurement[_]bytes|Thread[R]ing' 
 fi
 
 # A job is in one place (live map or result store), one codec spells a
-# job id, and Chrome-trace JSON is the only trace file format.
-if grep -rnE 'MAX[_]TERMINAL_JOBS|note[_]terminal|fn mint[_]trace|fn parse[_]job_id|fn json[l]\b' \
+# job id, Chrome-trace JSON is the only trace file format, and a report
+# row is the run's Measurement.
+if grep -rnE 'MAX[_]TERMINAL_JOBS|note[_]terminal|fn mint[_]trace|fn parse[_]job_id|fn json[l]\b|Method[R]un|fn method[_]run' \
     crates scripts README.md DESIGN.md .claude; then
   echo "    finished jobs live in the scheduler's byte-budgeted store, job ids go through"
-  echo "    gpu_telemetry::span::{job_hex, parse_job_hex}, and the JSONL exporter is gone"
+  echo "    gpu_telemetry::span::{job_hex, parse_job_hex}, the JSONL exporter is gone, and"
+  echo "    RunReport rows are photon_bench::harness::Measurement"
   exit 1
 fi
 
@@ -189,15 +191,22 @@ cargo run -q --release -p photon-bench --bin profile -- diff \
 # unseen; accounting must stay balanced under the extra queue-delay
 # charges; and a cold rerun must reproduce the detailed run
 # bit-for-bit — the detailed path is deterministic, not merely
-# plausible. 1% is the tightest bound profile diff accepts.
+# plausible. As in the engine-parallel gate, the counts of every run are
+# diffed exactly (a method missing from the rerun fails too) and the
+# stall shares are held to profile diff's 0.000001.
 cargo run -q --release -p photon-bench --bin report -- check
 cargo run -q --release -p photon-bench --bin profile -- check results/BENCH_smoke_detailed.json
 mem_tmp="$(mktemp -d)"
 cp results/BENCH_smoke_detailed.json "$mem_tmp/BENCH_smoke_detailed.json"
 cargo run -q --release -p photon-bench --bin report -- smoke --jobs 2 \
   --no-journal --no-cache --mem-fidelity detailed
+if ! diff <(run_counts "$mem_tmp/BENCH_smoke_detailed.json") \
+    <(run_counts results/BENCH_smoke_detailed.json); then
+  echo "    cold detailed-memory rerun differs from the first run"
+  exit 1
+fi
 cargo run -q --release -p photon-bench --bin profile -- diff \
-  "$mem_tmp/BENCH_smoke_detailed.json" results/BENCH_smoke_detailed.json 0.01
+  "$mem_tmp/BENCH_smoke_detailed.json" results/BENCH_smoke_detailed.json 0.000001
 rm -rf "$mem_tmp"
 
 echo "==> quarantine hygiene: no new .corrupt corpses in results/"
