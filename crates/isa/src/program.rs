@@ -9,8 +9,9 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A validated kernel program: a flat instruction vector with resolved
-/// branch targets, a lazily shared [`BasicBlockMap`] and the lazily
-/// shared pre-decoded form the interpreter executes.
+/// branch targets, a lazily shared [`BasicBlockMap`], the lazily shared
+/// pre-decoded form the interpreter executes and its lazily computed
+/// vector-register footprint.
 ///
 /// Programs are normally produced by [`crate::KernelBuilder::finish`].
 ///
@@ -30,6 +31,8 @@ pub struct Program {
     bb_map: std::sync::OnceLock<Arc<BasicBlockMap>>,
     #[serde(skip)]
     decoded: std::sync::OnceLock<Arc<[MicroOp]>>,
+    #[serde(skip)]
+    vreg_footprint: std::sync::OnceLock<usize>,
 }
 
 impl Program {
@@ -64,6 +67,7 @@ impl Program {
             insts,
             bb_map: std::sync::OnceLock::new(),
             decoded: std::sync::OnceLock::new(),
+            vreg_footprint: std::sync::OnceLock::new(),
         })
     }
 
@@ -106,6 +110,16 @@ impl Program {
     pub fn decoded(&self) -> &[MicroOp] {
         self.decoded
             .get_or_init(|| decode(&self.insts, self.basic_blocks()))
+    }
+
+    /// The vector registers the program names — one past the highest
+    /// index, 0 if it names none — computed once. A warp running it
+    /// needs no more: this is the smallest [`crate::KernelLimits::vregs`]
+    /// that [`crate::validate_program`] accepts.
+    pub fn vreg_footprint(&self) -> usize {
+        *self
+            .vreg_footprint
+            .get_or_init(|| crate::validate::vreg_footprint(&self.insts))
     }
 }
 

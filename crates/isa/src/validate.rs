@@ -132,95 +132,87 @@ impl fmt::Display for ValidateError {
 
 impl Error for ValidateError {}
 
-fn check_sreg(pc: u32, r: Sreg, limits: &KernelLimits) -> Result<(), ValidateError> {
-    if r.index() >= limits.sregs {
-        return Err(ValidateError::SregOutOfRange {
-            pc,
-            reg: r.index(),
-            limit: limits.sregs,
-        });
-    }
-    Ok(())
+/// A register an instruction names.
+#[derive(Clone, Copy)]
+enum Reg {
+    S(Sreg),
+    V(Vreg),
 }
 
-fn check_vreg(pc: u32, r: Vreg, limits: &KernelLimits) -> Result<(), ValidateError> {
-    if r.index() >= limits.vregs {
-        return Err(ValidateError::VregOutOfRange {
-            pc,
-            reg: r.index(),
-            limit: limits.vregs,
-        });
-    }
-    Ok(())
-}
-
-fn check_ssrc(pc: u32, s: &ScalarSrc, limits: &KernelLimits) -> Result<(), ValidateError> {
+fn visit_ssrc<E>(s: &ScalarSrc, visit: &mut impl FnMut(Reg) -> Result<(), E>) -> Result<(), E> {
     match s {
-        ScalarSrc::Reg(r) => check_sreg(pc, *r, limits),
+        ScalarSrc::Reg(r) => visit(Reg::S(*r)),
         ScalarSrc::Imm(_) => Ok(()),
     }
 }
 
-fn check_vsrc(pc: u32, v: &VectorSrc, limits: &KernelLimits) -> Result<(), ValidateError> {
+fn visit_vsrc<E>(v: &VectorSrc, visit: &mut impl FnMut(Reg) -> Result<(), E>) -> Result<(), E> {
     match v {
-        VectorSrc::Reg(r) => check_vreg(pc, *r, limits),
-        VectorSrc::Sreg(r) => check_sreg(pc, *r, limits),
+        VectorSrc::Reg(r) => visit(Reg::V(*r)),
+        VectorSrc::Sreg(r) => visit(Reg::S(*r)),
         VectorSrc::Imm(_) | VectorSrc::ImmF32(_) | VectorSrc::LaneId => Ok(()),
     }
 }
 
-fn check_registers(pc: u32, inst: &Inst, limits: &KernelLimits) -> Result<(), ValidateError> {
+/// Calls `visit` on every register `inst` names, in operand order,
+/// stopping at the first error it returns. Validation and
+/// [`vreg_footprint`] share this one walk, so the footprint is exactly
+/// the smallest vector-register limit validation accepts.
+fn visit_registers<E>(inst: &Inst, visit: &mut impl FnMut(Reg) -> Result<(), E>) -> Result<(), E> {
     match inst {
         Inst::SAlu { dst, a, b, .. } => {
-            check_sreg(pc, *dst, limits)?;
-            check_ssrc(pc, a, limits)?;
-            check_ssrc(pc, b, limits)
+            visit(Reg::S(*dst))?;
+            visit_ssrc(a, visit)?;
+            visit_ssrc(b, visit)
         }
         Inst::SCmp { a, b, .. } => {
-            check_ssrc(pc, a, limits)?;
-            check_ssrc(pc, b, limits)
+            visit_ssrc(a, visit)?;
+            visit_ssrc(b, visit)
         }
         Inst::SLoadArg { dst, .. }
         | Inst::SGetSpecial { dst, .. }
         | Inst::SReadMask { dst, .. }
-        | Inst::SAndSaveExec { dst } => check_sreg(pc, *dst, limits),
-        Inst::SWriteMask { src, .. } => check_ssrc(pc, src, limits),
+        | Inst::SAndSaveExec { dst } => visit(Reg::S(*dst)),
+        Inst::SWriteMask { src, .. } => visit_ssrc(src, visit),
         Inst::VAlu { dst, a, b, .. } => {
-            check_vreg(pc, *dst, limits)?;
-            check_vsrc(pc, a, limits)?;
-            check_vsrc(pc, b, limits)
+            visit(Reg::V(*dst))?;
+            visit_vsrc(a, visit)?;
+            visit_vsrc(b, visit)
         }
         Inst::VFma { dst, a, b, c } => {
-            check_vreg(pc, *dst, limits)?;
-            check_vsrc(pc, a, limits)?;
-            check_vsrc(pc, b, limits)?;
-            check_vsrc(pc, c, limits)
+            visit(Reg::V(*dst))?;
+            visit_vsrc(a, visit)?;
+            visit_vsrc(b, visit)?;
+            visit_vsrc(c, visit)
         }
         Inst::VCmp { a, b, .. } => {
-            check_vsrc(pc, a, limits)?;
-            check_vsrc(pc, b, limits)
+            visit_vsrc(a, visit)?;
+            visit_vsrc(b, visit)
         }
         Inst::GlobalLoad {
-            dst, base, offset, ..
+            dst: data,
+            base,
+            offset,
+            ..
+        }
+        | Inst::GlobalStore {
+            src: data,
+            base,
+            offset,
+            ..
         } => {
-            check_vreg(pc, *dst, limits)?;
-            check_sreg(pc, *base, limits)?;
-            check_vreg(pc, *offset, limits)
+            visit(Reg::V(*data))?;
+            visit(Reg::S(*base))?;
+            visit(Reg::V(*offset))
         }
-        Inst::GlobalStore {
-            src, base, offset, ..
+        Inst::LdsLoad {
+            dst: data, addr, ..
+        }
+        | Inst::LdsStore {
+            src: data, addr, ..
         } => {
-            check_vreg(pc, *src, limits)?;
-            check_sreg(pc, *base, limits)?;
-            check_vreg(pc, *offset, limits)
-        }
-        Inst::LdsLoad { dst, addr, .. } => {
-            check_vreg(pc, *dst, limits)?;
-            check_vreg(pc, *addr, limits)
-        }
-        Inst::LdsStore { src, addr, .. } => {
-            check_vreg(pc, *src, limits)?;
-            check_vreg(pc, *addr, limits)
+            visit(Reg::V(*data))?;
+            visit(Reg::V(*addr))
         }
         Inst::Branch { .. }
         | Inst::CBranch { .. }
@@ -228,6 +220,37 @@ fn check_registers(pc: u32, inst: &Inst, limits: &KernelLimits) -> Result<(), Va
         | Inst::SWaitcnt
         | Inst::SEndpgm => Ok(()),
     }
+}
+
+fn check_registers(pc: u32, inst: &Inst, limits: &KernelLimits) -> Result<(), ValidateError> {
+    visit_registers(inst, &mut |r| match r {
+        Reg::S(r) if r.index() >= limits.sregs => Err(ValidateError::SregOutOfRange {
+            pc,
+            reg: r.index(),
+            limit: limits.sregs,
+        }),
+        Reg::V(r) if r.index() >= limits.vregs => Err(ValidateError::VregOutOfRange {
+            pc,
+            reg: r.index(),
+            limit: limits.vregs,
+        }),
+        _ => Ok(()),
+    })
+}
+
+/// The vector registers `insts` name: one past the highest index, 0 if
+/// they name none. [`crate::Program::vreg_footprint`] caches it.
+pub(crate) fn vreg_footprint(insts: &[Inst]) -> usize {
+    let mut n = 0;
+    for inst in insts {
+        let _ = visit_registers(inst, &mut |r| {
+            if let Reg::V(v) = r {
+                n = n.max(v.index() + 1);
+            }
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+    n
 }
 
 /// Validates a program against the machine limits.
@@ -300,7 +323,7 @@ pub fn validate_launch(launch: &KernelLaunch, limits: &KernelLimits) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{CmpOp, SAluOp, VAluOp};
+    use crate::inst::{CmpOp, MemWidth, SAluOp, VAluOp};
     use crate::kernel::Kernel;
     use crate::KernelBuilder;
 
@@ -372,6 +395,69 @@ mod tests {
                 limit: 4
             })
         );
+    }
+
+    /// The footprint, checked to be the smallest vector-register limit
+    /// validation accepts.
+    fn footprint(insts: Vec<Inst>) -> usize {
+        let p = program(insts);
+        let n = p.vreg_footprint();
+        let limits = |vregs| KernelLimits {
+            sregs: MAX_SREGS,
+            vregs,
+        };
+        assert_eq!(validate_program(&p, &limits(n)), Ok(()));
+        if n > 0 {
+            assert_eq!(
+                validate_program(&p, &limits(n - 1)),
+                Err(ValidateError::VregOutOfRange {
+                    pc: 0,
+                    reg: n - 1,
+                    limit: n - 1
+                })
+            );
+        }
+        n
+    }
+
+    #[test]
+    fn footprint_of_a_program_without_vector_registers_is_zero() {
+        let scalar = Inst::SAlu {
+            op: SAluOp::Add,
+            dst: Sreg::new(63),
+            a: ScalarSrc::Reg(Sreg::new(1)),
+            b: ScalarSrc::Imm(2),
+        };
+        assert_eq!(footprint(vec![scalar, Inst::SEndpgm]), 0);
+        let broadcast = Inst::VCmp {
+            op: CmpOp::Lt,
+            float: false,
+            a: VectorSrc::LaneId,
+            b: VectorSrc::Sreg(Sreg::new(5)),
+        };
+        assert_eq!(footprint(vec![broadcast, Inst::SEndpgm]), 0);
+    }
+
+    #[test]
+    fn footprint_counts_a_register_named_only_as_an_lds_address() {
+        let load = Inst::LdsLoad {
+            dst: Vreg::new(1),
+            addr: Vreg::new(12),
+            imm: 0,
+        };
+        assert_eq!(footprint(vec![load, Inst::SEndpgm]), 13);
+    }
+
+    #[test]
+    fn footprint_counts_a_register_named_only_as_a_global_offset() {
+        let store = Inst::GlobalStore {
+            src: Vreg::new(2),
+            base: Sreg::new(0),
+            offset: Vreg::new(40),
+            imm: 0,
+            width: MemWidth::B32,
+        };
+        assert_eq!(footprint(vec![store, Inst::SEndpgm]), 41);
     }
 
     #[test]

@@ -483,9 +483,9 @@ mod tests {
     use super::*;
     use crate::config::{EngineMode, GpuConfig};
     use crate::controller::NullController;
+    use crate::corpus::Script;
     use crate::engine::GpuSimulator;
     use crate::error::ExecFaultKind;
-    use crate::repush_oracle::Script;
     use gpu_isa::{CmpOp, Kernel, KernelBuilder, SAluOp, SpecialReg, VAluOp, VectorSrc};
     use gpu_workloads::App;
 

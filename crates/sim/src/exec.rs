@@ -245,8 +245,9 @@ fn branch_taken(warp: &WarpState, cond: BranchCond) -> bool {
 
 /// The `W`-byte global access at `sreg(base) + imm + offset[l]`
 /// (wrapping) in every active lane, resolved once into its shape, with
-/// its coalesced lines left in `lines`. The per-lane addresses are
-/// built in `addrs`, which a Lanes access borrows.
+/// its coalesced lines left in `lines` when there is a buffer. The
+/// per-lane addresses are built in `addrs`, which a Lanes access
+/// borrows.
 #[inline]
 fn global_access<'a, const W: usize>(
     warp: &WarpState,
@@ -254,7 +255,7 @@ fn global_access<'a, const W: usize>(
     offset: Vreg,
     imm: u64,
     addrs: &'a mut [u64; LANES],
-    lines: &mut Vec<u64>,
+    lines: Option<&mut Vec<u64>>,
 ) -> WarpAccess<'a> {
     let base = warp.sregs[base.index()].wrapping_add(imm);
     let offset = &warp.vregs[offset.index()];
@@ -264,7 +265,9 @@ fn global_access<'a, const W: usize>(
     let access = WarpAccess::resolve(addrs, warp.exec, W as u64);
     #[cfg(test)]
     tests::tally(access, warp.exec);
-    coalesce_access_into(lines, access, W as u64);
+    if let Some(lines) = lines {
+        coalesce_access_into(lines, access, W as u64);
+    }
     access
 }
 
@@ -277,7 +280,7 @@ fn global_load<const W: usize, M: DataMem>(
     base: Sreg,
     offset: Vreg,
     imm: u64,
-    lines: &mut Vec<u64>,
+    lines: Option<&mut Vec<u64>>,
 ) {
     let mut addrs = [0u64; LANES];
     let access = global_access::<W>(warp, base, offset, imm, &mut addrs, lines);
@@ -293,7 +296,7 @@ fn global_store<const W: usize, M: DataMem>(
     base: Sreg,
     offset: Vreg,
     imm: u64,
-    lines: &mut Vec<u64>,
+    lines: Option<&mut Vec<u64>>,
 ) {
     let mut addrs = [0u64; LANES];
     let access = global_access::<W>(warp, base, offset, imm, &mut addrs, lines);
@@ -350,7 +353,7 @@ pub fn step<M: DataMem>(
     lines: &mut Vec<u64>,
 ) -> Result<StepInfo, SimError> {
     let op = fetch(warp, program.decoded(), env)?;
-    execute(warp, op, mem, lds, env, lines)
+    execute(warp, op, mem, lds, env, Some(lines))
 }
 
 /// The first half of [`step`]: the decoded instruction `warp` is about
@@ -375,14 +378,16 @@ pub(crate) fn fetch<'p>(
 }
 
 /// The second half of [`step`]: executes `op`, which [`fetch`] returned
-/// for `warp`'s current PC.
+/// for `warp`'s current PC. A global access leaves its lines in `lines`
+/// as [`step`] does; functional execution, which times nothing, passes
+/// no buffer and skips the coalescer.
 pub(crate) fn execute<M: DataMem>(
     warp: &mut WarpState,
     op: &MicroOp,
     mem: &mut M,
     lds: &mut [u8],
     env: &LaunchEnv<'_>,
-    lines: &mut Vec<u64>,
+    lines: Option<&mut Vec<u64>>,
 ) -> Result<StepInfo, SimError> {
     let pc = warp.pc;
     let mut effect = StepEffect::Alu;

@@ -18,6 +18,24 @@ use crate::warp::{WarpState, WarpTrace};
 use gpu_isa::{BasicBlockId, KernelLaunch};
 use gpu_mem::AddressSpace;
 
+#[cfg(test)]
+thread_local! {
+    /// Set by the line-buffer oracle: functional execution on this
+    /// thread coalesces every global access into a buffer, as it did
+    /// before nothing read the lines.
+    static BUILD_LINES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The line buffer functional execution passes `execute`: none, since
+/// nothing reads the cache lines of a run that times nothing.
+fn line_buffer() -> Option<Vec<u64>> {
+    #[cfg(test)]
+    if BUILD_LINES.get() {
+        return Some(Vec::new());
+    }
+    None
+}
+
 fn bb_counts_to_trace(counts: Vec<u32>, insts: u64) -> WarpTrace {
     let bb_counts = counts
         .into_iter()
@@ -48,7 +66,7 @@ pub fn trace_warp_isolated(
     let mut counts = vec![0u32; program.basic_blocks().len()];
     let mut overlay = OverlayMem::new(mem);
     let mut lds = vec![0u8; launch.lds_bytes.max(4) as usize];
-    let mut warp = WarpState::new();
+    let mut warp = WarpState::for_program(program);
     let env = LaunchEnv {
         args: &launch.args,
         wg_id: (global_warp / launch.warps_per_wg as u64) as u32,
@@ -57,13 +75,13 @@ pub fn trace_warp_isolated(
         num_wgs: launch.num_wgs,
     };
     let mut insts = 0u64;
-    let mut lines = Vec::new();
+    let mut lines = line_buffer();
     loop {
         let op = fetch(&warp, ops, &env)?;
         if let Some(bb) = op.block_start() {
             counts[bb.index()] += 1;
         }
-        let info = execute(&mut warp, op, &mut overlay, &mut lds, &env, &mut lines)?;
+        let info = execute(&mut warp, op, &mut overlay, &mut lds, &env, lines.as_mut())?;
         insts += 1;
         if insts > max_insts {
             return Err(SimError::InstLimitExceeded {
@@ -113,7 +131,7 @@ pub(crate) fn run_warps_cooperative(
     max_insts: u64,
 ) -> Result<u64, SimError> {
     let ops = launch.kernel.program().decoded();
-    let mut lines = Vec::new();
+    let mut lines = line_buffer();
     let mut total = 0u64;
     loop {
         let mut progressed = false;
@@ -134,7 +152,7 @@ pub(crate) fn run_warps_cooperative(
                 {
                     counts[bb.index()] += 1;
                 }
-                let info = execute(warp.state, op, mem, lds, &env, &mut lines)?;
+                let info = execute(warp.state, op, mem, lds, &env, lines.as_mut())?;
                 *warp.insts += 1;
                 total += 1;
                 progressed = true;
@@ -182,8 +200,9 @@ pub fn run_wg_functional(
     max_insts: u64,
 ) -> Result<(Vec<WarpTrace>, u64), SimError> {
     let n = launch.warps_per_wg as usize;
-    let blocks = launch.kernel.program().basic_blocks().len();
-    let mut states: Vec<WarpState> = (0..n).map(|_| WarpState::new()).collect();
+    let program = launch.kernel.program();
+    let blocks = program.basic_blocks().len();
+    let mut states: Vec<WarpState> = (0..n).map(|_| WarpState::for_program(program)).collect();
     let mut counts: Vec<Vec<u32>> = vec![vec![0u32; blocks]; n];
     let mut insts: Vec<u64> = vec![0; n];
     let mut lds = vec![0u8; launch.lds_bytes.max(4) as usize];
@@ -212,7 +231,39 @@ pub fn run_wg_functional(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::{self, Case};
     use gpu_isa::{CmpOp, Kernel, KernelBuilder, MemWidth, SAluOp, VAluOp, VectorSrc};
+
+    /// Every warp of every launch traced in isolation, then every
+    /// workgroup run cooperatively, building the line buffer or not:
+    /// the traces and the final device image.
+    fn run_functionally(case: &Case, build_lines: bool) -> (Vec<WarpTrace>, u64) {
+        BUILD_LINES.set(build_lines);
+        let mut mem = case.image.clone();
+        let mut traces = Vec::new();
+        for l in &case.launches {
+            let warps = u64::from(l.num_wgs) * u64::from(l.warps_per_wg);
+            for w in 0..warps {
+                traces.push(trace_warp_isolated(l, &mem, w, u64::MAX).unwrap());
+            }
+            for wg in 0..l.num_wgs {
+                traces.extend(run_wg_functional(l, &mut mem, wg, u64::MAX).unwrap().0);
+            }
+        }
+        BUILD_LINES.set(false);
+        (traces, corpus::digest(&mem, case.heap_end))
+    }
+
+    #[test]
+    fn functional_runs_are_the_same_without_the_line_buffer() {
+        let cases = corpus::registry_benchmarks();
+        for case in cases.iter().chain(&corpus::registry_applications()) {
+            let (want_traces, want_memory) = run_functionally(case, true);
+            let (traces, memory) = run_functionally(case, false);
+            assert!(want_traces == traces, "{}: traces", case.name);
+            assert_eq!(want_memory, memory, "{}: device memory", case.name);
+        }
+    }
 
     /// Kernel: each warp stores (global_warp_id + lane) to out[tid].
     fn simple_launch(num_wgs: u32, warps_per_wg: u32, out: u64) -> KernelLaunch {

@@ -40,6 +40,8 @@
 mod calendar;
 mod config;
 mod controller;
+#[cfg(test)]
+mod corpus;
 mod engine;
 mod epoch;
 mod error;

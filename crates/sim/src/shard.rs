@@ -607,7 +607,7 @@ impl Shard {
             let w = self.warps.len() as u32;
             let (state, dur, pending) = match &seed {
                 WarpSeed::Detailed => (
-                    Some(Box::new(WarpState::new())),
+                    Some(Box::new(WarpState::for_program(launch.kernel.program()))),
                     None,
                     StallClass::NoWarpReady,
                 ),
@@ -773,7 +773,14 @@ impl Shard {
             wg.lds = vec![0u8; launch.lds_bytes.max(4) as usize];
         }
 
-        let info = execute(state, op, mem, &mut wg.lds, &env, &mut self.lines_scratch)?;
+        let info = execute(
+            state,
+            op,
+            mem,
+            &mut wg.lds,
+            &env,
+            Some(&mut self.lines_scratch),
+        )?;
         let warp_gid = self.warps[w as usize].global_id;
         #[cfg(test)]
         if let Some(log) = &mut self.issues {

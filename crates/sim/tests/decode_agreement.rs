@@ -1,15 +1,18 @@
-//! The pre-decoded program against the encoding it was decoded from.
+//! The pre-decoded program and its register footprint against the
+//! encoding they were derived from.
 //!
 //! The interpreter and the shard read an instruction's class, its
 //! `slow` flag and "does a basic block start here?" from
 //! `Program::decoded()`; everything else in the repository (PKA's
 //! feature counts, the controller's block map, the disassembler) still
 //! derives them from the encoded `Inst`. For every kernel of every
-//! registry application and every pc, the two must agree — and a
-//! program that went through serde, which drops the cache, must decode
-//! to the same table.
+//! registry application and every pc, the two must agree. A warp's
+//! vector register file is `Program::vreg_footprint()` registers, which
+//! must be the smallest limit validation accepts. A program that went
+//! through serde, which drops both caches, must decode to the same
+//! table and the same footprint.
 
-use gpu_isa::{Inst, Program, SAluOp, VAluOp};
+use gpu_isa::{validate_program, Inst, KernelLimits, Program, SAluOp, VAluOp, MAX_SREGS};
 use gpu_sim::{GpuConfig, GpuSimulator};
 use gpu_workloads::dnn::DnnScale;
 use gpu_workloads::registry::{Benchmark, RealWorldApp};
@@ -39,23 +42,57 @@ fn check_program(app: &str, program: &Program) {
         );
     }
 
+    let footprint = program.vreg_footprint();
+    assert_eq!(
+        footprint,
+        smallest_vreg_limit(program),
+        "{app}/{}",
+        program.name()
+    );
+
     let json = serde_json::to_string(program).unwrap();
+    assert!(
+        !json.contains("footprint"),
+        "the footprint is not serialised"
+    );
     let reloaded: Program = serde_json::from_str(&json).unwrap();
     assert_eq!(reloaded.decoded(), ops, "{app}/{}", program.name());
+    assert_eq!(
+        reloaded.vreg_footprint(),
+        footprint,
+        "{app}/{}",
+        program.name()
+    );
 }
 
-/// Checks every distinct program of `app`; returns how many there were.
-fn check_app(app: &App) -> usize {
+/// The smallest `KernelLimits::vregs` that `validate_program` accepts.
+fn smallest_vreg_limit(program: &Program) -> usize {
+    (0..)
+        .find(|&vregs| {
+            let limits = KernelLimits {
+                sregs: MAX_SREGS,
+                vregs,
+            };
+            validate_program(program, &limits).is_ok()
+        })
+        .unwrap()
+}
+
+/// Checks every distinct program of `app`; returns their names and
+/// footprints.
+fn check_app(app: &App) -> Vec<(String, usize)> {
     let mut seen: Vec<*const Program> = Vec::new();
+    let mut footprints = Vec::new();
     for l in app.launches() {
         let program = l.launch.kernel.program();
         let id = std::sync::Arc::as_ptr(program);
         if !seen.contains(&id) {
             seen.push(id);
             check_program(app.name(), program);
+            footprints.push((program.name().to_string(), program.vreg_footprint()));
         }
     }
-    seen.len()
+    footprints
 }
 
 #[test]
@@ -64,10 +101,10 @@ fn decoded_table_agrees_with_the_encoding_on_every_registry_kernel() {
         input_hw: 32,
         channel_div: 32,
     };
-    let mut programs = 0;
+    let mut programs = Vec::new();
     for b in Benchmark::ALL {
         let mut gpu = GpuSimulator::new(GpuConfig::tiny());
-        programs += check_app(&b.build(&mut gpu, 64, 1));
+        programs.extend(check_app(&b.build(&mut gpu, 64, 1)));
     }
     for a in RealWorldApp::figure16() {
         let a = match a {
@@ -75,8 +112,17 @@ fn decoded_table_agrees_with_the_encoding_on_every_registry_kernel() {
             dnn => dnn,
         };
         let mut gpu = GpuSimulator::new(GpuConfig::tiny());
-        programs += check_app(&a.build(&mut gpu, scale, 1));
+        programs.extend(check_app(&a.build(&mut gpu, scale, 1)));
     }
     // Table 2's six kernels plus PageRank's and the DNN layer kernels.
-    assert!(programs > 6 + 2 * 7, "only {programs} programs checked");
+    assert!(
+        programs.len() > 6 + 2 * 7,
+        "only {} programs checked",
+        programs.len()
+    );
+    // The footprints DESIGN.md quotes for the benchmark workloads.
+    let footprint = |name: &str| programs.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(footprint("fir"), 7);
+    assert_eq!(footprint("matrix_multiplication"), 21);
+    assert_eq!(footprint("spmv"), 9);
 }

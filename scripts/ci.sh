@@ -9,10 +9,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Quarantine hygiene: a clean CI run must not leave new .corrupt
-# corpses behind in results/ (pre-existing ones are tolerated but never
-# allowed to grow — persist::quarantine rotates, keeping at most 2 per
-# basename). Snapshot now, compare just before the chaos gate, which
-# quarantines a real results/cache entry on purpose and so runs last.
+# corpses behind in results/ (pre-existing ones are tolerated, and may
+# go when the smoke gate clears results/cache — persist::quarantine
+# rotates, keeping at most 2 per basename). Snapshot now, compare just
+# before the chaos gate, which quarantines a real results/cache entry
+# on purpose and so runs last.
 corpses_snapshot() {
   find results -maxdepth 2 -name '*.corrupt*' 2>/dev/null | sort || true
 }
@@ -210,10 +211,10 @@ cargo run -q --release -p photon-bench --bin profile -- diff \
 rm -rf "$mem_tmp"
 
 echo "==> quarantine hygiene: no new .corrupt corpses in results/"
-corpses_after="$(corpses_snapshot)"
-if [[ "$corpses_after" != "$corpses_before" ]]; then
+corpses_new="$(comm -13 <(echo "$corpses_before") <(corpses_snapshot))"
+if [[ -n "$corpses_new" ]]; then
   echo "    quarantine corpses accumulated during this run:"
-  diff <(echo "$corpses_before") <(echo "$corpses_after") || true
+  echo "$corpses_new"
   exit 1
 fi
 
