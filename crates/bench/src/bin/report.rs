@@ -1,4 +1,4 @@
-//! Benchmark run reports: produce, render, and regression-check
+//! Benchmark run reports: produce, render, check and compare
 //! `results/BENCH_<app>.json` files.
 //!
 //! ```console
@@ -7,24 +7,30 @@
 //! $ report smoke --require-cached   # fail unless every Full run was a cache hit
 //! $ report smoke --mem-fidelity detailed   # the detailed memory model, write BENCH_smoke_detailed.json
 //! $ report show                     # table over every results/BENCH_*.json
-//! $ report check                    # deterministic fields vs results/baselines/, exit 1 on any difference
+//! $ report show REPORT              # stall tables, occupancy, worst BBs of one report
+//! $ report check                    # every BENCH_*.json: invariants, and same result as its baseline
+//! $ report diff BASE CURRENT        # memory signature; exit 1 unless the same simulated result
 //! $ report flightrec PATH           # load + verify a flight-recorder dump, print its story
 //! ```
+//!
+//! Executor flags belong to `smoke`; any other subcommand refuses them.
 
 use gpu_mem::MemFidelityMode;
 use gpu_telemetry::MetricsSnapshot;
 use photon_bench::cli::{parse_exec_options, usage as exec_usage};
 use photon_bench::harness::{results_dir, RunOutcome};
+use photon_bench::profile::{check_report, mem_signature, render_report};
 use photon_bench::report::{
-    build_report, check_against_baselines, gauge_summary, histogram_summary, load_all_reports,
-    summary_table, write_report,
+    build_report, check_reports, compare_reports, gauge_summary, histogram_summary,
+    load_all_reports, load_report, summary_table, write_report, RunReport,
 };
 use photon_bench::specs::smoke_grid;
 use photon_bench::{run_specs, ExecOptions, Method};
+use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: report <smoke|show|check|flightrec PATH> [--require-cached]\n{}",
+        "usage: report <smoke|show [REPORT]|check|diff BASE CURRENT|flightrec PATH>\n{}",
         exec_usage("report smoke", " [--require-cached]")
     );
     std::process::exit(2);
@@ -106,14 +112,9 @@ fn smoke(mut opts: ExecOptions, require_cached: bool) {
     print!("{}", summary_table(&[report]).render());
 }
 
-fn show() {
-    let reports = match load_all_reports(&results_dir()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+/// The tables over every `results/BENCH_*.json`.
+fn show_all() {
+    let reports = load_all_reports(&results_dir()).unwrap_or_else(|e| fail(&e));
     if reports.is_empty() {
         println!("no results/BENCH_*.json reports found; run `report smoke` first");
         return;
@@ -132,29 +133,51 @@ fn show() {
 }
 
 fn check() {
-    let reports = match load_all_reports(&results_dir()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let reports = load_all_reports(&results_dir()).unwrap_or_else(|e| fail(&e));
     let baseline_dir = results_dir().join("baselines");
-    if !baseline_dir.exists() {
-        println!(
-            "no baseline directory at {}; nothing to check",
-            baseline_dir.display()
-        );
+    let ok = format!(
+        "{} report(s): accounting balanced, per-BB attribution present, \
+         no regressions against {}",
+        reports.len(),
+        baseline_dir.display()
+    );
+    verdict(&check_reports(&reports, &baseline_dir), &ok);
+}
+
+/// Prints the memory signature of `base` → `current`, then exits 1
+/// unless both reports pass the accounting invariants and hold the same
+/// simulated result.
+fn diff(base_path: &str, cur_path: &str) {
+    let base = load(base_path);
+    let cur = load(cur_path);
+    print!("{}", mem_signature(&base, &cur));
+    let mut problems = check_report(&base);
+    problems.extend(check_report(&cur));
+    problems.extend(compare_reports(&base, &cur));
+    verdict(
+        &problems,
+        &format!("{cur_path}: the same simulated result as {base_path}"),
+    );
+}
+
+/// Prints `ok` when there are no problems; else each one, and exits 1.
+fn verdict(problems: &[String], ok: &str) {
+    if problems.is_empty() {
+        println!("{ok}");
         return;
     }
-    let regressions = check_against_baselines(&reports, &baseline_dir);
-    if regressions.is_empty() {
-        println!("no regressions against {}", baseline_dir.display());
-        return;
+    for p in problems {
+        println!("DIFFERENT {p}");
     }
-    for r in &regressions {
-        println!("REGRESSION {} / {}: {}", r.workload, r.method, r.what);
-    }
+    std::process::exit(1);
+}
+
+fn load(path: &str) -> RunReport {
+    load_report(Path::new(path)).unwrap_or_else(|e| fail(&e))
+}
+
+fn fail(e: &str) -> ! {
+    eprintln!("error: {e}");
     std::process::exit(1);
 }
 
@@ -164,13 +187,7 @@ fn check() {
 /// span with its detail. The CI serve gate greps this output for the
 /// injected fault site.
 fn flightrec_show(path: &str) {
-    let rec = match photon_bench::flightrec::load(std::path::Path::new(path)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let rec = photon_bench::flightrec::load(Path::new(path)).unwrap_or_else(|e| fail(&e));
     println!(
         "flight record {} ({}) trigger={} wall={:.3}s",
         rec.job, rec.label, rec.trigger, rec.wall_secs
@@ -198,24 +215,32 @@ fn flightrec_show(path: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_exec_options(&mut args) {
-        Ok(o) => o,
-        Err(e) => {
+    if args.first().map(String::as_str) == Some("smoke") {
+        args.remove(0);
+        let opts = parse_exec_options(&mut args).unwrap_or_else(|e| {
             eprintln!("{e}");
             usage();
+        });
+        match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            [] => smoke(opts, false),
+            ["--require-cached"] => smoke(opts, true),
+            _ => usage(),
         }
-    };
-    let require_cached = if let Some(i) = args.iter().position(|a| a == "--require-cached") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    match (args.first().map(String::as_str), args.len()) {
-        (Some("smoke"), 1) => smoke(opts, require_cached),
-        (Some("show"), 1) => show(),
-        (Some("check"), 1) => check(),
-        (Some("flightrec"), 2) => flightrec_show(&args[1]),
+        return;
+    }
+    // Only `smoke` runs a grid; a flag given to anything else would
+    // be dropped, so it is refused by name.
+    let flag = args.iter().skip(1).find(|a| a.starts_with("--"));
+    if let (Some(cmd), Some(flag)) = (args.first(), flag) {
+        eprintln!("report {cmd} does not take {flag}: executor flags belong to `report smoke`");
+        std::process::exit(2);
+    }
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["show"] => show_all(),
+        ["show", path] => print!("{}", render_report(&load(path))),
+        ["check"] => check(),
+        ["diff", base, cur] => diff(base, cur),
+        ["flightrec", path] => flightrec_show(path),
         _ => usage(),
     }
 }

@@ -5,7 +5,7 @@ use gpu_baselines::{
     PkaConfig, PkaController, SieveConfig, SieveController, TbPointConfig, TbPointController,
 };
 use gpu_sim::{AppResult, GpuConfig, GpuSimulator, NullController, SamplingController, SimError};
-use gpu_telemetry::{BbErrorRow, CycleAccounting, Telemetry};
+use gpu_telemetry::{BbErrorRow, CycleAccounting, StallClass, Telemetry};
 use gpu_workloads::App;
 use photon::{PhotonConfig, PhotonController};
 use serde::{Deserialize, Serialize};
@@ -79,6 +79,53 @@ impl Measurement {
         }
     }
 
+    /// The one definition of "the same simulated result": every field in
+    /// which `now` differs from this (base) run, as `field was ->
+    /// now`; empty when they are the same. Not compared: `wall_secs`
+    /// (host time), `workload` (the report names it), and the
+    /// `kernel_cycles` of a base row written before that field existed.
+    pub fn differences(&self, now: &Measurement) -> Vec<String> {
+        // Destructured, so a new field cannot be left out unnoticed.
+        let Measurement {
+            workload: _,
+            wall_secs: _,
+            warps,
+            method,
+            sim_cycles,
+            detailed_insts,
+            functional_insts,
+            detailed_warps,
+            predicted_warps,
+            skipped_kernels,
+            kernel_cycles,
+            accounting,
+            bb_errors,
+        } = self;
+        let out = &mut Vec::new();
+        differ(out, "method", method, &now.method);
+        for (field, was, is) in [
+            ("warps", warps, &now.warps),
+            ("sim_cycles", sim_cycles, &now.sim_cycles),
+            ("detailed_insts", detailed_insts, &now.detailed_insts),
+            ("functional_insts", functional_insts, &now.functional_insts),
+            ("detailed_warps", detailed_warps, &now.detailed_warps),
+            ("predicted_warps", predicted_warps, &now.predicted_warps),
+        ] {
+            differ(out, field, was, is);
+        }
+        let skipped = (skipped_kernels, &now.skipped_kernels);
+        differ(out, "skipped_kernels", skipped.0, skipped.1);
+        if !kernel_cycles.is_empty() {
+            differ_rows(out, "kernel_cycles", kernel_cycles, &now.kernel_cycles);
+        }
+        match (accounting, &now.accounting) {
+            (Some(was), Some(now)) => differ_accounting(out, was, now),
+            (was, now) => differ(out, "accounting present", &was.is_some(), &now.is_some()),
+        }
+        differ_rows(out, "bb_errors", bb_errors, &now.bb_errors);
+        std::mem::take(out)
+    }
+
     /// What a byte-budgeted store charges for holding this measurement
     /// when no rendered text of it is at hand: the struct plus its row
     /// vectors, from their lengths alone — no rendering, no walk of the
@@ -93,6 +140,48 @@ impl Measurement {
             + size_of_val(self.bb_errors.as_slice())
             + accounting) as u64
     }
+}
+
+/// Flags `field` when `was` and `now` differ.
+fn differ<T: PartialEq + std::fmt::Debug>(out: &mut Vec<String>, field: &str, was: &T, now: &T) {
+    if was != now {
+        out.push(format!("{field} {was:?} -> {now:?}"));
+    }
+}
+
+/// Flags a row list whose length differs, or its first differing row
+/// and how many more differ.
+fn differ_rows<T: PartialEq + std::fmt::Debug>(
+    out: &mut Vec<String>,
+    field: &str,
+    was: &[T],
+    now: &[T],
+) {
+    differ(out, &format!("{field} rows"), &was.len(), &now.len());
+    let mut rows = was.iter().zip(now).enumerate().filter(|(_, (a, b))| a != b);
+    if let Some((i, (a, b))) = rows.next() {
+        let more = rows.count();
+        out.push(format!(
+            "{field}[{i}] {a:?} -> {b:?} ({more} more rows differ)"
+        ));
+    }
+}
+
+/// Flags two cycle accountings' differences: the summary fields, each
+/// stall class whose total moved, then the rows. Not `shards`: it
+/// re-tallies the per-CU counts by the engine's event domains,
+/// [`CycleAccounting::check`] holds it to them, and it is not
+/// persisted, so a result read back from disk has none.
+fn differ_accounting(out: &mut Vec<String>, was: &CycleAccounting, now: &CycleAccounting) {
+    differ(out, "accounting.cycles", &was.cycles, &now.cycles);
+    differ(out, "accounting.window", &was.window, &now.window);
+    let (before, after) = (was.totals(), now.totals());
+    for class in StallClass::ALL {
+        let (name, i) = (format!("accounting.{}", class.name()), class.index());
+        differ(out, &name, &before[i], &after[i]);
+    }
+    differ_rows(out, "accounting.cus", &was.cus, &now.cus);
+    differ_rows(out, "accounting.timeline", &was.timeline, &now.timeline);
 }
 
 /// A closure that prepares an application on a fresh simulator.
@@ -429,5 +518,149 @@ mod tests {
         };
         assert!((fast.error_vs(&full) - 0.1).abs() < 1e-12);
         assert!((fast.speedup_vs(&full) - 4.0).abs() < 1e-12);
+    }
+
+    /// A row with every field set: two kernels, a two-CU accounting with
+    /// a timeline and a shard re-tally, and one BB row.
+    fn row() -> Measurement {
+        use gpu_telemetry::{CuAccounting, ShardAccounting, StallWindow};
+        let classes = [40, 0, 30, 20, 0, 0, 10, 0];
+        let cu = CuAccounting {
+            classes,
+            resident_warp_cycles: 100,
+        };
+        Measurement {
+            workload: "fir".into(),
+            warps: 64,
+            method: "Photon".into(),
+            sim_cycles: 1000,
+            wall_secs: 0.5,
+            detailed_insts: 800,
+            functional_insts: 200,
+            detailed_warps: 8,
+            predicted_warps: 56,
+            skipped_kernels: 1,
+            kernel_cycles: vec![600, 400],
+            accounting: Some(CycleAccounting {
+                cycles: 1000,
+                window: 64,
+                cus: vec![cu, cu],
+                timeline: vec![StallWindow { start: 0, classes }],
+                shards: vec![ShardAccounting {
+                    shard: 0,
+                    classes,
+                    resident_warp_cycles: 100,
+                }],
+            }),
+            bb_errors: vec![BbErrorRow {
+                kernel: "fir".into(),
+                bb: 3,
+                instances: 10,
+                insts: 80,
+                measured_cycles: 100,
+                measured_mean: 10.0,
+                predicted_mean: 10.5,
+                delta: 0.5,
+                stall: classes,
+            }],
+        }
+    }
+
+    fn acct(m: &mut Measurement) -> &mut CycleAccounting {
+        m.accounting.as_mut().expect("row() carries accounting")
+    }
+
+    #[test]
+    fn every_field_but_host_time_and_workload_is_a_difference() {
+        let base = row();
+        assert!(base.differences(&base).is_empty());
+        let renamed = Measurement {
+            workload: "fir_again".into(),
+            wall_secs: 50.0,
+            ..base.clone()
+        };
+        assert!(base.differences(&renamed).is_empty());
+        // Nor is the shard re-tally, which a row read from disk lacks.
+        let mut read_back = base.clone();
+        acct(&mut read_back).shards.clear();
+        assert!(base.differences(&read_back).is_empty());
+
+        type Mutation = (&'static str, fn(&mut Measurement));
+        let mutations: [Mutation; 22] = [
+            ("warps 64 -> 65", |m| m.warps += 1),
+            ("method \"Photon\" -> \"PKA\"", |m| m.method = "PKA".into()),
+            ("sim_cycles 1000 -> 999", |m| m.sim_cycles -= 1),
+            ("detailed_insts", |m| m.detailed_insts += 1),
+            ("functional_insts", |m| m.functional_insts += 1),
+            ("detailed_warps", |m| m.detailed_warps += 1),
+            ("predicted_warps", |m| m.predicted_warps += 1),
+            ("skipped_kernels 1 -> 0", |m| m.skipped_kernels = 0),
+            ("kernel_cycles[1] 400 -> 401", |m| m.kernel_cycles[1] += 1),
+            ("kernel_cycles rows 2 -> 1", |m| {
+                m.kernel_cycles.pop();
+            }),
+            ("accounting present true -> false", |m| m.accounting = None),
+            ("accounting.cycles", |m| acct(m).cycles += 1),
+            ("accounting.window", |m| acct(m).window *= 2),
+            // One warp-cycle moved between two stall classes on one CU:
+            // every sum still balances.
+            ("accounting.mem_pending 60 -> 59", |m| {
+                let cu = &mut acct(m).cus[1];
+                cu.classes[StallClass::MemPending.index()] -= 1;
+                cu.classes[StallClass::MemQueueFull.index()] += 1;
+            }),
+            // The same move on both CUs in opposite directions leaves
+            // the class totals alone; the rows still differ.
+            ("accounting.cus[0]", |m| {
+                let cus = &mut acct(m).cus;
+                cus[0].classes[0] -= 1;
+                cus[0].classes[2] += 1;
+                cus[1].classes[0] += 1;
+                cus[1].classes[2] -= 1;
+            }),
+            ("accounting.timeline[0]", |m| acct(m).timeline[0].start += 1),
+            ("accounting.timeline rows 1 -> 0", |m| {
+                acct(m).timeline.clear()
+            }),
+            ("bb_errors[0]", |m| m.bb_errors[0].predicted_mean += 0.25),
+            ("bb_errors[0]", |m| m.bb_errors[0].kernel = "mm".into()),
+            ("bb_errors[0]", |m| m.bb_errors[0].stall[0] += 1),
+            ("bb_errors[0]", |m| m.bb_errors[0].measured_mean = 10.000001),
+            ("bb_errors rows 1 -> 0", |m| m.bb_errors.clear()),
+        ];
+        for (flag, mutate) in mutations {
+            let mut cur = base.clone();
+            mutate(&mut cur);
+            let found = base.differences(&cur);
+            assert!(
+                found.first().is_some_and(|d| d.starts_with(flag)),
+                "{flag}: {found:?}"
+            );
+        }
+
+        // Every serialised field of the row, bar the two exempt ones,
+        // is the subject of a mutation above.
+        let serde_json::Value::Object(fields) = serde_json::to_value(&base) else {
+            panic!("a measurement serialises to an object");
+        };
+        for (name, _) in fields {
+            let exempt = name == "workload" || name == "wall_secs";
+            let mutated = mutations.iter().any(|(flag, _)| flag.starts_with(&name));
+            assert!(
+                exempt != mutated,
+                "{name}: exempt {exempt}, mutated {mutated}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_legacy_base_row_is_not_held_to_kernel_cycles() {
+        let legacy = Measurement {
+            kernel_cycles: Vec::new(),
+            ..row()
+        };
+        assert!(legacy.differences(&row()).is_empty());
+        // The other way round, kernels went missing.
+        assert_eq!(row().differences(&legacy), ["kernel_cycles rows 2 -> 0"]);
     }
 }

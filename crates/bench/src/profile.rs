@@ -1,12 +1,16 @@
-//! Nsight-style cycle-accounting profiles over run reports: stall-class
-//! breakdowns, occupancy timelines, per-BB prediction-error tables, a
-//! report-to-report stall diff, and the `profile check` invariant gate
-//! run by CI (stall classes must sum to resident warp-cycles, and every
-//! non-skipping run must carry per-BB attribution).
+//! Nsight-style cycle-accounting profiles over run reports, as `report
+//! show REPORT` and `report diff` print them: stall-class breakdowns,
+//! occupancy timelines, per-BB prediction-error tables, the memory
+//! signature of a report pair, and the accounting invariants that
+//! `report check` and `report diff` hold every report to (stall classes
+//! sum to resident warp-cycles, and every non-skipping run carries
+//! per-BB attribution).
 
 use crate::harness::{Measurement, Table};
 use crate::report::RunReport;
-use gpu_telemetry::{BbErrorRow, CycleAccounting, StallClass};
+use gpu_telemetry::{
+    percentile_from_buckets, BbErrorRow, CycleAccounting, HistogramSnapshot, StallClass,
+};
 
 /// Number of worst-offender BB rows shown per run.
 const TOP_BBS: usize = 8;
@@ -147,71 +151,15 @@ pub fn render_report(report: &RunReport) -> String {
     out
 }
 
-/// Compares matching (workload, method) runs of two reports and flags
-/// (a) stall classes whose share of resident warp-cycles grew by more
-/// than `threshold` (absolute share, e.g. 0.05 = five percentage
-/// points) and (b) total simulated cycles that drifted by more than
-/// the same `threshold` as a fraction of the baseline. Only methods
-/// present in `cur` are compared; CI's determinism gates pair this with
-/// an exact diff of the counts, which also catches a vanished method.
-pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold: f64) -> Vec<String> {
-    let mut flagged = Vec::new();
-    for cur_run in &cur.runs {
-        let Some(base_run) = base.runs.iter().find(|r| r.method == cur_run.method) else {
-            continue;
-        };
-        if base_run.sim_cycles > 0 {
-            let drift = (cur_run.sim_cycles as f64 - base_run.sim_cycles as f64).abs()
-                / base_run.sim_cycles as f64;
-            if drift > threshold {
-                flagged.push(format!(
-                    "{} / {}: simulated cycles drifted {:.1}% ({} -> {})",
-                    cur.workload,
-                    cur_run.method,
-                    drift * 100.0,
-                    base_run.sim_cycles,
-                    cur_run.sim_cycles
-                ));
-            }
-        }
-        let (Some(ba), Some(ca)) = (&base_run.accounting, &cur_run.accounting) else {
-            continue;
-        };
-        let (bt, ct) = (ba.totals(), ca.totals());
-        let (br, cr) = (ba.resident_warp_cycles(), ca.resident_warp_cycles());
-        if br == 0 || cr == 0 {
-            continue;
-        }
-        for class in StallClass::ALL {
-            // Issued growing is a win, not a stall regression.
-            if class == StallClass::Issued {
-                continue;
-            }
-            let before = bt[class.index()] as f64 / br as f64;
-            let after = ct[class.index()] as f64 / cr as f64;
-            if after - before > threshold {
-                flagged.push(format!(
-                    "{} / {}: {} share grew {:.1}% -> {:.1}%",
-                    cur.workload,
-                    cur_run.method,
-                    class.name(),
-                    before * 100.0,
-                    after * 100.0
-                ));
-            }
-        }
-    }
-    flagged
-}
-
 /// Renders the memory-model signature of a base→current report pair:
 /// per method, the `mem_pending` / `mem_queue_full` shares of resident
 /// warp-cycles, and per hierarchy level the queue-delay p50/p95 from
-/// the published `mem.<level>.queue_delay` histograms. This is the
-/// review artifact for memory-model changes — `profile diff` prints it
-/// unconditionally (informational; only the threshold flags fail the
-/// diff), so a fidelity upgrade's stall-share footprint is visible in
-/// CI logs even when it stays inside the bound.
+/// the published `mem.<level>.queue_delay` histograms, recomputed from
+/// their log2 buckets (as [`crate::report::histogram_summary`] does), so
+/// reports that stored percentiles under an older rule compare on one
+/// definition. This is the review artifact for memory-model changes:
+/// `report diff` prints it before its verdict, so a fidelity change's
+/// stall-share footprint is visible in CI logs.
 pub fn mem_signature(base: &RunReport, cur: &RunReport) -> String {
     let share = |run: &Measurement, class: StallClass| -> String {
         match &run.accounting {
@@ -256,7 +204,7 @@ pub fn mem_signature(base: &RunReport, cur: &RunReport) -> String {
             continue;
         }
         let b = base.metrics.histograms.iter().find(|x| x.name == h.name);
-        let col = |f: fn(&gpu_telemetry::HistogramSnapshot) -> u64| {
+        let col = |f: fn(&HistogramSnapshot) -> u64| {
             format!(
                 "{} -> {}",
                 b.map_or("-".to_string(), |x| f(x).to_string()),
@@ -266,8 +214,8 @@ pub fn mem_signature(base: &RunReport, cur: &RunReport) -> String {
         q.row(vec![
             h.name.clone(),
             col(|x| x.count),
-            col(|x| x.p50),
-            col(|x| x.p95),
+            col(|x| percentile_from_buckets(&x.buckets, x.count, 0.50)),
+            col(|x| percentile_from_buckets(&x.buckets, x.count, 0.95)),
             String::new(),
         ]);
     }
@@ -277,7 +225,8 @@ pub fn mem_signature(base: &RunReport, cur: &RunReport) -> String {
     out
 }
 
-/// Validates a report's accounting data for `profile check`:
+/// Validates a report's accounting data for `report check` and `report
+/// diff`:
 ///
 /// - every run carrying accounting satisfies the stall-sum invariant
 ///   ([`CycleAccounting::check`]) and accounts a nonzero residency;
@@ -320,6 +269,7 @@ pub fn check_report(report: &RunReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::compare_reports;
     use gpu_telemetry::{CuAccounting, StallWindow, STALL_CLASSES};
 
     fn acct(classes: [u64; STALL_CLASSES]) -> CycleAccounting {
@@ -439,21 +389,17 @@ mod tests {
             Some(acct([90, 0, 10, 0, 0, 0, 0, 0])),
             vec![],
         )]);
-        let mut cur = report(vec![run(
-            "full",
-            Some(acct([90, 0, 10, 0, 0, 0, 0, 0])),
-            vec![],
-        )]);
-        // 4% drift stays under a 5% bound, 8% does not.
-        cur.runs[0].sim_cycles = 104;
-        assert!(diff_reports(&base, &cur, 0.05).is_empty());
-        cur.runs[0].sim_cycles = 108;
-        let flagged = diff_reports(&base, &cur, 0.05);
-        assert_eq!(flagged.len(), 1, "{flagged:?}");
-        assert!(flagged[0].contains("cycles drifted"), "{flagged:?}");
-        // Drift in either direction is an error, not just slowdowns.
-        cur.runs[0].sim_cycles = 92;
-        assert_eq!(diff_reports(&base, &cur, 0.05).len(), 1);
+        assert!(compare_reports(&base, &base).is_empty());
+        // One cycle in either direction is a different result: there is
+        // no tolerance.
+        for cycles in [101, 99] {
+            let mut cur = base.clone();
+            cur.runs[0].sim_cycles = cycles;
+            assert_eq!(
+                compare_reports(&base, &cur),
+                [format!("fir / full: sim_cycles 100 -> {cycles}")]
+            );
+        }
     }
 
     #[test]
@@ -463,18 +409,32 @@ mod tests {
             Some(acct([90, 0, 10, 0, 0, 0, 0, 0])),
             vec![],
         )]);
-        let cur = report(vec![run(
-            "photon",
-            Some(acct([50, 0, 50, 0, 0, 0, 0, 0])),
-            vec![],
-        )]);
-        let flagged = diff_reports(&base, &cur, 0.05);
-        assert_eq!(flagged.len(), 1, "{flagged:?}");
-        assert!(flagged[0].contains("mem_pending"), "{flagged:?}");
-        // Within threshold: nothing flagged.
-        assert!(diff_reports(&base, &base, 0.05).is_empty());
-        // Issued moving is never flagged as a regression.
-        assert!(diff_reports(&cur, &base, 0.05).is_empty());
+        // One warp-cycle moved between two classes leaves every count
+        // and sum in place; it is still a different result, whichever
+        // way it moves (issued growing is no exception).
+        let moved = |from: StallClass, to: StallClass| {
+            let mut cur = base.clone();
+            let cu = &mut cur.runs[0].accounting.as_mut().unwrap().cus[0];
+            cu.classes[from.index()] -= 1;
+            cu.classes[to.index()] += 1;
+            cur
+        };
+        let cur = moved(StallClass::Issued, StallClass::MemPending);
+        assert!(check_report(&cur).is_empty());
+        let flagged = compare_reports(&base, &cur);
+        assert_eq!(
+            flagged[..2],
+            [
+                "fir / photon: accounting.issued 90 -> 89",
+                "fir / photon: accounting.mem_pending 10 -> 11",
+            ]
+        );
+        assert!(
+            flagged[2].starts_with("fir / photon: accounting.cus[0] "),
+            "{flagged:?}"
+        );
+        let cur = moved(StallClass::MemPending, StallClass::Issued);
+        assert_eq!(compare_reports(&base, &cur).len(), 3);
     }
 
     #[test]
@@ -504,6 +464,41 @@ mod tests {
         let s2 = mem_signature(&report(vec![]), &lone);
         assert!(s2.contains("pka"), "{s2}");
         assert!(s2.contains("- -> -"), "{s2}");
+    }
+
+    #[test]
+    fn mem_signature_recomputes_percentiles_from_buckets() {
+        let reg = gpu_telemetry::Registry::default();
+        reg.histogram("mem.l1v.queue_delay").record_n(40, 10);
+        let mut base = report(vec![]);
+        base.metrics.histograms = reg.snapshot().histograms;
+        let mut cur = base.clone();
+        // Same buckets, stored percentiles from an older rule.
+        base.metrics.histograms[0].p50 = 32;
+        base.metrics.histograms[0].p95 = 32;
+        let p = percentile_from_buckets(&cur.metrics.histograms[0].buckets, 10, 0.5);
+        cur.metrics.histograms[0].p50 = p + 1;
+        let s = mem_signature(&base, &cur);
+        let row = s
+            .lines()
+            .find(|l| l.contains("mem.l1v.queue_delay"))
+            .unwrap();
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            [
+                "mem.l1v.queue_delay",
+                "10",
+                "->",
+                "10",
+                &p.to_string(),
+                "->",
+                &p.to_string(),
+                &p.to_string(),
+                "->",
+                &p.to_string()
+            ],
+            "{s}"
+        );
     }
 
     #[test]

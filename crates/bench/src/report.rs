@@ -1,12 +1,13 @@
 //! Machine-readable run reports: the schema every benchmark run is
 //! recorded in (`results/BENCH_<app>.json`), assembled from harness
-//! measurements, rendered, and checked against committed baselines for
-//! the `report` binary. The check compares deterministic quantities
-//! only (see [`compare_reports`]); host time is measured and gated by
-//! the repo benchmark (`benchmark/README.md`).
+//! measurements, rendered, and compared for the `report` binary. Two
+//! reports hold the same simulated result when [`compare_reports`]
+//! finds no difference; host time is measured and gated by the repo
+//! benchmark (`benchmark/README.md`).
 
 use crate::harness::{results_dir, Measurement, RunOutcome, Table};
 use crate::persist::{self, LoadError};
+use crate::profile::check_report;
 use gpu_telemetry::{percentile_from_buckets, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -66,69 +67,52 @@ impl RunReport {
     pub fn reference(&self) -> Option<&Measurement> {
         self.run("Full").filter(|full| full.sim_cycles > 0)
     }
+
+    /// How `method` fared in this report: `completed`, `skipped:
+    /// <reason>` or `missing`.
+    fn status(&self, method: &str) -> String {
+        match (
+            self.run(method),
+            self.skipped.iter().find(|s| s.method == method),
+        ) {
+            (Some(_), _) => "completed".to_string(),
+            (None, Some(s)) => format!("skipped: {}", s.reason),
+            (None, None) => "missing".to_string(),
+        }
+    }
 }
 
-/// A difference between a baseline report and a current report that the
-/// `report check` tool flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Regression {
-    /// Workload the regression is in.
-    pub workload: String,
-    /// Method the regression is in.
-    pub method: String,
-    /// What regressed, human-readable.
-    pub what: String,
-}
-
-/// Compares `current` against `baseline` and returns every flagged
-/// difference: methods that disappeared or started failing, and any
-/// change — in either direction — of a deterministic [`Measurement`]
-/// field (`sim_cycles`, `detailed_insts`, `functional_insts`,
-/// `detailed_warps`, `predicted_warps`, `skipped_kernels`). Cycle error
-/// is a function of those fields, so it needs no rule of its own. Host
-/// time (`wall_secs`, hence speedup) is not compared: it is measured
-/// and gated by the repo benchmark, on one host, in pairs. An
-/// improvement is flagged too — accepting it is a visible edit of the
-/// committed baseline, never a silent pass.
-pub fn compare_reports(baseline: &RunReport, current: &RunReport) -> Vec<Regression> {
-    let mut out = Vec::new();
-    let mut flag = |method: &str, what: String| {
-        out.push(Regression {
-            workload: current.workload.clone(),
-            method: method.to_string(),
-            what,
-        });
-    };
-    for base in &baseline.runs {
-        let Some(cur) = current.run(&base.method) else {
-            let detail = current
-                .skipped
-                .iter()
-                .find(|s| s.method == base.method)
-                .map(|s| format!("now skipped: {}", s.reason))
-                .unwrap_or_else(|| "missing from current report".to_string());
-            flag(&base.method, detail);
-            continue;
-        };
-        for (field, was, now) in [
-            ("sim_cycles", base.sim_cycles, cur.sim_cycles),
-            ("detailed_insts", base.detailed_insts, cur.detailed_insts),
-            (
-                "functional_insts",
-                base.functional_insts,
-                cur.functional_insts,
-            ),
-            ("detailed_warps", base.detailed_warps, cur.detailed_warps),
-            ("predicted_warps", base.predicted_warps, cur.predicted_warps),
-            (
-                "skipped_kernels",
-                base.skipped_kernels as u64,
-                cur.skipped_kernels as u64,
-            ),
-        ] {
-            if was != now {
-                flag(&base.method, format!("{field} {was} -> {now}"));
+/// Compares `current` with `baseline` run by run, pairing runs by
+/// method in both directions, and returns every difference as
+/// `workload / method: what`. A method that did not complete on both
+/// sides — missing from one, or skipped on either — is flagged; a pair
+/// that did is held to [`Measurement::differences`], which compares
+/// every field but host time. An improvement is flagged too: accepting
+/// it is a visible edit of the committed baseline, never a silent pass.
+pub fn compare_reports(baseline: &RunReport, current: &RunReport) -> Vec<String> {
+    let mut methods: Vec<&str> = Vec::new();
+    for report in [baseline, current] {
+        let completed = report.runs.iter().map(|r| r.method.as_str());
+        for method in completed.chain(report.skipped.iter().map(|s| s.method.as_str())) {
+            if !methods.contains(&method) {
+                methods.push(method);
             }
+        }
+    }
+    let mut out = Vec::new();
+    for method in methods {
+        let tag = format!("{} / {method}", current.workload);
+        match (baseline.run(method), current.run(method)) {
+            (Some(base), Some(cur)) => out.extend(
+                base.differences(cur)
+                    .into_iter()
+                    .map(|d| format!("{tag}: {d}")),
+            ),
+            _ => out.push(format!(
+                "{tag}: {} -> {}",
+                baseline.status(method),
+                current.status(method)
+            )),
         }
     }
     out
@@ -383,25 +367,27 @@ pub fn gauge_summary(reports: &[RunReport]) -> Table {
     t
 }
 
-/// Checks every current report that has a stored baseline
-/// (`results/baselines/BENCH_<workload>.json`) and returns the flagged
-/// differences. Reports without a baseline are ignored. Baselines are
-/// committed inputs: one that exists but does not load is itself a
-/// flagged regression, and the file is never moved.
-pub fn check_against_baselines(current: &[RunReport], baseline_dir: &Path) -> Vec<Regression> {
+/// `report check` over the loaded `results/BENCH_*.json` reports:
+/// every report must pass [`check_report`]'s accounting invariants, and
+/// one with a committed baseline (`baseline_dir/BENCH_<workload>.json`)
+/// must be the same simulated result ([`compare_reports`]). Returns
+/// every problem found; no report at all is one, not a vacuous pass.
+/// Baselines are committed inputs: one that exists but does not load is
+/// flagged, and the file is never moved.
+pub fn check_reports(current: &[RunReport], baseline_dir: &Path) -> Vec<String> {
+    if current.is_empty() {
+        return vec!["no BENCH_*.json run reports to check; run `report smoke` first".to_string()];
+    }
     let mut out = Vec::new();
     for cur in current {
+        out.extend(check_report(cur));
         let base_path = baseline_dir.join(format!("BENCH_{}.json", cur.workload));
         if !base_path.exists() {
             continue;
         }
         match load_report(&base_path) {
             Ok(base) => out.extend(compare_reports(&base, cur)),
-            Err(e) => out.push(Regression {
-                workload: cur.workload.clone(),
-                method: "-".to_string(),
-                what: format!("unreadable baseline: {e}"),
-            }),
+            Err(e) => out.push(format!("{}: unreadable baseline: {e}", cur.workload)),
         }
     }
     out
@@ -410,6 +396,7 @@ pub fn check_against_baselines(current: &[RunReport], baseline_dir: &Path) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_telemetry::{BbErrorRow, CuAccounting, CycleAccounting};
 
     fn meas(method: &str, cycles: u64, wall: f64) -> Measurement {
         Measurement {
@@ -424,8 +411,21 @@ mod tests {
             predicted_warps: if method == "Full" { 0 } else { 90 },
             skipped_kernels: 0,
             kernel_cycles: vec![cycles],
-            accounting: None,
-            bb_errors: vec![],
+            // Balanced: every resident warp-cycle issued.
+            accounting: Some(CycleAccounting {
+                cycles,
+                window: 64,
+                cus: vec![CuAccounting {
+                    classes: [cycles, 0, 0, 0, 0, 0, 0, 0],
+                    resident_warp_cycles: cycles,
+                }],
+                ..CycleAccounting::default()
+            }),
+            bb_errors: vec![BbErrorRow {
+                kernel: "fir".into(),
+                instances: 1,
+                ..BbErrorRow::default()
+            }],
         }
     }
 
@@ -524,10 +524,10 @@ mod tests {
         for cycles in [999, 1001] {
             let mut cur = base.clone();
             cur.runs[1].sim_cycles = cycles;
-            let regs = compare_reports(&base, &cur);
-            assert_eq!(regs.len(), 1, "{regs:?}");
-            assert_eq!(regs[0].method, "photon");
-            assert_eq!(regs[0].what, format!("sim_cycles 1000 -> {cycles}"));
+            assert_eq!(
+                compare_reports(&base, &cur),
+                [format!("fir / photon: sim_cycles 1000 -> {cycles}")]
+            );
         }
         // Each compared field is reported on its own line.
         let mut cur = base.clone();
@@ -536,37 +536,42 @@ mod tests {
         cur.runs[1].detailed_warps = 8;
         cur.runs[1].predicted_warps = 56;
         cur.runs[1].skipped_kernels = 1;
-        let whats: Vec<String> = compare_reports(&base, &cur)
-            .into_iter()
-            .map(|r| r.what)
-            .collect();
         assert_eq!(
-            whats,
+            compare_reports(&base, &cur),
             [
-                "detailed_insts 100 -> 90",
-                "functional_insts 0 -> 10",
-                "detailed_warps 64 -> 8",
-                "predicted_warps 0 -> 56",
-                "skipped_kernels 0 -> 1",
+                "fir / photon: detailed_insts 100 -> 90",
+                "fir / photon: functional_insts 0 -> 10",
+                "fir / photon: detailed_warps 64 -> 8",
+                "fir / photon: predicted_warps 0 -> 56",
+                "fir / photon: skipped_kernels 0 -> 1",
             ]
         );
     }
 
     #[test]
     fn missing_and_now_skipped_methods_are_flagged() {
-        let base = report(vec![run("full"), run("photon"), run("pka")]);
-        let mut cur = report(vec![run("full")]);
-        cur.skipped.push(SkippedRun {
-            method: "pka".to_string(),
+        let skip = |method: &str| SkippedRun {
+            method: method.to_string(),
             reason: "panicked: boom".to_string(),
             error: String::new(),
-        });
-        let regs = compare_reports(&base, &cur);
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert_eq!(regs[0].method, "photon");
-        assert_eq!(regs[0].what, "missing from current report");
-        assert_eq!(regs[1].method, "pka");
-        assert_eq!(regs[1].what, "now skipped: panicked: boom");
+        };
+        let mut base = report(vec![run("full"), run("photon"), run("pka")]);
+        base.skipped.push(skip("sieve"));
+        let mut cur = report(vec![run("full"), run("tbpoint")]);
+        cur.skipped.push(skip("pka"));
+        cur.skipped.push(skip("sieve"));
+        // Runs pair by method in both directions: one that is new in
+        // the current report is flagged as surely as one that went
+        // missing, and a method skipped on both sides is no pass.
+        assert_eq!(
+            compare_reports(&base, &cur),
+            [
+                "fir / photon: completed -> missing",
+                "fir / pka: completed -> skipped: panicked: boom",
+                "fir / sieve: skipped: panicked: boom -> skipped: panicked: boom",
+                "fir / tbpoint: missing -> completed",
+            ]
+        );
     }
 
     #[test]
@@ -665,10 +670,10 @@ mod tests {
         // leaves it.
         std::fs::write(dir.join("BENCH_fir.json"), &text[..text.len() / 2]).unwrap();
 
-        let regs = check_against_baselines(std::slice::from_ref(&report), &dir);
+        let regs = check_reports(std::slice::from_ref(&report), &dir);
         assert_eq!(regs.len(), 1, "{regs:?}");
         assert!(
-            regs[0].what.starts_with("unreadable baseline: "),
+            regs[0].starts_with("fir: unreadable baseline: "),
             "{regs:?}"
         );
         assert_eq!(names_in(&dir), ["BENCH_fir.json"]);
@@ -678,7 +683,24 @@ mod tests {
         std::fs::write(dir.join("BENCH_fir.json"), &text).unwrap();
         let mut other = report.clone();
         other.workload = "spmv".into();
-        assert!(check_against_baselines(&[report, other], &dir).is_empty());
+        assert!(check_reports(&[report.clone(), other], &dir).is_empty());
+
+        // Against the baseline, a changed count fails; so does a report
+        // that breaks the accounting invariants with no baseline at all,
+        // and so does finding no report to check.
+        let mut moved = report.clone();
+        moved.runs[0].sim_cycles += 1;
+        assert_eq!(
+            check_reports(&[moved], &dir),
+            ["fir / Full: sim_cycles 1000 -> 1001"]
+        );
+        let mut unbalanced = report;
+        unbalanced.workload = "spmv".into();
+        unbalanced.runs[0].accounting.as_mut().unwrap().cus[0].resident_warp_cycles += 1;
+        let regs = check_reports(&[unbalanced], &dir);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].starts_with("spmv / Full: cu 0:"), "{regs:?}");
+        assert_eq!(check_reports(&[], &dir).len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -78,21 +78,34 @@ fn reason_of(outcome: &RunOutcome) -> &str {
     }
 }
 
-/// The wall-clock-free signature used for cross-job-count comparisons:
-/// everything that must be bit-identical between `--jobs 1` and
-/// `--jobs N`.
-fn signature(outcome: &RunOutcome) -> String {
-    match outcome {
-        RunOutcome::Completed(m) => format!(
-            "ok:{}:{}:{}:{}:{}",
-            m.sim_cycles, m.detailed_insts, m.functional_insts, m.detailed_warps, m.skipped_kernels
-        ),
-        RunOutcome::Skipped {
-            reason,
-            error,
-            failure,
-            ..
-        } => format!("skip:{reason}:{error:?}:{failure:?}"),
+/// Whether two outcomes of one spec must be taken as the same under
+/// `--jobs 1` and `--jobs N`: completed runs are the same simulated
+/// result, skips the same reason, error and failure kind.
+fn same_outcome(a: &RunOutcome, b: &RunOutcome) -> Result<(), String> {
+    match (a, b) {
+        (RunOutcome::Completed(a), RunOutcome::Completed(b)) => {
+            let differences = a.differences(b);
+            if differences.is_empty() {
+                Ok(())
+            } else {
+                Err(differences.join("; "))
+            }
+        }
+        (
+            RunOutcome::Skipped {
+                reason,
+                error,
+                failure,
+                ..
+            },
+            RunOutcome::Skipped {
+                reason: r,
+                error: e,
+                failure: f,
+                ..
+            },
+        ) if (reason, error, failure) == (r, e, f) => Ok(()),
+        _ => Err(format!("{a:?} vs {b:?}")),
     }
 }
 
@@ -351,17 +364,15 @@ fn fault_decisions_are_identical_across_job_counts() {
     o.jobs = 4;
     let parallel = run_specs(&grid, &o);
 
-    let s: Vec<String> = serial
-        .results
-        .iter()
-        .map(|r| signature(&r.outcome))
-        .collect();
-    let p: Vec<String> = parallel
-        .results
-        .iter()
-        .map(|r| signature(&r.outcome))
-        .collect();
-    assert_eq!(s, p, "jobs=1 and jobs=4 diverged under the same fault seed");
+    assert_eq!(serial.results.len(), parallel.results.len());
+    for (s, p) in serial.results.iter().zip(&parallel.results) {
+        if let Err(e) = same_outcome(&s.outcome, &p.outcome) {
+            panic!(
+                "{}: jobs=1 and jobs=4 diverged under the same fault seed: {e}",
+                s.spec.label()
+            );
+        }
+    }
     assert_eq!(serial.stats.retried, parallel.stats.retried);
     assert!(
         serial.results.iter().any(|r| r.measurement().is_none()),

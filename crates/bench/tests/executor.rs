@@ -7,8 +7,8 @@ use photon::Levels;
 use photon_bench::cli::force_traced_run;
 use photon_bench::specs::DEFAULT_SEED;
 use photon_bench::{
-    parallel_map, reference_key, resolve_spec, run_specs, ExecOptions, FailureKind, Measurement,
-    Method, RefCache, RunOutcome, RunSpec,
+    parallel_map, reference_key, resolve_spec, run_specs, ExecOptions, FailureKind, Method,
+    RefCache, RunOutcome, RunSpec,
 };
 
 fn grid() -> Vec<RunSpec> {
@@ -30,23 +30,6 @@ fn opts(jobs: usize) -> ExecOptions {
     }
 }
 
-/// Everything a measurement determines except wall-clock time.
-fn deterministic_view(m: &Measurement) -> impl PartialEq + std::fmt::Debug {
-    (
-        m.workload.clone(),
-        m.method.clone(),
-        m.warps,
-        (
-            m.sim_cycles,
-            m.detailed_insts,
-            m.functional_insts,
-            m.detailed_warps,
-            m.predicted_warps,
-        ),
-        (m.skipped_kernels, m.kernel_cycles.clone()),
-    )
-}
-
 #[test]
 fn jobs_1_and_jobs_4_are_bit_identical() {
     let specs = grid();
@@ -59,12 +42,11 @@ fn jobs_1_and_jobs_4_are_bit_identical() {
             a.measurement().expect("sequential run completed"),
             b.measurement().expect("parallel run completed"),
         );
-        // sim cycles, per-kernel cycles, and every controller decision
-        // (sampled vs detailed warps, skipped kernels) must match
-        assert_eq!(
-            deterministic_view(ma),
-            deterministic_view(mb),
-            "{} diverged between --jobs 1 and --jobs 4",
+        // the same simulated result: every field but wall-clock time
+        let differences = ma.differences(mb);
+        assert!(
+            differences.is_empty(),
+            "{} diverged between --jobs 1 and --jobs 4: {differences:?}",
             a.spec.label()
         );
         // the run's own telemetry counters are part of the contract too
@@ -91,8 +73,8 @@ fn identical_specs_are_simulated_once() {
     let m0 = report.results[0].measurement().unwrap();
     for r in &report.results[1..] {
         assert_eq!(
-            m0.sim_cycles,
-            r.measurement().unwrap().sim_cycles,
+            m0.differences(r.measurement().unwrap()),
+            Vec::<String>::new(),
             "deduped copies answer with the executed measurement"
         );
         // aliases carry no telemetry, so merging every result's metrics
@@ -193,10 +175,8 @@ fn engine_threads_do_not_leak_into_the_cache_key() {
         two.results[0].spec, spec,
         "the spec is reported as submitted"
     );
-    assert_eq!(
-        one.results[0].measurement().unwrap().sim_cycles,
-        two.results[0].measurement().unwrap().sim_cycles
-    );
+    let (one, two) = (one.results[0].measurement(), two.results[0].measurement());
+    assert_eq!(one.unwrap().differences(two.unwrap()), Vec::<String>::new());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -212,10 +192,8 @@ fn resolving_the_same_full_spec_twice_simulates_once() {
     let second = resolve_spec(&spec, &opts(1), &cache, None);
     assert_eq!((second.simulations, second.from_cache), (0, true));
     assert!(second.metrics.counters.is_empty() && second.trace.events.is_empty());
-    assert_eq!(
-        first.outcome.measurement().unwrap().sim_cycles,
-        second.outcome.measurement().unwrap().sim_cycles
-    );
+    let (a, b) = (first.outcome.measurement(), second.outcome.measurement());
+    assert_eq!(a.unwrap().differences(b.unwrap()), Vec::<String>::new());
     // Sampled methods are never cached: each call simulates.
     let photon = RunSpec {
         method: Method::Photon(Levels::all()),

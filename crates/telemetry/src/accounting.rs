@@ -4,7 +4,7 @@
 //! reports.
 //!
 //! The load-bearing invariant (asserted by [`CycleAccounting::check`],
-//! a sim test, and `profile check`): for every CU, the stall-class
+//! a sim test, and `report check`): for every CU, the stall-class
 //! counts sum **exactly** to the CU's resident warp-cycles — each
 //! cycle a warp is resident on a CU lands in exactly one class. The
 //! engine attributes spans at event boundaries (never per-cycle ticks),

@@ -12,10 +12,10 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Version stamped into exported traces and reports; bump on any
-/// incompatible change to the event vocabulary or report schema.
-/// Version 2 added the cycle-accounting counter tracks
-/// ([`EventKind::StallSample`], [`EventKind::OccupancySample`]).
+/// Version stamped into exported Chrome traces (run reports carry
+/// `REPORT_SCHEMA_VERSION`); bump on any incompatible change to the
+/// event vocabulary. Version 2 added the cycle-accounting counter
+/// tracks ([`EventKind::StallSample`], [`EventKind::OccupancySample`]).
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Execution mode a workgroup was dispatched in (mirror of the
