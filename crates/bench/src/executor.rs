@@ -1,7 +1,7 @@
 //! The parallel experiment executor. [`resolve_spec`] is the one way a
-//! [`RunSpec`] gets answered — reference-cache hit, join of a
-//! concurrent identical run, or a simulation behind the guardrails —
-//! and [`run_specs`] maps it over a grid on [`parallel_map`]'s pool.
+//! [`RunSpec`] gets answered — reference-cache hit or a simulation
+//! behind the guardrails — and [`run_specs`] maps it over a grid on
+//! [`parallel_map`]'s pool.
 //!
 //! ## Job model
 //!
@@ -29,7 +29,7 @@ use gpu_telemetry::{MetricsSnapshot, Telemetry, TraceLog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// How an executor invocation runs: worker count, per-run timeout,
@@ -42,7 +42,7 @@ pub struct ExecOptions {
     pub timeout: Duration,
     /// Whether completed `Method::Full` runs are served from / stored
     /// to the persistent reference cache (`--no-cache` disables it;
-    /// in-process deduplication still applies).
+    /// `run_specs` still simulates equal specs once).
     pub cache: bool,
     /// Cache directory override; `None` means `results/cache/`. Tests
     /// point this at a temp directory so parallel test binaries never
@@ -53,12 +53,10 @@ pub struct ExecOptions {
     /// load.
     pub trace_capacity: usize,
     /// Extra attempts granted to a run whose failure is
-    /// [`FailureKind::Transient`] (panics, timeouts). Permanent
-    /// failures never retry.
+    /// [`FailureKind::Transient`] (panics, timeouts), after a backoff
+    /// of 50 ms that doubles per attempt. Permanent failures never
+    /// retry.
     pub retries: u32,
-    /// Base delay before the first retry; doubles per attempt, capped
-    /// at one second.
-    pub retry_backoff: Duration,
     /// Run-journal path (`--resume` reads it; every completed spec
     /// appends to it). `None` disables journaling — the default for
     /// library/test use; the CLI turns it on at `results/journal.jsonl`.
@@ -90,7 +88,6 @@ impl Default for ExecOptions {
             cache_dir: None,
             trace_capacity: 0,
             retries: 2,
-            retry_backoff: Duration::from_millis(50),
             journal: None,
             resume: false,
             engine_mode: None,
@@ -120,9 +117,8 @@ impl ExecOptions {
         spec
     }
 
-    /// The reference cache `cache` / `cache_dir` ask for: persistent
-    /// under the directory, or memory-only (entries still deduplicate
-    /// and coalesce within the process).
+    /// The reference cache `cache` / `cache_dir` ask for: the
+    /// directory, or a cache with none (every lookup misses).
     pub fn ref_cache(&self) -> RefCache {
         if self.cache {
             RefCache::persistent(self.cache_dir.clone().unwrap_or_else(RefCache::default_dir))
@@ -131,6 +127,10 @@ impl ExecOptions {
         }
     }
 }
+
+/// Delay before the first retry of a transient failure; it doubles per
+/// attempt, capped at one second.
+const RETRY_BACKOFF: Duration = Duration::from_millis(50);
 
 /// The default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
@@ -240,8 +240,8 @@ pub struct Resolution {
     pub metrics: MetricsSnapshot,
     /// The run's event trace (empty unless tracing was on and it ran).
     pub trace: TraceLog,
-    /// True when the reference cache (memory, disk, or a concurrent
-    /// identical run that completed) answered instead of a simulation.
+    /// True when the reference cache's directory answered instead of a
+    /// simulation.
     pub from_cache: bool,
     /// Simulations performed: 0 for a cache hit or a journal replay,
     /// else 1 (however many attempts it took — see `retries`).
@@ -383,8 +383,6 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
     for (name, n) in [
         ("refcache.quarantined", cache_stats.quarantined),
         ("refcache.evicted", cache_stats.disk_evicted),
-        ("refcache.mem_evicted", cache_stats.memory.evicted),
-        ("refcache.coalesced", cache_stats.memory.coalesced),
     ] {
         exec_tel.counter(name).add(n);
     }
@@ -398,16 +396,12 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
 /// Answers one spec — the only path from a [`RunSpec`] to a simulation:
 /// [`run_specs`] maps it over a grid, `photon-serve` calls it per job.
 ///
-/// A `Method::Full` spec is single-flighted through `cache`: a hit
-/// answers from memory/disk, a miss leads the simulation (the completed
-/// measurement is stored before followers wake), and a concurrent
-/// identical computation — another worker, or another executor sharing
-/// this cache instance — is joined, not repeated. A follower whose
-/// leader failed runs the spec itself, so every caller gets a
-/// first-hand outcome and a failure is never served from the cache.
-/// The probe is a `cache-probe` span ("hit" / "miss") under the caller's
-/// current trace context. Sampled methods always simulate. `telemetry`
-/// is [`run_spec_observed`]'s live registry.
+/// A `Method::Full` spec is first looked up in `cache`'s directory; a
+/// miss simulates, and a completed measurement is stored there. The
+/// lookup is a `cache-probe` span ("hit" / "miss") under the caller's
+/// current trace context. A failed run stores nothing, so a failure is
+/// never served from the cache. Sampled methods always simulate.
+/// `telemetry` is [`run_spec_observed`]'s live registry.
 pub fn resolve_spec(
     spec: &RunSpec,
     opts: &ExecOptions,
@@ -417,30 +411,22 @@ pub fn resolve_spec(
     if spec.method != Method::Full {
         return run_spec_observed(spec, opts, telemetry);
     }
+    let key = reference_key(spec);
     let workload = spec.workload.name();
     let probe = span::current().map(|ctx| span::guard(ctx, SpanKind::CacheProbe, &workload));
-    let mut led: Option<Resolution> = None;
-    let (cached, _origin) = cache.get_or_compute_full(reference_key(spec), &workload, || {
-        let run = run_spec_observed(spec, opts, telemetry);
-        let measurement = run.outcome.measurement().cloned();
-        led = Some(run);
-        measurement
-    });
+    let cached = cache.lookup(key);
     if let Some(probe) = probe {
-        let hit = led.is_none() && cached.is_some();
-        probe.finish(true, if hit { "hit" } else { "miss" });
+        probe.finish(true, if cached.is_some() { "hit" } else { "miss" });
     }
-    match (led, cached) {
-        (Some(run), _) => run,
-        // The one copy a cached reference costs: the outcome owns its
-        // measurement, the cache keeps sharing its own.
-        (None, Some(m)) => Resolution::answered(
-            RunOutcome::Completed(Arc::unwrap_or_clone(m)),
-            MetricsSnapshot::default(),
-            true,
-        ),
-        (None, None) => run_spec_observed(spec, opts, telemetry),
+    if let Some(m) = cached {
+        let outcome = RunOutcome::Completed(m);
+        return Resolution::answered(outcome, MetricsSnapshot::default(), true);
     }
+    let run = run_spec_observed(spec, opts, telemetry);
+    if let Some(m) = run.outcome.measurement() {
+        cache.store(key, &workload, m);
+    }
+    run
 }
 
 /// Simulates one spec with the full guardrail + retry stack: a panic or
@@ -466,8 +452,7 @@ pub fn run_spec_observed(
         match out.0.failure() {
             Some(FailureKind::Transient) if attempt < opts.retries => {
                 attempt += 1;
-                let backoff = opts
-                    .retry_backoff
+                let backoff = RETRY_BACKOFF
                     .saturating_mul(1u32 << (attempt - 1).min(16))
                     .min(Duration::from_secs(1));
                 std::thread::sleep(backoff);

@@ -32,9 +32,9 @@
 //! budgets — are never journaled, so `--resume` retries them.
 
 use crate::harness::RunOutcome;
-use crate::specs::RunSpec;
-use gpu_isa::{fnv1a, fnv1a_extend, isa_fingerprint};
+use crate::specs::{spec_key, RunSpec};
 use gpu_telemetry::faults::{self, FaultSite};
+use gpu_telemetry::span::parse_job_hex;
 use gpu_telemetry::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -52,9 +52,7 @@ pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
 /// method.
 pub fn journal_key(spec: &RunSpec) -> u64 {
     let spec_json = serde_json::to_string(spec).unwrap_or_default();
-    let mut h = fnv1a(&JOURNAL_SCHEMA_VERSION.to_le_bytes());
-    h = fnv1a_extend(h, &isa_fingerprint().to_le_bytes());
-    fnv1a_extend(h, spec_json.as_bytes())
+    spec_key(JOURNAL_SCHEMA_VERSION, &[spec_json.as_bytes()])
 }
 
 /// One journal line: the completed spec's outcome plus the run's
@@ -95,8 +93,8 @@ pub fn load_journal(path: &Path) -> JournalLoad {
     };
     out.corrupt_lines = corrupt;
     for entry in entries {
-        match u64::from_str_radix(&entry.key, 16) {
-            Ok(key) if entry.schema_version == JOURNAL_SCHEMA_VERSION => {
+        match parse_job_hex(&entry.key) {
+            Some(key) if entry.schema_version == JOURNAL_SCHEMA_VERSION => {
                 out.entries.insert(key, entry);
             }
             _ => out.corrupt_lines += 1,
@@ -302,6 +300,28 @@ mod tests {
         let load = load_journal(&path);
         assert_eq!(load.entries.len(), 0);
         assert_eq!(load.corrupt_lines, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_crc_valid_line_with_a_short_or_signed_key_is_corrupt() {
+        let path = temp_journal();
+        let mut text = String::new();
+        for key in ["abc", "+00000000000abcd", "0000000000000007"] {
+            let entry = JournalEntry {
+                schema_version: JOURNAL_SCHEMA_VERSION,
+                key: key.to_string(),
+                label: "fir/Full".into(),
+                outcome: RunOutcome::Completed(meas()),
+                metrics: MetricsSnapshot::default(),
+            };
+            let json = serde_json::to_string(&entry).unwrap();
+            text.push_str(&crate::persist::frame_line(&json));
+        }
+        std::fs::write(&path, text).unwrap();
+        let load = load_journal(&path);
+        assert_eq!(load.corrupt_lines, 2);
+        assert_eq!(load.entries.keys().collect::<Vec<_>>(), [&7]);
         std::fs::remove_file(&path).ok();
     }
 

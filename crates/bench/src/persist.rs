@@ -32,6 +32,7 @@
 //!   never renamed.
 
 use gpu_isa::fnv1a;
+use gpu_telemetry::span::parse_job_hex;
 use serde::Deserialize;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -90,7 +91,8 @@ fn split_frame(text: &str) -> Result<(&str, bool), String> {
 }
 
 /// Parses a footer line `{"photon_checksum":"<16 hex>"}`, tolerating
-/// whitespace variations but nothing else.
+/// whitespace variations but nothing else: the checksum is exactly 16
+/// ASCII hex digits, no sign (the job-id codec).
 fn parse_footer(line: &str) -> Option<u64> {
     let inner = line.strip_prefix('{')?.strip_suffix('}')?.trim();
     let rest = inner
@@ -98,11 +100,7 @@ fn parse_footer(line: &str) -> Option<u64> {
         .trim_start()
         .strip_prefix(':')?
         .trim();
-    let hex = rest.strip_prefix('"')?.strip_suffix('"')?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    parse_job_hex(rest.strip_prefix('"')?.strip_suffix('"')?)
 }
 
 /// Why a stored record did not load. The three cases call for three
@@ -375,6 +373,26 @@ mod tests {
         assert!(parse_footer("{\"photon_checksum\":\"123\"}").is_none());
         assert!(parse_footer("{\"other\":\"0123456789abcdef\"}").is_none());
         assert!(parse_footer("not json").is_none());
+    }
+
+    #[test]
+    fn a_signed_footer_vouches_for_nothing() {
+        // A payload whose checksum's top hex digit is 0, so that `+`
+        // and its other 15 digits spell the checksum in 16 characters.
+        let (payload, sum) = (0u32..)
+            .map(|i| format!("{{\"v\": {i}}}"))
+            .map(|p| {
+                let sum = fnv1a(p.as_bytes());
+                (p, sum)
+            })
+            .find(|(_, sum)| sum >> 60 == 0)
+            .expect("one in sixteen payloads qualifies");
+        let signed = format!("{payload}\n{{\"{FOOTER_KEY}\":\"+{sum:015x}\"}}\n");
+        assert_eq!(split_frame(&signed), Ok((signed.as_str(), false)));
+        // The same checksum unsigned verifies.
+        let framed = frame(&payload);
+        assert!(framed.contains(&format!("0{sum:015x}")));
+        assert_eq!(split_frame(&framed), Ok((payload.as_str(), true)));
     }
 
     #[test]

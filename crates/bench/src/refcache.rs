@@ -1,20 +1,13 @@
-//! The content-addressed reference cache: an LRU-bounded,
-//! concurrency-safe store with single-flight deduplication — the
-//! storage layer behind both the parallel executor and `photon-serve`.
+//! The content-addressed reference cache: completed full-detailed
+//! measurements persisted under `results/cache/`, one file per key.
 //!
-//! ## Layering
-//!
-//! * [`LruStore`] — the generic in-memory core: one mutex around one
-//!   map keyed by `u64` content hashes, recency-stamped LRU eviction
-//!   under a byte budget, and a single-flight table so concurrent
-//!   computations of the same key coalesce onto one leader. Sized to
-//!   its traffic: the busiest serve workload makes a few thousand
-//!   operations a second, each a map probe and an `Arc` clone.
-//! * [`RefCache`] — the full-detailed reference cache built on top: an
-//!   `LruStore<Arc<Measurement>>` (a hit is a pointer copy) plus
-//!   crash-safe disk persistence under `results/cache/`
-//!   ([`crate::persist`] atomic writes with checksum footers) and a
-//!   byte-budgeted disk directory with oldest-mtime eviction.
+//! [`RefCache`] is that directory and nothing else: a lookup reads and
+//! validates the entry file, a store writes it ([`crate::persist`]
+//! atomic writes with checksum footers) and re-bounds the directory by
+//! deleting its oldest-mtime entries. Nothing is held in memory; within
+//! one process, `run_specs` deduplicates equal specs and `photon-serve`
+//! answers repeated jobs from its own store before either asks the
+//! cache.
 //!
 //! ## Key definition
 //!
@@ -36,21 +29,18 @@
 //! `<key>.json.corrupt` — so the next warm run recomputes silently
 //! instead of re-warning about the same corpse forever. Quarantines are
 //! counted ([`CacheStats::quarantined`]) and surface as the
-//! `refcache.quarantined` telemetry counter in executor reports.
-//! A leader whose computation fails publishes the failure to its
-//! followers (they see `None`) and caches nothing, so a transient
-//! failure never poisons the store.
+//! `refcache.quarantined` telemetry counter in executor reports. Only
+//! completed measurements are stored, so a failed run never poisons
+//! the cache.
 
 use crate::harness::Measurement;
 use crate::persist::{self, LoadError};
-use crate::specs::RunSpec;
-use gpu_isa::{fnv1a, fnv1a_extend, isa_fingerprint};
+use crate::specs::{spec_key, RunSpec};
+use gpu_isa::isa_fingerprint;
 use gpu_telemetry::faults::{self, FaultSite};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Bumped whenever the entry layout or the key derivation changes;
 /// entries persisted under any other version are recomputed.
@@ -58,9 +48,6 @@ use std::sync::{Arc, Condvar, Mutex};
 /// rows; `bb_errors` is not `#[serde(default)]`, so a version-1 entry
 /// cannot deserialize and must be recomputed.
 pub const CACHE_SCHEMA_VERSION: u32 = 2;
-
-/// Default in-memory byte budget (64 MiB).
-pub const DEFAULT_MEM_BUDGET: u64 = 64 * 1024 * 1024;
 
 /// Default on-disk byte budget for `results/cache/` (256 MiB).
 pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
@@ -73,245 +60,20 @@ pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 pub fn reference_key(spec: &RunSpec) -> u64 {
     let workload = serde_json::to_string(&spec.workload).unwrap_or_default();
     let gpu = serde_json::to_string(&spec.gpu).unwrap_or_default();
-    let mut h = fnv1a(&CACHE_SCHEMA_VERSION.to_le_bytes());
-    h = fnv1a_extend(h, &isa_fingerprint().to_le_bytes());
-    h = fnv1a_extend(h, workload.as_bytes());
-    h = fnv1a_extend(h, gpu.as_bytes());
-    fnv1a_extend(h, &spec.seed.to_le_bytes())
-}
-
-/// Where a [`RefCache::get_or_compute_full`] (or
-/// [`LruStore::join_or_lead`], which never answers `Hit`) answer came
-/// from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Origin {
-    /// Served from the store (memory or disk) without waiting.
-    Hit,
-    /// This caller led the computation.
-    Miss,
-    /// Coalesced onto a concurrent identical computation and received
-    /// the leader's result.
-    Coalesced,
-}
-
-/// Counters describing what a store (or cache) has done so far. All
-/// monotonic except `entries`/`bytes`, which are the current residency.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct StoreStats {
-    /// In-memory lookups answered.
-    pub hits: u64,
-    /// In-memory lookups missed.
-    pub misses: u64,
-    /// Callers that coalesced onto an in-flight computation.
-    pub coalesced: u64,
-    /// Entries evicted from memory by the LRU byte budget.
-    pub evicted: u64,
-    /// Entries refused because they alone exceed the whole budget.
-    pub rejected: u64,
-    /// Entries currently resident in memory.
-    pub entries: u64,
-    /// Bytes currently resident in memory (as sized at insert).
-    pub bytes: u64,
-}
-
-struct Entry<V> {
-    value: V,
-    bytes: u64,
-    stamp: u64,
-}
-
-/// One in-flight computation: followers block on the condvar until the
-/// leader publishes. `None` means the leader's computation failed —
-/// followers must handle the miss themselves.
-struct Flight<V> {
-    slot: Mutex<(bool, Option<V>)>,
-    cv: Condvar,
-}
-
-/// Everything the store's one lock guards.
-struct Inner<V> {
-    map: HashMap<u64, Entry<V>>,
-    inflight: HashMap<u64, Arc<Flight<V>>>,
-    /// Recency clock: every get and insert takes the next stamp.
-    clock: u64,
-    /// Counters and residency; `entries` is filled in at read time.
-    stats: StoreStats,
-}
-
-/// The LRU-bounded, single-flight in-memory store.
-///
-/// Values are cloned out on every hit, so `V` should be an `Arc` (both
-/// users' are). The byte budget is enforced over the whole store: the
-/// residency never exceeds it, the eviction victim is always the least
-/// recently used entry of the store, and an entry is refused only when
-/// it alone exceeds the budget.
-pub struct LruStore<V> {
-    inner: Mutex<Inner<V>>,
-    budget: u64,
-}
-
-impl<V> std::fmt::Debug for LruStore<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LruStore")
-            .field("budget", &self.budget)
-            .finish()
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl<V: Clone> LruStore<V> {
-    /// A store under a total byte `budget` (at least 1).
-    pub fn new(budget: u64) -> LruStore<V> {
-        LruStore {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                inflight: HashMap::new(),
-                clock: 0,
-                stats: StoreStats::default(),
-            }),
-            budget: budget.max(1),
-        }
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<V> {
-        let mut guard = lock(&self.inner);
-        let inner = &mut *guard;
-        inner.clock += 1;
-        match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.stamp = inner.clock;
-                inner.stats.hits += 1;
-                Some(e.value.clone())
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts `value` under `key` at an accounted size of `bytes`,
-    /// evicting least-recently-used entries until the store is back
-    /// under budget. A value that alone exceeds the budget is not
-    /// stored (counted in `rejected`).
-    pub fn insert(&self, key: u64, value: V, bytes: u64) {
-        let mut guard = lock(&self.inner);
-        let inner = &mut *guard;
-        if bytes > self.budget {
-            inner.stats.rejected += 1;
-            return;
-        }
-        inner.clock += 1;
-        let entry = Entry {
-            value,
-            bytes,
-            stamp: inner.clock,
-        };
-        if let Some(old) = inner.map.insert(key, entry) {
-            inner.stats.bytes -= old.bytes;
-        }
-        inner.stats.bytes += bytes;
-        while inner.stats.bytes > self.budget {
-            // The just-inserted entry carries the freshest stamp and
-            // fits the budget alone, so the victim is some other entry.
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            if let Some(e) = inner.map.remove(&victim) {
-                inner.stats.bytes -= e.bytes;
-            }
-            inner.stats.evicted += 1;
-        }
-    }
-
-    /// Joins an in-flight computation of `key` if one exists (blocking
-    /// until the leader publishes), otherwise leads it: `compute`
-    /// returns the value plus its accounted byte size and whether to
-    /// store it (`false` keeps transient failures out of the cache
-    /// while still answering followers).
-    ///
-    /// Returns the value (or `None` if the computation produced none)
-    /// and whether this caller led ([`Origin::Miss`]) or coalesced.
-    pub fn join_or_lead<F>(&self, key: u64, compute: F) -> (Option<V>, Origin)
-    where
-        F: FnOnce() -> (Option<V>, u64, bool),
-    {
-        let flight = {
-            let mut inner = lock(&self.inner);
-            if let Some(f) = inner.inflight.get(&key) {
-                let f = Arc::clone(f);
-                inner.stats.coalesced += 1;
-                drop(inner);
-                let mut slot = lock(&f.slot);
-                while !slot.0 {
-                    slot = f.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
-                }
-                return (slot.1.clone(), Origin::Coalesced);
-            }
-            let f = Arc::new(Flight {
-                slot: Mutex::new((false, None)),
-                cv: Condvar::new(),
-            });
-            inner.inflight.insert(key, Arc::clone(&f));
-            f
-        };
-        // Lead. Publish-on-drop so a panicking computation can never
-        // strand its followers on the condvar.
-        struct Publish<'a, V> {
-            store: &'a LruStore<V>,
-            key: u64,
-            flight: Arc<Flight<V>>,
-            value: Option<V>,
-        }
-        impl<V> Drop for Publish<'_, V> {
-            fn drop(&mut self) {
-                let mut slot = lock(&self.flight.slot);
-                slot.0 = true;
-                slot.1 = self.value.take();
-                self.flight.cv.notify_all();
-                drop(slot);
-                lock(&self.store.inner).inflight.remove(&self.key);
-            }
-        }
-        let mut publish = Publish {
-            store: self,
-            key,
-            flight,
-            value: None,
-        };
-        let (value, bytes, store) = compute();
-        if store {
-            if let Some(v) = &value {
-                self.insert(key, v.clone(), bytes);
-            }
-        }
-        publish.value = value.clone();
-        drop(publish);
-        (value, Origin::Miss)
-    }
-
-    /// Current counters and residency.
-    pub fn stats(&self) -> StoreStats {
-        let inner = lock(&self.inner);
-        StoreStats {
-            entries: inner.map.len() as u64,
-            ..inner.stats.clone()
-        }
-    }
+    spec_key(
+        CACHE_SCHEMA_VERSION,
+        &[
+            workload.as_bytes(),
+            gpu.as_bytes(),
+            &spec.seed.to_le_bytes(),
+        ],
+    )
 }
 
 /// One persisted cache entry: the measurement plus enough context to
-/// validate it and to audit the cache directory by hand.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// validate it and to audit the cache directory by hand. Written by
+/// `render_entry`, field for field.
+#[derive(Debug, Clone, Deserialize)]
 pub struct CacheEntry {
     /// Must equal [`CACHE_SCHEMA_VERSION`] to be trusted.
     pub schema_version: u32,
@@ -322,17 +84,14 @@ pub struct CacheEntry {
     pub isa_fingerprint: String,
     /// Workload display name (diagnostic).
     pub workload: String,
-    /// The memoized full-detailed measurement (shared with the
-    /// in-memory store, so writing an entry copies nothing).
-    pub measurement: Arc<Measurement>,
+    /// The memoized full-detailed measurement.
+    pub measurement: Measurement,
 }
 
-/// Aggregated health/throughput counters of a [`RefCache`].
+/// Aggregated health counters of a [`RefCache`].
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct CacheStats {
-    /// The in-memory store's counters.
-    pub memory: StoreStats,
-    /// Lookups answered from disk (after a memory miss).
+    /// Lookups answered by an entry on disk.
     pub disk_hits: u64,
     /// Disk entries evicted by the on-disk byte budget (oldest mtime
     /// first) — the `refcache.evicted` counter.
@@ -341,14 +100,13 @@ pub struct CacheStats {
     pub quarantined: u64,
 }
 
-/// The in-memory + on-disk reference cache. One instance serves a whole
-/// executor invocation (or a whole `photon-serve` process); worker
-/// threads share it behind `&self`.
-#[derive(Debug)]
+/// The on-disk reference cache. One instance serves a whole executor
+/// invocation (or a whole `photon-serve` process); worker threads share
+/// it behind `&self`.
+#[derive(Debug, Default)]
 pub struct RefCache {
-    /// Persistence directory (`None` = memory only).
+    /// The cache directory (`None`: a cache with no directory).
     dir: Option<PathBuf>,
-    store: LruStore<Arc<Measurement>>,
     disk_budget: u64,
     disk_hits: AtomicU64,
     disk_evicted: AtomicU64,
@@ -357,35 +115,31 @@ pub struct RefCache {
 }
 
 impl RefCache {
-    /// A cache persisting under `dir` (created on first store), with
-    /// the default budgets.
+    /// A cache under `dir` (created on first store), with the default
+    /// disk budget.
     pub fn persistent(dir: PathBuf) -> RefCache {
-        RefCache::with_budgets(Some(dir), DEFAULT_MEM_BUDGET, DEFAULT_DISK_BUDGET)
+        RefCache::with_disk_budget(dir, DEFAULT_DISK_BUDGET)
     }
 
-    /// A memory-only cache (used when persistence is disabled: entries
-    /// still deduplicate and coalesce within one process).
+    /// A cache with no directory (`--no-cache`): every lookup misses
+    /// and every store is dropped.
     pub fn memory_only() -> RefCache {
-        RefCache::with_budgets(None, DEFAULT_MEM_BUDGET, 0)
+        RefCache::default()
     }
 
-    /// A cache with explicit byte budgets (tests size these small to
-    /// exercise eviction deterministically).
-    pub fn with_budgets(dir: Option<PathBuf>, mem_budget: u64, disk_budget: u64) -> RefCache {
+    /// A cache under `dir` with an explicit disk budget (tests size it
+    /// small to exercise eviction deterministically).
+    fn with_disk_budget(dir: PathBuf, disk_budget: u64) -> RefCache {
         RefCache {
-            dir,
-            store: LruStore::new(mem_budget),
+            dir: Some(dir),
             disk_budget,
-            disk_hits: AtomicU64::new(0),
-            disk_evicted: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
+            ..RefCache::default()
         }
     }
 
-    /// Aggregated memory + disk counters.
+    /// The cache's counters so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            memory: self.store.stats(),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_evicted: self.disk_evicted.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
@@ -403,36 +157,23 @@ impl RefCache {
             .map(|d| d.join(format!("{key:016x}.json")))
     }
 
-    /// Looks up the reference measurement for `key`, checking memory
-    /// first and then disk (a disk hit is promoted into memory, charged
-    /// the length of the entry text just read). Disk entries that fail
-    /// checksum verification, fail to parse, carry the wrong schema
-    /// version, or were stored under a different key are quarantined
-    /// (renamed to `.corrupt`) with a warning and recomputed.
-    pub fn lookup(&self, key: u64) -> Option<Arc<Measurement>> {
-        if let Some(m) = self.store.get(key) {
-            return Some(m);
-        }
-        let (m, bytes) = self.disk_lookup(key)?;
-        self.store.insert(key, Arc::clone(&m), bytes);
-        Some(m)
-    }
-
-    /// The entry persisted under `key` and the length of its text, if
-    /// one is there and is what it claims to be.
-    fn disk_lookup(&self, key: u64) -> Option<(Arc<Measurement>, u64)> {
+    /// The reference measurement persisted under `key`, if its entry is
+    /// there and is what it claims to be. Entries that fail checksum
+    /// verification, fail to parse, carry the wrong schema version, or
+    /// were stored under a different key are quarantined (renamed to
+    /// `.corrupt`) with a warning and recomputed.
+    pub fn lookup(&self, key: u64) -> Option<Measurement> {
         let path = self.entry_path(key)?;
         let entry = persist::read_text(&path).and_then(|mut text| {
             if faults::active() && faults::should_inject(FaultSite::RefcacheReadCorrupt, key) {
                 corrupt_one_byte(&mut text, key);
             }
-            let entry = validate_entry(&text, key).map_err(LoadError::Corrupt)?;
-            Ok((entry.measurement, text.len() as u64))
+            validate_entry(&text, key).map_err(LoadError::Corrupt)
         });
         match entry {
-            Ok(hit) => {
+            Ok(entry) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
+                Some(entry.measurement)
             }
             Err(LoadError::Corrupt(why)) => {
                 eprintln!(
@@ -450,34 +191,16 @@ impl RefCache {
         }
     }
 
-    /// Stores a completed full-detailed measurement under `key`, in
-    /// memory and (when persistence is on) on disk — atomically, with a
-    /// checksum footer — then re-bounds the disk directory. I/O
-    /// failures warn and degrade to memory-only.
+    /// Persists a completed full-detailed measurement under `key` —
+    /// atomically, with a checksum footer — then re-bounds the
+    /// directory. Without a directory this does nothing; an I/O failure
+    /// warns and leaves the entry unwritten.
     pub fn store(&self, key: u64, workload: &str, m: &Measurement) {
-        let m = Arc::new(m.clone());
-        let bytes = self.store_disk(key, workload, &m);
-        self.store.insert(key, m, bytes);
-    }
-
-    /// Persists `m` (when persistence is on) and returns what the
-    /// memory store should charge for it: the length of the entry text
-    /// just written, else [`Measurement::footprint`] — never a render
-    /// made only to be measured.
-    fn store_disk(&self, key: u64, workload: &str, m: &Arc<Measurement>) -> u64 {
         let Some(path) = self.entry_path(key) else {
-            return m.footprint();
+            return;
         };
-        let entry = CacheEntry {
-            schema_version: CACHE_SCHEMA_VERSION,
-            key: format!("{key:016x}"),
-            isa_fingerprint: format!("{:016x}", isa_fingerprint()),
-            workload: workload.to_string(),
-            measurement: Arc::clone(m),
-        };
-        let write = || -> Result<u64, String> {
-            let text = render_entry(&entry)?;
-            let bytes = text.len() as u64;
+        let write = || -> Result<(), String> {
+            let text = render_entry(key, workload, m)?;
             if faults::active() {
                 if faults::should_inject(FaultSite::RefcacheWriteIoErr, key) {
                     return Err("injected I/O error".to_string());
@@ -490,58 +213,18 @@ impl RefCache {
                     if let Some(parent) = path.parent() {
                         std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
                     }
-                    std::fs::write(&path, torn).map_err(|e| e.to_string())?;
-                    return Ok(bytes);
+                    return std::fs::write(&path, torn).map_err(|e| e.to_string());
                 }
             }
-            persist::atomic_write_framed(&path, &text).map_err(|e| e.to_string())?;
-            Ok(bytes)
+            persist::atomic_write_framed(&path, &text).map_err(|e| e.to_string())
         };
-        let bytes = write().unwrap_or_else(|e| {
+        if let Err(e) = write() {
             eprintln!(
                 "warning: could not persist reference cache entry {}: {e}",
                 path.display()
             );
-            m.footprint()
-        });
-        self.enforce_disk_budget();
-        bytes
-    }
-
-    /// Single-flight resolution of a full-detailed reference: serve
-    /// from memory/disk, coalesce onto a concurrent identical
-    /// computation, or lead it — in which case the completed
-    /// measurement is stored and persisted before followers wake.
-    ///
-    /// `compute` returning `None` means the simulation failed; nothing
-    /// is cached and followers receive `None` too.
-    pub fn get_or_compute_full<F>(
-        &self,
-        key: u64,
-        workload: &str,
-        compute: F,
-    ) -> (Option<Arc<Measurement>>, Origin)
-    where
-        F: FnOnce() -> Option<Measurement>,
-    {
-        if let Some(m) = self.lookup(key) {
-            return (Some(m), Origin::Hit);
         }
-        self.store.join_or_lead(key, || {
-            // Memory already missed above; re-check disk in case a
-            // sibling process persisted the entry in the meantime.
-            if let Some((m, bytes)) = self.disk_lookup(key) {
-                return (Some(m), bytes, true);
-            }
-            match compute() {
-                Some(m) => {
-                    let m = Arc::new(m);
-                    let bytes = self.store_disk(key, workload, &m);
-                    (Some(m), bytes, true)
-                }
-                None => (None, 0, false),
-            }
-        })
+        self.enforce_disk_budget();
     }
 
     /// Re-bounds the on-disk cache directory: while the summed size of
@@ -602,12 +285,21 @@ impl RefCache {
     }
 }
 
-/// The one place a cache entry is rendered; test builds tally the
-/// calls, to pin that a lookup never renders.
-fn render_entry(entry: &CacheEntry) -> Result<String, String> {
+/// The one place a cache entry is rendered: a [`CacheEntry`], field for
+/// field, around the borrowed measurement, so storing one copies
+/// nothing. Test builds tally the calls, to pin that a lookup never
+/// renders.
+fn render_entry(key: u64, workload: &str, m: &Measurement) -> Result<String, String> {
     #[cfg(test)]
     tests::RENDERS.with(|n| n.set(n.get() + 1));
-    serde_json::to_string_pretty(entry).map_err(|e| e.to_string())
+    let entry = serde_json::json!({
+        "schema_version": CACHE_SCHEMA_VERSION,
+        "key": format!("{key:016x}"),
+        "isa_fingerprint": format!("{:016x}", isa_fingerprint()),
+        "workload": workload,
+        "measurement": m,
+    });
+    serde_json::to_string_pretty(&entry).map_err(|e| e.to_string())
 }
 
 /// Deterministically flips one byte of an in-memory entry text (the
@@ -701,100 +393,36 @@ mod tests {
     }
 
     #[test]
-    fn memory_only_cache_round_trips() {
+    fn a_cache_with_no_directory_misses_and_drops_every_store() {
         let cache = RefCache::memory_only();
         assert!(cache.lookup(42).is_none());
         cache.store(42, "fir", &meas());
-        assert_eq!(cache.lookup(42).unwrap().sim_cycles, 1234);
+        assert!(cache.lookup(42).is_none());
+        assert_eq!(RENDERS.with(Cell::get), 0, "nothing to render for");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.disk_evicted, stats.quarantined),
+            (0, 0, 0)
+        );
     }
 
     #[test]
     fn entry_validation_rejects_bad_entries() {
-        let good = CacheEntry {
-            schema_version: CACHE_SCHEMA_VERSION,
-            key: format!("{:016x}", 7u64),
-            isa_fingerprint: "0".into(),
-            workload: "fir".into(),
-            measurement: Arc::new(meas()),
-        };
-        let text = serde_json::to_string(&good).unwrap();
-        assert!(validate_entry(&text, 7).is_ok());
+        let text = render_entry(7, "fir", &meas()).unwrap();
+        let entry = validate_entry(&text, 7).expect("a rendered entry validates");
+        assert_eq!(entry.measurement, meas());
         // wrong key
         assert!(validate_entry(&text, 8).is_err());
         // wrong schema version
-        let mut stale = good.clone();
-        stale.schema_version = CACHE_SCHEMA_VERSION + 1;
-        let text = serde_json::to_string(&stale).unwrap();
-        assert!(validate_entry(&text, 7).is_err());
+        let version = format!("\"schema_version\": {CACHE_SCHEMA_VERSION}");
+        assert!(
+            text.contains(&version),
+            "entry layout changed under the test"
+        );
+        let stale = text.replace(&version, "\"schema_version\": 999");
+        assert!(validate_entry(&stale, 7).is_err());
         // garbage
         assert!(validate_entry("{not json", 7).is_err());
-    }
-
-    #[test]
-    fn store_lru_eviction_respects_budget_and_recency() {
-        let store: LruStore<u64> = LruStore::new(100);
-        store.insert(1, 10, 40);
-        store.insert(2, 20, 40);
-        // Touch 1 so 2 becomes the LRU entry.
-        assert_eq!(store.get(1), Some(10));
-        store.insert(3, 30, 40); // 120 > 100: evict key 2
-        assert_eq!(store.get(2), None);
-        assert_eq!(store.get(1), Some(10));
-        assert_eq!(store.get(3), Some(30));
-        let s = store.stats();
-        assert_eq!(s.evicted, 1);
-        assert!(s.bytes <= 100, "bytes {} over budget", s.bytes);
-        // An entry bigger than the whole budget is refused, not stored.
-        store.insert(4, 40, 101);
-        assert_eq!(store.get(4), None);
-        assert_eq!(store.stats().rejected, 1);
-    }
-
-    #[test]
-    fn single_flight_coalesces_concurrent_computes() {
-        use std::sync::atomic::AtomicUsize;
-        let store: LruStore<u64> = LruStore::new(1 << 20);
-        let computes = AtomicUsize::new(0);
-        let barrier = std::sync::Barrier::new(8);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        store.join_or_lead(99, || {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            // Hold the flight open until the other seven
-                            // callers have joined it (or 5 s have passed).
-                            let t0 = std::time::Instant::now();
-                            while store.stats().coalesced < 7 && t0.elapsed().as_secs() < 5 {
-                                std::thread::yield_now();
-                            }
-                            (Some(777u64), 8, true)
-                        })
-                    })
-                })
-                .collect();
-            let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            for (v, _) in &results {
-                assert_eq!(*v, Some(777));
-            }
-            // Exactly one leader; everyone else coalesced.
-            assert_eq!(computes.load(Ordering::SeqCst), 1);
-            let leaders = results.iter().filter(|(_, o)| *o == Origin::Miss).count();
-            assert_eq!(leaders, 1);
-        });
-    }
-
-    #[test]
-    fn failed_compute_is_not_cached_and_followers_see_none() {
-        let store: LruStore<u64> = LruStore::new(1 << 20);
-        let (v, origin) = store.join_or_lead(5, || (None, 0, false));
-        assert_eq!(v, None);
-        assert_eq!(origin, Origin::Miss);
-        // The failure was not cached: the next call recomputes.
-        let (v, origin) = store.join_or_lead(5, || (Some(1), 8, true));
-        assert_eq!(v, Some(1));
-        assert_eq!(origin, Origin::Miss);
     }
 
     #[test]
@@ -805,13 +433,13 @@ mod tests {
         let m = meas();
         // Size one persisted entry, then budget the real cache so only
         // two fit — the third store must evict the oldest.
-        let probe = RefCache::with_budgets(Some(dir.clone()), 1 << 20, u64::MAX);
+        let probe = RefCache::with_disk_budget(dir.clone(), u64::MAX);
         probe.store(1, "fir", &m);
         let entry_len = std::fs::metadata(dir.join(format!("{:016x}.json", 1u64)))
             .unwrap()
             .len();
         let budget = entry_len * 2 + entry_len / 2;
-        let cache = RefCache::with_budgets(Some(dir.clone()), 1 << 20, budget);
+        let cache = RefCache::with_disk_budget(dir.clone(), budget);
         std::thread::sleep(std::time::Duration::from_millis(20));
         cache.store(2, "fir", &m);
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -842,14 +470,14 @@ mod tests {
         let corpse = dir.join("00000000deadbeef.json.corrupt");
         std::fs::write(&corpse, "torn entry kept as evidence").unwrap();
         let m = meas();
-        let probe = RefCache::with_budgets(Some(dir.clone()), 1 << 20, u64::MAX);
+        let probe = RefCache::with_disk_budget(dir.clone(), u64::MAX);
         probe.store(1, "fir", &m);
         let entry_len = std::fs::metadata(dir.join(format!("{:016x}.json", 1u64)))
             .unwrap()
             .len();
         // Budget fits one entry: the second store goes over it, which
         // must reap the corpse before evicting any live entry.
-        let cache = RefCache::with_budgets(Some(dir.clone()), 1 << 20, entry_len + entry_len / 2);
+        let cache = RefCache::with_disk_budget(dir.clone(), entry_len + entry_len / 2);
         std::thread::sleep(std::time::Duration::from_millis(20));
         cache.store(2, "fir", &m);
         assert!(
@@ -862,46 +490,20 @@ mod tests {
     }
 
     #[test]
-    fn a_disk_hit_is_promoted_without_rendering_and_charged_the_text_it_read() {
+    fn a_lookup_reads_the_entry_without_rendering() {
         let dir =
             std::env::temp_dir().join(format!("photon-refcache-norender-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         RefCache::persistent(dir.clone()).store(9, "fir", &meas());
         assert_eq!(RENDERS.with(Cell::get), 1, "one render, for the disk");
-        let on_disk = std::fs::metadata(dir.join(format!("{:016x}.json", 9u64)))
-            .unwrap()
-            .len();
 
-        // A fresh instance has nothing in memory: the first lookup is a
-        // disk hit, the second a memory hit — and both return the same
-        // allocation.
+        // Every lookup reads the entry on disk, on any instance.
         let cache = RefCache::persistent(dir.clone());
-        let first = cache.lookup(9).expect("disk hit");
-        let second = cache.lookup(9).expect("memory hit");
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, meas());
+        for _ in 0..2 {
+            assert_eq!(cache.lookup(9), Some(meas()));
+        }
         assert_eq!(RENDERS.with(Cell::get), 1, "a lookup must not render");
-        let stats = cache.stats();
-        assert_eq!((stats.disk_hits, stats.memory.hits), (1, 1));
-        assert_eq!(stats.memory.bytes, on_disk);
-
-        // With no entry text at hand the charge is structural.
-        let mem = RefCache::memory_only();
-        mem.store(9, "fir", &meas());
-        assert_eq!(mem.stats().memory.bytes, meas().footprint());
-        assert_eq!(RENDERS.with(Cell::get), 1);
+        assert_eq!(cache.stats().disk_hits, 2);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn get_or_compute_full_hits_after_store() {
-        let cache = RefCache::memory_only();
-        let (m, origin) = cache.get_or_compute_full(7, "fir", || Some(meas()));
-        assert_eq!(origin, Origin::Miss);
-        assert_eq!(m.unwrap().sim_cycles, 1234);
-        let (m, origin) =
-            cache.get_or_compute_full(7, "fir", || panic!("must be served from memory"));
-        assert_eq!(origin, Origin::Hit);
-        assert_eq!(m.unwrap().sim_cycles, 1234);
     }
 }

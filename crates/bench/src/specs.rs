@@ -9,6 +9,7 @@
 //! produce *identical* specs — which is what lets the executor's
 //! reference cache deduplicate them.
 
+use gpu_isa::{fnv1a, fnv1a_extend, isa_fingerprint};
 use gpu_sim::{GpuConfig, GpuSimulator};
 use gpu_workloads::dnn::DnnScale;
 use gpu_workloads::registry::{Benchmark, RealWorldApp};
@@ -245,6 +246,19 @@ impl RunSpec {
 /// The seed every figure uses (the paper's sweeps are single-seed).
 pub const DEFAULT_SEED: u64 = 7;
 
+/// The fold behind every key derived from a spec
+/// ([`crate::journal_key`], [`crate::reference_key`]): FNV-1a over a
+/// schema version, the ISA fingerprint, then `parts` in order. Cache
+/// file names, journal keys and `photon-serve` job ids are these
+/// values, so the fold must not change.
+pub(crate) fn spec_key(schema_version: u32, parts: &[&[u8]]) -> u64 {
+    let h = fnv1a_extend(
+        fnv1a(&schema_version.to_le_bytes()),
+        &isa_fingerprint().to_le_bytes(),
+    );
+    parts.iter().fold(h, |h, part| fnv1a_extend(h, part))
+}
+
 /// The grid behind the comparison figures (13/14/15): for every
 /// (benchmark, sweep size), one `Full` reference spec followed by one
 /// spec per method. `Full` in `methods` is ignored (it is always the
@@ -373,6 +387,23 @@ mod tests {
             .find(|s| s.method == Method::Full && s.workload.name() == "VGG-16")
             .unwrap();
         assert!(f17.contains(vgg_full_16));
+    }
+
+    /// The journal key is a `photon-serve` job id and the reference key
+    /// names a `results/cache/` file: both must hold their values
+    /// across refactors (they move only with the ISA revision or a
+    /// schema version).
+    #[test]
+    fn spec_keys_are_pinned() {
+        let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Full);
+        assert_eq!(
+            format!("{:016x}", crate::journal_key(&spec)),
+            "1692085a60975f39"
+        );
+        assert_eq!(
+            format!("{:016x}", crate::reference_key(&spec)),
+            "a989de7708136fde"
+        );
     }
 
     #[test]

@@ -60,13 +60,12 @@ fn fir(method: Method) -> RunSpec {
 }
 
 /// Executor options for chaos runs: hermetic (no cache dir, no journal
-/// unless the test opts in) and fast to retry.
+/// unless the test opts in), with two retries.
 fn opts() -> ExecOptions {
     ExecOptions {
         jobs: 1,
         cache: false,
         retries: 2,
-        retry_backoff: Duration::from_millis(1),
         ..ExecOptions::default()
     }
 }

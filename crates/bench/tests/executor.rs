@@ -180,12 +180,21 @@ fn engine_threads_do_not_leak_into_the_cache_key() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fresh, empty cache directory for one test.
+fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("photon-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// `resolve_spec` is the one door to a simulation: two calls for the
-/// same `Full` spec on one cache simulate once, and the second says so.
+/// same `Full` spec on one cache directory simulate once, and the second
+/// says so.
 #[test]
 fn resolving_the_same_full_spec_twice_simulates_once() {
+    let dir = temp_cache_dir("resolve-twice");
     let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Full);
-    let cache = RefCache::memory_only();
+    let cache = RefCache::persistent(dir.clone());
     let first = resolve_spec(&spec, &opts(1), &cache, None);
     assert_eq!((first.simulations, first.from_cache), (1, false));
     assert!(!first.metrics.counters.is_empty(), "the run's telemetry");
@@ -203,43 +212,28 @@ fn resolving_the_same_full_spec_twice_simulates_once() {
         let r = resolve_spec(&photon, &opts(1), &cache, None);
         assert_eq!((r.simulations, r.from_cache), (1, false));
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A follower that joined a leader whose run failed must not be handed
-/// the failure second-hand: it runs the spec itself.
+/// A failed `Full` run stores nothing, so the next call for the same
+/// spec simulates first-hand instead of being served the failure.
 #[test]
-fn a_failed_leader_answers_its_follower_with_a_first_hand_run() {
-    // Out of cycle fuel after a few hundred milliseconds of simulation:
-    // a permanent failure (no retries) that leaves the leader in flight
-    // long enough for the follower, released by the same barrier, to
-    // join it.
+fn a_failed_full_run_writes_no_entry_and_the_next_call_simulates() {
+    // Out of cycle fuel: a permanent failure (no retries).
     let mut gpu = GpuConfig::tiny();
     gpu.watchdog.cycle_fuel = 20_000;
     let spec = RunSpec::bench(gpu, Benchmark::Fir, 4096, Method::Full);
-    let cache = RefCache::memory_only();
-    let start = std::sync::Barrier::new(2);
-    let resolve = || {
-        start.wait();
-        resolve_spec(&spec, &opts(1), &cache, None)
-    };
-    let (a, b) = std::thread::scope(|s| {
-        let a = s.spawn(resolve);
-        let b = s.spawn(resolve);
-        (a.join().unwrap(), b.join().unwrap())
-    });
-    assert_eq!(
-        cache.stats().memory.coalesced,
-        1,
-        "one of the two joined the other's flight"
-    );
-    for r in [&a, &b] {
+    let dir = temp_cache_dir("failed-full");
+    let cache = RefCache::persistent(dir.clone());
+    for _ in 0..2 {
+        let r = resolve_spec(&spec, &opts(1), &cache, None);
         assert_eq!(r.outcome.failure(), Some(FailureKind::Permanent));
         assert_eq!((r.simulations, r.from_cache), (1, false), "first-hand");
+        let entries = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(entries, 0, "a failure writes no cache entry");
     }
-    assert!(
-        cache.lookup(reference_key(&spec)).is_none(),
-        "nothing cached"
-    );
+    assert!(cache.lookup(reference_key(&spec)).is_none());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

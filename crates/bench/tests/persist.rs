@@ -291,7 +291,7 @@ fn stored_fixtures_still_load_entry_for_entry() {
     .unwrap();
     let cache = RefCache::persistent(dir.clone());
     let cached = cache.lookup(key).expect("the stored entry is a hit");
-    assert_eq!(&*cached, m);
+    assert_eq!(&cached, m);
     assert_eq!(cache.stats().quarantined, 0);
 
     // The run report (framed, verified).

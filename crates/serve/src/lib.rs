@@ -12,10 +12,11 @@
 //! two-lane admission queue (interactive sampled methods dequeue before
 //! batch `Full` runs) over a pool of worker threads, deduplicates
 //! identical jobs at submit time, answers a replayable finished job
-//! from its byte-budgeted result store, shares `Full` runs through the
-//! [`photon_bench::RefCache`], and drains gracefully on SIGTERM/ctrl-c
-//! — in-flight jobs finish, queued jobs are journaled so a restarted
-//! server resumes them.
+//! from its byte-budgeted result store ([`store::LruStore`]), reads and
+//! writes `Full` references in the [`photon_bench::RefCache`]
+//! directory, and drains gracefully on SIGTERM/ctrl-c — in-flight jobs
+//! finish, queued jobs are journaled so a restarted server resumes
+//! them.
 //!
 //! Every job carries a trace context minted at submit
 //! ([`gpu_telemetry::span::start_job`]): typed spans (queued, coalesced,
@@ -40,6 +41,7 @@ pub mod client;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
+pub mod store;
 
 pub use client::Client;
 pub use protocol::Request;

@@ -24,8 +24,8 @@
 //!        │                                    else enqueue ──► Queued
 //!        ▼
 //!   worker dequeues (interactive lane first) ──► Running
-//!        │   resolve_spec probes the reference cache, leads or joins
-//!        │   a Full run, and simulates
+//!        │   resolve_spec looks a Full run up in the reference
+//!        │   cache's directory, else simulates
 //!        ▼
 //!   stored as Done, then removed from the live map
 //!   (a cancel stores and removes a queued job as Cancelled)
@@ -53,6 +53,7 @@
 //! start, so a SIGTERM'd server loses no accepted work.
 
 use crate::protocol::PROTOCOL_VERSION;
+use crate::store::LruStore;
 use gpu_telemetry::span::{self, job_hex, SpanKind, TraceCtx};
 use gpu_telemetry::{MetricsSnapshot, Telemetry};
 use photon_bench::flightrec::{self, Trigger};
@@ -60,8 +61,7 @@ use photon_bench::harness::RunOutcome;
 use photon_bench::journal::journalable;
 use photon_bench::persist::{frame_line, load_lines};
 use photon_bench::{
-    journal_key, resolve_spec, ExecOptions, LruStore, Measurement, Method, RefCache, Resolution,
-    RunSpec,
+    journal_key, resolve_spec, ExecOptions, Measurement, Method, RefCache, Resolution, RunSpec,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -104,7 +104,7 @@ impl Default for ServeOptions {
 }
 
 /// In-memory result-store byte budget (finished jobs of all methods,
-/// keyed by job id; LRU-bounded like the reference cache).
+/// keyed by job id, LRU-bounded).
 const RESULT_BUDGET: u64 = 64 * 1024 * 1024;
 
 /// Minimum completed-latency observations before the p99 trigger arms:
@@ -264,8 +264,8 @@ pub struct Scheduler {
     /// Finished jobs by id, LRU-bounded by bytes; what makes a warm
     /// resubmission of *any* method instant.
     results: LruStore<Arc<Finished>>,
-    /// The full-detailed reference cache (shared semantics with the
-    /// batch executor, including disk persistence when enabled).
+    /// The full-detailed reference cache: the directory the batch
+    /// executor reads and writes too (none under `--no-cache`).
     cache: RefCache,
     telemetry: Telemetry,
     opts: ServeOptions,
@@ -842,7 +842,7 @@ impl Scheduler {
     /// Server-wide stats: the metrics registry (counters incl.
     /// per-tenant, `serve.*`, `exec.cancelled`), live queue/worker
     /// gauges, the in-flight jobs with their current trace phase, and
-    /// the result/reference store counters.
+    /// the result-store and reference-cache counters.
     pub fn stats(&self) -> Value {
         self.refresh_gauges();
         // Copy the live jobs out under the state lock; their span

@@ -30,12 +30,22 @@ struct TestServer {
 }
 
 impl TestServer {
+    /// A server with no reference-cache directory.
     fn start(workers: usize, queue_capacity: usize, pending: Option<PathBuf>) -> TestServer {
         let exec = ExecOptions {
             cache: false,
             journal: None,
             ..ExecOptions::default()
         };
+        TestServer::start_with(workers, queue_capacity, pending, exec)
+    }
+
+    fn start_with(
+        workers: usize,
+        queue_capacity: usize,
+        pending: Option<PathBuf>,
+        exec: ExecOptions,
+    ) -> TestServer {
         let opts = ServeOptions {
             workers,
             queue_capacity,
@@ -457,6 +467,58 @@ fn an_executed_job_answers_from_the_store_once_it_leaves_the_live_map() {
     let result = sched.fetch(id).expect("fetch");
     assert_eq!(progress, result.metrics.counters_with_prefix("sim."));
     srv.stop();
+}
+
+/// A `Full` job a previous server finished is answered from the
+/// reference cache's directory after a restart, as the same simulated
+/// result; a sampled job still simulates.
+#[test]
+fn a_restarted_server_answers_a_full_job_from_the_cache_directory() {
+    use photon::Levels;
+    use photon_bench::Measurement;
+    use serde::Deserialize;
+
+    let dir = std::env::temp_dir().join(format!("photon_serve_refcache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let exec = ExecOptions {
+        cache: true,
+        cache_dir: Some(dir.clone()),
+        journal: None,
+        ..ExecOptions::default()
+    };
+    let run = |srv: &TestServer, spec: &RunSpec| -> Value {
+        let mut c = srv.client();
+        let job = response_job(&c.submit(spec, "t0").expect("submit")).expect("job id");
+        assert!(response_ok(&c.wait(&job).expect("wait")));
+        c.fetch(&job).expect("fetch")
+    };
+    let origin = |fetched: &Value| fetched.get("origin").cloned();
+    let measurement = |fetched: &Value| {
+        let m = fetched.get("report").and_then(|r| r.get("measurement"));
+        Measurement::deserialize(m.expect("a measurement")).expect("deserializes")
+    };
+    let full = fir(64, Method::Full);
+
+    let srv = TestServer::start_with(1, 16, None, exec.clone());
+    let cold = run(&srv, &full);
+    assert_eq!(origin(&cold), Some(Value::String("executed".into())));
+    assert_eq!(srv.counter("serve.sim_runs"), 1);
+    srv.stop();
+
+    // A restart: the result store is empty, the directory is not.
+    let srv = TestServer::start_with(1, 16, None, exec);
+    let warm = run(&srv, &full);
+    assert_eq!(origin(&warm), Some(Value::String("refcache".into())));
+    assert_eq!(srv.counter("serve.sim_runs"), 0);
+    assert_eq!(
+        measurement(&cold).differences(&measurement(&warm)),
+        Vec::<String>::new()
+    );
+    let sampled = run(&srv, &fir(64, Method::Photon(Levels::all())));
+    assert_eq!(origin(&sampled), Some(Value::String("executed".into())));
+    assert_eq!(srv.counter("serve.sim_runs"), 1);
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -45,6 +45,16 @@ if grep -rnE 'Sharded[S]tore|DEFAULT[_]SHARDS|measurement[_]bytes|Thread[R]ing' 
   exit 1
 fi
 
+# The reference cache is its directory: no in-memory tier, no
+# single-flight, no counters for either. The one LruStore is
+# photon-serve's store of finished jobs.
+if grep -rnE 'join[_]or_lead|get[_]or_compute_full|DEFAULT[_]MEM_BUDGET|refcache[.]mem_evicted|refcache[.]coalesced' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    RefCache reads and writes results/cache/ and holds nothing in memory;"
+  echo "    LruStore lives in crates/serve/src/store.rs"
+  exit 1
+fi
+
 # A job is in one place (live map or result store), one codec spells a
 # job id, Chrome-trace JSON is the only trace file format, and a report
 # row is the run's Measurement.
