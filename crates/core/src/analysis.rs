@@ -54,7 +54,13 @@ impl OnlineAnalysis {
         }
         let mut types: Vec<(WarpTrace, u64)> =
             by_type.into_iter().map(|(t, n)| (t.clone(), n)).collect();
-        types.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.insts.cmp(&b.0.insts)));
+        // Count, then length, then the counts themselves: a total order,
+        // so tied types keep one order whatever the map's iteration.
+        types.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then_with(|| a.0.insts.cmp(&b.0.insts))
+                .then_with(|| a.0.bb_counts.cmp(&b.0.bb_counts))
+        });
         let total = traces.len() as u64;
         let dominant_fraction = types.first().map_or(0.0, |(_, n)| *n as f64 / total as f64);
 
@@ -170,6 +176,21 @@ mod tests {
         assert_eq!(oa.types.len(), 2);
         assert_eq!(oa.dominant_fraction, 0.75);
         assert_eq!(oa.dominant_type(), Some(&a));
+    }
+
+    #[test]
+    fn tied_types_give_one_gpu_bbv() {
+        // Four types, one warp each, all of one length: a tie at every
+        // place, which the type map's random iteration order must not
+        // break.
+        let map = bb_map(4);
+        let traces: Vec<_> = (0..4).map(|b| trace(&[(b, 5)])).collect();
+        let first = OnlineAnalysis::from_traces(&traces, &map).unwrap();
+        for _ in 0..64 {
+            let again = OnlineAnalysis::from_traces(&traces, &map).unwrap();
+            assert_eq!(again.gpu_bbv, first.gpu_bbv);
+            assert_eq!(again.gpu_bbv.distance(&first.gpu_bbv), 0.0);
+        }
     }
 
     #[test]

@@ -48,18 +48,6 @@ impl BasicBlock {
     }
 }
 
-/// Options controlling the block decomposition.
-///
-/// The paper's default ends blocks at branches and `s_barrier`;
-/// additionally ending them at `s_waitcnt` (so one block never holds
-/// unrelated sets of memory accesses) is called out as future work in
-/// §3 Obs 3 and is available behind [`BbOptions::split_at_waitcnt`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BbOptions {
-    /// Also terminate blocks at `s_waitcnt` memory fences.
-    pub split_at_waitcnt: bool,
-}
-
 /// The basic-block decomposition of one program.
 ///
 /// # Example
@@ -80,18 +68,12 @@ pub struct BasicBlockMap {
 }
 
 impl BasicBlockMap {
-    /// Computes the decomposition by leader analysis with the paper's
-    /// default options.
+    /// Computes the decomposition by leader analysis.
     ///
     /// Leaders are: PC 0, every branch target, and every instruction
     /// following a block-ending instruction (branch, `s_barrier`,
     /// `s_endpgm`).
     pub fn from_program(insts: &[Inst]) -> Self {
-        Self::from_program_with(insts, BbOptions::default())
-    }
-
-    /// Computes the decomposition with explicit [`BbOptions`].
-    pub fn from_program_with(insts: &[Inst], opts: BbOptions) -> Self {
         let n = insts.len();
         let mut leader = vec![false; n];
         if n > 0 {
@@ -103,9 +85,7 @@ impl BasicBlockMap {
                     leader[t as usize] = true;
                 }
             }
-            let ends = inst.ends_basic_block()
-                || (opts.split_at_waitcnt && matches!(inst, Inst::SWaitcnt));
-            if ends && pc + 1 < n {
+            if inst.ends_basic_block() && pc + 1 < n {
                 leader[pc + 1] = true;
             }
         }
@@ -286,19 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn waitcnt_splits_only_when_enabled() {
+    fn waitcnt_stays_inside_its_block() {
         let insts = vec![salu(), Inst::SWaitcnt, salu(), Inst::SEndpgm];
-        let default = BasicBlockMap::from_program(&insts);
-        assert_eq!(default.len(), 1, "default keeps s_waitcnt inside blocks");
-        let split = BasicBlockMap::from_program_with(
-            &insts,
-            BbOptions {
-                split_at_waitcnt: true,
-            },
-        );
-        assert_eq!(split.len(), 2);
-        assert_eq!(split.blocks()[0].len, 2);
-        assert_eq!(split.blocks()[1].start_pc, 2);
+        let map = BasicBlockMap::from_program(&insts);
+        assert_eq!(map.len(), 1, "s_waitcnt ends no block");
     }
 
     #[test]

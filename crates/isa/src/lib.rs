@@ -61,10 +61,11 @@ mod inst;
 mod kernel;
 mod program;
 mod reg;
+mod slice;
 mod validate;
 
 pub use asm::{parse_asm, AsmError};
-pub use bb::{BasicBlock, BasicBlockId, BasicBlockMap, BbOptions};
+pub use bb::{BasicBlock, BasicBlockId, BasicBlockMap};
 pub use builder::{KernelBuilder, Label};
 pub use decoded::{LaneSrc, MicroOp, Op, ScalarOperand};
 pub use disasm::disasm;

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 /// A validated kernel program: a flat instruction vector with resolved
 /// branch targets, a lazily shared [`BasicBlockMap`], the lazily shared
-/// pre-decoded form the interpreter executes and its lazily computed
-/// vector-register footprint.
+/// pre-decoded form the interpreter executes, its lazily computed
+/// vector-register footprint and its lazily computed control slice.
 ///
 /// Programs are normally produced by [`crate::KernelBuilder::finish`].
 ///
@@ -33,6 +33,8 @@ pub struct Program {
     decoded: std::sync::OnceLock<Arc<[MicroOp]>>,
     #[serde(skip)]
     vreg_footprint: std::sync::OnceLock<usize>,
+    #[serde(skip)]
+    control_slice: std::sync::OnceLock<Arc<[bool]>>,
 }
 
 impl Program {
@@ -68,6 +70,7 @@ impl Program {
             bb_map: std::sync::OnceLock::new(),
             decoded: std::sync::OnceLock::new(),
             vreg_footprint: std::sync::OnceLock::new(),
+            control_slice: std::sync::OnceLock::new(),
         })
     }
 
@@ -120,6 +123,15 @@ impl Program {
         *self
             .vreg_footprint
             .get_or_init(|| crate::validate::vreg_footprint(&self.insts))
+    }
+
+    /// One flag per pc, computed once: whether the instruction there is
+    /// in the control slice — the instructions that decide which basic
+    /// blocks a warp runs, where it faults and where it ends (see
+    /// `slice.rs`). Every flag is set when a memory load feeds a branch.
+    pub fn control_slice(&self) -> &[bool] {
+        self.control_slice
+            .get_or_init(|| crate::slice::control_slice(&self.insts).into())
     }
 }
 

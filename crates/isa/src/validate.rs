@@ -23,7 +23,7 @@
 //! mismatches are a dynamic property left to the timing engine's
 //! barrier watchdog.
 
-use crate::inst::{Inst, MaskReg, ScalarSrc, VectorSrc};
+use crate::inst::{BranchCond, Inst, MaskReg, ScalarSrc, VectorSrc};
 use crate::kernel::KernelLaunch;
 use crate::program::Program;
 use crate::reg::{Sreg, Vreg, MAX_SREGS, MAX_VREGS};
@@ -132,104 +132,155 @@ impl fmt::Display for ValidateError {
 
 impl Error for ValidateError {}
 
-/// A register an instruction names.
-#[derive(Clone, Copy)]
-enum Reg {
+/// A piece of warp state an instruction reads or writes: a register it
+/// names, or one of the flags it touches implicitly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Loc {
     S(Sreg),
     V(Vreg),
+    Scc,
+    Vcc,
+    Exec,
 }
 
-fn visit_ssrc<E>(s: &ScalarSrc, visit: &mut impl FnMut(Reg) -> Result<(), E>) -> Result<(), E> {
+/// How an instruction touches a [`Loc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// Reads its value.
+    Use,
+    /// Reads it to form a memory address.
+    Addr,
+    /// Overwrites all of it.
+    Def,
+    /// Writes the lanes EXEC enables: a vector result, or VCC from a
+    /// vector compare.
+    LaneDef,
+}
+
+fn visit_ssrc<E>(
+    s: &ScalarSrc,
+    visit: &mut impl FnMut(Loc, Access) -> Result<(), E>,
+) -> Result<(), E> {
     match s {
-        ScalarSrc::Reg(r) => visit(Reg::S(*r)),
+        ScalarSrc::Reg(r) => visit(Loc::S(*r), Access::Use),
         ScalarSrc::Imm(_) => Ok(()),
     }
 }
 
-fn visit_vsrc<E>(v: &VectorSrc, visit: &mut impl FnMut(Reg) -> Result<(), E>) -> Result<(), E> {
+fn visit_vsrc<E>(
+    v: &VectorSrc,
+    visit: &mut impl FnMut(Loc, Access) -> Result<(), E>,
+) -> Result<(), E> {
     match v {
-        VectorSrc::Reg(r) => visit(Reg::V(*r)),
-        VectorSrc::Sreg(r) => visit(Reg::S(*r)),
+        VectorSrc::Reg(r) => visit(Loc::V(*r), Access::Use),
+        VectorSrc::Sreg(r) => visit(Loc::S(*r), Access::Use),
         VectorSrc::Imm(_) | VectorSrc::ImmF32(_) | VectorSrc::LaneId => Ok(()),
     }
 }
 
-/// Calls `visit` on every register `inst` names, in operand order,
-/// stopping at the first error it returns. Validation and
-/// [`vreg_footprint`] share this one walk, so the footprint is exactly
-/// the smallest vector-register limit validation accepts.
-fn visit_registers<E>(inst: &Inst, visit: &mut impl FnMut(Reg) -> Result<(), E>) -> Result<(), E> {
+fn mask(m: MaskReg) -> Loc {
+    match m {
+        MaskReg::Exec => Loc::Exec,
+        MaskReg::Vcc => Loc::Vcc,
+    }
+}
+
+/// Calls `visit` on every register `inst` names, in operand order, and
+/// then on the flags it touches, stopping at the first error it
+/// returns. Validation, [`vreg_footprint`] and the control slice
+/// (`crate::slice`) share this one walk, so the footprint is exactly the
+/// smallest vector-register limit validation accepts and the slice sees
+/// every operand the interpreter reads.
+pub(crate) fn visit_registers<E>(
+    inst: &Inst,
+    visit: &mut impl FnMut(Loc, Access) -> Result<(), E>,
+) -> Result<(), E> {
     match inst {
         Inst::SAlu { dst, a, b, .. } => {
-            visit(Reg::S(*dst))?;
+            visit(Loc::S(*dst), Access::Def)?;
             visit_ssrc(a, visit)?;
             visit_ssrc(b, visit)
         }
         Inst::SCmp { a, b, .. } => {
             visit_ssrc(a, visit)?;
-            visit_ssrc(b, visit)
+            visit_ssrc(b, visit)?;
+            visit(Loc::Scc, Access::Def)
         }
-        Inst::SLoadArg { dst, .. }
-        | Inst::SGetSpecial { dst, .. }
-        | Inst::SReadMask { dst, .. }
-        | Inst::SAndSaveExec { dst } => visit(Reg::S(*dst)),
-        Inst::SWriteMask { src, .. } => visit_ssrc(src, visit),
+        Inst::SLoadArg { dst, .. } | Inst::SGetSpecial { dst, .. } => {
+            visit(Loc::S(*dst), Access::Def)
+        }
+        Inst::SReadMask { dst, src } => {
+            visit(Loc::S(*dst), Access::Def)?;
+            visit(mask(*src), Access::Use)
+        }
+        Inst::SAndSaveExec { dst } => {
+            visit(Loc::S(*dst), Access::Def)?;
+            visit(Loc::Exec, Access::Use)?;
+            visit(Loc::Vcc, Access::Use)?;
+            visit(Loc::Exec, Access::Def)
+        }
+        Inst::SWriteMask { dst, src } => {
+            visit_ssrc(src, visit)?;
+            visit(mask(*dst), Access::Def)
+        }
         Inst::VAlu { dst, a, b, .. } => {
-            visit(Reg::V(*dst))?;
+            visit(Loc::V(*dst), Access::LaneDef)?;
             visit_vsrc(a, visit)?;
             visit_vsrc(b, visit)
         }
         Inst::VFma { dst, a, b, c } => {
-            visit(Reg::V(*dst))?;
+            visit(Loc::V(*dst), Access::LaneDef)?;
             visit_vsrc(a, visit)?;
             visit_vsrc(b, visit)?;
             visit_vsrc(c, visit)
         }
         Inst::VCmp { a, b, .. } => {
             visit_vsrc(a, visit)?;
-            visit_vsrc(b, visit)
+            visit_vsrc(b, visit)?;
+            visit(Loc::Vcc, Access::LaneDef)
         }
         Inst::GlobalLoad {
-            dst: data,
-            base,
-            offset,
-            ..
-        }
-        | Inst::GlobalStore {
-            src: data,
-            base,
-            offset,
-            ..
+            dst, base, offset, ..
         } => {
-            visit(Reg::V(*data))?;
-            visit(Reg::S(*base))?;
-            visit(Reg::V(*offset))
+            visit(Loc::V(*dst), Access::LaneDef)?;
+            visit(Loc::S(*base), Access::Addr)?;
+            visit(Loc::V(*offset), Access::Addr)
         }
-        Inst::LdsLoad {
-            dst: data, addr, ..
-        }
-        | Inst::LdsStore {
-            src: data, addr, ..
+        Inst::GlobalStore {
+            src, base, offset, ..
         } => {
-            visit(Reg::V(*data))?;
-            visit(Reg::V(*addr))
+            visit(Loc::V(*src), Access::Use)?;
+            visit(Loc::S(*base), Access::Addr)?;
+            visit(Loc::V(*offset), Access::Addr)
         }
-        Inst::Branch { .. }
-        | Inst::CBranch { .. }
-        | Inst::SBarrier
-        | Inst::SWaitcnt
-        | Inst::SEndpgm => Ok(()),
+        Inst::LdsLoad { dst, addr, .. } => {
+            visit(Loc::V(*dst), Access::LaneDef)?;
+            visit(Loc::V(*addr), Access::Addr)
+        }
+        Inst::LdsStore { src, addr, .. } => {
+            visit(Loc::V(*src), Access::Use)?;
+            visit(Loc::V(*addr), Access::Addr)
+        }
+        Inst::CBranch { cond, .. } => visit(
+            match cond {
+                BranchCond::SccZero | BranchCond::SccNonZero => Loc::Scc,
+                BranchCond::ExecZero | BranchCond::ExecNonZero => Loc::Exec,
+                BranchCond::VccZero | BranchCond::VccNonZero => Loc::Vcc,
+            },
+            Access::Use,
+        ),
+        Inst::Branch { .. } | Inst::SBarrier | Inst::SWaitcnt | Inst::SEndpgm => Ok(()),
     }
 }
 
 fn check_registers(pc: u32, inst: &Inst, limits: &KernelLimits) -> Result<(), ValidateError> {
-    visit_registers(inst, &mut |r| match r {
-        Reg::S(r) if r.index() >= limits.sregs => Err(ValidateError::SregOutOfRange {
+    visit_registers(inst, &mut |r, _| match r {
+        Loc::S(r) if r.index() >= limits.sregs => Err(ValidateError::SregOutOfRange {
             pc,
             reg: r.index(),
             limit: limits.sregs,
         }),
-        Reg::V(r) if r.index() >= limits.vregs => Err(ValidateError::VregOutOfRange {
+        Loc::V(r) if r.index() >= limits.vregs => Err(ValidateError::VregOutOfRange {
             pc,
             reg: r.index(),
             limit: limits.vregs,
@@ -243,8 +294,8 @@ fn check_registers(pc: u32, inst: &Inst, limits: &KernelLimits) -> Result<(), Va
 pub(crate) fn vreg_footprint(insts: &[Inst]) -> usize {
     let mut n = 0;
     for inst in insts {
-        let _ = visit_registers(inst, &mut |r| {
-            if let Reg::V(v) = r {
+        let _ = visit_registers(inst, &mut |r, _| {
+            if let Loc::V(v) = r {
                 n = n.max(v.index() + 1);
             }
             Ok::<(), std::convert::Infallible>(())

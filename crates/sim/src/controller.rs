@@ -176,8 +176,12 @@ pub trait KernelStartAccess {
     }
     /// Functionally traces one warp against a copy-on-write memory
     /// overlay (no side effects); barriers are treated as no-ops, LDS is
-    /// warp-private scratch. The instruction cost is accounted as
-    /// functional work.
+    /// warp-private scratch. Only the program's control slice is
+    /// executed, but the trace, its `insts` and any error are those of
+    /// executing every instruction (see
+    /// [`trace_warp_isolated`](crate::trace_warp_isolated)); the
+    /// instructions the warp covers, `insts`, are charged as functional
+    /// work.
     ///
     /// # Errors
     /// Returns [`SimError::InstLimitExceeded`] for runaway warps and

@@ -174,6 +174,16 @@ pub(crate) fn registry_applications() -> Vec<Case> {
         .collect()
 }
 
+/// ResNet-50 at input 64, channels / 8: the network of the benchmark's
+/// `resnet50_kernels` workload.
+pub(crate) fn resnet50_kernels() -> Case {
+    let scale = DnnScale {
+        input_hw: 64,
+        channel_div: 8,
+    };
+    registry_case!(|gpu| RealWorldApp::ResNet50.build(&mut gpu, scale, 1))
+}
+
 /// xorshift64: the seeded source of the contention corpus.
 struct Rng(u64);
 

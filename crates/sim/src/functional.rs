@@ -3,9 +3,10 @@
 //! Two entry points:
 //!
 //! * [`trace_warp_isolated`] — Photon's online analysis primitive: run
-//!   one warp against a copy-on-write overlay (no side effects),
-//!   treating barriers as no-ops and LDS as private scratch, and return
-//!   its [`WarpTrace`] (per-block execution counts = the warp's BBV).
+//!   one warp's control slice against a copy-on-write overlay (no side
+//!   effects), treating barriers as no-ops and LDS as private scratch,
+//!   and return its [`WarpTrace`] (per-block execution counts = the
+//!   warp's BBV).
 //! * [`run_wg_functional`] — committed fast-forward execution of a whole
 //!   workgroup with correct cooperative semantics: warps interleave at
 //!   barriers so LDS data exchange (e.g. matrix-multiply tiling) is
@@ -24,6 +25,12 @@ thread_local! {
     /// thread coalesces every global access into a buffer, as it did
     /// before nothing read the lines.
     static BUILD_LINES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set by the control-slice oracle: [`trace_warp_isolated`] on this
+    /// thread executes every instruction, as it did before the slice.
+    static FULL_SLICE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Instructions [`trace_warp_isolated`] executed on this thread
+    /// (the charged ones are its traces' `insts`).
+    static TRACE_EXECUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The line buffer functional execution passes `execute`: none, since
@@ -46,10 +53,18 @@ fn bb_counts_to_trace(counts: Vec<u32>, insts: u64) -> WarpTrace {
     WarpTrace::from_counts(bb_counts, insts)
 }
 
-/// Functionally executes one warp in isolation over a memory overlay.
+/// Functionally traces one warp in isolation over a memory overlay.
 ///
-/// Returns the trace and the number of instructions executed (charged
-/// as functional work by callers).
+/// Executes only the program's [control slice]
+/// (`Program::control_slice`): an instruction outside it just advances
+/// the pc. The warp still enters every block and counts every
+/// instruction — the runaway guard included — exactly as full
+/// execution would, so the trace and any error are those of running
+/// the whole warp, and its `insts` (charged as functional work by
+/// callers) are the instructions the warp covers, not the fewer it
+/// executed.
+///
+/// [control slice]: gpu_isa::Program::control_slice
 ///
 /// # Errors
 /// Returns [`SimError::InstLimitExceeded`] if the warp exceeds
@@ -63,6 +78,11 @@ pub fn trace_warp_isolated(
 ) -> Result<WarpTrace, SimError> {
     let program = launch.kernel.program();
     let ops = program.decoded();
+    let slice = program.control_slice();
+    #[cfg(test)]
+    let every_pc = vec![true; slice.len()];
+    #[cfg(test)]
+    let slice = if FULL_SLICE.get() { &every_pc } else { slice };
     let mut counts = vec![0u32; program.basic_blocks().len()];
     let mut overlay = OverlayMem::new(mem);
     let mut lds = vec![0u8; launch.lds_bytes.max(4) as usize];
@@ -81,7 +101,16 @@ pub fn trace_warp_isolated(
         if let Some(bb) = op.block_start() {
             counts[bb.index()] += 1;
         }
-        let info = execute(&mut warp, op, &mut overlay, &mut lds, &env, lines.as_mut())?;
+        let end = if slice[warp.pc as usize] {
+            #[cfg(test)]
+            TRACE_EXECUTED.set(TRACE_EXECUTED.get() + 1);
+            let info = execute(&mut warp, op, &mut overlay, &mut lds, &env, lines.as_mut())?;
+            info.effect == StepEffect::End
+        } else {
+            // Nothing outside the slice branches, ends or faults.
+            warp.pc += 1;
+            false
+        };
         insts += 1;
         if insts > max_insts {
             return Err(SimError::InstLimitExceeded {
@@ -89,7 +118,7 @@ pub fn trace_warp_isolated(
                 limit: max_insts,
             });
         }
-        if info.effect == StepEffect::End {
+        if end {
             break;
         }
         // Barriers are no-ops in isolated tracing.
@@ -263,6 +292,222 @@ mod tests {
             assert!(want_traces == traces, "{}: traces", case.name);
             assert_eq!(want_memory, memory, "{}: device memory", case.name);
         }
+    }
+
+    /// Traces `w` with every instruction executed (the oracle) and with
+    /// the control slice alone, and requires the same outcome.
+    fn trace_both_ways(
+        l: &KernelLaunch,
+        mem: &AddressSpace,
+        w: u64,
+        max_insts: u64,
+    ) -> Result<WarpTrace, SimError> {
+        FULL_SLICE.set(true);
+        let want = trace_warp_isolated(l, mem, w, max_insts);
+        FULL_SLICE.set(false);
+        let got = trace_warp_isolated(l, mem, w, max_insts);
+        assert_eq!(want, got, "{}: warp {w}", l.kernel.name());
+        got
+    }
+
+    /// Every warp of every launch of `case` traced both ways, each
+    /// launch then run to give the next one its memory. Returns the
+    /// warps compared.
+    fn slice_matches_full_execution(case: &Case) -> u64 {
+        let mut mem = case.image.clone();
+        let mut warps = 0;
+        for l in &case.launches {
+            for w in 0..l.total_warps() {
+                trace_both_ways(l, &mem, w, u64::MAX).unwrap();
+                warps += 1;
+            }
+            for wg in 0..l.num_wgs {
+                run_wg_functional(l, &mut mem, wg, u64::MAX).unwrap();
+            }
+        }
+        warps
+    }
+
+    #[test]
+    fn control_slice_traces_as_full_execution_on_the_registry_benchmarks() {
+        let warps: u64 = corpus::registry_benchmarks()
+            .iter()
+            .map(slice_matches_full_execution)
+            .sum();
+        assert!(warps > 0);
+    }
+
+    #[test]
+    fn control_slice_traces_as_full_execution_on_the_registry_applications() {
+        let warps: u64 = corpus::registry_applications()
+            .iter()
+            .map(slice_matches_full_execution)
+            .sum();
+        assert!(warps > 0);
+    }
+
+    #[test]
+    fn control_slice_traces_as_full_execution_on_seeded_contention_kernels() {
+        for seed in 0..40 {
+            slice_matches_full_execution(&corpus::contention_case(seed));
+        }
+    }
+
+    fn launch_of(kb: KernelBuilder, lds: u32) -> KernelLaunch {
+        let k = Kernel::new(kb.finish().unwrap());
+        KernelLaunch::new(k, 1, 1, vec![0x1000]).with_lds(lds)
+    }
+
+    #[test]
+    fn an_lds_store_out_of_bounds_faults_though_its_data_is_outside_the_slice() {
+        let mut kb = KernelBuilder::new("lds_oob");
+        let (data, addr) = (kb.vreg(), kb.vreg());
+        kb.vfma(
+            data,
+            VectorSrc::LaneId,
+            VectorSrc::ImmF32(2.0),
+            VectorSrc::ImmF32(1.0),
+        );
+        kb.valu(VAluOp::Shl, addr, VectorSrc::LaneId, VectorSrc::Imm(2));
+        kb.valu(
+            VAluOp::Add,
+            addr,
+            VectorSrc::Reg(addr),
+            VectorSrc::Imm(1024),
+        );
+        kb.lds_store(data, addr, 0);
+        let launch = launch_of(kb, 256);
+        assert!(
+            !launch.kernel.program().control_slice()[0],
+            "the data is not in the slice"
+        );
+        let err = trace_both_ways(&launch, &AddressSpace::new(), 0, 1_000).unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::ExecFault {
+                fault: crate::error::ExecFaultKind::LdsOutOfBounds { addr: 1024, .. },
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn a_runaway_loop_outside_the_slice_hits_the_same_limit() {
+        let mut kb = KernelBuilder::new("runaway");
+        let v = kb.vreg();
+        let top = kb.label();
+        kb.place(top);
+        kb.valu(VAluOp::Add, v, VectorSrc::Reg(v), VectorSrc::Imm(1));
+        kb.branch(top);
+        let launch = launch_of(kb, 0);
+        assert_eq!(launch.kernel.program().control_slice()[..2], [false, true]);
+        let err = trace_both_ways(&launch, &AddressSpace::new(), 0, 1_001).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InstLimitExceeded {
+                warp: 0,
+                limit: 1_001
+            }
+        );
+    }
+
+    #[test]
+    fn a_branch_on_a_global_load_executes_the_whole_program() {
+        let mut kb = KernelBuilder::new("load_branch");
+        let base = kb.sreg();
+        kb.load_arg(base, 0);
+        let (off, x, y) = (kb.vreg(), kb.vreg(), kb.vreg());
+        kb.valu(VAluOp::Shl, off, VectorSrc::LaneId, VectorSrc::Imm(2));
+        kb.global_load(x, base, off, 0, MemWidth::B32);
+        kb.vcmp(CmpOp::Gt, VectorSrc::Reg(x), VectorSrc::Imm(3), false);
+        kb.if_vcc(|kb| {
+            kb.valu(VAluOp::Add, y, VectorSrc::Reg(x), VectorSrc::Imm(1));
+            kb.global_store(y, base, off, 4, MemWidth::B32);
+        });
+        let launch = launch_of(kb, 0);
+        assert!(launch.kernel.program().control_slice().iter().all(|&s| s));
+        let mut mem = AddressSpace::new();
+        for (lane, value) in [(0, 5), (1, 2), (9, 7)] {
+            mem.write_u32(0x1000 + 4 * lane, value);
+        }
+        let trace = trace_both_ways(&launch, &mem, 0, 1_000).unwrap();
+        assert_eq!(trace.bb_counts.len(), 3, "the guarded block runs");
+        let quiet = trace_both_ways(&launch, &AddressSpace::new(), 0, 1_000).unwrap();
+        assert_eq!(quiet.bb_counts.len(), 2, "all zeros skip it");
+
+        // The branch reads back what the warp stored: only executing the
+        // store (outside any slice of registers) gets it right.
+        let mut kb = KernelBuilder::new("store_load_branch");
+        let base = kb.sreg();
+        kb.load_arg(base, 0);
+        let (off, x) = (kb.vreg(), kb.vreg());
+        kb.valu(VAluOp::Shl, off, VectorSrc::LaneId, VectorSrc::Imm(2));
+        kb.valu(VAluOp::Add, x, VectorSrc::LaneId, VectorSrc::Imm(5));
+        kb.global_store(x, base, off, 0, MemWidth::B32);
+        kb.global_load(x, base, off, 0, MemWidth::B32);
+        kb.vcmp(CmpOp::Gt, VectorSrc::Reg(x), VectorSrc::Imm(3), false);
+        kb.if_vcc(|kb| {
+            kb.vmov(x, VectorSrc::Imm(0));
+        });
+        let launch = launch_of(kb, 0);
+        let trace = trace_both_ways(&launch, &AddressSpace::new(), 0, 1_000).unwrap();
+        assert_eq!(trace.bb_counts.len(), 3, "the stored values pass the test");
+    }
+
+    #[test]
+    fn a_vector_compare_under_a_narrowed_exec_reads_exec() {
+        // EXEC reaches the branch only through the compare's lane-wise
+        // write of VCC.
+        let mut kb = KernelBuilder::new("narrow_cmp");
+        let (s_vcc, n) = (kb.sreg(), kb.sreg());
+        kb.push(gpu_isa::Inst::SWriteMask {
+            dst: gpu_isa::MaskReg::Exec,
+            src: gpu_isa::ScalarSrc::Imm(0xff),
+        });
+        kb.vcmp(CmpOp::Lt, VectorSrc::LaneId, VectorSrc::Imm(32), false);
+        kb.push(gpu_isa::Inst::SReadMask {
+            dst: s_vcc,
+            src: gpu_isa::MaskReg::Vcc,
+        });
+        kb.scmp(CmpOp::Eq, s_vcc, 0xffi64);
+        kb.if_scc(|kb| {
+            kb.smov(n, 1i64);
+        });
+        let launch = launch_of(kb, 0);
+        assert!(launch.kernel.program().control_slice()[0]);
+        let trace = trace_both_ways(&launch, &AddressSpace::new(), 0, 1_000).unwrap();
+        assert_eq!(
+            trace.bb_counts.len(),
+            3,
+            "eight lanes compared: the guarded block runs"
+        );
+    }
+
+    /// The 1 % sample Photon traces on `resnet50_kernels` (ResNet-50 at
+    /// input 64, channels / 8): how many of the instructions it charges
+    /// the tracer executed.
+    #[test]
+    fn the_resnet_sample_executes_under_half_of_what_it_charges() {
+        let case = corpus::resnet50_kernels();
+        let (mut executed, mut charged) = (0, 0);
+        for l in &case.launches {
+            let total = l.total_warps();
+            let k = total.div_ceil(100).max(8).min(total);
+            for i in 0..k {
+                let w = ((i as f64 + 0.5) * total as f64 / k as f64) as u64;
+                TRACE_EXECUTED.set(0);
+                charged += trace_warp_isolated(l, &case.image, w.min(total - 1), u64::MAX)
+                    .unwrap()
+                    .insts;
+                executed += TRACE_EXECUTED.get();
+            }
+        }
+        assert_eq!(charged, 1_231_928, "the sample the benchmark charges");
+        let share = executed as f64 / charged as f64;
+        assert!(
+            share <= 0.45,
+            "executed {executed} of {charged} ({share:.3})"
+        );
     }
 
     /// Kernel: each warp stores (global_warp_id + lane) to out[tid].

@@ -75,6 +75,14 @@ if grep -rnE 'bin[ ]profile|diff[_]reports|DIFF[_]THRESHOLD|run[_]counts|determi
   exit 1
 fi
 
+# Basic blocks have one decomposition: the paper's. The s_waitcnt
+# split of §3 Obs 3 is prose in DESIGN.md, not a switch.
+if grep -rnE 'Bb[O]ptions|from_program[_]with|split[_]at_waitcnt' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    BasicBlockMap::from_program is the only decomposition"
+  exit 1
+fi
+
 echo "==> non-test lines per crate (scripts/loc.sh; every PR reports before -> after)"
 scripts/loc.sh
 
