@@ -39,7 +39,7 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("fig15", Grid(|o| { figures::fig15(o); })),
     ("fig16", Grid(|o| { figures::fig16(o); })),
     ("fig17", Grid(|o| { figures::fig17(o); })),
-    ("offline_tradeoff", Fixed(|| { figures::offline_tradeoff(); })),
+    ("offline_tradeoff", Fixed(figures::offline_tradeoff)),
 ];
 
 fn names(sep: &str) -> String {

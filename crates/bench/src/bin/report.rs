@@ -196,7 +196,7 @@ fn flightrec_show(path: &str) {
         println!("  detail: {}", rec.detail);
     }
     println!("  spans: {}", rec.spans.len());
-    for p in &rec.tree.phases {
+    for p in gpu_telemetry::span::phases(&rec.spans) {
         println!(
             "  phase {:<14} count={:<4} total={:.3}ms",
             p.phase,
@@ -204,8 +204,8 @@ fn flightrec_show(path: &str) {
             p.total_us as f64 / 1000.0
         );
     }
-    let failed = rec.tree.failed_spans();
-    if failed.is_empty() {
+    let mut failed = rec.spans.iter().filter(|s| !s.ok).peekable();
+    if failed.peek().is_none() {
         println!("  no failed spans");
     }
     for s in failed {

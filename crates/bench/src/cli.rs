@@ -27,7 +27,7 @@ pub fn usage(bin: &str, extra: &str) -> String {
          \x20                 instead of re-simulating them\n\
          \x20 --no-journal    do not write the run journal\n\
          \x20 --faults SPEC   deterministic fault injection: site:rate:seed[,...]\n\
-         \x20                 (PHOTON_FAULTS=SPEC does the same; see --faults help)\n\
+         \x20                 (see --faults help)\n\
          \x20 --engine MODE   timing-engine override for every run in the grid:\n\
          \x20                 serial | deterministic\n\
          \x20 --engine-threads N  worker threads per simulation for the epoch\n\

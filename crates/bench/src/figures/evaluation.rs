@@ -332,8 +332,13 @@ pub fn fig17(opts: &ExecOptions) -> Vec<LayerRow> {
 ///
 /// Inherently sequential: the offline pass consumes the analyses the
 /// online pass exports, so there is nothing for the executor to fan
-/// out. (The binary still accepts the common flags for a uniform CLI.)
-pub fn offline_tradeoff() -> (f64, f64) {
+/// out. What repeats is checked — reuse predicts exactly the online
+/// cycles and charges fewer functional instructions — and each wall
+/// time is one host-time sample (host time is `benchmark/run.sh`'s).
+///
+/// # Panics
+/// When either check fails.
+pub fn offline_tradeoff() {
     let gpu_cfg = r9_nano();
     let scale = dnn_scale();
     let pcfg = scaled_photon_config(Levels::all());
@@ -355,18 +360,16 @@ pub fn offline_tradeoff() -> (f64, f64) {
     let offline_res = app2.run(&mut gpu2, &mut offline).expect("offline run");
     let offline_wall = t1.elapsed().as_secs_f64();
 
-    println!(
-        "online:  {:.2}s wall, {} functional insts, {} cycles",
-        online_wall,
-        online_res.total_functional_insts(),
-        online_res.total_cycles()
-    );
-    println!(
-        "offline: {:.2}s wall, {} functional insts, {} cycles",
-        offline_wall,
-        offline_res.total_functional_insts(),
-        offline_res.total_cycles()
-    );
+    for (name, res, wall) in [
+        ("online", &online_res, online_wall),
+        ("offline", &offline_res, offline_wall),
+    ] {
+        println!(
+            "{name:<8} {} functional insts, {} cycles; one wall sample {wall:.2}s",
+            res.total_functional_insts(),
+            res.total_cycles()
+        );
+    }
     write_json(
         "offline_tradeoff",
         &serde_json::json!({
@@ -376,7 +379,11 @@ pub fn offline_tradeoff() -> (f64, f64) {
             "offline_functional_insts": offline_res.total_functional_insts(),
         }),
     );
-    (online_wall, offline_wall)
+    assert!(
+        offline_res.total_cycles() == online_res.total_cycles()
+            && offline_res.total_functional_insts() < online_res.total_functional_insts(),
+        "offline reuse must predict the online cycles from fewer functional insts"
+    );
 }
 
 /// Table 1: the simulated GPU configurations.

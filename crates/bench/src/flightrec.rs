@@ -6,21 +6,20 @@
 //!
 //! Dumps go through the persist layer: checksum-framed atomic writes,
 //! and quarantine (with rotation) when a dump is found corrupt at load
-//! time. The span list is capped at [`MAX_SPANS`]; when truncating, the
-//! newest spans win but failed spans are always kept — the failing span
-//! *is* the evidence.
+//! time. A dump carries the job's span list as the collector holds it
+//! (`gpu_telemetry::span::job_records`): the collector's per-job bound
+//! is the only one, so every span it kept reaches the dump.
 
 use crate::persist::{self, LoadError};
-use gpu_telemetry::span::{build_tree, job_hex, SpanRecord, SpanTree};
+use gpu_telemetry::span::{job_hex, SpanRecord};
 use gpu_telemetry::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Bumped when the dump layout changes incompatibly.
-pub const FLIGHTREC_SCHEMA_VERSION: u32 = 1;
-
-/// Most spans a dump carries (newest win; failed spans always kept).
-pub const MAX_SPANS: usize = 256;
+/// Bumped when the dump layout changes. v2 dropped the span tree that
+/// v1 carried beside the list; a v1 dump still loads (its `tree` is
+/// ignored).
+pub const FLIGHTREC_SCHEMA_VERSION: u32 = 2;
 
 /// Why a flight record was cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +61,8 @@ pub struct FlightRecord {
     pub detail: String,
     /// Job wall-clock, seconds.
     pub wall_secs: f64,
-    /// The span trail (capped at [`MAX_SPANS`]).
+    /// The job's span trail, sorted by id; each span names its parent.
     pub spans: Vec<SpanRecord>,
-    /// The spans reassembled into a tree with per-phase rollups.
-    pub tree: SpanTree,
     /// Metrics snapshot at dump time.
     pub metrics: MetricsSnapshot,
 }
@@ -75,8 +72,7 @@ pub fn default_dir() -> PathBuf {
     crate::harness::results_dir().join("flightrec")
 }
 
-/// Assembles a record for `job`: spans are capped (newest win, failed
-/// spans always kept), the tree is rebuilt from what is kept.
+/// Assembles a record for `job` around its span trail.
 pub fn assemble(
     job: u64,
     label: &str,
@@ -86,16 +82,6 @@ pub fn assemble(
     spans: &[SpanRecord],
     metrics: MetricsSnapshot,
 ) -> FlightRecord {
-    let mut spans: Vec<SpanRecord> = spans.to_vec();
-    if spans.len() > MAX_SPANS {
-        spans.sort_by_key(|r| r.id);
-        let mut kept: Vec<SpanRecord> = spans.iter().filter(|r| !r.ok).cloned().collect();
-        let room = MAX_SPANS.saturating_sub(kept.len());
-        kept.extend(spans.iter().filter(|r| r.ok).rev().take(room).cloned());
-        kept.sort_by_key(|r| r.id);
-        spans = kept;
-    }
-    let tree = build_tree(job, &spans);
     FlightRecord {
         schema_version: FLIGHTREC_SCHEMA_VERSION,
         job: job_hex(job),
@@ -103,8 +89,7 @@ pub fn assemble(
         trigger: trigger.name().to_string(),
         detail: detail.to_string(),
         wall_secs,
-        spans,
-        tree,
+        spans: spans.to_vec(),
         metrics,
     }
 }
@@ -205,10 +190,9 @@ mod tests {
         assert_eq!(back.trigger, "job-failed");
         assert_eq!(back.spans.len(), 2);
         assert!(back
-            .tree
-            .failed_spans()
+            .spans
             .iter()
-            .any(|s| s.detail.contains("exec.panic")));
+            .any(|s| !s.ok && s.detail.contains("exec.panic")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -250,25 +234,31 @@ mod tests {
     }
 
     #[test]
-    fn truncation_keeps_failed_and_newest_spans() {
-        let mut spans: Vec<SpanRecord> = (1..=400u64)
-            .map(|i| rec(i, 0, SpanKind::CacheProbe, true, ""))
-            .collect();
-        spans[0] = rec(1, 0, SpanKind::Sim, false, "the evidence");
+    fn a_dump_holds_every_span_the_collector_holds_for_the_job() {
+        use gpu_telemetry::span;
+        // More spans than the collector keeps for one job: its bound
+        // is the only one a dump sees.
+        let job = 0xf11e_0000_0000_0001;
+        let root = span::start_job(job, "big");
+        for _ in 0..1000 {
+            span::emit(root, SpanKind::CacheProbe, "probe", true, "");
+        }
+        span::close(root.span, true, "");
+        let held = span::job_records(job);
+        assert!(
+            (300..1001).contains(&held.len()),
+            "the collector bounds a job's trail: {}",
+            held.len()
+        );
         let record = assemble(
-            0xabcd,
+            job,
             "big",
             Trigger::P99Latency,
             "",
             1.0,
-            &spans,
+            &held,
             MetricsSnapshot::default(),
         );
-        assert_eq!(record.spans.len(), MAX_SPANS);
-        assert!(
-            record.spans.iter().any(|s| !s.ok),
-            "the failed span must survive truncation"
-        );
-        assert!(record.spans.iter().any(|s| s.id == 400), "newest span kept");
+        assert_eq!(record.spans, held);
     }
 }

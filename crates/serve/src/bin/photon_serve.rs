@@ -30,7 +30,7 @@ fn usage() -> String {
      \x20 --no-cache     bypass the persistent results/cache/ reference cache\n\
      \x20 --engine-threads N  worker threads per simulation for the epoch engine\n\
      \x20 --faults SPEC  deterministic fault injection: site:rate:seed[,...]\n\
-     \x20                (PHOTON_FAULTS=SPEC does the same; see --faults help)"
+     \x20                (see --faults help)"
         .to_string()
 }
 

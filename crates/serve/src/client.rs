@@ -131,7 +131,7 @@ impl Client {
         self.request(&serde_json::json!({ "op": "stats" }))
     }
 
-    /// A job's correlated span tree (protocol v2 `trace` op).
+    /// A job's correlated span list (protocol v2 `trace` op).
     ///
     /// # Errors
     /// Returns I/O errors.

@@ -22,7 +22,7 @@
 //! ([`gpu_telemetry::span::start_job`]): typed spans (queued, coalesced,
 //! cache-probe, sim, epoch-barrier, mem-service, persist) land in
 //! `gpu_telemetry::span`'s always-on rings, the `trace` op returns the
-//! reassembled span tree, the `metrics` op exports the registry in
+//! job's flat span list, the `metrics` op exports the registry in
 //! Prometheus text format, and a job that fails, absorbs a failed span,
 //! or lands past the live p99 dumps a flight record
 //! ([`photon_bench::flightrec`]) for post-hoc diagnosis.

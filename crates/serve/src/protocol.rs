@@ -18,9 +18,9 @@
 //! shutdown = {"op":"shutdown"}
 //! ```
 //!
-//! `trace` (protocol v2) returns the job's span tree — the correlated
-//! trace minted at submit ([`span::start_job`]) and threaded through the
-//! scheduler, executor, and engine — with per-phase duration rollups.
+//! `trace` (protocol v2) returns the job's flat span list — the trace
+//! minted at submit ([`span::start_job`]) and threaded through the
+//! scheduler, executor, and engine — with phase and failure rollups.
 //! `metrics` (protocol v2) returns the server's registry rendered in
 //! Prometheus text exposition format 0.0.4; because the protocol is
 //! line-delimited JSON, the multi-line exposition text rides in the
@@ -82,7 +82,7 @@ pub enum Request {
     },
     /// Server-wide counters, gauges, and queue depths.
     Stats,
-    /// The job's correlated span tree with per-phase durations.
+    /// The job's correlated span list with per-phase durations.
     Trace {
         /// Job id from a `submit` response.
         job: u64,

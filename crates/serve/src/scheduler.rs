@@ -783,9 +783,9 @@ impl Scheduler {
         (resumed, corrupt)
     }
 
-    /// The correlated span trail of one job, as `(spans, tree)`, or
-    /// `None` when the job is unknown and no spans were ever recorded
-    /// for its id.
+    /// One job's correlated span trail — the flat list with its current
+    /// phase, per-phase totals and failed spans — or `None` when the job
+    /// is unknown and no spans were ever recorded for its id.
     pub fn trace(&self, id: u64) -> Option<Value> {
         let records = span::job_records(id);
         let (label, state_name) = self
@@ -798,20 +798,18 @@ impl Scheduler {
         if records.is_empty() && label.is_none() {
             return None;
         }
-        let tree = span::build_tree(id, &records);
         Some(serde_json::json!({
             "job": job_hex(id),
             "label": label,
             "state": state_name,
-            "phase": tree.current_phase().map(|s| s.kind.name()),
-            "phases": tree.phases,
-            "failed": tree.failed_spans().iter().map(|s| serde_json::json!({
+            "phase": span::current_phase(&records).map(|s| s.kind.name()),
+            "phases": span::phases(&records),
+            "failed": records.iter().filter(|s| !s.ok).map(|s| serde_json::json!({
                 "kind": s.kind.name(),
                 "label": s.label,
                 "detail": s.detail,
             })).collect::<Vec<Value>>(),
             "spans": records,
-            "tree": tree.roots,
         }))
     }
 
@@ -845,9 +843,9 @@ impl Scheduler {
     /// the result-store and reference-cache counters.
     pub fn stats(&self) -> Value {
         self.refresh_gauges();
-        // Copy the live jobs out under the state lock; their span
-        // trees are built after it is released, so a `stats` poll
-        // never holds up submit, wait, fetch or the workers.
+        // Copy the live jobs out under the state lock; their spans are
+        // read after it is released, so a `stats` poll never holds up
+        // submit, wait, fetch or the workers.
         let live: Vec<(u64, String, String, Phase, u64)> = {
             let state = self.lock_state();
             state
@@ -862,14 +860,13 @@ impl Scheduler {
         let jobs: Vec<Value> = live
             .into_iter()
             .map(|(id, label, tenant, phase, age_ms)| {
-                let tree = span::build_tree(id, &span::job_records(id));
+                let records = span::job_records(id);
                 serde_json::json!({
                     "job": job_hex(id),
                     "label": label,
                     "tenant": tenant,
                     "state": phase.name(),
-                    "phase": tree
-                        .current_phase()
+                    "phase": span::current_phase(&records)
                         .map_or(phase.name(), |s| s.kind.name()),
                     "age_ms": age_ms,
                 })

@@ -233,6 +233,92 @@ fn wait_answers_with_a_status_and_fetch_with_the_body() {
     srv.stop();
 }
 
+/// `trace` on a finished job: no phase open, nothing failed, and each
+/// phase's count and total are its spans' count and summed duration,
+/// in lifecycle order.
+#[test]
+fn trace_of_a_finished_job_rolls_its_spans_up_by_phase() {
+    use gpu_telemetry::span::{PhaseDuration, SpanKind, SpanRecord};
+    use serde::Deserialize;
+
+    let srv = TestServer::start(1, 8, None);
+    let mut c = srv.client();
+    let sub = c.submit(&fir(96, Method::Pka), "t0").expect("submit");
+    let job = response_job(&sub).expect("job id");
+    assert!(response_ok(&c.wait(&job).expect("wait")));
+    // The root span closes just after the job leaves the live map.
+    let mut trace = Value::Null;
+    for _ in 0..500 {
+        trace = c.trace(&job).expect("trace");
+        if trace.get("phase") == Some(&Value::Null) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(response_ok(&trace), "{trace:?}");
+    assert_eq!(trace.get("job"), Some(&Value::String(job.clone())));
+    assert_eq!(trace.get("state"), Some(&Value::String("done".into())));
+    assert_eq!(trace.get("phase"), Some(&Value::Null), "{trace:?}");
+    assert_eq!(trace.get("failed"), Some(&Value::Array(Vec::new())));
+
+    let spans = Vec::<SpanRecord>::deserialize(trace.get("spans").expect("spans")).expect("spans");
+    let phases =
+        Vec::<PhaseDuration>::deserialize(trace.get("phases").expect("phases")).expect("phases");
+    assert!(spans.iter().all(|s| s.ok && !s.open), "{spans:?}");
+    let want: Vec<(String, u64, u64)> = SpanKind::ALL
+        .iter()
+        .map(|kind| {
+            let of_kind = spans.iter().filter(|s| s.kind == *kind);
+            let total = of_kind.clone().map(|s| s.dur_us).sum();
+            (kind.name().to_string(), of_kind.count() as u64, total)
+        })
+        .filter(|(_, count, _)| *count > 0)
+        .collect();
+    let got: Vec<(String, u64, u64)> = phases
+        .iter()
+        .map(|p| (p.phase.clone(), p.count, p.total_us))
+        .collect();
+    assert_eq!(got, want);
+    let count = |name: &str| phases.iter().find(|p| p.phase == name).map(|p| p.count);
+    assert_eq!(
+        (count("job"), count("queued"), count("sim")),
+        (Some(1), Some(1), Some(1))
+    );
+    assert_eq!(
+        spans.len() as u64,
+        phases.iter().map(|p| p.count).sum::<u64>()
+    );
+    srv.stop();
+}
+
+/// `stats` shows a job no worker has taken yet at phase `queued`.
+#[test]
+fn stats_shows_a_queued_job_at_phase_queued() {
+    use photon_serve::Scheduler;
+
+    let sched = Scheduler::new(ServeOptions {
+        queue_capacity: 8,
+        exec: ExecOptions {
+            cache: false,
+            journal: None,
+            ..ExecOptions::default()
+        },
+        ..ServeOptions::default()
+    });
+    let spec = fir(4096, Method::Full);
+    let id = journal_key(&spec);
+    sched.submit(spec, "t0");
+    let stats = sched.stats();
+    let Some(Value::Array(jobs)) = stats.get("jobs") else {
+        panic!("no jobs list: {stats:?}");
+    };
+    assert_eq!(jobs.len(), 1, "{jobs:?}");
+    assert_eq!(jobs[0].get("job"), Some(&Value::String(job_hex(id))));
+    assert_eq!(jobs[0].get("state"), Some(&Value::String("queued".into())));
+    assert_eq!(jobs[0].get("phase"), Some(&Value::String("queued".into())));
+    assert_eq!(sched.cancel(id), Some(true));
+}
+
 #[test]
 fn identical_concurrent_submissions_run_one_simulation() {
     const CLIENTS: usize = 8;

@@ -1,21 +1,30 @@
-//! End-to-end trace + flight-recorder test under fault injection.
+//! End-to-end trace + flight-recorder tests under fault injection.
 //!
-//! Lives in its own integration-test binary: the fault plan is
+//! Live in their own integration-test binary: the fault plan is
 //! process-global, and an `exec.panic` plan armed here would leak into
-//! the regular serve tests if they shared a process.
+//! the regular serve tests if they shared a process. For the same
+//! reason the tests here take [`faults_lock`] and run one at a time.
 
 use gpu_telemetry::faults::{self, FaultPlan};
-use gpu_telemetry::span::job_hex;
+use gpu_telemetry::span::{job_hex, PhaseDuration, SpanRecord};
 use photon_bench::flightrec;
 use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
-use photon_serve::{ServeOptions, Server};
+use photon_serve::scheduler::Phase;
+use photon_serve::{Scheduler, ServeOptions, Server};
+use serde::Deserialize;
 use serde_json::Value;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gpu_sim::GpuConfig;
 use gpu_workloads::registry::Benchmark;
+
+/// Serialises the tests that arm the process-wide fault plan.
+fn faults_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn as_str<'a>(v: &'a Value, name: &str) -> Option<&'a str> {
     match v.get(name) {
@@ -25,11 +34,12 @@ fn as_str<'a>(v: &'a Value, name: &str) -> Option<&'a str> {
 }
 
 /// A job submitted under a 100% `exec.panic` plan fails; its `trace`
-/// op then returns a span tree whose failing `sim` span names the
-/// injected fault site, and the on-disk flight record carries the same
-/// evidence (checksummed, loadable, `job-failed` trigger).
+/// op then lists a failing `sim` span that names the injected fault
+/// site, and the on-disk flight record carries the same evidence
+/// (checksummed, loadable, `job-failed` trigger).
 #[test]
 fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
+    let _faults = faults_lock();
     let dir = std::env::temp_dir().join(format!("photon_trace_faults_{}", std::process::id()));
     let flightrec_dir = dir.join("flightrec");
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -77,8 +87,8 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
         "job must fail under exec.panic: {fetched:?}"
     );
 
-    // `trace` returns the span tree; the failing sim span names the
-    // injected fault site.
+    // `trace` lists the failing sim span, which names the injected
+    // fault site.
     let trace = c.trace(&job).expect("trace");
     assert!(response_ok(&trace), "trace failed: {trace:?}");
     assert_eq!(as_str(&trace, "job"), Some(job.as_str()));
@@ -112,12 +122,44 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
     assert_eq!(rec.job, job);
     assert_eq!(rec.trigger, "job-failed");
     assert!(
-        rec.tree
-            .failed_spans()
+        rec.spans
             .iter()
-            .any(|s| s.detail.contains("exec.panic")),
+            .any(|s| !s.ok && s.detail.contains("exec.panic")),
         "flight record must name the fault site"
     );
+
+    // The dump is cut after the root span closes, so by now the trace
+    // is final: no phase open, the root and the sim attempt failed, and
+    // each phase rolls up its spans.
+    let trace = c.trace(&job).expect("trace");
+    assert_eq!(as_str(&trace, "state"), Some("done"));
+    assert_eq!(trace.get("phase"), Some(&Value::Null), "{trace:?}");
+    let spans = Vec::<SpanRecord>::deserialize(trace.get("spans").expect("spans")).expect("spans");
+    let phases =
+        Vec::<PhaseDuration>::deserialize(trace.get("phases").expect("phases")).expect("phases");
+    let failed_kinds: Vec<&str> = match trace.get("failed") {
+        Some(Value::Array(f)) => f.iter().filter_map(|f| as_str(f, "kind")).collect(),
+        other => panic!("trace has no failed list: {other:?}"),
+    };
+    assert_eq!(failed_kinds, ["job", "sim"], "{trace:?}");
+    let failed_spans: Vec<&str> = spans
+        .iter()
+        .filter(|s| !s.ok)
+        .map(|s| s.kind.name())
+        .collect();
+    assert_eq!(failed_spans, failed_kinds);
+    for p in &phases {
+        let of_kind = spans.iter().filter(|s| s.kind.name() == p.phase);
+        let total: u64 = of_kind.clone().map(|s| s.dur_us).sum();
+        assert_eq!(
+            (p.count, p.total_us),
+            (of_kind.count() as u64, total),
+            "{p:?}"
+        );
+    }
+    let names: Vec<&str> = phases.iter().map(|p| p.phase.as_str()).collect();
+    assert_eq!(names, ["job", "queued", "sim"], "{phases:?}");
+    assert_eq!(spans.len(), 3, "{spans:?}");
 
     // The metrics op counts the failure and the dump.
     let text = c.metrics().expect("metrics op");
@@ -138,5 +180,85 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
         w.join().expect("worker join");
     }
     faults::install(None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec resubmitted after a transient failure reuses its job id. The
+/// re-run starts a fresh trail: its success is not charged with the
+/// failed run's spans, so it cuts no `span-failed` record over the
+/// failed run's `job-failed` one.
+#[test]
+fn a_rerun_of_a_failed_job_starts_a_fresh_trail() {
+    let _faults = faults_lock();
+    let dir = std::env::temp_dir().join(format!("photon_trace_rerun_{}", std::process::id()));
+    let flightrec_dir = dir.join("flightrec");
+    let sched = Arc::new(Scheduler::new(ServeOptions {
+        workers: 1,
+        queue_capacity: 8,
+        exec: ExecOptions {
+            cache: false,
+            journal: None,
+            retries: 0,
+            ..ExecOptions::default()
+        },
+        flightrec: Some(flightrec_dir.clone()),
+    }));
+    let worker = {
+        let sched = Arc::clone(&sched);
+        std::thread::spawn(move || sched.worker_loop())
+    };
+    let dumps = || sched.telemetry().counter("serve.flightrec_dumps").get();
+    let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Pka);
+    let id = journal_key(&spec);
+    let run = || {
+        sched.submit(spec.clone(), "t0");
+        while !sched
+            .wait_step(id, Duration::from_millis(50))
+            .is_some_and(Phase::terminal)
+        {}
+        sched.fetch(id).expect("a finished job has a result")
+    };
+
+    faults::install(Some(
+        FaultPlan::parse("exec.panic:1.0:1").expect("fault spec"),
+    ));
+    let first = run();
+    faults::install(None);
+    assert!(first.outcome.measurement().is_none(), "the first run fails");
+    // The failed run's record is cut just after the job leaves the
+    // live map: resubmit once it is on disk.
+    for _ in 0..500 {
+        if dumps() == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(dumps(), 1);
+    let second = run();
+    assert!(
+        second.outcome.measurement().is_some(),
+        "the re-run completes"
+    );
+    // The worker finishes the re-run's trail before it sees the drain.
+    sched.begin_drain();
+    worker.join().expect("worker");
+
+    let records: Vec<_> = std::fs::read_dir(&flightrec_dir)
+        .expect("flight-record directory")
+        .map(|e| flightrec::load(&e.expect("dir entry").path()).expect("flight record loads"))
+        .collect();
+    let triggers: Vec<&str> = records.iter().map(|r| r.trigger.as_str()).collect();
+    assert_eq!(triggers, ["job-failed"]);
+    assert!(records[0]
+        .spans
+        .iter()
+        .any(|s| s.detail.contains("exec.panic")));
+    let trace = sched.trace(id).expect("trace");
+    assert_eq!(
+        trace.get("failed"),
+        Some(&Value::Array(Vec::new())),
+        "{trace:?}"
+    );
+    assert_eq!(dumps(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

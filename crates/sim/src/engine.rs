@@ -615,8 +615,8 @@ impl<'a> KernelRun<'a> {
         ctrl: &mut dyn SamplingController,
     ) -> Result<KernelResult, SimError> {
         let mut wd = self.cfg.watchdog;
-        // Fault injection (no-op unless PHOTON_FAULTS / --faults is
-        // configured): consulted once per kernel, keyed by the kernel
+        // Fault injection (no-op unless `--faults` installed a plan):
+        // consulted once per kernel, keyed by the kernel
         // name so the decision is independent of scheduling order.
         if faults::active() {
             let fault_key = gpu_isa::fnv1a(self.launch.kernel.name().as_bytes());

@@ -10,12 +10,12 @@
 //! ## Configuration
 //!
 //! A fault plan is a comma-separated list of `site:rate:seed` rules,
-//! supplied either programmatically ([`install`]) or through the
-//! `PHOTON_FAULTS` environment variable / `--faults` CLI flag:
+//! armed by [`install`] alone — which is what the `--faults` flag of
+//! `figures`, `report smoke`, `photon_sim` and `photon-serve` calls:
 //!
 //! ```console
-//! $ PHOTON_FAULTS="exec.panic:0.4:1337" report smoke
-//! $ fig13 --faults "refcache.read.corrupt:1.0:7,watchdog.fuel:0.1:7"
+//! $ report smoke --faults "exec.panic:0.4:1337"
+//! $ figures fig13 --faults "refcache.read.corrupt:1.0:7,watchdog.fuel:0.1:7"
 //! ```
 //!
 //! ## Determinism
@@ -30,17 +30,17 @@
 //!
 //! ## Cost when off
 //!
-//! Unconfigured, every hook reduces to [`active`]: one `Once` fast-path
-//! check plus one relaxed atomic load. Call sites additionally consult
-//! faults at coarse granularity only (once per run, per kernel, or per
-//! cache operation) — never inside per-instruction loops.
+//! Unconfigured, every hook reduces to [`active`]: one atomic load.
+//! Call sites additionally consult faults at coarse granularity only
+//! (once per run, per kernel, or per cache operation) — never inside
+//! per-instruction loops.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Once, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// A named injection point. The `Display`/parse names are the stable
-/// public vocabulary used by `PHOTON_FAULTS`, `--faults`, and DESIGN.md.
+/// public vocabulary used by `--faults` and DESIGN.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
     /// Reference-cache read returns bit-corrupted entry text.
@@ -246,7 +246,6 @@ fn decide(seed: u64, site: FaultSite, key: u64, rate: f64) -> bool {
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-static ENV_INIT: Once = Once::new();
 /// Per-site count of injections actually performed (diagnostics and
 /// test assertions; monotone for the process lifetime unless reset).
 static INJECTED: [AtomicU64; 11] = [
@@ -263,36 +262,8 @@ static INJECTED: [AtomicU64; 11] = [
     AtomicU64::new(0),
 ];
 
-/// Loads `PHOTON_FAULTS` into the global plan exactly once, unless a
-/// plan was already installed programmatically.
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        let Ok(spec) = std::env::var("PHOTON_FAULTS") else {
-            return;
-        };
-        if spec.trim().is_empty() {
-            return;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(plan) if !plan.is_empty() => {
-                let mut guard = PLAN.write().unwrap_or_else(|e| e.into_inner());
-                if guard.is_none() {
-                    *guard = Some(Arc::new(plan));
-                    ACTIVE.store(true, Ordering::Release);
-                }
-            }
-            Ok(_) => {}
-            Err(e) => eprintln!("warning: ignoring PHOTON_FAULTS: {e}"),
-        }
-    });
-}
-
 /// Installs a fault plan globally (`None` / empty plan clears it).
-/// Supersedes any `PHOTON_FAULTS` environment configuration.
 pub fn install(plan: Option<FaultPlan>) {
-    // Mark env init done so a later lazy init cannot overwrite an
-    // explicit install (or an explicit clear).
-    ENV_INIT.call_once(|| {});
     let plan = plan.filter(|p| !p.is_empty());
     let mut guard = PLAN.write().unwrap_or_else(|e| e.into_inner());
     ACTIVE.store(plan.is_some(), Ordering::Release);
@@ -303,7 +274,6 @@ pub fn install(plan: Option<FaultPlan>) {
 /// other fault queries behind this.
 #[inline]
 pub fn active() -> bool {
-    init_from_env();
     ACTIVE.load(Ordering::Acquire)
 }
 

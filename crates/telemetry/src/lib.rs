@@ -49,7 +49,7 @@ pub use registry::{
     percentile_from_buckets, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
     HistogramSnapshot, MetricsSnapshot, Registry,
 };
-pub use span::{SpanGuard, SpanKind, SpanRecord, SpanTree, TraceCtx};
+pub use span::{SpanGuard, SpanKind, SpanRecord, TraceCtx};
 pub use trace::{
     AbortKind, CacheLevel, EventKind, SampleMode, Trace, TraceEvent, TraceLog, Tracer,
     SCHEMA_VERSION,

@@ -23,8 +23,11 @@
 //! because a ring belongs to a job and not to a thread, a job's spans
 //! outlive the (short-lived) run thread that emitted them; and because
 //! a job wraps only its own ring, a flood of spans on one job leaves
-//! every other job's trail as it was. Snapshot readers
-//! ([`job_records`]) clone that one job's records, sorted by id.
+//! every other job's trail as it was. A trail is one run's: a job id
+//! is reused when its spec is resubmitted, and [`start_job`] drops what
+//! the earlier run left. Snapshot readers ([`job_records`]) clone that
+//! one job's records, sorted by id; [`phases`] and [`current_phase`]
+//! are the views serve's `trace` and `stats` take of that flat list.
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -184,11 +187,13 @@ impl Collector {
             let Some(victim) = stalest.min_by_key(|(_, (at, _))| *at).map(|(j, _)| *j) else {
                 break;
             };
-            self.held -= self
-                .closed
-                .remove(&victim)
-                .map_or(0, |(_, ring)| ring.len());
+            self.forget(victim);
         }
+    }
+
+    /// Drops `job`'s closed spans.
+    fn forget(&mut self, job: u64) {
+        self.held -= self.closed.remove(&job).map_or(0, |(_, ring)| ring.len());
     }
 
     /// Moves span `id` from the open list into its job's ring, stamped
@@ -250,7 +255,13 @@ fn next_id() -> u64 {
 
 /// Mints the root [`SpanKind::Job`] span for `job` and returns its
 /// context. Pair with [`close`] (or hold a [`SpanGuard`]).
+///
+/// This starts a fresh trail: a job id is a journal key, so a spec
+/// resubmitted after a failure reuses it, and the closed spans of the
+/// earlier run are dropped here so the new run is not charged with
+/// them. Open spans are left alone.
 pub fn start_job(job: u64, label: &str) -> TraceCtx {
+    lock(&COLLECTOR).forget(job);
     open(TraceCtx { job, span: 0 }, SpanKind::Job, label)
 }
 
@@ -377,7 +388,7 @@ pub fn current() -> Option<TraceCtx> {
 }
 
 // ---------------------------------------------------------------------
-// Snapshots and tree reconstruction.
+// Snapshots and the views over them.
 // ---------------------------------------------------------------------
 
 /// Every recorded span for `job`, sorted by id: its closed spans still
@@ -401,138 +412,31 @@ pub struct PhaseDuration {
     pub total_us: u64,
 }
 
-/// One node of the reconstructed span tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanNode {
-    /// The span itself.
-    pub span: SpanRecord,
-    /// Child spans, in id (open) order.
-    pub children: Vec<SpanNode>,
-}
-
-/// A job's spans as a tree with per-phase rollups — the `trace` op's
-/// payload and the flight recorder's core section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanTree {
-    /// Owning job id.
-    pub job: u64,
-    /// Root spans (parent 0 or parent not in the record set).
-    pub roots: Vec<SpanNode>,
-    /// Per-kind duration totals, lifecycle order.
-    pub phases: Vec<PhaseDuration>,
-    /// Ids of failed (`ok == false`) spans, ascending.
-    pub failed: Vec<u64>,
-}
-
-/// Builds the span tree for `job` from any record ordering: records are
-/// id-sorted first, so reconstruction is independent of the order spans
-/// were published or snapshotted in.
-pub fn build_tree(job: u64, records: &[SpanRecord]) -> SpanTree {
-    let mut records: Vec<SpanRecord> = records.iter().filter(|r| r.job == job).cloned().collect();
-    records.sort_by_key(|r| r.id);
-
-    let mut phases: Vec<PhaseDuration> = Vec::new();
-    for kind in SpanKind::ALL {
-        let (mut count, mut total) = (0u64, 0u64);
-        for r in records.iter().filter(|r| r.kind == kind) {
-            count += 1;
-            total += r.dur_us;
-        }
-        if count > 0 {
-            phases.push(PhaseDuration {
+/// Per-kind duration totals over one job's spans, in lifecycle order,
+/// naming only the kinds present. Independent of record order.
+pub fn phases(records: &[SpanRecord]) -> Vec<PhaseDuration> {
+    SpanKind::ALL
+        .iter()
+        .filter_map(|kind| {
+            let of_kind = records.iter().filter(|r| r.kind == *kind);
+            let count = of_kind.clone().count() as u64;
+            (count > 0).then(|| PhaseDuration {
                 phase: kind.name().to_string(),
                 count,
-                total_us: total,
-            });
-        }
-    }
-    let failed: Vec<u64> = records.iter().filter(|r| !r.ok).map(|r| r.id).collect();
-
-    let mut nodes: std::collections::HashMap<u64, SpanNode> = records
-        .iter()
-        .map(|r| {
-            (
-                r.id,
-                SpanNode {
-                    span: r.clone(),
-                    children: Vec::new(),
-                },
-            )
+                total_us: of_kind.map(|r| r.dur_us).sum(),
+            })
         })
-        .collect();
-    // Attach children to parents from the highest id down: a node's
-    // children are complete before it is itself attached. A child whose
-    // parent is absent (wrapped out of its ring) surfaces as a root
-    // rather than vanishing.
-    let mut roots: Vec<SpanNode> = Vec::new();
-    for r in records.iter().rev() {
-        let Some(node) = nodes.remove(&r.id) else {
-            continue;
-        };
-        match nodes.get_mut(&r.parent) {
-            Some(parent) => parent.children.push(node),
-            None => roots.push(node),
-        }
-    }
-    roots.sort_by_key(|n| n.span.id);
-    let mut tree = SpanTree {
-        job,
-        roots,
-        phases,
-        failed,
-    };
-    sort_children(&mut tree.roots);
-    tree
+        .collect()
 }
 
-fn sort_children(nodes: &mut [SpanNode]) {
-    for n in nodes {
-        n.children.sort_by_key(|c| c.span.id);
-        sort_children(&mut n.children);
-    }
-}
-
-impl SpanTree {
-    /// Depth-first iteration over every node.
-    pub fn walk(&self) -> Vec<&SpanNode> {
-        let mut out = Vec::new();
-        fn rec<'a>(n: &'a SpanNode, out: &mut Vec<&'a SpanNode>) {
-            out.push(n);
-            for c in &n.children {
-                rec(c, out);
-            }
-        }
-        for r in &self.roots {
-            rec(r, &mut out);
-        }
-        out
-    }
-
-    /// The innermost open span (highest id) — a live job's "current
-    /// phase".
-    pub fn current_phase(&self) -> Option<&SpanRecord> {
-        self.walk()
-            .into_iter()
-            .map(|n| &n.span)
-            .filter(|s| s.open)
-            .max_by_key(|s| s.id)
-    }
-
-    /// The failed spans themselves, ascending by id.
-    pub fn failed_spans(&self) -> Vec<&SpanRecord> {
-        let mut out: Vec<&SpanRecord> = self
-            .walk()
-            .into_iter()
-            .map(|n| &n.span)
-            .filter(|s| !s.ok)
-            .collect();
-        out.sort_by_key(|s| s.id);
-        out
-    }
+/// The innermost open span (highest id) — a live job's "current
+/// phase". Independent of record order.
+pub fn current_phase(records: &[SpanRecord]) -> Option<&SpanRecord> {
+    records.iter().filter(|r| r.open).max_by_key(|r| r.id)
 }
 
 /// Renders a job id the way the serve protocol spells it: 16 hex
-/// digits, the one codec for wire ids, flight records and span trees.
+/// digits, the one codec for wire ids and flight records.
 pub fn job_hex(job: u64) -> String {
     format!("{job:016x}")
 }
@@ -640,43 +544,58 @@ mod tests {
     }
 
     #[test]
-    fn tree_reconstruction_is_order_independent() {
-        let job = 0x1234;
-        let mk = |id: u64, parent: u64, kind: SpanKind| SpanRecord {
-            job,
-            id,
+    fn phase_views_are_order_independent() {
+        let mk = |id: u64, parent: u64, kind: SpanKind, open: bool| SpanRecord {
             parent,
-            kind,
-            label: format!("s{id}"),
-            start_us: id * 10,
-            dur_us: 5,
-            open: false,
+            dur_us: 5 * id,
             ok: id != 4,
-            detail: String::new(),
+            ..rec(0x1234, id, kind, open)
         };
         let records = vec![
-            mk(1, 0, SpanKind::Job),
-            mk(2, 1, SpanKind::Queued),
-            mk(3, 1, SpanKind::Sim),
-            mk(4, 3, SpanKind::EpochBarrier),
-            mk(5, 3, SpanKind::MemService),
+            mk(1, 0, SpanKind::Job, true),
+            mk(2, 1, SpanKind::Queued, false),
+            mk(3, 1, SpanKind::Sim, true),
+            mk(4, 3, SpanKind::EpochBarrier, false),
+            mk(5, 3, SpanKind::MemService, false),
+            mk(6, 3, SpanKind::EpochBarrier, false),
         ];
-        let forward = build_tree(job, &records);
         let mut shuffled = records.clone();
         shuffled.reverse();
         shuffled.swap(0, 2);
-        let backward = build_tree(job, &shuffled);
-        assert_eq!(forward, backward);
-        assert_eq!(forward.roots.len(), 1);
-        assert_eq!(forward.roots[0].children.len(), 2);
-        assert_eq!(forward.roots[0].children[1].children.len(), 2);
-        assert_eq!(forward.failed, vec![4]);
-        let sim = forward
-            .phases
-            .iter()
-            .find(|p| p.phase == "sim")
-            .expect("sim phase");
-        assert_eq!((sim.count, sim.total_us), (1, 5));
+        for records in [&records, &shuffled] {
+            let rollup = phases(records);
+            let rollup: Vec<(&str, u64, u64)> = rollup
+                .iter()
+                .map(|p| (p.phase.as_str(), p.count, p.total_us))
+                .collect();
+            assert_eq!(
+                rollup,
+                [
+                    ("job", 1, 5),
+                    ("queued", 1, 10),
+                    ("sim", 1, 15),
+                    ("epoch-barrier", 2, 50),
+                    ("mem-service", 1, 25),
+                ]
+            );
+            assert_eq!(current_phase(records).map(|r| r.id), Some(3));
+        }
+        let closed: Vec<SpanRecord> = records.iter().filter(|r| !r.open).cloned().collect();
+        assert_eq!(current_phase(&closed), None);
+    }
+
+    #[test]
+    fn start_job_begins_a_fresh_trail_but_leaves_open_spans_alone() {
+        let job = job_ids();
+        let first = start_job(job, "run-1");
+        let lingering = open(first, SpanKind::Persist, "still writing");
+        emit(first, SpanKind::Sim, "attempt-0", false, "panicked");
+        close(first.span, false, "panicked");
+        let second = start_job(job, "run-2");
+        let ids: Vec<u64> = job_records(job).iter().map(|r| r.id).collect();
+        assert_eq!(ids, [lingering.span, second.span]);
+        close(lingering.span, true, "");
+        close(second.span, true, "");
     }
 
     #[test]

@@ -66,6 +66,15 @@ if grep -rnE 'MAX[_]TERMINAL_JOBS|note[_]terminal|fn mint[_]trace|fn parse[_]job
   exit 1
 fi
 
+# A job's trail is one flat list of its own run's spans, held once with
+# one bound (the collector's), and faults are armed by --faults alone.
+if grep -rnE 'Span[T]ree|Span[N]ode|build[_]tree|MAX[_]SPANS|init[_]from_env|PHOTON[_]FAULTS' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    serve's trace/stats and flight records read gpu_telemetry::span::job_records;"
+  echo "    faults::install (--faults) is the only way to arm fault injection"
+  exit 1
+fi
+
 # One definition of the same simulated result: Measurement::differences,
 # applied by the one `report` binary. The profile binary, its tolerance
 # knob and the hand-picked field lists are gone.
