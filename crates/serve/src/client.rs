@@ -139,24 +139,6 @@ impl Client {
         self.request(&serde_json::json!({ "op": "trace", "job": job }))
     }
 
-    /// The server's metrics in Prometheus text exposition format
-    /// (protocol v2 `metrics` op): the multi-line exposition text is
-    /// unwrapped from the response's `"body"` field.
-    ///
-    /// # Errors
-    /// Returns I/O errors, or `InvalidData` when the response carries
-    /// no body.
-    pub fn metrics(&mut self) -> std::io::Result<String> {
-        let v = self.request(&serde_json::json!({ "op": "metrics" }))?;
-        match v.get("body") {
-            Some(Value::String(s)) => Ok(s.clone()),
-            _ => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "metrics response has no body",
-            )),
-        }
-    }
-
     /// Requests graceful drain.
     ///
     /// # Errors

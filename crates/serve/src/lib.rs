@@ -7,7 +7,7 @@
 //! The server ([`server::Server`]) listens on a `std::net::TcpListener`
 //! and speaks the line-delimited JSON protocol of [`protocol`]:
 //! `submit` / `status` / `wait` / `fetch` / `cancel` / `stats` /
-//! `trace` / `metrics` / `shutdown`. Behind it, the
+//! `trace` / `shutdown`. Behind it, the
 //! [`scheduler::Scheduler`] runs a bounded
 //! two-lane admission queue (interactive sampled methods dequeue before
 //! batch `Full` runs) over a pool of worker threads, deduplicates
@@ -22,8 +22,7 @@
 //! ([`gpu_telemetry::span::start_job`]): typed spans (queued, coalesced,
 //! cache-probe, sim, epoch-barrier, mem-service, persist) land in
 //! `gpu_telemetry::span`'s always-on rings, the `trace` op returns the
-//! job's flat span list, the `metrics` op exports the registry in
-//! Prometheus text format, and a job that fails, absorbs a failed span,
+//! job's flat span list, and a job that fails, absorbs a failed span,
 //! or lands past the live p99 dumps a flight record
 //! ([`photon_bench::flightrec`]) for post-hoc diagnosis.
 //!
@@ -31,7 +30,8 @@
 //! the benchmark drive the server with. `tests/gate.rs` is the serve
 //! gate: it spawns the `photon-serve` binary, drives a duplicate-heavy
 //! mix with `Client` threads and asserts only deterministic counts.
-//! The live view is the `stats` and `metrics` ops themselves.
+//! The live view is the `stats` op: lane depths, the running count,
+//! the in-flight jobs and the counters that accumulate across jobs.
 //!
 //! See DESIGN.md § "photon-serve" for the protocol grammar, the
 //! lane/admission semantics, the single-flight state machine, and the

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! request  = submit | status | wait | fetch | cancel | stats
-//!          | trace | metrics | shutdown
+//!          | trace | shutdown
 //! submit   = {"op":"submit", "spec": <RunSpec JSON>, "tenant": <string>?}
 //! status   = {"op":"status", "job": <job id>}
 //! wait     = {"op":"wait",   "job": <job id>}
@@ -14,17 +14,18 @@
 //! cancel   = {"op":"cancel", "job": <job id>}
 //! stats    = {"op":"stats"}
 //! trace    = {"op":"trace",  "job": <job id>}
-//! metrics  = {"op":"metrics"}
 //! shutdown = {"op":"shutdown"}
 //! ```
 //!
 //! `trace` (protocol v2) returns the job's flat span list — the trace
 //! minted at submit ([`span::start_job`]) and threaded through the
 //! scheduler, executor, and engine — with phase and failure rollups.
-//! `metrics` (protocol v2) returns the server's registry rendered in
-//! Prometheus text exposition format 0.0.4; because the protocol is
-//! line-delimited JSON, the multi-line exposition text rides in the
-//! response's `"body"` field with `"content_type"` alongside.
+//! `stats` is the server's one view of itself: lane depths, the running
+//! count, the live jobs and the registry of what accumulates across
+//! jobs. An op the grammar does not name, `metrics` included, is a 400.
+//!
+//! A `tenant` names per-tenant counters (`serve.tenant.<tenant>.*`),
+//! so it is at most [`MAX_TENANT_BYTES`] bytes of `[A-Za-z0-9_-]`.
 //!
 //! A job id is the spec's [`photon_bench::journal_key`] rendered as
 //! exactly 16 hex digits ([`span::job_hex`]; [`span::parse_job_hex`]
@@ -47,8 +48,11 @@ use serde_json::Value;
 
 /// Version stamped into `stats` responses and the pending-jobs journal;
 /// bumped when the wire format changes incompatibly. v2 added the
-/// `trace` and `metrics` ops.
+/// `trace` op.
 pub const PROTOCOL_VERSION: u32 = 2;
+
+/// The longest tenant name `submit` accepts.
+pub const MAX_TENANT_BYTES: usize = 64;
 
 /// One parsed request line.
 #[derive(Debug, Clone)]
@@ -80,15 +84,13 @@ pub enum Request {
         /// Job id from a `submit` response.
         job: u64,
     },
-    /// Server-wide counters, gauges, and queue depths.
+    /// Lane depths, running count, live jobs and server counters.
     Stats,
     /// The job's correlated span list with per-phase durations.
     Trace {
         /// Job id from a `submit` response.
         job: u64,
     },
-    /// The metrics registry in Prometheus text exposition format.
-    Metrics,
     /// Graceful drain: finish in-flight jobs, journal queued ones, exit.
     Shutdown,
 }
@@ -119,6 +121,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let spec =
                 RunSpec::deserialize(spec_value).map_err(|e| format!("submit: bad spec: {e}"))?;
             let tenant = str_field(&v, "tenant").unwrap_or_else(|| "anon".to_string());
+            let charset = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+            if tenant.is_empty() || tenant.len() > MAX_TENANT_BYTES || !tenant.chars().all(charset)
+            {
+                return Err(format!(
+                    "submit: bad tenant {tenant:?} (1-{MAX_TENANT_BYTES} bytes of [A-Za-z0-9_-])"
+                ));
+            }
             Ok(Request::Submit {
                 spec: Box::new(spec),
                 tenant,
@@ -140,7 +149,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "trace" => Ok(Request::Trace {
             job: job_field(&v)?,
         }),
-        "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op {other:?}")),
     }
@@ -198,17 +206,39 @@ mod tests {
             Request::Trace { job } => assert_eq!(job, 0x1234),
             other => panic!("parsed {other:?}"),
         }
-        assert!(matches!(
-            parse_request("{\"op\":\"metrics\"}").unwrap(),
-            Request::Metrics
-        ));
         assert!(parse_request("{\"op\":\"trace\"}").is_err());
+    }
+
+    #[test]
+    fn tenant_names_are_bounded_to_a_counter_safe_charset() {
+        let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Full);
+        let submit = |tenant: &str| {
+            let line = serde_json::json!({"op": "submit", "spec": spec, "tenant": tenant});
+            parse_request(&serde_json::to_string(&line).unwrap())
+        };
+        for ok in [
+            "client-7",
+            "t0",
+            "chaos",
+            "exemplar",
+            "fixture-tenant",
+            "A_z-9",
+        ] {
+            assert!(submit(ok).is_ok(), "{ok:?} refused");
+        }
+        assert!(submit(&"a".repeat(MAX_TENANT_BYTES)).is_ok());
+        assert!(submit(&"a".repeat(MAX_TENANT_BYTES + 1)).is_err());
+        for bad in ["", "a.b", "a b", "x}", "t\n", "é"] {
+            let err = submit(bad).expect_err(bad);
+            assert!(err.contains("bad tenant"), "{err}");
+        }
     }
 
     #[test]
     fn malformed_requests_are_rejected_with_reasons() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request("{\"op\":\"teleport\"}").is_err());
+        assert!(parse_request("{\"op\":\"metrics\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\",\"job\":\"zz\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\",\"job\":\"abc\"}").is_err());

@@ -27,7 +27,7 @@
 //!        │   resolve_spec looks a Full run up in the reference
 //!        │   cache's directory, else simulates
 //!        ▼
-//!   stored as Done, then removed from the live map
+//!   trail closed, stored as Done, then removed from the live map
 //!   (a cancel stores and removes a queued job as Cancelled)
 //! ```
 //!
@@ -384,9 +384,8 @@ impl Scheduler {
     /// completed average (floor 10 ms so an idle estimate never says
     /// "now" while the queue is provably full).
     fn retry_after_ms(&self, state: &State) -> u64 {
-        let snapshot = self.telemetry.snapshot();
-        let completed = snapshot.counter("serve.completed").unwrap_or(0);
-        let busy_ms = snapshot.counter("serve.busy_ms").unwrap_or(0);
+        let completed = self.telemetry.counter("serve.completed").get();
+        let busy_ms = self.telemetry.counter("serve.busy_ms").get();
         let per_job_ms = busy_ms
             .checked_div(completed)
             .map_or(100, |avg| avg.max(10));
@@ -512,7 +511,7 @@ impl Scheduler {
     /// publish, repeat — until drain begins and the queues stop feeding.
     pub fn worker_loop(&self) {
         loop {
-            let (id, spec, progress, ctx) = {
+            let (id, spec, tenant, progress, ctx) = {
                 let mut state = self.lock_state();
                 let id = loop {
                     if self.draining.load(Ordering::SeqCst) {
@@ -543,7 +542,13 @@ impl Scheduler {
                 self.telemetry
                     .histogram("serve.queued_ms")
                     .record(queued_ms);
-                let claimed = (id, job.spec.clone(), job.progress.clone(), job.ctx);
+                let claimed = (
+                    id,
+                    job.spec.clone(),
+                    job.tenant.clone(),
+                    job.progress.clone(),
+                    job.ctx,
+                );
                 state.running += 1;
                 claimed
             };
@@ -558,46 +563,43 @@ impl Scheduler {
                 let res = resolve_spec(&spec, &self.opts.exec, &self.cache, Some(&progress));
                 Arc::new(self.record(res, &spec.workload.name(), ctx, started))
             };
+            // The job's counters and trail are final before it leaves
+            // the live map: a `wait` that answers, or a resubmission
+            // that starts a fresh trail, finds nothing still to come.
+            self.finish(id, &spec, &tenant, ctx, &result, started);
             // Stored outside the state lock (an eviction scan never
             // holds up `submit`) and before the job leaves the live map.
-            self.store(id, spec.label(), Phase::Done, Some(Arc::clone(&result)));
+            self.store(id, spec.label(), Phase::Done, Some(result));
             let mut state = self.lock_state();
             state.running -= 1;
-            let tenant = state.jobs.remove(&id).map(|job| job.tenant);
+            state.jobs.remove(&id);
             drop(state);
-            if let Some(tenant) = tenant {
-                let ok = result.outcome.measurement().is_some();
-                self.telemetry
-                    .counter(if ok {
-                        "serve.completed"
-                    } else {
-                        "serve.failed"
-                    })
-                    .add(1);
-                self.telemetry
-                    .counter("serve.busy_ms")
-                    .add(started.elapsed().as_millis() as u64);
-                self.tenant_counter(&tenant, "completed");
-                self.finish_trace(id, &spec, ctx, &result, started);
-            }
             self.done_cv.notify_all();
         }
     }
 
-    /// Terminal trace bookkeeping for one finished job: closes the root
-    /// span, records the latency histogram, mirrors the run's engine
-    /// shard/imbalance telemetry into the server registry (so `stats`
-    /// and `metrics` show the most recent run's shard balance), and
-    /// evaluates the flight-recorder triggers.
-    fn finish_trace(
+    /// Terminal bookkeeping for one finished job: counts its outcome
+    /// and busy time, closes the root span, records the latency
+    /// histogram and evaluates the flight-recorder triggers.
+    fn finish(
         &self,
         id: u64,
         spec: &RunSpec,
+        tenant: &str,
         ctx: TraceCtx,
         result: &JobResult,
         started: Instant,
     ) {
         let ok = result.outcome.measurement().is_some();
+        let wall_ms = started.elapsed().as_millis() as u64;
+        let outcome = if ok {
+            "serve.completed"
+        } else {
+            "serve.failed"
+        };
+        self.telemetry.counter(outcome).add(1);
+        self.telemetry.counter("serve.busy_ms").add(wall_ms);
+        self.tenant_counter(tenant, "completed");
         let fail_reason = match &result.outcome {
             RunOutcome::Skipped { reason, .. } => reason.clone(),
             RunOutcome::Completed(_) => String::new(),
@@ -607,7 +609,6 @@ impl Scheduler {
         // The p99 the trigger compares against is the distribution
         // *before* this observation — a job cannot dodge the trigger by
         // dragging its own tail bucket up.
-        let wall_ms = started.elapsed().as_millis() as u64;
         let snap = self.telemetry.snapshot();
         let (p99_ms, samples) = snap
             .histograms
@@ -616,18 +617,6 @@ impl Scheduler {
             .map(|h| (h.p99, h.count))
             .unwrap_or((0, 0));
         self.telemetry.histogram("serve.latency_ms").record(wall_ms);
-
-        for (name, v) in result.metrics.counters_with_prefix("engine.shard.") {
-            self.telemetry.gauge(&name).set(v as f64);
-        }
-        if let Some(g) = result
-            .metrics
-            .gauges
-            .iter()
-            .find(|g| g.name == "engine.epoch.imbalance")
-        {
-            self.telemetry.gauge("engine.epoch.imbalance").set(g.value);
-        }
 
         let Some(dir) = &self.opts.flightrec else {
             return;
@@ -813,49 +802,29 @@ impl Scheduler {
         }))
     }
 
-    /// Refreshes the live queue/worker gauges from scheduler state (the
-    /// `stats` and `metrics` ops both call this before snapshotting).
-    fn refresh_gauges(&self) -> (usize, usize, usize) {
-        let (queued_i, queued_b, running) = {
-            let state = self.lock_state();
-            (state.interactive.len(), state.batch.len(), state.running)
-        };
-        self.telemetry
-            .gauge("serve.queue.interactive")
-            .set(queued_i as f64);
-        self.telemetry
-            .gauge("serve.queue.batch")
-            .set(queued_b as f64);
-        self.telemetry.gauge("serve.running").set(running as f64);
-        (queued_i, queued_b, running)
-    }
-
-    /// The server registry rendered in Prometheus text exposition
-    /// format 0.0.4 — the `metrics` op's body.
-    pub fn metrics_text(&self) -> String {
-        self.refresh_gauges();
-        gpu_telemetry::export::prometheus_text(&self.telemetry.snapshot())
-    }
-
-    /// Server-wide stats: the metrics registry (counters incl.
-    /// per-tenant, `serve.*`, `exec.cancelled`), live queue/worker
-    /// gauges, the in-flight jobs with their current trace phase, and
-    /// the result-store and reference-cache counters.
+    /// Server-wide stats: the lane depths and running count, the
+    /// metrics registry (counters incl. per-tenant, `serve.*`,
+    /// `exec.cancelled`), the in-flight jobs with their current trace
+    /// phase, and the result-store and reference-cache counters.
     pub fn stats(&self) -> Value {
-        self.refresh_gauges();
         // Copy the live jobs out under the state lock; their spans are
         // read after it is released, so a `stats` poll never holds up
         // submit, wait, fetch or the workers.
-        let live: Vec<(u64, String, String, Phase, u64)> = {
+        let (queued, running, live) = {
             let state = self.lock_state();
-            state
+            let live: Vec<(u64, String, String, Phase, u64)> = state
                 .jobs
                 .iter()
                 .map(|(id, j)| {
                     let age_ms = j.queued_at.elapsed().as_millis() as u64;
                     (*id, j.spec.label(), j.tenant.clone(), j.phase, age_ms)
                 })
-                .collect()
+                .collect();
+            let queued = serde_json::json!({
+                "interactive": state.interactive.len(),
+                "batch": state.batch.len(),
+            });
+            (queued, state.running, live)
         };
         let jobs: Vec<Value> = live
             .into_iter()
@@ -899,6 +868,8 @@ impl Scheduler {
             "workers": self.opts.workers,
             "queue_capacity": self.opts.queue_capacity,
             "draining": self.draining(),
+            "queued": queued,
+            "running": running,
             "faults_active": gpu_telemetry::faults::active(),
             "faults_injected": faults_injected,
             "jobs": jobs,

@@ -438,11 +438,6 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
                 }
                 None => error_response(404, "unknown job (no spans recorded)"),
             },
-            Ok(Request::Metrics) => serde_json::json!({
-                "ok": true,
-                "content_type": "text/plain; version=0.0.4",
-                "body": scheduler.metrics_text(),
-            }),
             Ok(Request::Shutdown) => {
                 shutdown.store(true, Ordering::SeqCst);
                 serde_json::json!({ "ok": true, "draining": true })

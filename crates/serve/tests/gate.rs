@@ -179,9 +179,15 @@ fn duplicate_heavy_mix_simulates_each_spec_once_and_warm_adds_none() {
         assert_eq!(sub.get("cached"), Some(&Value::Bool(true)), "{sub:?}");
     }
     assert_eq!(counter(&mut c, "serve.sim_runs"), distinct);
-    let text = c.metrics().expect("metrics");
-    let line = format!("photon_serve_sim_runs {distinct}");
-    assert!(text.lines().any(|l| l == line), "no {line:?} in:\n{text}");
+    // Every job was waited for, so both lanes are empty and no worker runs.
+    let stats = c.stats().expect("stats");
+    assert_eq!(
+        (field(&stats, &["queued"]), field(&stats, &["running"])),
+        (
+            Some(&serde_json::json!({ "interactive": 0u64, "batch": 0u64 })),
+            Some(&Value::U64(0))
+        )
+    );
     drop(c);
 
     let stderr = srv.stop();

@@ -151,10 +151,19 @@ fn submit_wait_fetch_round_trip() {
     let missing = c.fetch("00000000000000ff").expect("fetch missing");
     assert!(!response_ok(&missing));
     assert_eq!(missing.get("code"), Some(&Value::U64(404)));
+    // `stats` is the one view of the server: there is no `metrics` op.
+    for op in ["frobnicate", "metrics"] {
+        let bad = c.request(&json!({ "op": op })).expect("bad request");
+        assert_eq!(bad.get("code"), Some(&Value::U64(400)), "{op}: {bad:?}");
+    }
+    // A tenant that cannot name a counter is refused before a job exists.
+    let submitted = srv.counter("serve.submitted");
+    let spec = serde_json::to_value(&fir(64, Method::Full));
     let bad = c
-        .request(&json!({ "op": "frobnicate" }))
-        .expect("bad request");
-    assert_eq!(bad.get("code"), Some(&Value::U64(400)));
+        .request(&json!({ "op": "submit", "spec": spec, "tenant": "a.b" }))
+        .expect("bad tenant");
+    assert_eq!(bad.get("code"), Some(&Value::U64(400)), "{bad:?}");
+    assert_eq!(srv.counter("serve.submitted"), submitted);
     // An unknown engine mode is a bad spec, refused before a job exists.
     let submitted = srv.counter("serve.submitted");
     let spec = serde_json::to_string(&fir(64, Method::Full)).expect("serialize");
@@ -245,16 +254,11 @@ fn trace_of_a_finished_job_rolls_its_spans_up_by_phase() {
     let mut c = srv.client();
     let sub = c.submit(&fir(96, Method::Pka), "t0").expect("submit");
     let job = response_job(&sub).expect("job id");
-    assert!(response_ok(&c.wait(&job).expect("wait")));
-    // The root span closes just after the job leaves the live map.
-    let mut trace = Value::Null;
-    for _ in 0..500 {
-        trace = c.trace(&job).expect("trace");
-        if trace.get("phase") == Some(&Value::Null) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let fin = c.wait(&job).expect("wait");
+    assert_eq!(fin.get("state"), Some(&Value::String("done".into())));
+    // The root span closes before the job leaves the live map, so the
+    // trail is final as soon as `wait` answers.
+    let trace = c.trace(&job).expect("trace");
     assert!(response_ok(&trace), "{trace:?}");
     assert_eq!(trace.get("job"), Some(&Value::String(job.clone())));
     assert_eq!(trace.get("state"), Some(&Value::String("done".into())));
@@ -291,7 +295,8 @@ fn trace_of_a_finished_job_rolls_its_spans_up_by_phase() {
     srv.stop();
 }
 
-/// `stats` shows a job no worker has taken yet at phase `queued`.
+/// `stats` shows a job no worker has taken yet at phase `queued`, and
+/// counts it in its lane.
 #[test]
 fn stats_shows_a_queued_job_at_phase_queued() {
     use photon_serve::Scheduler;
@@ -316,6 +321,13 @@ fn stats_shows_a_queued_job_at_phase_queued() {
     assert_eq!(jobs[0].get("job"), Some(&Value::String(job_hex(id))));
     assert_eq!(jobs[0].get("state"), Some(&Value::String("queued".into())));
     assert_eq!(jobs[0].get("phase"), Some(&Value::String("queued".into())));
+    assert_eq!(
+        (stats.get("queued"), stats.get("running")),
+        (
+            Some(&json!({ "interactive": 0u64, "batch": 1u64 })),
+            Some(&json!(0u64))
+        )
+    );
     assert_eq!(sched.cancel(id), Some(true));
 }
 

@@ -7,6 +7,7 @@
 
 use gpu_telemetry::faults::{self, FaultPlan};
 use gpu_telemetry::span::{job_hex, PhaseDuration, SpanRecord};
+use gpu_telemetry::MetricsSnapshot;
 use photon_bench::flightrec;
 use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
@@ -75,9 +76,19 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
     assert_eq!(job, expected_job);
 
     // The job reaches Done with a failed outcome (no retries, 100%
-    // panic rate).
+    // panic rate). Its trail is final and its record cut before `wait`
+    // answers.
     let fin = c.wait(&job).expect("wait");
     assert!(response_ok(&fin), "wait failed: {fin:?}");
+    assert_eq!(as_str(&fin, "state"), Some("done"), "{fin:?}");
+    let trace = c.trace(&job).expect("trace");
+    assert_eq!(trace.get("phase"), Some(&Value::Null), "{trace:?}");
+    // `stats` counts the failure and the dump.
+    let stats = c.stats().expect("stats");
+    let metrics = MetricsSnapshot::deserialize(stats.get("metrics").expect("metrics"))
+        .expect("metrics snapshot");
+    assert_eq!(metrics.counter("serve.failed"), Some(1), "{metrics:?}");
+    assert_eq!(metrics.counter("serve.flightrec_dumps"), Some(1));
     let fetched = c.fetch(&job).expect("fetch");
     assert!(
         matches!(
@@ -112,12 +123,6 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
     // The flight recorder dumped the same job: the record loads clean
     // (checksum verified) and its failed spans carry the fault site.
     let dump_path = flightrec::record_path(&flightrec_dir, &job);
-    for _ in 0..100 {
-        if dump_path.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
     let rec = flightrec::load(&dump_path).expect("flight record must load");
     assert_eq!(rec.job, job);
     assert_eq!(rec.trigger, "job-failed");
@@ -128,12 +133,10 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
         "flight record must name the fault site"
     );
 
-    // The dump is cut after the root span closes, so by now the trace
-    // is final: no phase open, the root and the sim attempt failed, and
-    // each phase rolls up its spans.
+    // The final trace: the root and the sim attempt failed, and each
+    // phase rolls up its spans.
     let trace = c.trace(&job).expect("trace");
     assert_eq!(as_str(&trace, "state"), Some("done"));
-    assert_eq!(trace.get("phase"), Some(&Value::Null), "{trace:?}");
     let spans = Vec::<SpanRecord>::deserialize(trace.get("spans").expect("spans")).expect("spans");
     let phases =
         Vec::<PhaseDuration>::deserialize(trace.get("phases").expect("phases")).expect("phases");
@@ -160,12 +163,6 @@ fn faulted_job_trace_names_the_fault_site_and_flight_record_matches() {
     let names: Vec<&str> = phases.iter().map(|p| p.phase.as_str()).collect();
     assert_eq!(names, ["job", "queued", "sim"], "{phases:?}");
     assert_eq!(spans.len(), 3, "{spans:?}");
-
-    // The metrics op counts the failure and the dump.
-    let text = c.metrics().expect("metrics op");
-    for line in ["photon_serve_failed 1", "photon_serve_flightrec_dumps 1"] {
-        assert!(text.lines().any(|l| l == line), "no {line:?} in:\n{text}");
-    }
 
     // A transient failure is never stored, so resubmitting the spec
     // queues a new simulation instead of answering from the failed job.
@@ -225,15 +222,11 @@ fn a_rerun_of_a_failed_job_starts_a_fresh_trail() {
     let first = run();
     faults::install(None);
     assert!(first.outcome.measurement().is_none(), "the first run fails");
-    // The failed run's record is cut just after the job leaves the
-    // live map: resubmit once it is on disk.
-    for _ in 0..500 {
-        if dumps() == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // The failed run's trail closed and its record was cut before the
+    // job left the live map.
     assert_eq!(dumps(), 1);
+    let trace = sched.trace(id).expect("trace");
+    assert_eq!(trace.get("phase"), Some(&Value::Null), "{trace:?}");
     let second = run();
     assert!(
         second.outcome.measurement().is_some(),

@@ -1,12 +1,10 @@
-//! Trace exporters: Chrome trace-event JSON (loadable in
-//! `chrome://tracing` / Perfetto) and Prometheus text exposition for
-//! the registry (served by photon-serve's `metrics` op).
+//! Trace exporter: Chrome trace-event JSON (loadable in
+//! `chrome://tracing` / Perfetto).
 //!
-//! All formats are deterministic for a given input: events/metrics are
-//! emitted in record (or name) order and object keys in a fixed order,
-//! so golden tests can compare exported bytes directly.
+//! The format is deterministic for a given input: events are emitted in
+//! record order and object keys in a fixed order, so golden tests can
+//! compare exported bytes directly.
 
-use crate::registry::MetricsSnapshot;
 use crate::trace::{EventKind, TraceEvent, TraceLog, SCHEMA_VERSION};
 use serde_json::Value;
 
@@ -212,66 +210,6 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     serde_json::to_string_pretty(&doc).unwrap_or_default()
 }
 
-// ---------------------------------------------------------------------
-// Prometheus text exposition (format version 0.0.4).
-// ---------------------------------------------------------------------
-
-/// Maps a registry metric name onto the Prometheus charset: prefixed
-/// `photon_`, every character outside `[a-zA-Z0-9_:]` replaced with
-/// `_` (so `engine.shard.0.busy_cycles` becomes
-/// `photon_engine_shard_0_busy_cycles`).
-pub fn prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 7);
-    out.push_str("photon_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
-/// Renders a [`MetricsSnapshot`] in Prometheus text exposition format:
-/// counters and gauges as single samples, histograms as cumulative
-/// `le`-labelled buckets (upper bounds at the log2 bucket boundaries)
-/// plus `_sum`/`_count`. Deterministic: metrics come out in snapshot
-/// (name) order.
-pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for c in &snap.counters {
-        let name = prometheus_name(&c.name);
-        out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
-    }
-    for g in &snap.gauges {
-        let name = prometheus_name(&g.name);
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.value));
-    }
-    for h in &snap.histograms {
-        let name = prometheus_name(&h.name);
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cum = 0u64;
-        for (i, n) in h.buckets.iter().enumerate() {
-            cum += n;
-            if *n > 0 {
-                // Bucket i covers [2^(i-1), 2^i) (bucket 0 holds the
-                // value 0): the inclusive upper bound is 2^i - 1.
-                let le = if i == 0 {
-                    0.0
-                } else {
-                    (1u128 << i) as f64 - 1.0
-                };
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
-            }
-        }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{name}_sum {}\n", h.sum));
-        out.push_str(&format!("{name}_count {}\n", h.count));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,14 +282,5 @@ mod tests {
         let log = TraceLog::default();
         let chrome = chrome_trace_json(&log);
         assert!(chrome.contains("\"traceEvents\": []"));
-    }
-
-    #[test]
-    fn prometheus_names_are_sanitized() {
-        assert_eq!(
-            prometheus_name("engine.shard.0.busy_cycles"),
-            "photon_engine_shard_0_busy_cycles"
-        );
-        assert_eq!(prometheus_name("a-b c"), "photon_a_b_c");
     }
 }

@@ -1,14 +1,11 @@
-//! Golden-file tests for the exporters: a fixed trace must render to
-//! byte-identical Chrome-trace JSON across runs and platforms, and a
-//! fixed registry to byte-identical Prometheus text.
+//! Golden-file tests for the exporter: a fixed trace must render to
+//! byte-identical Chrome-trace JSON across runs and platforms.
 //! Regenerate the goldens with `UPDATE_GOLDEN=1 cargo test -p
 //! gpu-telemetry` after an intentional schema change (and bump
 //! `SCHEMA_VERSION`).
 
-use gpu_telemetry::export::{chrome_trace_json, prometheus_text};
-use gpu_telemetry::{
-    AbortKind, CacheLevel, EventKind, SampleMode, Telemetry, TraceEvent, TraceLog,
-};
+use gpu_telemetry::export::chrome_trace_json;
+use gpu_telemetry::{AbortKind, CacheLevel, EventKind, SampleMode, TraceEvent, TraceLog};
 use std::path::Path;
 
 fn fixed_log() -> TraceLog {
@@ -157,21 +154,6 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn chrome_trace_matches_golden() {
     check_golden("trace.chrome.json", &chrome_trace_json(&fixed_log()));
-}
-
-/// One counter, one gauge and one histogram whose observations leave
-/// empty buckets between non-empty ones (bucket 0 included); the
-/// counter's name carries a `-` that the exporter must sanitise.
-#[test]
-fn prometheus_text_matches_golden() {
-    let tel = Telemetry::default();
-    tel.counter("serve.tenant.team-a.submitted").add(7);
-    tel.gauge("engine.epoch.imbalance").set(1.5);
-    let h = tel.histogram("serve.latency_ms");
-    for v in [0, 3, 120, 4000] {
-        h.record(v);
-    }
-    check_golden("metrics.prom", &prometheus_text(&tel.snapshot()));
 }
 
 #[test]

@@ -75,6 +75,15 @@ if grep -rnE 'Span[T]ree|Span[N]ode|build[_]tree|MAX[_]SPANS|init[_]from_env|PHO
   exit 1
 fi
 
+# photon-serve has one view of its state, `stats`: no Prometheus
+# rendering of the registry, no gauges written just before a read.
+if grep -rnE 'prometheus[_]text|prometheus[_]name|metrics[_]text|refresh[_]gauges|Request::[M]etrics|metrics[.]prom' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    the server's registry is read through the stats op alone; lane depths and"
+  echo "    the running count are fields of stats, not gauges"
+  exit 1
+fi
+
 # One definition of the same simulated result: Measurement::differences,
 # applied by the one `report` binary. The profile binary, its tolerance
 # knob and the hand-picked field lists are gone.
