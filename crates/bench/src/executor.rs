@@ -19,7 +19,7 @@
 //! siblings continue.
 
 use crate::harness::{panic_reason, try_run_app_method, FailureKind, Measurement, RunOutcome};
-use crate::journal::{journal_key, Journal};
+use crate::journal::{journal_key, journalable, Journal, JournalEntry};
 use crate::refcache::{reference_key, RefCache};
 use crate::specs::{Method, RunSpec};
 use gpu_mem::{MemFidelityConfig, MemFidelityMode};
@@ -283,16 +283,12 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
     // appending (a fresh run truncates — the journal describes *this*
     // grid). Journal failures degrade to journal-less operation.
     let replay = match opts.journal.as_deref() {
-        Some(p) if opts.resume => crate::journal::load_journal(p).entries,
+        Some(p) if opts.resume => crate::journal::load_journal(p).0,
         _ => std::collections::HashMap::new(),
     };
     let journal = opts.journal.as_deref().and_then(|p| {
-        let opened = if opts.resume {
-            Journal::append(p)
-        } else {
-            Journal::create(p)
-        };
-        opened
+        Journal::open(p, !opts.resume)
+            .map(|j| (j, p))
             .map_err(|e| eprintln!("warning: could not open journal {}: {e}", p.display()))
             .ok()
     });
@@ -328,11 +324,13 @@ pub fn run_specs(specs: &[RunSpec], opts: &ExecOptions) -> ExecReport {
         let jctx = span::start_job(jkey, &spec.label());
         let _jscope = span::enter(jctx);
         let res = resolve_spec(spec, opts, &cache, None);
-        if let Some(j) = &journal {
-            // Transient skips are deliberately not journaled: a resumed
-            // run must retry them, not replay them.
-            if crate::journal::journalable(&res.outcome) {
-                j.record(jkey, &spec.label(), &res.outcome, &res.metrics);
+        // Transient skips are deliberately not journaled: a resumed run
+        // must retry them, not replay them. A failed append only warns:
+        // the journal speeds up resume, it is never a correctness input.
+        if let Some((j, p)) = journal.as_ref().filter(|_| journalable(&res.outcome)) {
+            let entry = JournalEntry::new(jkey, &spec.label(), &res.outcome, &res.metrics);
+            if let Err(e) = j.record(jkey, &entry) {
+                eprintln!("warning: could not append to journal {}: {e}", p.display());
             }
         }
         match &res.outcome {

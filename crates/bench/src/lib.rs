@@ -32,7 +32,7 @@ pub use harness::{
     results_dir, try_run_app_method, AppBuilder, FailureKind, Measurement, RunOutcome, Table,
 };
 pub use journal::{journal_key, load_journal, Journal, JournalEntry, JOURNAL_SCHEMA_VERSION};
-pub use persist::{atomic_write, atomic_write_framed, quarantine, read_framed};
+pub use persist::{atomic_write_framed, quarantine, read_framed};
 pub use refcache::{reference_key, CacheStats, RefCache, CACHE_SCHEMA_VERSION};
 pub use report::{build_report, load_report, summary_table, write_report};
 pub use specs::{mi100, r9_nano, scaled_photon_config, Method, RunSpec, WorkloadSpec};

@@ -1,9 +1,10 @@
-//! Crash-safe artifact persistence: atomic writes, the two checksum
-//! framings, the one typed loader, and quarantine of corrupt files.
+//! Crash-safe artifact persistence: atomic writes, the checksum
+//! footer, the one typed loader, and quarantine of corrupt files.
 //!
-//! Every artifact the bench stack persists (reference-cache entries,
-//! `results/BENCH_*.json` reports, flight records, run-journal and
-//! pending-jobs lines) is framed, verified and loaded here:
+//! Every whole-file artifact the bench stack persists (reference-cache
+//! entries, `results/BENCH_*.json` reports, flight records) is framed,
+//! verified and loaded here; append-only files of one checksummed line
+//! per record are [`crate::journal`]'s:
 //!
 //! * **Atomic writes** ([`atomic_write`]) — content lands in a unique
 //!   temporary file in the same directory, is fsync'd, and is renamed
@@ -15,15 +16,11 @@
 //!   payload bytes, so silent on-disk corruption is detected at load
 //!   time. Unframed files (artifacts from before this scheme, e.g.
 //!   committed baselines) still load, flagged as unverified.
-//! * **Line framing** ([`frame_line`] / [`load_lines`]) — append-only
-//!   journals hold one `{"crc":"<16 hex>","entry":<json>}` line per
-//!   record; a line torn by a crash mid-append fails its crc and is
-//!   skipped, never propagated.
-//! * **One loader** — [`load`] and [`load_lines`] read, verify and
-//!   parse once. Every comparison of a stored checksum with content is
-//!   made here, over the bytes as read (never over a re-rendering of
-//!   the parsed value); callers keep only their own schema/key check
-//!   and their own quarantine policy.
+//! * **One loader** — [`load`] reads, verifies and parses once. Every
+//!   comparison of a stored footer with content is made here, over the
+//!   bytes as read (never over a re-rendering of the parsed value);
+//!   callers keep only their own schema/key check and their own
+//!   quarantine policy.
 //! * **Quarantine** ([`quarantine`]) — a corrupt artifact is renamed to
 //!   `<name>.corrupt` instead of being deleted (evidence survives) or
 //!   left in place (which would re-warn on every warm run). Only the
@@ -175,54 +172,6 @@ pub fn read_framed(path: &Path) -> Result<Framed<String>, String> {
         payload: payload.to_string(),
         verified,
     })
-}
-
-/// What a crc-framed line opens with, up to its 16 hex digits.
-const LINE_HEAD: &str = "{\"crc\":\"";
-/// What stands between the hex digits and the entry.
-const LINE_MID: &str = "\",\"entry\":";
-
-/// Wraps an already-serialized JSON object into one crc-framed journal
-/// line (trailing newline included): `{"crc":"<16 hex>","entry":<json>}`
-/// with the FNV-1a of the entry text.
-pub fn frame_line(entry_json: &str) -> String {
-    format!(
-        "{LINE_HEAD}{:016x}{LINE_MID}{entry_json}}}\n",
-        fnv1a(entry_json.as_bytes())
-    )
-}
-
-/// Validates one crc-framed line and parses its entry; `None` for
-/// anything torn or corrupt. The line must be exactly what
-/// [`frame_line`] writes (less the newline): the crc is compared with
-/// the bytes between the fixed prefix and the closing brace, so nothing
-/// depends on how a parsed value would render back.
-pub fn parse_framed_line<T: Deserialize>(line: &str) -> Option<T> {
-    let rest = line.strip_prefix(LINE_HEAD)?;
-    let (crc, rest) = (rest.get(..16)?, rest.get(16..)?);
-    let entry = rest.strip_prefix(LINE_MID)?.strip_suffix('}')?;
-    if crc != format!("{:016x}", fnv1a(entry.as_bytes())) {
-        return None;
-    }
-    serde_json::from_str(entry).ok()
-}
-
-/// Loads a crc-framed journal: the entries that verified and parsed,
-/// in file order, plus the count of non-empty lines that did not.
-///
-/// # Errors
-/// See [`read_text`]; callers treat a missing journal as empty.
-pub fn load_lines<T: Deserialize>(path: &Path) -> Result<(Vec<T>, usize), LoadError> {
-    let text = read_text(path)?;
-    let mut entries = Vec::new();
-    let mut corrupt = 0;
-    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-        match parse_framed_line(line) {
-            Some(entry) => entries.push(entry),
-            None => corrupt += 1,
-        }
-    }
-    Ok((entries, corrupt))
 }
 
 /// Distinguishes concurrent writers to the same destination: each gets
@@ -456,34 +405,6 @@ mod tests {
         }
         // Whatever the verdict, a load moves nothing.
         assert!(path.exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn framed_lines_roundtrip_and_the_loader_counts_what_it_skips() {
-        let dir = temp_path("lines");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
-        assert_eq!(load_lines::<Vec<u64>>(&path), Err(LoadError::Missing));
-        let line = frame_line("[1,2]");
-        assert_eq!(
-            parse_framed_line::<Vec<u64>>(line.trim_end()),
-            Some(vec![1, 2])
-        );
-        // The crc is of the bytes as written: an entry that parses to
-        // the same value but is spelled differently does not verify.
-        let respelled = line.replace("[1,2]", "[1, 2]");
-        assert_eq!(parse_framed_line::<Vec<u64>>(respelled.trim_end()), None);
-
-        // A good line, a blank, a tampered line, a second good line, a
-        // torn tail.
-        let torn = &frame_line("[9]")[..20];
-        let text = format!("{line}\n{respelled}{}{torn}", frame_line("[3]"));
-        std::fs::write(&path, text).unwrap();
-        assert_eq!(
-            load_lines::<Vec<u64>>(&path),
-            Ok((vec![vec![1, 2], vec![3]], 2))
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

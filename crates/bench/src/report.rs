@@ -314,7 +314,6 @@ pub const IMBALANCE_WARN_RATIO: f64 = 2.0;
 pub fn gauge_summary(reports: &[RunReport]) -> Table {
     const HEALTH: &[&str] = &[
         "exec.abandoned_threads",
-        "exec.cancelled",
         "refcache.evicted",
         "refcache.quarantined",
         "sim.watchdog.aborts",

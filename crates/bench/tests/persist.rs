@@ -7,7 +7,7 @@
 //! artifact as the writers of commit efc1183 left it (`tests/fixtures/`),
 //! and the report rows stored before rows were measurements.
 
-use photon_bench::journal::{load_journal, Journal};
+use photon_bench::journal::{decode_line, load_journal, Journal, JournalEntry};
 use photon_bench::{atomic_write_framed, load_report, read_framed, Measurement};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -143,7 +143,7 @@ fn journal_truncated_at_every_boundary_yields_only_complete_entries() {
 
     let dir = temp_dir();
     let path = dir.join("journal.jsonl");
-    let j = Journal::create(&path).unwrap();
+    let j = Journal::open(&path, true).unwrap();
     // Three entries with distinct cycle counts so partial data would be
     // distinguishable from complete data.
     let mut keys = Vec::new();
@@ -158,23 +158,23 @@ fn journal_truncated_at_every_boundary_yields_only_complete_entries() {
             error: Some(format!("cycles-{}", 1000 + i)),
             failure: photon_bench::harness::FailureKind::Permanent,
         };
-        j.record(key, "fir/Full", &outcome, &Default::default());
+        let entry = JournalEntry::new(key, "fir/Full", &outcome, &Default::default());
+        j.record(key, &entry).unwrap();
     }
     drop(j);
     let bytes = std::fs::read(&path).unwrap();
-    let baseline = load_journal(&path);
-    assert_eq!(baseline.entries.len(), 3);
-    assert_eq!(baseline.corrupt_lines, 0);
+    let (baseline, corrupt) = load_journal(&path);
+    assert_eq!((baseline.len(), corrupt), (3, 0));
 
     let torn = dir.join("torn.jsonl");
     for cut in 0..=bytes.len() {
         std::fs::write(&torn, &bytes[..cut]).unwrap();
-        let load = load_journal(&torn);
+        let (entries, _) = load_journal(&torn);
         // Never more entries than were written; every surviving entry
         // is byte-identical to the original (crc guarantees it).
-        assert!(load.entries.len() <= 3, "cut at byte {cut}");
-        for (key, entry) in &load.entries {
-            let original = &baseline.entries[key];
+        assert!(entries.len() <= 3, "cut at byte {cut}");
+        for (key, entry) in &entries {
+            let original = &baseline[key];
             assert_eq!(
                 serde_json::to_string(entry).unwrap(),
                 serde_json::to_string(original).unwrap(),
@@ -200,11 +200,10 @@ fn real_journal_line() -> String {
 
 #[test]
 fn line_codec_rejects_every_prefix_substitution_and_suffix_of_a_real_line() {
-    use photon_bench::persist::parse_framed_line;
     use serde_json::Value;
 
     let line = real_journal_line();
-    let entry: Value = parse_framed_line(&line).expect("the line as written verifies");
+    let entry: Value = decode_line(&line).expect("the line as written verifies");
     assert_eq!(
         entry.get("key"),
         Some(&Value::String("aaaabbbbccccdddd".into()))
@@ -213,7 +212,7 @@ fn line_codec_rejects_every_prefix_substitution_and_suffix_of_a_real_line() {
     // Every proper prefix (a torn append), cut on a scalar boundary.
     for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
         assert!(
-            parse_framed_line::<Value>(&line[..cut]).is_none(),
+            decode_line::<Value>(&line[..cut]).is_none(),
             "prefix of {cut} bytes verified"
         );
     }
@@ -230,7 +229,7 @@ fn line_codec_rejects_every_prefix_substitution_and_suffix_of_a_real_line() {
             bytes[i] = sub;
             let tampered = std::str::from_utf8(&bytes).expect("ASCII for ASCII");
             assert!(
-                parse_framed_line::<Value>(tampered).is_none(),
+                decode_line::<Value>(tampered).is_none(),
                 "byte {i}: {:?} -> {:?} verified",
                 original as char,
                 sub as char
@@ -243,11 +242,11 @@ fn line_codec_rejects_every_prefix_substitution_and_suffix_of_a_real_line() {
     let (crc, rest) = rest.split_at(16);
     assert!(crc.bytes().any(|b| b.is_ascii_lowercase()), "{crc}");
     let shouted = format!("{head}{}{rest}", crc.to_ascii_uppercase());
-    assert!(parse_framed_line::<Value>(&shouted).is_none());
+    assert!(decode_line::<Value>(&shouted).is_none());
     // Trailing bytes after the closing brace, crc untouched.
     for tail in ["}", " ", "x", ",{}", "\n{}"] {
         assert!(
-            parse_framed_line::<Value>(&format!("{line}{tail}")).is_none(),
+            decode_line::<Value>(&format!("{line}{tail}")).is_none(),
             "trailing {tail:?} verified"
         );
     }
@@ -259,16 +258,16 @@ fn stored_fixtures_still_load_entry_for_entry() {
     use photon_bench::{flightrec, RefCache};
 
     // The run journal, entry for entry.
-    let journal = load_journal(&fixture("journal.jsonl"));
-    assert_eq!((journal.entries.len(), journal.corrupt_lines), (2, 0));
-    let full = &journal.entries[&0x1111_2222_3333_4444];
+    let (journal, corrupt) = load_journal(&fixture("journal.jsonl"));
+    assert_eq!((journal.len(), corrupt), (2, 0));
+    let full = &journal[&0x1111_2222_3333_4444];
     assert_eq!(full.label, "fir/Full");
     let m = full.outcome.measurement().expect("completed");
     assert_eq!((m.sim_cycles, m.wall_secs), (1234, 0.1 + 0.2));
     assert_eq!(m.bb_errors[0].kernel, "fir \"tap\" loop\n— é");
     assert_eq!(m.bb_errors[0].predicted_mean, 1e-7);
     assert_eq!(full.metrics.counter("sim.insts"), Some(4242));
-    let skipped = &journal.entries[&0xaaaa_bbbb_cccc_dddd];
+    let skipped = &journal[&0xaaaa_bbbb_cccc_dddd];
     assert_eq!(skipped.label, "fir/PKA — \"quoted\"");
     match &skipped.outcome {
         RunOutcome::Skipped { reason, error, .. } => {

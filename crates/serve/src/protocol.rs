@@ -24,8 +24,10 @@
 //! count, the live jobs and the registry of what accumulates across
 //! jobs. An op the grammar does not name, `metrics` included, is a 400.
 //!
-//! A `tenant` names per-tenant counters (`serve.tenant.<tenant>.*`),
-//! so it is at most [`MAX_TENANT_BYTES`] bytes of `[A-Za-z0-9_-]`.
+//! A `tenant` is a label the server echoes in the `stats` jobs view and
+//! keeps in the pending journal; it names no counter. It is input from
+//! outside, so it is bounded: at most [`MAX_TENANT_BYTES`] bytes of
+//! `[A-Za-z0-9_-]`.
 //!
 //! A job id is the spec's [`photon_bench::journal_key`] rendered as
 //! exactly 16 hex digits ([`span::job_hex`]; [`span::parse_job_hex`]
@@ -61,7 +63,7 @@ pub enum Request {
     Submit {
         /// What to simulate (boxed: specs dwarf every other variant).
         spec: Box<RunSpec>,
-        /// Accounting bucket for per-tenant counters (default `"anon"`).
+        /// Who submitted it, a label in `stats` (default `"anon"`).
         tenant: String,
     },
     /// One-shot state + progress-counter snapshot.

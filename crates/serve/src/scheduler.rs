@@ -40,26 +40,32 @@
 //! is enqueued again.
 //!
 //! Cancelling a queued job removes it from its lane before any worker
-//! dequeues it (`exec.cancelled`); with several subscribers, a cancel
+//! dequeues it (`serve.cancelled`); with several subscribers, a cancel
 //! detaches one and the job keeps running for the rest.
+//!
+//! A submission's tenant is a validated label ([`crate::protocol`]):
+//! it travels with the job into the `stats` jobs view and the pending
+//! journal, and names no counter, so the server's registry holds a
+//! fixed set of names however many tenants clients invent.
 //!
 //! ## Drain / resume
 //!
 //! [`Scheduler::begin_drain`] stops dequeueing; workers finish their
-//! in-flight jobs and exit. [`Scheduler::drain_pending_to`] writes every
-//! still-queued spec to a crc-framed pending-jobs journal (the same
-//! line format as the run journal, [`photon_bench::persist::frame_line`]);
-//! [`Scheduler::resume_pending_from`] re-enqueues them on the next
-//! start, so a SIGTERM'd server loses no accepted work.
+//! in-flight jobs and exit. [`Scheduler::drain_pending_to`] records
+//! every still-queued spec in a fresh pending-jobs journal (a
+//! [`photon_bench::journal::Journal`], like the run journal, one
+//! fsync'd line per job); [`Scheduler::resume_pending_from`]
+//! re-enqueues them on the next start, so a SIGTERM'd server loses no
+//! accepted work.
 
 use crate::protocol::PROTOCOL_VERSION;
 use crate::store::LruStore;
+use gpu_telemetry::faults::{self, FaultSite};
 use gpu_telemetry::span::{self, job_hex, SpanKind, TraceCtx};
 use gpu_telemetry::{MetricsSnapshot, Telemetry};
 use photon_bench::flightrec::{self, Trigger};
 use photon_bench::harness::RunOutcome;
-use photon_bench::journal::journalable;
-use photon_bench::persist::{frame_line, load_lines};
+use photon_bench::journal::{self, journalable, Journal};
 use photon_bench::{
     journal_key, resolve_spec, ExecOptions, Measurement, Method, RefCache, Resolution, RunSpec,
 };
@@ -248,7 +254,7 @@ struct PendingEntry {
     schema_version: u32,
     /// The drained spec.
     spec: RunSpec,
-    /// Its accounting tenant.
+    /// Its tenant label.
     tenant: String,
 }
 
@@ -293,22 +299,13 @@ impl Scheduler {
         }
     }
 
-    /// The server-wide metrics registry (`serve.*`, `exec.cancelled`,
-    /// per-tenant counters).
+    /// The server-wide metrics registry (`serve.*`, `exec.retried`).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
     fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lane_of(method: &Method) -> &'static str {
-        if *method == Method::Full {
-            "batch"
-        } else {
-            "interactive"
-        }
     }
 
     /// Submits a spec on behalf of `tenant`. See the module docs for
@@ -323,7 +320,6 @@ impl Scheduler {
         let id = journal_key(&spec);
         if self.draining.load(Ordering::SeqCst) {
             self.telemetry.counter("serve.rejected").add(1);
-            self.tenant_counter(tenant, "rejected");
             return Submitted::Draining;
         }
         let mut state = self.lock_state();
@@ -332,7 +328,6 @@ impl Scheduler {
             let phase = job.phase;
             span::emit(job.ctx, SpanKind::Coalesced, tenant, true, phase.name());
             self.telemetry.counter("serve.coalesced").add(1);
-            self.tenant_counter(tenant, "submitted");
             return Submitted::Coalesced { id, phase };
         }
         // Probed under the state lock: a worker stores a finished job
@@ -341,22 +336,21 @@ impl Scheduler {
         let stored = self.results.get(id);
         if stored.is_some_and(|f| f.result.as_ref().is_some_and(|r| journalable(&r.outcome))) {
             self.telemetry.counter("serve.cache_hits").add(1);
-            self.tenant_counter(tenant, "submitted");
             return Submitted::Cached { id };
         }
         if state.queued() >= capacity {
             self.telemetry.counter("serve.rejected").add(1);
-            self.tenant_counter(tenant, "rejected");
             return Submitted::Rejected {
                 retry_after_ms: self.retry_after_ms(&state),
             };
         }
-        let lane = Self::lane_of(&spec.method);
-        if lane == "interactive" {
-            state.interactive.push_back(id);
+        // Sampled methods are interactive; Full runs wait in the batch lane.
+        let (lane, queue) = if spec.method == Method::Full {
+            ("batch", &mut state.batch)
         } else {
-            state.batch.push_back(id);
-        }
+            ("interactive", &mut state.interactive)
+        };
+        queue.push_back(id);
         let ctx = span::start_job(id, &spec.label());
         let queued = span::open(ctx, SpanKind::Queued, lane);
         state.jobs.insert(
@@ -373,7 +367,6 @@ impl Scheduler {
             },
         );
         self.telemetry.counter("serve.submitted").add(1);
-        self.tenant_counter(tenant, "submitted");
         drop(state);
         self.work_cv.notify_one();
         Submitted::Queued { id, lane }
@@ -391,12 +384,6 @@ impl Scheduler {
             .map_or(100, |avg| avg.max(10));
         let ahead = (state.queued() + state.running) as u64;
         (ahead * per_job_ms / self.opts.workers.max(1) as u64).max(10)
-    }
-
-    fn tenant_counter(&self, tenant: &str, what: &str) {
-        self.telemetry
-            .counter(&format!("serve.tenant.{tenant}.{what}"))
-            .add(1);
     }
 
     /// Looks `id` up where it is: `live` reads it in the live map,
@@ -480,7 +467,7 @@ impl Scheduler {
 
     /// Cancels one subscription to `id`. Only a queued job with no
     /// remaining subscribers is removed from its lane (counted in
-    /// `exec.cancelled` — before any worker can dequeue it); a running
+    /// `serve.cancelled` — before any worker can dequeue it); a running
     /// or finished job reports `false`.
     pub fn cancel(&self, id: u64) -> Option<bool> {
         let mut state = self.lock_state();
@@ -500,7 +487,6 @@ impl Scheduler {
         state.jobs.remove(&id);
         state.interactive.retain(|&q| q != id);
         state.batch.retain(|&q| q != id);
-        self.telemetry.counter("exec.cancelled").add(1);
         self.telemetry.counter("serve.cancelled").add(1);
         drop(state);
         self.done_cv.notify_all();
@@ -511,7 +497,7 @@ impl Scheduler {
     /// publish, repeat — until drain begins and the queues stop feeding.
     pub fn worker_loop(&self) {
         loop {
-            let (id, spec, tenant, progress, ctx) = {
+            let (id, spec, progress, ctx) = {
                 let mut state = self.lock_state();
                 let id = loop {
                     if self.draining.load(Ordering::SeqCst) {
@@ -542,13 +528,7 @@ impl Scheduler {
                 self.telemetry
                     .histogram("serve.queued_ms")
                     .record(queued_ms);
-                let claimed = (
-                    id,
-                    job.spec.clone(),
-                    job.tenant.clone(),
-                    job.progress.clone(),
-                    job.ctx,
-                );
+                let claimed = (id, job.spec.clone(), job.progress.clone(), job.ctx);
                 state.running += 1;
                 claimed
             };
@@ -566,7 +546,7 @@ impl Scheduler {
             // The job's counters and trail are final before it leaves
             // the live map: a `wait` that answers, or a resubmission
             // that starts a fresh trail, finds nothing still to come.
-            self.finish(id, &spec, &tenant, ctx, &result, started);
+            self.finish(id, &spec, ctx, &result, started);
             // Stored outside the state lock (an eviction scan never
             // holds up `submit`) and before the job leaves the live map.
             self.store(id, spec.label(), Phase::Done, Some(result));
@@ -581,15 +561,7 @@ impl Scheduler {
     /// Terminal bookkeeping for one finished job: counts its outcome
     /// and busy time, closes the root span, records the latency
     /// histogram and evaluates the flight-recorder triggers.
-    fn finish(
-        &self,
-        id: u64,
-        spec: &RunSpec,
-        tenant: &str,
-        ctx: TraceCtx,
-        result: &JobResult,
-        started: Instant,
-    ) {
+    fn finish(&self, id: u64, spec: &RunSpec, ctx: TraceCtx, result: &JobResult, started: Instant) {
         let ok = result.outcome.measurement().is_some();
         let wall_ms = started.elapsed().as_millis() as u64;
         let outcome = if ok {
@@ -599,7 +571,6 @@ impl Scheduler {
         };
         self.telemetry.counter(outcome).add(1);
         self.telemetry.counter("serve.busy_ms").add(wall_ms);
-        self.tenant_counter(tenant, "completed");
         let fail_reason = match &result.outcome {
             RunOutcome::Skipped { reason, .. } => reason.clone(),
             RunOutcome::Completed(_) => String::new(),
@@ -609,32 +580,22 @@ impl Scheduler {
         // The p99 the trigger compares against is the distribution
         // *before* this observation — a job cannot dodge the trigger by
         // dragging its own tail bucket up.
-        let snap = self.telemetry.snapshot();
-        let (p99_ms, samples) = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "serve.latency_ms")
-            .map(|h| (h.p99, h.count))
-            .unwrap_or((0, 0));
-        self.telemetry.histogram("serve.latency_ms").record(wall_ms);
+        let latency = self.telemetry.histogram("serve.latency_ms");
+        let (p99_ms, samples) = (latency.percentile(0.99), latency.count());
+        latency.record(wall_ms);
 
         let Some(dir) = &self.opts.flightrec else {
             return;
         };
         let spans = span::job_records(id);
-        let trigger = if !ok {
-            Some((Trigger::JobFailed, fail_reason))
+        let (trigger, detail) = if !ok {
+            (Trigger::JobFailed, fail_reason)
         } else if let Some(bad) = spans.iter().find(|s| !s.open && !s.ok) {
-            Some((Trigger::SpanFailed, bad.detail.clone()))
+            (Trigger::SpanFailed, bad.detail.clone())
         } else if samples >= P99_MIN_SAMPLES && wall_ms > p99_ms {
-            Some((
-                Trigger::P99Latency,
-                format!("wall {wall_ms} ms > p99 {p99_ms} ms over {samples} jobs"),
-            ))
+            let why = format!("wall {wall_ms} ms > p99 {p99_ms} ms over {samples} jobs");
+            (Trigger::P99Latency, why)
         } else {
-            None
-        };
-        let Some((trigger, detail)) = trigger else {
             return;
         };
         let rec = flightrec::assemble(
@@ -715,47 +676,51 @@ impl Scheduler {
         }
     }
 
-    /// Journals every still-queued job to `path` (crc-framed lines,
-    /// written atomically) and returns how many were drained. Call
-    /// after [`await_idle`](Self::await_idle).
+    /// Records every still-queued job in a fresh pending journal at
+    /// `path` and returns how many were drained. With none queued, any
+    /// stale journal is removed instead, so the next start resumes no
+    /// ghosts. Call after [`await_idle`](Self::await_idle).
     pub fn drain_pending_to(&self, path: &Path) -> std::io::Result<usize> {
-        let state = self.lock_state();
-        let mut lines = String::new();
-        let mut n = 0;
-        for id in state.interactive.iter().chain(state.batch.iter()) {
-            let Some(job) = state.jobs.get(id) else {
-                continue;
-            };
-            let entry = PendingEntry {
-                schema_version: PROTOCOL_VERSION,
-                spec: job.spec.clone(),
-                tenant: job.tenant.clone(),
-            };
-            let json =
-                serde_json::to_string(&entry).map_err(|e| std::io::Error::other(e.to_string()))?;
-            lines.push_str(&frame_line(&json));
-            n += 1;
-        }
-        drop(state);
-        if n == 0 {
-            // Nothing pending: remove any stale journal so the next
-            // start does not resume ghosts.
+        let pending: Vec<(u64, PendingEntry)> = {
+            let state = self.lock_state();
+            let queued = state.interactive.iter().chain(&state.batch);
+            queued
+                .filter_map(|&id| {
+                    let job = state.jobs.get(&id)?;
+                    let entry = PendingEntry {
+                        schema_version: PROTOCOL_VERSION,
+                        spec: job.spec.clone(),
+                        tenant: job.tenant.clone(),
+                    };
+                    Some((id, entry))
+                })
+                .collect()
+        };
+        if pending.is_empty() {
             let _ = std::fs::remove_file(path);
             return Ok(0);
         }
-        photon_bench::atomic_write(path, &lines)?;
-        self.telemetry.counter("serve.drained_jobs").add(n as u64);
-        Ok(n)
+        let journal = Journal::open(path, true)?;
+        for (id, entry) in &pending {
+            journal.record(*id, entry)?;
+        }
+        self.telemetry
+            .counter("serve.drained_jobs")
+            .add(pending.len() as u64);
+        Ok(pending.len())
     }
 
     /// Re-enqueues jobs journaled by a previous server's drain, then
     /// removes the journal. They were admitted once, so the admission
-    /// bound does not apply to them. Torn or corrupt lines are skipped
-    /// (counted in the return). Call before accepting connections.
+    /// bound does not apply to them. Torn or corrupt lines, and lines
+    /// of another protocol version, are skipped (counted in the
+    /// return); a missing journal changes nothing. Call before
+    /// accepting connections.
     pub fn resume_pending_from(&self, path: &Path) -> (usize, usize) {
-        let Ok((entries, mut corrupt)) = load_lines::<PendingEntry>(path) else {
+        let (entries, mut corrupt) = journal::load::<PendingEntry>(path);
+        if entries.is_empty() && corrupt == 0 {
             return (0, 0);
-        };
+        }
         let mut resumed = 0;
         for e in entries {
             if e.schema_version == PROTOCOL_VERSION {
@@ -803,9 +768,9 @@ impl Scheduler {
     }
 
     /// Server-wide stats: the lane depths and running count, the
-    /// metrics registry (counters incl. per-tenant, `serve.*`,
-    /// `exec.cancelled`), the in-flight jobs with their current trace
-    /// phase, and the result-store and reference-cache counters.
+    /// metrics registry (`serve.*`, `exec.retried`), the in-flight jobs
+    /// with their tenant and current trace phase, and the result-store
+    /// and reference-cache counters.
     pub fn stats(&self) -> Value {
         // Copy the live jobs out under the state lock; their spans are
         // read after it is released, so a `stats` poll never holds up
@@ -841,26 +806,14 @@ impl Scheduler {
                 })
             })
             .collect();
-        let cache_stats = self.cache.stats();
-        // Mirror the disk-eviction count into the registry (counters
-        // are monotonic: add the delta since the last stats call).
-        let evicted = self.telemetry.counter("refcache.evicted");
-        let seen = evicted.get();
-        if cache_stats.disk_evicted > seen {
-            evicted.add(cache_stats.disk_evicted - seen);
-        }
         // When fault injection is armed, surface per-site injection
         // counts so the chaos CI gate can prove panics actually fired.
         let faults_injected = Value::Object(
-            gpu_telemetry::faults::FaultSite::ALL
+            FaultSite::ALL
                 .iter()
-                .filter(|site| gpu_telemetry::faults::injected(**site) > 0)
-                .map(|site| {
-                    (
-                        site.name().to_string(),
-                        Value::U64(gpu_telemetry::faults::injected(*site)),
-                    )
-                })
+                .map(|&site| (site, faults::injected(site)))
+                .filter(|&(_, n)| n > 0)
+                .map(|(site, n)| (site.name().to_string(), Value::U64(n)))
                 .collect(),
         );
         serde_json::json!({
@@ -870,12 +823,12 @@ impl Scheduler {
             "draining": self.draining(),
             "queued": queued,
             "running": running,
-            "faults_active": gpu_telemetry::faults::active(),
+            "faults_active": faults::active(),
             "faults_injected": faults_injected,
             "jobs": jobs,
             "metrics": self.telemetry.snapshot(),
             "results_store": self.results.stats(),
-            "refcache": cache_stats,
+            "refcache": self.cache.stats(),
         })
     }
 }

@@ -283,6 +283,14 @@ fn outcome_response(id: u64, result: &crate::scheduler::JobResult) -> Value {
     })
 }
 
+/// `v` with `"ok": true` as its first field.
+fn ok_first(mut v: Value) -> Value {
+    if let Value::Object(fields) = &mut v {
+        fields.insert(0, ("ok".to_string(), Value::Bool(true)));
+    }
+    v
+}
+
 fn progress_object(progress: &[(String, u64)]) -> Value {
     Value::Object(
         progress
@@ -422,20 +430,9 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
                 }),
                 None => error_response(404, "unknown job"),
             },
-            Ok(Request::Stats) => {
-                let mut v = scheduler.stats();
-                if let Value::Object(fields) = &mut v {
-                    fields.insert(0, ("ok".to_string(), Value::Bool(true)));
-                }
-                v
-            }
+            Ok(Request::Stats) => ok_first(scheduler.stats()),
             Ok(Request::Trace { job }) => match scheduler.trace(job) {
-                Some(mut v) => {
-                    if let Value::Object(fields) = &mut v {
-                        fields.insert(0, ("ok".to_string(), Value::Bool(true)));
-                    }
-                    v
-                }
+                Some(v) => ok_first(v),
                 None => error_response(404, "unknown job (no spans recorded)"),
             },
             Ok(Request::Shutdown) => {

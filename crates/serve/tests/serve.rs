@@ -4,7 +4,7 @@
 //! priority, and drain/resume.
 
 use gpu_telemetry::span::job_hex;
-use photon_bench::persist::{frame_line, load_lines};
+use photon_bench::journal::{self, Journal};
 use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
 use photon_serve::client::{response_job, response_ok, Client};
 use photon_serve::scheduler::Phase;
@@ -146,6 +146,16 @@ fn submit_wait_fetch_round_trip() {
         ),
         "report not completed: {fetched:?}"
     );
+    // A tenant is a label, not a counter: resubmissions under new
+    // tenants leave the registry's set of names as it was.
+    let names = || srv.server.scheduler().telemetry().snapshot().counters.len();
+    let mut seen = Vec::new();
+    for tenant in ["t1", "t2", "t3"] {
+        let sub = c.submit(&fir(256, Method::Pka), tenant).expect("resubmit");
+        assert!(response_ok(&sub), "resubmit failed: {sub:?}");
+        seen.push(names());
+    }
+    assert!(seen.windows(2).all(|w| w[0] == w[1]), "{seen:?}");
 
     // Protocol errors surface as coded responses, not hangups.
     let missing = c.fetch("00000000000000ff").expect("fetch missing");
@@ -156,7 +166,7 @@ fn submit_wait_fetch_round_trip() {
         let bad = c.request(&json!({ "op": op })).expect("bad request");
         assert_eq!(bad.get("code"), Some(&Value::U64(400)), "{op}: {bad:?}");
     }
-    // A tenant that cannot name a counter is refused before a job exists.
+    // A tenant outside the label charset is refused before a job exists.
     let submitted = srv.counter("serve.submitted");
     let spec = serde_json::to_value(&fir(64, Method::Full));
     let bad = c
@@ -407,7 +417,6 @@ fn cancel_removes_queued_job_before_dequeue() {
     let cancelled = c.cancel(&victim_job).expect("cancel");
     assert!(response_ok(&cancelled));
     assert_eq!(cancelled.get("cancelled"), Some(&Value::Bool(true)));
-    assert_eq!(srv.counter("exec.cancelled"), 1);
     assert_eq!(srv.counter("serve.cancelled"), 1);
 
     // The blocker still finishes; the victim never simulates.
@@ -648,11 +657,14 @@ fn drain_journals_queued_jobs_and_restart_resumes_them() {
     // the good line beside it.
     let text = std::fs::read_to_string(&pending).expect("pending journal");
     let good = text.lines().next().expect("a drained line");
-    let (entries, corrupt) = load_lines::<Value>(&pending).expect("pending journal");
+    let (entries, corrupt) = journal::load::<Value>(&pending);
     assert_eq!((entries.len(), corrupt), (2, 0));
     let bad = with_unknown_engine_mode(&serde_json::to_string(&entries[0]).expect("serialize"));
+    let bad: Value = serde_json::from_str(&bad).expect("json");
     let mixed = dir.join("mixed.jsonl");
-    std::fs::write(&mixed, format!("{good}\n{}", frame_line(&bad))).expect("write mixed");
+    std::fs::write(&mixed, format!("{good}\n")).expect("write mixed");
+    let appended = Journal::open(&mixed, false).expect("open mixed");
+    appended.record(0, &bad).expect("record the bad line");
     let sched = photon_serve::Scheduler::new(ServeOptions {
         exec: ExecOptions {
             cache: false,

@@ -255,3 +255,113 @@ fn a_rerun_of_a_failed_job_starts_a_fresh_trail() {
     assert_eq!(dumps(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The p99 flight-record trigger: once 20 latencies are in, a job
+/// slower than their p99 cuts a `p99-latency` record, and the 20 jobs
+/// before it cut none.
+#[test]
+fn a_job_past_the_live_p99_cuts_one_latency_record() {
+    let _faults = faults_lock();
+    let dir = std::env::temp_dir().join(format!("photon_trace_p99_{}", std::process::id()));
+    let flightrec_dir = dir.join("flightrec");
+    let sched = Arc::new(Scheduler::new(ServeOptions {
+        workers: 1,
+        queue_capacity: 8,
+        exec: ExecOptions {
+            cache: false,
+            journal: None,
+            ..ExecOptions::default()
+        },
+        flightrec: Some(flightrec_dir.clone()),
+    }));
+    let worker = {
+        let sched = Arc::clone(&sched);
+        std::thread::spawn(move || sched.worker_loop())
+    };
+    let run = |spec: RunSpec| {
+        let id = journal_key(&spec);
+        sched.submit(spec, "t0");
+        while !sched
+            .wait_step(id, Duration::from_millis(50))
+            .is_some_and(Phase::terminal)
+        {}
+        let result = sched.fetch(id).expect("a finished job has a result");
+        assert!(
+            result.outcome.measurement().is_some(),
+            "job {id:016x} failed"
+        );
+        id
+    };
+    // Seeds no other test here uses: span trails are process-wide.
+    for seed in 100..120 {
+        let mut small = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Pka);
+        small.seed = seed;
+        run(small);
+    }
+    let large = run(RunSpec::bench(
+        GpuConfig::tiny(),
+        Benchmark::Fir,
+        4096,
+        Method::Full,
+    ));
+    sched.begin_drain();
+    worker.join().expect("worker");
+
+    let records: Vec<_> = std::fs::read_dir(&flightrec_dir)
+        .expect("flight-record directory")
+        .map(|e| flightrec::load(&e.expect("dir entry").path()).expect("flight record loads"))
+        .collect();
+    let cut: Vec<(&str, &str)> = records
+        .iter()
+        .map(|r| (r.job.as_str(), r.trigger.as_str()))
+        .collect();
+    assert_eq!(cut, [(job_hex(large).as_str(), "p99-latency")]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The pending journal shares the run journal's `journal.torn` fault
+/// site: a drain whose every line lands torn resumes nothing, counts
+/// both lines corrupt, and does not keep the next server from starting.
+#[test]
+fn a_drain_torn_line_by_line_resumes_nothing_and_the_server_still_starts() {
+    let _faults = faults_lock();
+    let dir = std::env::temp_dir().join(format!("photon_trace_torn_{}", std::process::id()));
+    let pending = dir.join("pending.jsonl");
+    let opts = || ServeOptions {
+        exec: ExecOptions {
+            cache: false,
+            journal: None,
+            ..ExecOptions::default()
+        },
+        ..ServeOptions::default()
+    };
+    // No workers: both jobs stay queued until the drain. (A size no
+    // other test here submits: span trails are process-wide.)
+    let sched = Scheduler::new(opts());
+    for method in [Method::Full, Method::Pka] {
+        sched.submit(
+            RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 128, method),
+            "t0",
+        );
+    }
+    faults::install(Some(
+        FaultPlan::parse("journal.torn:1.0:3").expect("fault spec"),
+    ));
+    let drained = sched.drain_pending_to(&pending);
+    faults::install(None);
+    assert_eq!(drained.expect("drain"), 2);
+    let copy = dir.join("pending-copy.jsonl");
+    std::fs::copy(&pending, &copy).expect("copy the pending journal");
+
+    let resumed = Scheduler::new(opts()).resume_pending_from(&pending);
+    assert_eq!(resumed, (0, 2));
+    assert!(!pending.exists(), "resume consumes even a torn journal");
+    let server = Server::bind("127.0.0.1:0", opts(), Some(copy.clone())).expect("bind");
+    let queued = server.scheduler().stats().get("queued").cloned();
+    assert_eq!(
+        queued,
+        Some(serde_json::json!({"interactive": 0u64, "batch": 0u64}))
+    );
+    assert!(!copy.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -8,6 +8,7 @@
 //! paths.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -163,6 +164,13 @@ impl Histogram {
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         lock(&self.0).count
+    }
+
+    /// The `p` percentile of the observations so far (`p` in `[0, 1]`),
+    /// as [`percentile_from_buckets`] estimates it; 0 when empty.
+    pub fn percentile(&self, p: f64) -> u64 {
+        let h = lock(&self.0);
+        percentile_from_buckets(&h.buckets, h.count, p)
     }
 
     /// Snapshot of the distribution under a name.
@@ -338,11 +346,24 @@ impl MetricsSnapshot {
     }
 }
 
+/// One name-ordered map per metric kind: a lookup is a tree search and
+/// a snapshot is already sorted.
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
-    histograms: Vec<(String, Histogram)>,
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    histograms: BTreeMap<String, Histogram>,
+}
+
+/// The handle registered under `name` in `map`, created on first use.
+/// Repeated calls share one cell.
+fn handle<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
+    if let Some(h) = map.get(name) {
+        return h.clone();
+    }
+    let h = T::default();
+    map.insert(name.to_string(), h.clone());
+    h
 }
 
 /// The metric registry. One per simulated GPU (shared by its memory
@@ -366,70 +387,46 @@ impl Registry {
     /// Returns the counter registered under `name`, creating it on
     /// first use. Repeated calls share one cell.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = lock(&self.inner);
-        if let Some((_, c)) = inner.counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter::default();
-        inner.counters.push((name.to_string(), c.clone()));
-        c
+        handle(&mut lock(&self.inner).counters, name)
     }
 
     /// Returns the gauge registered under `name`, creating it on first
     /// use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = lock(&self.inner);
-        if let Some((_, g)) = inner.gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        inner.gauges.push((name.to_string(), g.clone()));
-        g
+        handle(&mut lock(&self.inner).gauges, name)
     }
 
     /// Returns the histogram registered under `name`, creating it on
     /// first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = lock(&self.inner);
-        if let Some((_, h)) = inner.histograms.iter().find(|(n, _)| n == name) {
-            return h.clone();
-        }
-        let h = Histogram::default();
-        inner.histograms.push((name.to_string(), h.clone()));
-        h
+        handle(&mut lock(&self.inner).histograms, name)
     }
 
     /// Snapshot of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = lock(&self.inner);
-        let mut counters: Vec<CounterSnapshot> = inner
-            .counters
-            .iter()
-            .map(|(n, c)| CounterSnapshot {
-                name: n.clone(),
-                value: c.get(),
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut gauges: Vec<GaugeSnapshot> = inner
-            .gauges
-            .iter()
-            .map(|(n, g)| GaugeSnapshot {
-                name: n.clone(),
-                value: g.get(),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<HistogramSnapshot> = inner
-            .histograms
-            .iter()
-            .map(|(n, h)| h.snapshot(n))
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: inner
+                .counters
+                .iter()
+                .map(|(n, c)| CounterSnapshot {
+                    name: n.clone(),
+                    value: c.get(),
+                })
+                .collect(),
+            gauges: inner
+                .gauges
+                .iter()
+                .map(|(n, g)| GaugeSnapshot {
+                    name: n.clone(),
+                    value: g.get(),
+                })
+                .collect(),
+            histograms: inner
+                .histograms
+                .iter()
+                .map(|(n, h)| h.snapshot(n))
+                .collect(),
         }
     }
 }
@@ -474,6 +471,20 @@ mod tests {
         // p50 falls into the [2,3] bucket, whose midpoint is 2.
         assert_eq!(s.p50, 2);
         assert!(s.p99 >= 512);
+    }
+
+    #[test]
+    fn percentile_on_the_handle_matches_the_snapshot() {
+        let h = Histogram::default();
+        assert_eq!(h.percentile(0.99), 0);
+        for v in [0u64, 1, 2, 3, 100, 1000, 7, 7, 40] {
+            h.record(v);
+        }
+        let s = h.snapshot("lat");
+        assert_eq!(
+            [h.percentile(0.50), h.percentile(0.95), h.percentile(0.99)],
+            [s.p50, s.p95, s.p99]
+        );
     }
 
     #[test]

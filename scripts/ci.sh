@@ -34,14 +34,26 @@ fi
 
 # One store, one record codec, one span collector: the sharded store,
 # the render-to-measure helper and the per-thread span rings are gone,
-# and a journal line's crc is checked in persist alone.
+# and a journal line's crc is checked in the journal alone.
 if grep -rnE 'Sharded[S]tore|DEFAULT[_]SHARDS|measurement[_]bytes|Thread[R]ing' \
     crates scripts README.md DESIGN.md .claude \
-    || grep -rn 'parse_framed[_]line' crates --include='*.rs' \
-      | grep -v '^crates/bench/src/persist.rs:' \
+    || grep -rn 'decode[_]line' crates --include='*.rs' \
+      | grep -v '^crates/bench/src/journal.rs:' \
       | grep -v '^crates/bench/tests/persist.rs:'; then
-  echo "    the store is one LruStore, an insert is charged without rendering, and"
-  echo "    stored checksums are compared with content in crates/bench/src/persist.rs only"
+  echo "    the store is one LruStore, an insert is charged without rendering, and a"
+  echo "    stored checksum is compared with content in crates/bench/src/persist.rs (files)"
+  echo "    or crates/bench/src/journal.rs (journal lines) only"
+  exit 1
+fi
+
+# One crc-line journal: the run journal and photon-serve's pending jobs
+# are both photon_bench::journal::Journal, and the server's registry
+# holds a fixed set of names (no per-tenant counters, one counter per
+# cancel).
+if grep -rnE 'load[_]lines|frame[_]line|parse_framed[_]line|tenant[_]counter|serve[.]tenant|exec[.]cancelled' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    journal lines are written by Journal::record and read by journal::load; a"
+  echo "    tenant is a label in stats, and a cancel counts in serve.cancelled alone"
   exit 1
 fi
 
