@@ -434,8 +434,8 @@ pub fn resolve_spec(
 /// outcome is returned either way.
 ///
 /// When `telemetry` is provided, the run's counters and gauges land in
-/// that registry **live** (this is how `photon-serve` streams
-/// `status`/`wait` progress events while a simulation runs) in addition
+/// that registry **live** (this is how `photon-serve`'s `trace` op
+/// shows a job's progress while its simulation runs) in addition
 /// to being returned as the final snapshot, and the retry count is
 /// folded into both as `exec.retried`. With `None` each attempt gets a
 /// fresh private registry.

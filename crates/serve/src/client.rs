@@ -50,10 +50,6 @@ impl Client {
             serde_json::to_string(req).map_err(|e| std::io::Error::other(e.to_string()))?;
         text.push('\n');
         self.writer.write_all(text.as_bytes())?;
-        self.read_line()
-    }
-
-    fn read_line(&mut self) -> std::io::Result<Value> {
         let mut line = String::new();
         loop {
             line.clear();
@@ -85,26 +81,16 @@ impl Client {
         }))
     }
 
-    /// Blocks until `job` finishes, discarding streamed progress
-    /// events; returns the final response — a status line (`ok`, `job`,
-    /// `state`, `origin`, `wall_secs`; the last two null for a cancelled
-    /// job). The report itself comes from [`Client::fetch`].
+    /// Blocks until `job` finishes; returns its one response — a status
+    /// line (`ok`, `job`, `state`, `origin`, `wall_secs`; the last two
+    /// null for a cancelled job), or a 503 if the server drains while
+    /// the job is still queued. The report itself comes from
+    /// [`Client::fetch`]; live progress from [`Client::trace`].
     ///
     /// # Errors
     /// Returns I/O errors.
     pub fn wait(&mut self, job: &str) -> std::io::Result<Value> {
-        let mut text = format!("{{\"op\":\"wait\",\"job\":\"{job}\"}}");
-        text.push('\n');
-        self.writer.write_all(text.as_bytes())?;
-        loop {
-            let v = self.read_line()?;
-            // Progress events carry "event":"progress"; the final line
-            // carries "ok".
-            if str_of(&v, "event").as_deref() == Some("progress") {
-                continue;
-            }
-            return Ok(v);
-        }
+        self.request(&serde_json::json!({ "op": "wait", "job": job }))
     }
 
     /// Fetches a finished job's report.
@@ -131,7 +117,8 @@ impl Client {
         self.request(&serde_json::json!({ "op": "stats" }))
     }
 
-    /// A job's correlated span list (protocol v2 `trace` op).
+    /// A job's one view (protocol v2 `trace` op): state, `sim.*`
+    /// progress counters and its correlated span list.
     ///
     /// # Errors
     /// Returns I/O errors.

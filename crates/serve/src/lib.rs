@@ -6,8 +6,8 @@
 //!
 //! The server ([`server::Server`]) listens on a `std::net::TcpListener`
 //! and speaks the line-delimited JSON protocol of [`protocol`]:
-//! `submit` / `status` / `wait` / `fetch` / `cancel` / `stats` /
-//! `trace` / `shutdown`. Behind it, the
+//! `submit` / `wait` / `fetch` / `cancel` / `stats` / `trace` /
+//! `shutdown`. Behind it, the
 //! [`scheduler::Scheduler`] runs a bounded
 //! two-lane admission queue (interactive sampled methods dequeue before
 //! batch `Full` runs) over a pool of worker threads, deduplicates
@@ -22,7 +22,8 @@
 //! ([`gpu_telemetry::span::start_job`]): typed spans (queued, coalesced,
 //! cache-probe, sim, epoch-barrier, mem-service, persist) land in
 //! `gpu_telemetry::span`'s always-on rings, the `trace` op returns the
-//! job's flat span list, and a job that fails, absorbs a failed span,
+//! job's flat span list beside its live `sim.*` progress counters —
+//! the one view of a job — and a job that fails, absorbs a failed span,
 //! or lands past the live p99 dumps a flight record
 //! ([`photon_bench::flightrec`]) for post-hoc diagnosis.
 //!

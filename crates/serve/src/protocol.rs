@@ -1,14 +1,11 @@
 //! The wire protocol: line-delimited JSON, one request object per line,
-//! one response object per line (except `wait`, which streams progress
-//! event lines before its final response).
+//! one response object per line.
 //!
 //! ## Grammar
 //!
 //! ```text
-//! request  = submit | status | wait | fetch | cancel | stats
-//!          | trace | shutdown
+//! request  = submit | wait | fetch | cancel | stats | trace | shutdown
 //! submit   = {"op":"submit", "spec": <RunSpec JSON>, "tenant": <string>?}
-//! status   = {"op":"status", "job": <job id>}
 //! wait     = {"op":"wait",   "job": <job id>}
 //! fetch    = {"op":"fetch",  "job": <job id>}
 //! cancel   = {"op":"cancel", "job": <job id>}
@@ -17,12 +14,14 @@
 //! shutdown = {"op":"shutdown"}
 //! ```
 //!
-//! `trace` (protocol v2) returns the job's flat span list — the trace
-//! minted at submit ([`span::start_job`]) and threaded through the
-//! scheduler, executor, and engine — with phase and failure rollups.
-//! `stats` is the server's one view of itself: lane depths, the running
-//! count, the live jobs and the registry of what accumulates across
-//! jobs. An op the grammar does not name, `metrics` included, is a 400.
+//! `trace` (protocol v2) is the one view of a job: its state, its
+//! `sim.*` progress counters and its flat span list — the trace minted
+//! at submit ([`span::start_job`]) and threaded through the scheduler,
+//! executor, and engine — with phase and failure rollups. `wait` blocks
+//! until the job is terminal and answers once. `stats` is the server's
+//! one view of itself: lane depths, the running count, the live jobs
+//! and the registry of what accumulates across jobs. An op the grammar
+//! does not name, `status` and `metrics` included, is a 400.
 //!
 //! A `tenant` is a label the server echoes in the `stats` jobs view and
 //! keeps in the pending journal; it names no counter. It is input from
@@ -66,12 +65,7 @@ pub enum Request {
         /// Who submitted it, a label in `stats` (default `"anon"`).
         tenant: String,
     },
-    /// One-shot state + progress-counter snapshot.
-    Status {
-        /// Job id from a `submit` response.
-        job: u64,
-    },
-    /// Stream progress events until the job reaches a terminal state.
+    /// Block until the job reaches a terminal state; one status line.
     Wait {
         /// Job id from a `submit` response.
         job: u64,
@@ -88,7 +82,7 @@ pub enum Request {
     },
     /// Lane depths, running count, live jobs and server counters.
     Stats,
-    /// The job's correlated span list with per-phase durations.
+    /// The job's state, progress counters and correlated span list.
     Trace {
         /// Job id from a `submit` response.
         job: u64,
@@ -135,9 +129,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 tenant,
             })
         }
-        "status" => Ok(Request::Status {
-            job: job_field(&v)?,
-        }),
         "wait" => Ok(Request::Wait {
             job: job_field(&v)?,
         }),
@@ -241,6 +232,7 @@ mod tests {
         assert!(parse_request("not json").is_err());
         assert!(parse_request("{\"op\":\"teleport\"}").is_err());
         assert!(parse_request("{\"op\":\"metrics\"}").is_err());
+        assert!(parse_request("{\"op\":\"status\",\"job\":\"00000000000000ff\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\",\"job\":\"zz\"}").is_err());
         assert!(parse_request("{\"op\":\"fetch\",\"job\":\"abc\"}").is_err());

@@ -167,7 +167,7 @@ struct Job {
     /// Live submissions attached to this job; a cancel detaches one.
     subscribers: usize,
     /// Per-job live registry: the running simulation writes `sim.*`
-    /// counters here and `status`/`wait` read them concurrently.
+    /// counters here and `trace` reads them concurrently.
     progress: Telemetry,
     /// Trace context minted at submit: the root `job` span every
     /// downstream span (queued, sim, epoch-barrier, ...) hangs off.
@@ -177,6 +177,15 @@ struct Job {
     /// When the job entered its lane — `serve.queued_ms` and the
     /// `stats` jobs view measure from here.
     queued_at: Instant,
+}
+
+impl Job {
+    /// Closes the job's `queued` and root spans for a job that leaves
+    /// without running (a closed span is left alone).
+    fn close_trail(&self, ok: bool, detail: &str) {
+        span::close(self.queued_span, ok, detail);
+        span::close(self.ctx.span, ok, detail);
+    }
 }
 
 /// A job once it is done or cancelled, as the result store keeps it.
@@ -234,18 +243,6 @@ pub enum Submitted {
     Draining,
 }
 
-/// One `status` snapshot.
-#[derive(Debug, Clone)]
-pub struct StatusView {
-    /// The job's phase at snapshot time.
-    pub phase: Phase,
-    /// `workload/method` label.
-    pub label: String,
-    /// `sim.*` progress counters: live while the job runs, its result's
-    /// once done (empty before the run starts and for a cancelled job).
-    pub progress: Vec<(String, u64)>,
-}
-
 /// A pending-jobs journal line: everything needed to re-enqueue a
 /// drained job on restart.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -258,8 +255,8 @@ struct PendingEntry {
     tenant: String,
 }
 
-/// The scheduler. Connection handlers call `submit`/`status`/`fetch`/
-/// `cancel`/`stats` concurrently; worker threads loop in
+/// The scheduler. Connection handlers call `submit`/`wait_step`/`fetch`/
+/// `cancel`/`trace`/`stats` concurrently; worker threads loop in
 /// [`Scheduler::worker_loop`].
 pub struct Scheduler {
     state: Mutex<State>,
@@ -417,30 +414,10 @@ impl Scheduler {
         self.results.insert(id, Arc::new(finished), bytes);
     }
 
-    /// One job's phase + progress counters.
-    pub fn status(&self, id: u64) -> Option<StatusView> {
-        self.find(
-            id,
-            |job| StatusView {
-                phase: job.phase,
-                label: job.spec.label(),
-                progress: job.progress.snapshot().counters_with_prefix("sim."),
-            },
-            |f| StatusView {
-                phase: f.phase,
-                label: f.label.clone(),
-                progress: f
-                    .result
-                    .as_ref()
-                    .map_or_else(Vec::new, |r| r.metrics.counters_with_prefix("sim.")),
-            },
-        )
-    }
-
     /// Blocks until `id` reaches a terminal phase or `step` elapses;
     /// returns the phase either way (`None`: unknown job). `wait`
-    /// handlers call this in a loop, emitting a progress event per
-    /// wake-up.
+    /// handlers call this in a loop, checking for a drain between
+    /// steps; `Duration::ZERO` reads the phase without blocking.
     pub fn wait_step(&self, id: u64, step: Duration) -> Option<Phase> {
         let deadline = Instant::now() + step;
         let mut state = self.lock_state();
@@ -481,8 +458,7 @@ impl Scheduler {
         if job.subscribers > 0 {
             return Some(false);
         }
-        span::close(job.queued_span, false, "cancelled");
-        span::close(job.ctx.span, false, "cancelled");
+        job.close_trail(false, "cancelled");
         self.store(id, job.spec.label(), Phase::Cancelled, None);
         state.jobs.remove(&id);
         state.interactive.retain(|&q| q != id);
@@ -677,9 +653,11 @@ impl Scheduler {
     }
 
     /// Records every still-queued job in a fresh pending journal at
-    /// `path` and returns how many were drained. With none queued, any
-    /// stale journal is removed instead, so the next start resumes no
-    /// ghosts. Call after [`await_idle`](Self::await_idle).
+    /// `path` and returns how many were drained. Each drained job's
+    /// trail closes here (`"drained"`), so a resume under the same id,
+    /// in this process or another, starts a fresh one. With none
+    /// queued, any stale journal is removed instead, so the next start
+    /// resumes no ghosts. Call after [`await_idle`](Self::await_idle).
     pub fn drain_pending_to(&self, path: &Path) -> std::io::Result<usize> {
         let pending: Vec<(u64, PendingEntry)> = {
             let state = self.lock_state();
@@ -687,6 +665,7 @@ impl Scheduler {
             queued
                 .filter_map(|&id| {
                     let job = state.jobs.get(&id)?;
+                    job.close_trail(true, "drained");
                     let entry = PendingEntry {
                         schema_version: PROTOCOL_VERSION,
                         spec: job.spec.clone(),
@@ -737,25 +716,37 @@ impl Scheduler {
         (resumed, corrupt)
     }
 
-    /// One job's correlated span trail — the flat list with its current
-    /// phase, per-phase totals and failed spans — or `None` when the job
-    /// is unknown and no spans were ever recorded for its id.
+    /// One job's view: its state, its `sim.*` progress counters (live
+    /// while it is queued or running, its result's once done, none for
+    /// a cancelled job) and its correlated span trail — the flat list
+    /// with its current phase, per-phase totals and failed spans. `None`
+    /// when the job is unknown and no spans were ever recorded for its
+    /// id.
     pub fn trace(&self, id: u64) -> Option<Value> {
         let records = span::job_records(id);
-        let (label, state_name) = self
-            .find(
-                id,
-                |job| (job.spec.label(), job.phase.name()),
-                |f| (f.label.clone(), f.phase.name()),
-            )
-            .unzip();
-        if records.is_empty() && label.is_none() {
+        // Under the state lock only a handle is cloned: the live
+        // registry (`Ok`) or the stored result (`Err`). The counters are
+        // read after the lock is released.
+        let found = self.find(
+            id,
+            |job| (job.spec.label(), job.phase, Ok(job.progress.clone())),
+            |f| (f.label.clone(), f.phase, Err(f.result.clone())),
+        );
+        if records.is_empty() && found.is_none() {
             return None;
         }
+        let progress = match &found {
+            Some((_, _, Ok(live))) => live.snapshot().counters_with_prefix("sim."),
+            Some((_, _, Err(Some(result)))) => result.metrics.counters_with_prefix("sim."),
+            _ => Vec::new(),
+        };
+        let (label, state) = found.map(|(label, phase, _)| (label, phase.name())).unzip();
+        let progress = progress.into_iter().map(|(k, v)| (k, Value::U64(v)));
         Some(serde_json::json!({
             "job": job_hex(id),
             "label": label,
-            "state": state_name,
+            "state": state,
+            "progress": Value::Object(progress.collect()),
             "phase": span::current_phase(&records).map(|s| s.kind.name()),
             "phases": span::phases(&records),
             "failed": records.iter().filter(|s| !s.ok).map(|s| serde_json::json!({
@@ -830,5 +821,17 @@ impl Scheduler {
             "results_store": self.results.stats(),
             "refcache": self.cache.stats(),
         })
+    }
+}
+
+impl Drop for Scheduler {
+    /// A scheduler dropped with live jobs (one that never drained, or
+    /// one with no workers) closes their trails, so a later job under
+    /// the same id starts with one root.
+    fn drop(&mut self) {
+        let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        for job in state.jobs.values() {
+            job.close_trail(false, "dropped");
+        }
     }
 }

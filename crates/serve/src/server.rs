@@ -21,7 +21,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often `wait` handlers emit a progress event while a job runs.
+/// How often a `wait` handler re-checks for a drain while its job is
+/// live.
 const WAIT_POLL: Duration = Duration::from_millis(100);
 
 /// How often the acceptor re-checks the shutdown flag.
@@ -291,18 +292,9 @@ fn ok_first(mut v: Value) -> Value {
     v
 }
 
-fn progress_object(progress: &[(String, u64)]) -> Value {
-    Value::Object(
-        progress
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::U64(*v)))
-            .collect(),
-    )
-}
-
 /// Serves one connection: read request lines, write response lines,
-/// until the peer hangs up or shutdown is requested. `wait` streams
-/// progress events; everything else is one line in, one line out.
+/// until the peer hangs up or shutdown is requested: one line in, one
+/// line out.
 fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &AtomicBool) {
     // A read timeout lets idle connections notice shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -340,79 +332,40 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, shutdown: &Atomic
             Ok(Request::Submit { spec, tenant }) => {
                 submit_response(&scheduler.submit(*spec, &tenant))
             }
-            Ok(Request::Status { job }) => match scheduler.status(job) {
-                Some(view) => serde_json::json!({
-                    "ok": true,
-                    "job": job_hex(job),
-                    "state": view.phase.name(),
-                    "label": view.label,
-                    "progress": progress_object(&view.progress),
-                }),
-                None => error_response(404, "unknown job"),
-            },
-            Ok(Request::Wait { job }) => {
-                let mut response = None;
-                loop {
-                    match scheduler.wait_step(job, WAIT_POLL) {
-                        None => {
-                            response = Some(error_response(404, "unknown job"));
-                            break;
-                        }
-                        Some(phase) if phase.terminal() => {
-                            // A status, not the body: `fetch` ships the
-                            // report, once, to whoever asks for it. A
-                            // cancelled job has no result: nulls.
-                            let done = scheduler.fetch(job);
-                            let v = serde_json::json!({
-                                "ok": true,
-                                "job": job_hex(job),
-                                "state": phase.name(),
-                                "origin": done.as_ref().map(|r| r.origin),
-                                "wall_secs": done.as_ref().map(|r| r.wall_secs),
-                            });
-                            response = Some(v);
-                            break;
-                        }
-                        Some(phase)
-                            if phase == Phase::Queued && shutdown.load(Ordering::SeqCst) =>
-                        {
-                            // The server is draining: this job will not
-                            // run now; it is journaled for the next
-                            // server. Unblock the waiter.
-                            response = Some(serde_json::json!({
-                                "ok": false,
-                                "code": 503u32,
-                                "error": "server draining; job journaled for resume",
-                                "job": job_hex(job),
-                                "state": phase.name(),
-                            }));
-                            break;
-                        }
-                        Some(phase) => {
-                            let progress = scheduler
-                                .status(job)
-                                .map(|v| v.progress)
-                                .unwrap_or_default();
-                            let event = serde_json::json!({
-                                "event": "progress",
-                                "job": job_hex(job),
-                                "state": phase.name(),
-                                "progress": progress_object(&progress),
-                            });
-                            if write_line(&mut writer, &event).is_err() {
-                                break;
-                            }
-                        }
+            Ok(Request::Wait { job }) => loop {
+                match scheduler.wait_step(job, WAIT_POLL) {
+                    None => break error_response(404, "unknown job"),
+                    Some(phase) if phase.terminal() => {
+                        // A status, not the body: `fetch` ships the
+                        // report, once, to whoever asks for it. A
+                        // cancelled job has no result: nulls.
+                        let done = scheduler.fetch(job);
+                        break serde_json::json!({
+                            "ok": true,
+                            "job": job_hex(job),
+                            "state": phase.name(),
+                            "origin": done.as_ref().map(|r| r.origin),
+                            "wall_secs": done.as_ref().map(|r| r.wall_secs),
+                        });
                     }
+                    Some(Phase::Queued) if shutdown.load(Ordering::SeqCst) => {
+                        // The server is draining: this job will not run
+                        // now; it is journaled for the next server.
+                        // Unblock the waiter.
+                        break serde_json::json!({
+                            "ok": false,
+                            "code": 503u32,
+                            "error": "server draining; job journaled for resume",
+                            "job": job_hex(job),
+                            "state": Phase::Queued.name(),
+                        });
+                    }
+                    Some(_) => {}
                 }
-                match response {
-                    Some(v) => v,
-                    None => return, // peer went away mid-wait
-                }
-            }
+            },
             Ok(Request::Fetch { job }) => match scheduler.fetch(job) {
                 Some(result) => outcome_response(job, &result),
-                None => match scheduler.status(job).map(|view| view.phase) {
+                None => match scheduler.wait_step(job, Duration::ZERO) {
                     Some(Phase::Cancelled) => {
                         error_response(409, "job was cancelled — resubmit it to run it")
                     }

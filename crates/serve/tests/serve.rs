@@ -106,12 +106,24 @@ fn with_unknown_engine_mode(json: &str) -> String {
 }
 
 fn state_of(client: &mut Client, job: &str) -> String {
-    let v = client
-        .request(&json!({ "op": "status", "job": job }))
-        .expect("status");
+    let v = client.trace(job).expect("trace");
     match v.get("state") {
         Some(Value::String(s)) => s.clone(),
         _ => String::new(),
+    }
+}
+
+/// A `trace` response's `progress` counters, in the order it lists them.
+fn progress_of(trace: &Value) -> Vec<(String, u64)> {
+    match trace.get("progress") {
+        Some(Value::Object(fields)) => fields
+            .iter()
+            .map(|(k, v)| match v {
+                Value::U64(n) => (k.clone(), *n),
+                other => panic!("counter {k} is {other:?}"),
+            })
+            .collect(),
+        other => panic!("no progress object: {other:?}"),
     }
 }
 
@@ -161,9 +173,12 @@ fn submit_wait_fetch_round_trip() {
     let missing = c.fetch("00000000000000ff").expect("fetch missing");
     assert!(!response_ok(&missing));
     assert_eq!(missing.get("code"), Some(&Value::U64(404)));
-    // `stats` is the one view of the server: there is no `metrics` op.
-    for op in ["frobnicate", "metrics"] {
-        let bad = c.request(&json!({ "op": op })).expect("bad request");
+    // `stats` is the one view of the server and `trace` the one view
+    // of a job: there is no `metrics` op and no `status` op.
+    for op in ["frobnicate", "metrics", "status"] {
+        let bad = c
+            .request(&json!({ "op": op, "job": job }))
+            .expect("bad request");
         assert_eq!(bad.get("code"), Some(&Value::U64(400)), "{op}: {bad:?}");
     }
     // A tenant outside the label charset is refused before a job exists.
@@ -211,19 +226,25 @@ fn wait_answers_with_a_status_and_fetch_with_the_body() {
     let mut c = srv.client();
     let job = response_job(&c.submit(&spec, "t0").expect("submit")).expect("job id");
 
-    // The final `wait` line, as it crosses the wire.
+    // The one `wait` line, as it crosses the wire: the next line on
+    // the connection already answers the next request.
     let mut stream = std::net::TcpStream::connect(&srv.addr).expect("connect");
     stream
         .write_all(format!("{{\"op\":\"wait\",\"job\":\"{job}\"}}\n").as_bytes())
         .expect("wait request");
-    let mut reader = BufReader::new(stream);
-    let fin = loop {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("wait line") > 0);
-        if !line.contains("\"event\":\"progress\"") {
-            break line;
-        }
-    };
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut fin = String::new();
+    assert!(reader.read_line(&mut fin).expect("wait line") > 0);
+    stream
+        .write_all(format!("{{\"op\":\"trace\",\"job\":\"{job}\"}}\n").as_bytes())
+        .expect("trace request");
+    let mut next = String::new();
+    assert!(reader.read_line(&mut next).expect("trace line") > 0);
+    let next: Value = serde_json::from_str(next.trim()).expect("json");
+    assert!(
+        next.get("spans").is_some(),
+        "not the trace answer: {next:?}"
+    );
     assert!(fin.len() < 512, "wait shipped {} bytes: {fin}", fin.len());
     let keys = |v: &Value| -> Vec<String> {
         match v {
@@ -536,8 +557,11 @@ fn finished_jobs_leave_the_live_map_for_the_store() {
         .and_then(|store| store.get("entries"));
     assert_eq!(entries, Some(&Value::U64(400)));
     let first = journal_key(&fir(1, Method::Full));
-    let view = sched.status(first).expect("the first job is still known");
-    assert_eq!(view.phase.name(), "cancelled");
+    assert_eq!(
+        sched.wait_step(first, Duration::ZERO),
+        Some(Phase::Cancelled),
+        "the first job is still known"
+    );
 }
 
 #[test]
@@ -569,10 +593,41 @@ fn an_executed_job_answers_from_the_store_once_it_leaves_the_live_map() {
     let id = journal_key(&blocker);
     assert_eq!(sched.wait_step(id, Duration::ZERO), Some(Phase::Done));
     // A finished job's progress is its result's final `sim.*` counters.
-    let progress = sched.status(id).expect("status").progress;
+    let progress = progress_of(&c.trace(&blocker_job).expect("trace"));
     assert!(!progress.is_empty(), "a finished job shows its counters");
     let result = sched.fetch(id).expect("fetch");
     assert_eq!(progress, result.metrics.counters_with_prefix("sim."));
+    srv.stop();
+}
+
+/// A running job's `trace` carries its live `sim.*` counters, and a
+/// second read never shows one lower than the first.
+#[test]
+fn a_running_jobs_trace_progress_never_decreases() {
+    let srv = TestServer::start(1, 8, None);
+    let mut c = srv.client();
+    let sub = c.submit(&fir(3072, Method::Full), "t0").expect("submit");
+    let job = response_job(&sub).expect("job id");
+    let first = loop {
+        let trace = c.trace(&job).expect("trace");
+        let state = trace.get("state").cloned();
+        assert_ne!(
+            state,
+            Some(Value::String("done".into())),
+            "never seen running"
+        );
+        let progress = progress_of(&trace);
+        if state == Some(Value::String("running".into())) && !progress.is_empty() {
+            break progress;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let second = progress_of(&c.trace(&job).expect("trace"));
+    for (name, before) in &first {
+        let after = second.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert!(after >= Some(*before), "{name}: {before} then {after:?}");
+    }
+    assert!(response_ok(&c.wait(&job).expect("wait")));
     srv.stop();
 }
 
@@ -711,10 +766,8 @@ fn pending_journal_fixture_resumes() {
         });
         assert_eq!(sched.resume_pending_from(&pending), (2, 0));
         for method in [Method::Full, Method::Pka] {
-            let view = sched
-                .status(journal_key(&fir(64, method)))
-                .expect("resumed");
-            assert_eq!(view.phase.name(), "queued", "queue {queue_capacity}");
+            let phase = sched.wait_step(journal_key(&fir(64, method)), Duration::ZERO);
+            assert_eq!(phase, Some(Phase::Queued), "queue {queue_capacity}");
         }
         assert!(!pending.exists(), "resume must consume the journal");
     }

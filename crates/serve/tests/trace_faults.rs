@@ -6,7 +6,7 @@
 //! reason the tests here take [`faults_lock`] and run one at a time.
 
 use gpu_telemetry::faults::{self, FaultPlan};
-use gpu_telemetry::span::{job_hex, PhaseDuration, SpanRecord};
+use gpu_telemetry::span::{self, job_hex, PhaseDuration, SpanRecord};
 use gpu_telemetry::MetricsSnapshot;
 use photon_bench::flightrec;
 use photon_bench::{journal_key, ExecOptions, Method, RunSpec};
@@ -363,5 +363,66 @@ fn a_drain_torn_line_by_line_resumes_nothing_and_the_server_still_starts() {
         Some(serde_json::json!({"interactive": 0u64, "batch": 0u64}))
     );
     assert!(!copy.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that leaves without running closes its trail: drained by a
+/// scheduler with no workers, resumed into a second one in the same
+/// process and run there, its `trace` shows no open phase and exactly
+/// one `job` span. (Before, the drained `job` and `queued` spans stayed
+/// open and the resumed run reported phase `queued` once done.) Since
+/// a drain, a cancel and a dropped scheduler all close their jobs'
+/// trails, serve tests may share specs again; this one runs the spec of
+/// `a_rerun_of_a_failed_job_starts_a_fresh_trail` on purpose.
+#[test]
+fn a_drained_job_resumed_in_the_same_process_has_one_trail() {
+    let _faults = faults_lock();
+    let dir = std::env::temp_dir().join(format!("photon_trace_drained_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let pending = dir.join("pending.jsonl");
+    let opts = || ServeOptions {
+        workers: 1,
+        exec: ExecOptions {
+            cache: false,
+            journal: None,
+            ..ExecOptions::default()
+        },
+        ..ServeOptions::default()
+    };
+    let spec = RunSpec::bench(GpuConfig::tiny(), Benchmark::Fir, 64, Method::Pka);
+    let id = journal_key(&spec);
+    let drained = Scheduler::new(opts());
+    drained.submit(spec.clone(), "t0");
+    assert_eq!(drained.drain_pending_to(&pending).expect("drain"), 1);
+
+    let sched = Arc::new(Scheduler::new(opts()));
+    assert_eq!(sched.resume_pending_from(&pending), (1, 0));
+    let worker = {
+        let sched = Arc::clone(&sched);
+        std::thread::spawn(move || sched.worker_loop())
+    };
+    while !sched
+        .wait_step(id, Duration::from_millis(50))
+        .is_some_and(Phase::terminal)
+    {}
+    sched.begin_drain();
+    worker.join().expect("worker");
+    let trace = sched.trace(id).expect("trace");
+    assert_eq!(trace.get("phase"), Some(&Value::Null), "{trace:?}");
+    let phases =
+        Vec::<PhaseDuration>::deserialize(trace.get("phases").expect("phases")).expect("phases");
+    let roots = phases.iter().find(|p| p.phase == "job").map(|p| p.count);
+    assert_eq!(roots, Some(1), "{phases:?}");
+    drop(drained);
+
+    // A scheduler dropped with the job still queued closes it too.
+    let dropped = Scheduler::new(opts());
+    dropped.submit(spec, "t0");
+    drop(dropped);
+    let open: Vec<SpanRecord> = span::job_records(id)
+        .into_iter()
+        .filter(|s| s.open)
+        .collect();
+    assert_eq!(open, Vec::new());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -113,20 +113,10 @@ impl FaultSite {
         FaultSite::ALL.iter().copied().find(|s| s.name() == name)
     }
 
+    /// The site's salt in [`decide`] and its slot in the injection
+    /// counts: its declaration order, which [`FaultSite::ALL`] follows.
     fn index(self) -> usize {
-        match self {
-            FaultSite::RefcacheReadCorrupt => 0,
-            FaultSite::RefcacheWriteTorn => 1,
-            FaultSite::RefcacheWriteIoErr => 2,
-            FaultSite::ExecPanic => 3,
-            FaultSite::ExecStall => 4,
-            FaultSite::WatchdogFuel => 5,
-            FaultSite::WatchdogStuck => 6,
-            FaultSite::ControllerZeroCycle => 7,
-            FaultSite::ControllerNan => 8,
-            FaultSite::JournalTorn => 9,
-            FaultSite::EngineEpochStall => 10,
-        }
+        self as usize
     }
 }
 
@@ -248,19 +238,8 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
 /// Per-site count of injections actually performed (diagnostics and
 /// test assertions; monotone for the process lifetime unless reset).
-static INJECTED: [AtomicU64; 11] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static INJECTED: [AtomicU64; FaultSite::ALL.len()] =
+    [const { AtomicU64::new(0) }; FaultSite::ALL.len()];
 
 /// Installs a fault plan globally (`None` / empty plan clears it).
 pub fn install(plan: Option<FaultPlan>) {
@@ -339,6 +318,33 @@ mod tests {
             assert_eq!(FaultSite::parse(site.name()), Some(site));
         }
         assert_eq!(FaultSite::parse("nope"), None);
+    }
+
+    /// A site's index salts every decision, so it is pinned: its
+    /// declaration order, `ALL`'s order, and the decisions of seed 1207
+    /// at rate 0.5 over keys 0..64 as they were when `index` was a match.
+    #[test]
+    fn site_indices_and_decisions_are_pinned() {
+        let pinned: [(&str, u64); 11] = [
+            ("refcache.read.corrupt", 0x2a10_4972_e2f1_abff),
+            ("refcache.write.torn", 0xa06c_3cf3_5b97_f218),
+            ("refcache.write.ioerr", 0x3cca_d2c4_4e46_0b21),
+            ("exec.panic", 0xc3f6_a140_1abe_e502),
+            ("exec.stall", 0xcf0a_d846_7a60_4c0d),
+            ("watchdog.fuel", 0xa483_00f8_1970_71b6),
+            ("watchdog.stuck", 0x1a7a_1338_b1bd_7af1),
+            ("controller.zero_cycle", 0xedf4_4a03_5307_6670),
+            ("controller.nan", 0xb47b_002d_fef4_c93c),
+            ("journal.torn", 0xf181_d96f_474e_3e3b),
+            ("engine.epoch.stall", 0xbf6e_662f_df09_426a),
+        ];
+        assert_eq!(FaultSite::ALL.len(), pinned.len());
+        for (i, (site, (name, want))) in FaultSite::ALL.into_iter().zip(pinned).enumerate() {
+            assert_eq!((site.index(), site.name()), (i, name));
+            let plan = FaultPlan::parse(&format!("{name}:0.5:1207")).unwrap();
+            let mask = (0..64u64).fold(0, |m, k| m | u64::from(plan.would_inject(site, k)) << k);
+            assert_eq!(mask, want, "{name}");
+        }
     }
 
     #[test]

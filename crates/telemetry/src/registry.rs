@@ -264,8 +264,7 @@ impl MetricsSnapshot {
 
     /// All counters whose name starts with `prefix`, as `(name, value)`
     /// pairs in name order — how `photon-serve` selects the `sim.*`
-    /// progress counters to stream to `status`/`wait` clients without
-    /// shipping the whole snapshot per poll.
+    /// progress counters its `trace` op shows beside a job's spans.
     pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
         self.counters
             .iter()

@@ -96,6 +96,15 @@ if grep -rnE 'prometheus[_]text|prometheus[_]name|metrics[_]text|refresh[_]gauge
   exit 1
 fi
 
+# photon-serve has one view of a job, `trace`: no `status` op, and
+# `wait` answers once instead of streaming progress events.
+if grep -rnE 'Request::[S]tatus|Status[V]iew|progress[_]object|"event":"[p]rogress"' \
+    crates scripts README.md DESIGN.md .claude; then
+  echo "    a job's state and sim.* progress are read through the trace op alone;"
+  echo "    wait writes one status line"
+  exit 1
+fi
+
 # One definition of the same simulated result: Measurement::differences,
 # applied by the one `report` binary. The profile binary, its tolerance
 # knob and the hand-picked field lists are gone.
